@@ -15,14 +15,14 @@ import os
 import sys
 from pathlib import Path
 
-from .semiring import ONE
+from .semiring import ONE, ZERO
 from .spaces import FinSpace
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, compose, is_copyable,
     is_normalized, is_substochastic, lift_involution, row_masses,
 )
 from .enrichment import (
-    abs_cont, ae_equal, equivalent, involutive_decompose, is_cancellative,
+    abs_cont, ae_violation, equivalent, involutive_decompose, is_cancellative,
     is_finite_morphism, is_singular, lebesgue_decompose, leq_kernel,
     support_labels,
 )
@@ -155,11 +155,15 @@ def _row_witness(kernel: Kernel, predicate) -> list[tuple[str, str]]:
 
 
 def _entry_witness(p: Kernel, q: Kernel, bad) -> list[tuple[str, str]]:
-    for x, r1, r2 in zip(p.dom.labels, p.entries, q.entries):
-        for y, a, b in zip(p.cod.labels, r1, r2):
+    # Every ``bad`` is false where both entries are zero, so only the
+    # positions where p or q is nonzero are visited, in row-major order.
+    for x, r1, r2 in zip(p.dom.labels, p.rows, q.rows):
+        left, right = dict(zip(*r1)), dict(zip(*r2))
+        for j in sorted(left.keys() | right.keys()):
+            a, b = left.get(j, ZERO), right.get(j, ZERO)
             if bad(a, b):
                 return [("witness_x", format_label(x)),
-                        ("witness_y", format_label(y)),
+                        ("witness_y", format_label(p.cod.labels[j])),
                         ("left", str(a)), ("right", str(b))]
     return []
 
@@ -258,15 +262,9 @@ def _check_ae_equal(doc, names):
     target = _measure(doc, names[0])
     p = _kernel_like(doc, names[1])
     q = _kernel_like(doc, names[2])
-    ok = ae_equal(target, p, q)
-    witness = []
-    if not ok:
-        for x, mass, r1, r2 in zip(p.dom.labels, target.entries[0],
-                                   p.entries, q.entries):
-            if mass.num != 0 and r1 != r2:
-                witness = [("witness_point", format_label(x))]
-                break
-    return ok, witness
+    point = ae_violation(target, p, q)
+    witness = [] if point is None else [("witness_point", format_label(point))]
+    return point is None, witness
 
 
 CHECKS = {
@@ -650,7 +648,8 @@ def main(argv=None) -> int:
                          "(or --instances for batch mode)")
     try:
         return args.func(args)
-    except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError) as exc:
+    except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError,
+            ArithmeticError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ def copair(f: Kernel, g: Kernel) -> Kernel:
     """
     if f.cod != g.cod:
         raise SpaceMismatchError("copair needs kernels into the same space")
-    return Kernel._new(oplus(f.dom, g.dom), f.cod, f.entries + g.entries)
+    return Kernel._new(oplus(f.dom, g.dom), f.cod, f.rows + g.rows)
 
 
 def distributivity_iso(x: FinSpace, y: FinSpace, z: FinSpace) -> tuple[Kernel, Kernel]:

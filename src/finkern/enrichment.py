@@ -16,8 +16,8 @@ from itertools import combinations
 from .semiring import ONE, ZERO, residual
 from .spaces import FinSpace, Label
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, dirac, effect,
-    pushforward, row_masses,
+    EMPTY_ROW, Involution, Kernel, SpaceMismatchError, compose, dict_row,
+    dirac, effect, point_row, pushforward, row_masses,
 )
 
 
@@ -47,16 +47,19 @@ def kernel_add(p: Kernel, q: Kernel) -> Kernel:
 
 
 def kernel_zero(dom: FinSpace, cod: FinSpace) -> Kernel:
-    rows = tuple(tuple(ZERO for _ in cod.labels) for _ in dom.labels)
-    return Kernel._new(dom, cod, rows)
+    return Kernel._new(dom, cod, (EMPTY_ROW,) * len(dom))
 
 
 def leq_kernel(p: Kernel, q: Kernel) -> bool:
     """The additive preorder, decided entrywise."""
     _check_same_type(p, q, "leq")
-    return all(a <= b
-               for r1, r2 in zip(p.entries, q.entries)
-               for a, b in zip(r1, r2))
+    for (pcols, pvals), (qcols, qvals) in zip(p.rows, q.rows):
+        upper = dict(zip(qcols, qvals))
+        for j, a in zip(pcols, pvals):
+            b = upper.get(j)
+            if b is None or not a <= b:
+                return False
+    return True
 
 
 def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
@@ -67,14 +70,18 @@ def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
     """
     _check_same_type(p, q, "leq")
     rows = []
-    for r1, r2 in zip(p.entries, q.entries):
-        row = []
-        for a, b in zip(r1, r2):
-            c = residual(a, b)
+    for (pcols, pvals), (qcols, qvals) in zip(p.rows, q.rows):
+        lower = dict(zip(pcols, pvals))
+        gaps = {}
+        for j, b in zip(qcols, qvals):
+            c = residual(lower.pop(j, ZERO), b)
             if c is None:
                 return None
-            row.append(c)
-        rows.append(tuple(row))
+            if c.num:
+                gaps[j] = c
+        if lower:  # a nonzero entry of p over a zero entry of q
+            return None
+        rows.append(dict_row(gaps))
     return Kernel._new(p.dom, p.cod, tuple(rows))
 
 
@@ -88,20 +95,18 @@ def is_cancellative(kernel: Kernel) -> bool:
     On a finite space a row measure is sigma-finite exactly when it has no
     infinite atom, so this reduces to all entries being finite.
     """
-    return all(v.is_finite for row in kernel.entries for v in row)
+    return all(v.is_finite for _, vals in kernel.rows for v in vals)
 
 
 def cancellation_counterexample(kernel: Kernel) -> tuple[Kernel, Kernel] | None:
     """A pair (Q, R) with kernel+Q == kernel+R but Q != R, if one exists."""
-    for i, row in enumerate(kernel.entries):
-        for j, v in enumerate(row):
+    for i, (cols, vals) in enumerate(kernel.rows):
+        for j, v in zip(cols, vals):
             if not v.is_finite:
                 q = kernel_zero(kernel.dom, kernel.cod)
-                rows = [list(r) for r in q.entries]
-                rows[i][j] = ONE
-                r = Kernel._new(kernel.dom, kernel.cod,
-                                tuple(tuple(r) for r in rows))
-                return q, r
+                rows = list(q.rows)
+                rows[i] = point_row(j)
+                return q, Kernel._new(kernel.dom, kernel.cod, tuple(rows))
     return None
 
 
@@ -117,9 +122,8 @@ def is_finite_morphism(kernel: Kernel) -> bool:
 def abs_cont(p: Kernel, q: Kernel) -> bool:
     """Pointwise absolute continuity: q's null entries are null for p."""
     _check_same_type(p, q, "abs_cont")
-    return all(a.num == 0
-               for r1, r2 in zip(p.entries, q.entries)
-               for a, b in zip(r1, r2) if b.num == 0)
+    return all(set(qcols).issuperset(pcols)
+               for (pcols, _), (qcols, _) in zip(p.rows, q.rows))
 
 
 def abs_cont_basis(p: Kernel, q: Kernel) -> bool:
@@ -139,8 +143,8 @@ def abs_cont_basis(p: Kernel, q: Kernel) -> bool:
             for subset in combinations(indices, size):
                 ind = effect(p.cod, [ONE if j in subset else ZERO
                                      for j in indices])
-                if compose(ind, compose(q, delta)).entries[0][0].num == 0:
-                    if compose(ind, compose(p, delta)).entries[0][0].num != 0:
+                if compose(ind, compose(q, delta)).is_zero():
+                    if not compose(ind, compose(p, delta)).is_zero():
                         return False
     return True
 
@@ -153,18 +157,14 @@ def equivalent(p: Kernel, q: Kernel) -> bool:
 def meet(p: Kernel, q: Kernel) -> Kernel:
     """The canonical greatest lower bound for << : p masked to q's support."""
     _check_same_type(p, q, "meet")
-    rows = tuple(
-        tuple(a if b.num != 0 else ZERO for a, b in zip(r1, r2))
-        for r1, r2 in zip(p.entries, q.entries))
-    return Kernel._new(p.dom, p.cod, rows)
+    return lebesgue_decompose(p, q).ac
 
 
 def is_singular(p: Kernel, q: Kernel) -> bool:
     """Whether p and q put mass on disjoint points, row by row."""
     _check_same_type(p, q, "is_singular")
-    return all(a.num == 0 or b.num == 0
-               for r1, r2 in zip(p.entries, q.entries)
-               for a, b in zip(r1, r2))
+    return all(set(qcols).isdisjoint(pcols)
+               for (pcols, _), (qcols, _) in zip(p.rows, q.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +188,13 @@ def lebesgue_decompose(p: Kernel, q: Kernel) -> Decomposition:
     _check_same_type(p, q, "lebesgue_decompose")
     ac_rows = []
     si_rows = []
-    for r1, r2 in zip(p.entries, q.entries):
-        ac_rows.append(tuple(a if b.num != 0 else ZERO for a, b in zip(r1, r2)))
-        si_rows.append(tuple(a if b.num == 0 else ZERO for a, b in zip(r1, r2)))
+    for (pcols, pvals), (qcols, _) in zip(p.rows, q.rows):
+        charged = set(qcols)
+        ac, si = {}, {}
+        for j, a in zip(pcols, pvals):
+            (ac if j in charged else si)[j] = a
+        ac_rows.append(dict_row(ac))
+        si_rows.append(dict_row(si))
     return Decomposition(
         ac=Kernel._new(p.dom, p.cod, tuple(ac_rows)),
         si=Kernel._new(p.dom, p.cod, tuple(si_rows)))
@@ -211,9 +215,7 @@ def involutive_decompose(mu: Kernel, phi: Involution) -> tuple[tuple[Label, ...]
         raise NotCancellative("involutive_decompose needs finite atoms")
     pushed = pushforward(phi, mu)
     decomposition = lebesgue_decompose(mu, pushed)
-    support = tuple(x for x, v in zip(mu.cod.labels, decomposition.ac.entries[0])
-                    if v.num != 0)
-    return support, decomposition
+    return support_labels(decomposition.ac), decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def rn_derivative(pi: Kernel, mu: Kernel) -> Kernel:
     if pi.cod != mu.cod:
         raise SpaceMismatchError("rn_derivative needs measures on the same space")
     values = []
-    for x, (p, m) in zip(mu.cod.labels, zip(pi.entries[0], mu.entries[0])):
+    for x, p, m in zip(mu.cod.labels, pi.measure_values(), mu.measure_values()):
         if m.num == 0:
             if p.num != 0:
                 raise NotAbsolutelyContinuous(
@@ -254,18 +256,25 @@ def rn_derivative(pi: Kernel, mu: Kernel) -> Kernel:
 
 def ae_equal(mu: Kernel, p: Kernel, q: Kernel) -> bool:
     """Whether p and q agree at every point the measure charges."""
+    return ae_violation(mu, p, q) is None
+
+
+def ae_violation(mu: Kernel, p: Kernel, q: Kernel) -> Label | None:
+    """The first point the measure charges where p's and q's rows differ."""
     if not mu.is_measure or mu.cod != p.dom:
         raise SpaceMismatchError("ae_equal needs a measure on the kernels' domain")
     _check_same_type(p, q, "ae_equal")
     if not is_cancellative(mu):
         raise NotCancellative("ae_equal needs finite atoms")
-    for mass, r1, r2 in zip(mu.entries[0], p.entries, q.entries):
-        if mass.num != 0 and r1 != r2:
-            return False
-    return True
+    for i in mu.rows[0][0]:
+        if p.rows[i] != q.rows[i]:
+            return mu.cod.labels[i]
+    return None
 
 
 def support_labels(mu: Kernel) -> tuple[Label, ...]:
     """The points a measure charges, in space order."""
-    return tuple(x for x, v in zip(mu.cod.labels, mu.measure_values())
-                 if v.num != 0)
+    if not mu.is_measure:
+        raise SpaceMismatchError("not a measure (domain is not the unit space)")
+    labels = mu.cod.labels
+    return tuple(labels[i] for i in mu.rows[0][0])

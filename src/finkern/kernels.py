@@ -5,19 +5,38 @@ out of the unit space (one row) and effects are kernels into it (one
 column). Composition is the Chapman-Kolmogorov sum, the monoidal product is
 the Kronecker product, and each space carries copy/delete/swap structure.
 
+Every kernel has one canonical sparse form. ``kernel.rows[i]`` is the pair
+``(cols, vals)`` of parallel tuples: the ascending column indices of row
+i's nonzero entries and their values. Zeros are never stored (and
+``0 * oo = 0`` keeps them out of every product), so equal kernels have
+equal rows and each operation loops over nonzeros only. A deterministic
+kernel is a function, and is stored as its index map: identity, copy,
+swap, the unitors and associator, relabelings and involutions hold one
+entry ``((j,), (ONE,))`` per row. The ``entries`` property is a read-only
+dense view, built on first access for callers that index the full matrix;
+the library itself never reads it.
+
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .semiring import ExtNonneg, INF, ONE, ZERO, ext_sum
 from .spaces import FinSpace, Label, UNIT, product
 
 Entry = Union[ExtNonneg, int]
+
+#: A sparse row: ascending column indices and their nonzero values.
+Row = tuple[tuple[int, ...], tuple[ExtNonneg, ...]]
+
+EMPTY_ROW: Row = ((), ())
+_UNIT_MASS = (ONE,)
 
 
 class SpaceMismatchError(ValueError):
@@ -32,31 +51,95 @@ def _coerce(value: Entry) -> ExtNonneg:
     raise TypeError(f"kernel entries must be ExtNonneg or int, got {value!r}")
 
 
-class Kernel:
-    """An ExtNonneg-valued matrix with named domain and codomain spaces."""
+def point_row(j: int) -> Row:
+    """The row with unit mass at column ``j``: one step of an index map."""
+    return ((j,), _UNIT_MASS)
 
-    __slots__ = ("dom", "cod", "entries")
+
+def value_row(value: ExtNonneg) -> Row:
+    """The one-column row holding ``value`` (empty when it is zero)."""
+    return ((0,), (value,)) if value.num else EMPTY_ROW
+
+
+def dict_row(acc: Mapping[int, ExtNonneg]) -> Row:
+    """The sparse row of a column -> nonzero value mapping."""
+    cols = tuple(sorted(acc))
+    return cols, tuple([acc[j] for j in cols])
+
+
+def _dense_row(row: Row, width: int) -> tuple[ExtNonneg, ...]:
+    out = [ZERO] * width
+    for j, v in zip(*row):
+        out[j] = v
+    return tuple(out)
+
+
+def _scale(weight: ExtNonneg, row: Row) -> Row:
+    """``weight`` times every entry of a row."""
+    if weight.num == 0:
+        return EMPTY_ROW
+    if weight == ONE:
+        return row
+    cols, vals = row
+    return cols, tuple([weight * v for v in vals])
+
+
+def _add_rows(r1: Row, r2: Row) -> Row:
+    if not r1[0]:
+        return r2
+    if not r2[0]:
+        return r1
+    if r1[0] == r2[0]:  # same support: add entry by entry
+        return r1[0], tuple([a + b for a, b in zip(r1[1], r2[1])])
+    acc = dict(zip(*r1))
+    for j, v in zip(*r2):
+        prev = acc.get(j)
+        acc[j] = v if prev is None else prev + v
+    return dict_row(acc)
+
+
+class Kernel:
+    """An ExtNonneg-valued matrix with named domain and codomain spaces.
+
+    ``Kernel(dom, cod, entries)`` takes the dense matrix, one row per
+    domain point; the kernel keeps only its nonzero entries, in ``rows``.
+    """
+
+    __slots__ = ("dom", "cod", "rows", "_dense")
 
     def __init__(self, dom: FinSpace, cod: FinSpace, entries: Iterable[Iterable[Entry]]):
-        rows = tuple(tuple(_coerce(v) for v in row) for row in entries)
-        if len(rows) != len(dom):
+        dense = list(entries)
+        if len(dense) != len(dom):
             raise SpaceMismatchError(
-                f"expected {len(dom)} rows for {dom!r}, got {len(rows)}")
-        for row in rows:
-            if len(row) != len(cod):
+                f"expected {len(dom)} rows for {dom!r}, got {len(dense)}")
+        width = len(cod)
+        full = tuple(range(width))  # shared by the rows with no zero
+        rows = []
+        for row in dense:  # one row at a time: no second dense copy
+            # (the type test skips a call per entry that is already a value)
+            row = [v if type(v) is ExtNonneg else _coerce(v) for v in row]
+            if len(row) != width:
                 raise SpaceMismatchError(
-                    f"expected {len(cod)} columns for {cod!r}, got {len(row)}")
+                    f"expected {width} columns for {cod!r}, got {len(row)}")
+            nonzero = [v.num for v in row]
+            if all(nonzero):
+                rows.append((full, tuple(row)))
+            else:
+                rows.append((tuple(compress(full, nonzero)),
+                             tuple(compress(row, nonzero))))
         self.dom = dom
         self.cod = cod
-        self.entries = rows
+        self.rows = tuple(rows)
+        self._dense = None
 
     @classmethod
-    def _new(cls, dom: FinSpace, cod: FinSpace, rows) -> "Kernel":
-        # Internal fast path: rows already a tuple of tuples of ExtNonneg.
+    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[Row, ...]) -> "Kernel":
+        # Internal constructor: rows are already canonical sparse rows.
         k = object.__new__(cls)
         k.dom = dom
         k.cod = cod
-        k.entries = rows
+        k.rows = rows
+        k._dense = None
         return k
 
     @classmethod
@@ -64,11 +147,25 @@ class Kernel:
                       fn: Callable[[Label, Label], Entry]) -> "Kernel":
         return cls(dom, cod, ((fn(x, y) for y in cod.labels) for x in dom.labels))
 
+    @property
+    def entries(self) -> tuple[tuple[ExtNonneg, ...], ...]:
+        """The dense matrix, built on first access and kept."""
+        if self._dense is None:
+            width = len(self.cod)
+            self._dense = tuple(_dense_row(row, width) for row in self.rows)
+        return self._dense
+
+    def at(self, i: int, j: int) -> ExtNonneg:
+        """The entry at row index ``i`` and column index ``j``."""
+        cols, vals = self.rows[i]
+        k = bisect_left(cols, j)
+        return vals[k] if k < len(cols) and cols[k] == j else ZERO
+
     def entry(self, x: Label, y: Label) -> ExtNonneg:
-        return self.entries[self.dom.index(x)][self.cod.index(y)]
+        return self.at(self.dom.index(x), self.cod.index(y))
 
     def row(self, x: Label) -> tuple[ExtNonneg, ...]:
-        return self.entries[self.dom.index(x)]
+        return _dense_row(self.rows[self.dom.index(x)], len(self.cod))
 
     @property
     def is_measure(self) -> bool:
@@ -81,24 +178,22 @@ class Kernel:
     def measure_values(self) -> tuple[ExtNonneg, ...]:
         if not self.is_measure:
             raise SpaceMismatchError("not a measure (domain is not the unit space)")
-        return self.entries[0]
+        return _dense_row(self.rows[0], len(self.cod))
 
     def effect_values(self) -> tuple[ExtNonneg, ...]:
         if not self.is_effect:
             raise SpaceMismatchError("not an effect (codomain is not the unit space)")
-        return tuple(row[0] for row in self.entries)
+        return tuple([vals[0] if vals else ZERO for _, vals in self.rows])
 
     def is_zero(self) -> bool:
-        return all(v.num == 0 for row in self.entries for v in row)
+        return not any(cols for cols, _ in self.rows)
 
     def __add__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
         if self.dom != other.dom or self.cod != other.cod:
             raise SpaceMismatchError("kernel sum needs equal dom and cod")
-        rows = tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries))
+        rows = tuple(_add_rows(r1, r2) for r1, r2 in zip(self.rows, other.rows))
         return Kernel._new(self.dom, self.cod, rows)
 
     def __rshift__(self, other):
@@ -112,15 +207,17 @@ class Kernel:
         if not isinstance(other, Kernel):
             return NotImplemented
         return (self.dom == other.dom and self.cod == other.cod
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.entries))
+        return hash((self.dom, self.cod, self.rows))
 
     def __repr__(self):
+        width = len(self.cod)
         body = "; ".join(
-            " ".join(str(v) for v in row) for row in self.entries[:4])
-        if len(self.entries) > 4:
+            " ".join(str(v) for v in _dense_row(row, width))
+            for row in self.rows[:4])
+        if len(self.rows) > 4:
             body += "; ..."
         return f"Kernel({self.dom!r} -> {self.cod!r}: {body})"
 
@@ -164,91 +261,99 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
-    width = len(later.cod)
-    out_rows = []
-    for row in earlier.entries:
-        acc = [ZERO] * width
-        for mid, mass in enumerate(row):
-            if mass.num == 0:
-                continue
-            later_row = later.entries[mid]
-            for j, w in enumerate(later_row):
-                if w.num != 0:
-                    acc[j] = acc[j] + mass * w
-        out_rows.append(tuple(acc))
-    return Kernel._new(earlier.dom, later.cod, tuple(out_rows))
+    later_rows = later.rows
+    out = []
+    for cols, vals in earlier.rows:
+        if len(cols) == 1:
+            # one middle point: a scaled copy of that row of ``later``
+            out.append(_scale(vals[0], later_rows[cols[0]]))
+            continue
+        acc: dict[int, ExtNonneg] = {}
+        for mid, mass in zip(cols, vals):
+            for j, w in zip(*later_rows[mid]):
+                prev = acc.get(j)
+                acc[j] = mass * w if prev is None else prev + mass * w
+        out.append(dict_row(acc))
+    return Kernel._new(earlier.dom, later.cod, tuple(out))
 
 
 def tensor(left: Kernel, right: Kernel) -> Kernel:
     """Parallel composition: the Kronecker product of the two matrices."""
     dom = product(left.dom, right.dom)
     cod = product(left.cod, right.cod)
+    width = len(right.cod)
     rows = []
-    for lrow in left.entries:
-        for rrow in right.entries:
-            rows.append(tuple(a * b for a in lrow for b in rrow))
+    for lcols, lvals in left.rows:
+        unit_left = lvals == _UNIT_MASS
+        for rcols, rvals in right.rows:
+            cols = tuple([i * width + j for i in lcols for j in rcols])
+            if unit_left:
+                vals = rvals
+            elif rvals == _UNIT_MASS:
+                vals = lvals
+            else:
+                vals = tuple([a * b for a in lvals for b in rvals])
+            rows.append((cols, vals))
     return Kernel._new(dom, cod, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
-# structure morphisms
+# structure morphisms: index maps, one unit entry per row
+
+
+def _index_map(dom: FinSpace, cod: FinSpace, targets: Iterable[int]) -> Kernel:
+    return Kernel._new(dom, cod, tuple(point_row(j) for j in targets))
 
 
 def identity(space: FinSpace) -> Kernel:
-    n = len(space)
-    rows = tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    return Kernel._new(space, space, rows)
+    return _index_map(space, space, range(len(space)))
 
 
 def deterministic(dom: FinSpace, cod: FinSpace, fn: Callable[[Label], Label]) -> Kernel:
     """The kernel of a function: unit mass at ``fn(x)`` in each row."""
-    rows = []
-    for x in dom.labels:
-        j = cod.index(fn(x))
-        rows.append(tuple(ONE if k == j else ZERO for k in range(len(cod))))
-    return Kernel._new(dom, cod, tuple(rows))
+    return _index_map(dom, cod, (cod.index(fn(x)) for x in dom.labels))
 
 
 def copy(space: FinSpace) -> Kernel:
     """Copy: X -> X (x) X, unit mass at (x, x)."""
-    return deterministic(space, product(space, space), lambda x: (x, x))
+    n = len(space)
+    return _index_map(space, product(space, space), (i * n + i for i in range(n)))
 
 
 def delete(space: FinSpace) -> Kernel:
     """Delete: X -> I, the all-ones effect."""
-    return Kernel._new(space, UNIT, tuple((ONE,) for _ in space.labels))
+    return Kernel._new(space, UNIT, (point_row(0),) * len(space))
 
 
 def swap(left: FinSpace, right: FinSpace) -> Kernel:
     """Swap: X (x) Y -> Y (x) X."""
-    return deterministic(product(left, right), product(right, left),
-                         lambda p: (p[1], p[0]))
+    nl, nr = len(left), len(right)
+    return _index_map(product(left, right), product(right, left),
+                      (j * nl + i for i in range(nl) for j in range(nr)))
 
 
 def dirac(space: FinSpace, point: Label) -> Kernel:
     """The Dirac measure at ``point``: I -> X with unit mass at the point."""
-    j = space.index(point)
-    return Kernel._new(
-        UNIT, space,
-        (tuple(ONE if k == j else ZERO for k in range(len(space))),))
+    return Kernel._new(UNIT, space, (point_row(space.index(point)),))
 
+
+# Product points are numbered in lexicographic order of their factors'
+# indices, so the unitors and the associator keep every index in place.
 
 def left_unitor(space: FinSpace) -> Kernel:
     """Relabeling I (x) X -> X."""
-    return deterministic(product(UNIT, space), space, lambda p: p[1])
+    return _index_map(product(UNIT, space), space, range(len(space)))
 
 
 def right_unitor(space: FinSpace) -> Kernel:
     """Relabeling X (x) I -> X."""
-    return deterministic(product(space, UNIT), space, lambda p: p[0])
+    return _index_map(product(space, UNIT), space, range(len(space)))
 
 
 def associator(a: FinSpace, b: FinSpace, c: FinSpace) -> Kernel:
     """Relabeling (A (x) B) (x) C -> A (x) (B (x) C)."""
-    return deterministic(
-        product(product(a, b), c), product(a, product(b, c)),
-        lambda p: (p[0][0], (p[0][1], p[1])))
+    return _index_map(product(product(a, b), c), product(a, product(b, c)),
+                      range(len(a) * len(b) * len(c)))
 
 
 STRUCTURE_KINDS = ("identity", "copy", "delete", "swap", "dirac")
@@ -324,7 +429,7 @@ class Involution:
 
 def lift_involution(phi: Involution) -> Kernel:
     """The deterministic kernel of an involution (a permutation matrix)."""
-    return deterministic(phi.space, phi.space, phi)
+    return _index_map(phi.space, phi.space, phi.perm)
 
 
 def pushforward(phi: Involution, mu: Kernel) -> Kernel:
@@ -337,23 +442,23 @@ def pushforward(phi: Involution, mu: Kernel) -> Kernel:
 
 
 def row_masses(kernel: Kernel) -> tuple[ExtNonneg, ...]:
-    return tuple(ext_sum(row) for row in kernel.entries)
+    return tuple(ext_sum(vals) for _, vals in kernel.rows)
 
 
 def row_mass(kernel: Kernel) -> Kernel:
     """The effect sending each input point to its total output mass."""
     return Kernel._new(kernel.dom, UNIT,
-                       tuple((ext_sum(row),) for row in kernel.entries))
+                       tuple(value_row(m) for m in row_masses(kernel)))
 
 
 def is_normalized(kernel: Kernel) -> bool:
     """Every row carries total mass exactly 1."""
-    return all(ext_sum(row) == ONE for row in kernel.entries)
+    return all(ext_sum(vals) == ONE for _, vals in kernel.rows)
 
 
 def is_substochastic(kernel: Kernel) -> bool:
     """Every row carries total mass at most 1."""
-    return all(ext_sum(row) <= ONE for row in kernel.entries)
+    return all(ext_sum(vals) <= ONE for _, vals in kernel.rows)
 
 
 def is_copyable(kernel: Kernel) -> bool:
@@ -363,11 +468,10 @@ def is_copyable(kernel: Kernel) -> bool:
     nonzero entry and that entry is idempotent under multiplication
     (1 or oo); see the copy-equation oracle in the test suite.
     """
-    for row in kernel.entries:
-        nonzero = [v for v in row if v.num != 0]
-        if len(nonzero) > 1:
+    for _, vals in kernel.rows:
+        if len(vals) > 1:
             return False
-        if nonzero and nonzero[0] != ONE and nonzero[0] != INF:
+        if vals and vals[0] != ONE and vals[0] != INF:
             return False
     return True
 
@@ -378,8 +482,7 @@ def effect_mul(left: Kernel, right: Kernel) -> Kernel:
         raise SpaceMismatchError("effect_mul needs two effects")
     if left.dom != right.dom:
         raise SpaceMismatchError("effect_mul needs effects on the same space")
-    rows = tuple((a[0] * b[0],) for a, b in zip(left.entries, right.entries))
-    return Kernel._new(left.dom, UNIT, rows)
+    return reweight(left, right)
 
 
 def reweight(weight: Kernel, kernel: Kernel) -> Kernel:
@@ -389,6 +492,6 @@ def reweight(weight: Kernel, kernel: Kernel) -> Kernel:
     if weight.dom != kernel.dom:
         raise SpaceMismatchError("reweight needs an effect on the kernel's domain")
     rows = tuple(
-        tuple(w[0] * v for v in row)
-        for w, row in zip(weight.entries, kernel.entries))
+        _scale(w[0] if w else ZERO, row)
+        for (_, w), row in zip(weight.rows, kernel.rows))
     return Kernel._new(kernel.dom, kernel.cod, rows)

@@ -16,9 +16,9 @@ from typing import Callable, NamedTuple, Sequence
 from .semiring import ExtNonneg, ONE, ZERO, ext_sum, residual
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, copy, delete,
-    deterministic, effect, identity, is_normalized, lift_involution,
-    pushforward, reweight, right_unitor, tensor,
+    Involution, Kernel, Row, SpaceMismatchError, compose, copy, delete,
+    deterministic, dict_row, effect, identity, is_normalized,
+    lift_involution, pushforward, reweight, right_unitor, tensor,
 )
 from .enrichment import (
     NotCancellative, is_cancellative, rn_derivative,
@@ -114,15 +114,21 @@ def is_invariant(target: Kernel, chain: Kernel) -> bool:
 
 
 def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, Label] | None:
-    """The first (x, y) with target[x]*chain[x][y] != target[y]*chain[y][x]."""
+    """The first (x, y) with target[x]*chain[x][y] != target[y]*chain[y][x].
+
+    Pairs are taken in index order with x before y. Only pairs where the
+    chain moves in at least one direction can fail.
+    """
     _check_endo(target, chain)
-    masses = target.entries[0]
-    labels = target.cod.labels
-    n = len(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if masses[i] * chain.entries[i][j] != masses[j] * chain.entries[j][i]:
-                return labels[i], labels[j]
+    masses = target.measure_values()
+    rows = [dict(zip(*row)) for row in chain.rows]
+    pairs = sorted({(i, j) if i < j else (j, i)
+                    for i, row in enumerate(rows) for j in row if i != j})
+    for i, j in pairs:
+        if (masses[i] * rows[i].get(j, ZERO)
+                != masses[j] * rows[j].get(i, ZERO)):
+            labels = target.cod.labels
+            return labels[i], labels[j]
     return None
 
 
@@ -143,13 +149,15 @@ def is_skew_reversible(target: Kernel, twist: Involution, chain: Kernel) -> bool
     if not is_invariant(target, lifted):
         raise ValueError("twist involution does not preserve the target")
     conjugated = compose(lifted, compose(chain, lifted))
-    masses = target.entries[0]
-    n = len(masses)
-    for i in range(n):
-        for j in range(n):
-            if masses[i] * chain.entries[i][j] != masses[j] * conjugated.entries[j][i]:
-                return False
-    return True
+    masses = target.measure_values()
+    # Only pairs on the chain's support need checking. A pair (x, y) with
+    # chain[x][y] == 0 fails only if target[y] * chain[s(y)][s(x)] != 0; the
+    # supported pair (s(y), s(x)) then fails as well, since its left side is
+    # target[s(y)] * chain[s(y)][s(x)] with target[s(y)] == target[y], and
+    # its right side is target[s(x)] * chain[x][y] == 0.
+    return all(masses[i] * v == masses[j] * conjugated.at(j, i)
+               for i, (cols, vals) in enumerate(chain.rows)
+               for j, v in zip(cols, vals))
 
 
 def _check_endo(target: Kernel, chain: Kernel) -> None:
@@ -171,22 +179,26 @@ def bayesian_inverse(prior: Kernel, forward: Kernel) -> Kernel:
     """
     if not prior.is_measure or prior.cod != forward.dom:
         raise SpaceMismatchError("prior must be a measure on the forward domain")
-    joint_cols = []
-    for j in range(len(forward.cod)):
-        col = tuple(prior.entries[0][i] * forward.entries[i][j]
-                    for i in range(len(forward.dom)))
-        joint_cols.append(col)
+    # the joint measure's columns: joint_cols[j][i] = prior[i] * forward[i][j]
+    joint_cols: list[dict[int, ExtNonneg]] = [{} for _ in forward.cod.labels]
+    for i, mass in zip(*prior.rows[0]):
+        for j, w in zip(*forward.rows[i]):
+            joint_cols[j][i] = mass * w
     n = len(forward.dom)
     rows = []
     for col in joint_cols:
-        mass = ext_sum(col)
-        if not mass.is_finite or any(not v.is_finite for v in col):
+        mass = ext_sum(col.values())
+        if not mass.is_finite:
             raise InfiniteMassError("bayesian_inverse needs finite joint masses")
         if mass.num == 0:
-            rows.append(tuple(ExtNonneg(1, n) for _ in range(n)))
+            rows.append(_uniform_row(n))
         else:
-            rows.append(tuple(v / mass for v in col))
+            rows.append(dict_row({i: v / mass for i, v in col.items()}))
     return Kernel._new(forward.cod, forward.dom, tuple(rows))
+
+
+def _uniform_row(n: int) -> Row:
+    return tuple(range(n)), (ExtNonneg(1, n),) * n
 
 
 def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple[Kernel, Kernel]:
@@ -233,12 +245,9 @@ def build_mh(problem: MhProblem) -> Kernel:
 
 def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Label | None:
     ratio = rn_derivative(pushforward(phi, target), target)
-    masses = target.entries[0]
     alpha = accept.effect_values()
     r = ratio.effect_values()
-    for i, mass in enumerate(masses):
-        if mass.num == 0:
-            continue
+    for i in target.rows[0][0]:  # the charged points
         if alpha[i] != alpha[phi.perm[i]] * r[i]:
             return target.cod.labels[i]
     return None
@@ -316,7 +325,7 @@ def reweighted_involution_identity(target: Kernel, phi: Involution) -> bool:
     whenever the density exists.
     """
     ratio = rn_derivative(pushforward(phi, target), target)
-    masses = target.entries[0]
+    masses = target.measure_values()
     r = ratio.effect_values()
     n = len(masses)
     for i in range(n):
@@ -360,13 +369,11 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
         raise ValueError("proposal rows must be normalized")
     if not is_cancellative(target):
         raise InfiniteMassError("classical_mh needs finite target masses")
-    masses = target.entries[0]
-    n = len(base)
+    masses = target.measure_values()
 
     def alpha_at(i: int, j: int) -> ExtNonneg:
         return mh_acceptance_ratio(
-            masses[j] * proposal.entries[j][i],
-            masses[i] * proposal.entries[i][j])
+            masses[j] * proposal.at(j, i), masses[i] * proposal.at(i, j))
 
     joint = product(base, base)
     swap_inv = Involution.from_function(joint, lambda p: (p[1], p[0]))
@@ -379,14 +386,19 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     via_involution, _ = augment_reversible(target, proposal, inner)
 
     rows = []
-    for i in range(n):
-        off = [proposal.entries[i][j] * alpha_at(i, j) if j != i else ZERO
-               for j in range(n)]
-        stay = residual(ext_sum(off), ONE)
+    for i, (cols, vals) in enumerate(proposal.rows):
+        off = {}
+        for j, w in zip(cols, vals):
+            if j != i:
+                move = w * alpha_at(i, j)
+                if move.num:
+                    off[j] = move
+        stay = residual(ext_sum(off.values()), ONE)
         if stay is None:
             raise ValueError("proposal rows must be normalized")
-        off[i] = stay
-        rows.append(tuple(off))
+        if stay.num:
+            off[i] = stay
+        rows.append(dict_row(off))
     direct = Kernel._new(base, base, tuple(rows))
     return via_involution, direct
 
@@ -415,16 +427,21 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
         raise SpaceMismatchError("likelihood must map parameters to data")
     if proposal.dom != base or proposal.cod != base:
         raise SpaceMismatchError("proposal must be an endomorphism on parameters")
+    if not is_cancellative(prior) or not is_cancellative(likelihood):
+        raise InfiniteMassError("exchange_algorithm needs a finite prior and likelihood")
     obs_j = data.index(observed)
 
-    prior_values = prior.entries[0]
-    posterior_raw = [prior_values[i] * likelihood.entries[i][obs_j]
-                     for i in range(len(base))]
-    total = ext_sum(posterior_raw)
+    prior_values = prior.measure_values()
+    posterior_raw = {}
+    for i, mass in zip(*prior.rows[0]):
+        joint = mass * likelihood.at(i, obs_j)
+        if joint.num:
+            posterior_raw[i] = joint
+    total = ext_sum(posterior_raw.values())
     if total.num == 0:
         raise ValueError("target has zero mass at the observed data")
-    posterior = Kernel._new(UNIT, base,
-                            (tuple(v / total for v in posterior_raw),))
+    posterior = Kernel._new(
+        UNIT, base, (dict_row({i: v / total for i, v in posterior_raw.items()}),))
 
     # X -> Z (x) X: propose a parameter, then draw synthetic data from it
     # (keeping the proposed parameter alongside the data).
@@ -440,10 +457,10 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     def alpha_at(point) -> ExtNonneg:
         x, (z, y) = point
         xi, zi, yi = base.index(x), data.index(z), base.index(y)
-        num = (prior_values[yi] * likelihood.entries[yi][obs_j]
-               * proposal.entries[yi][xi] * likelihood.entries[xi][zi])
-        den = (prior_values[xi] * likelihood.entries[xi][obs_j]
-               * proposal.entries[xi][yi] * likelihood.entries[yi][zi])
+        num = (prior_values[yi] * likelihood.at(yi, obs_j)
+               * proposal.at(yi, xi) * likelihood.at(xi, zi))
+        den = (prior_values[xi] * likelihood.at(xi, obs_j)
+               * proposal.at(xi, yi) * likelihood.at(yi, zi))
         return mh_acceptance_ratio(num, den)
 
     accept = effect(aug_space, [alpha_at(p) for p in aug_space.labels])
@@ -473,18 +490,19 @@ def conditional(joint: Kernel, given: str = "left") -> Kernel:
         return conditional(flipped, given="left")
     if given != "left":
         raise ValueError("given must be 'left' or 'right'")
-    n, m = len(left_sp), len(right_sp)
-    values = joint.entries[0]
+    m = len(right_sp)
+    blocks: list[dict[int, ExtNonneg]] = [{} for _ in left_sp.labels]
+    for k, v in zip(*joint.rows[0]):
+        blocks[k // m][k % m] = v
     rows = []
-    for i in range(n):
-        block = values[i * m:(i + 1) * m]
-        mass = ext_sum(block)
+    for block in blocks:
+        mass = ext_sum(block.values())
         if not mass.is_finite:
             raise InfiniteMassError("conditional needs finite marginal masses")
         if mass.num == 0:
-            rows.append(tuple(ExtNonneg(1, m) for _ in range(m)))
+            rows.append(_uniform_row(m))
         else:
-            rows.append(tuple(v / mass for v in block))
+            rows.append(dict_row({j: v / mass for j, v in block.items()}))
     return Kernel._new(left_sp, right_sp, tuple(rows))
 
 

@@ -31,9 +31,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .semiring import ExtNonneg, ONE
-from .spaces import FinSpace, Label, Tagged
-from .kernels import Involution, Kernel, effect, measure
+from .semiring import ExtNonneg, ONE, ZERO
+from .spaces import UNIT, FinSpace, Label, Tagged
+from .kernels import Involution, Kernel, dict_row, value_row
 from .mcmc import BALANCING_FUNCTIONS
 
 
@@ -93,40 +93,50 @@ def parse_label(text: str) -> Label:
 
 
 class _Tokens:
+    """The document's tokens, scanned one at a time as the parser asks.
+
+    Only the next token is held, so parsing a large kernel never holds a
+    token list as big as the document.
+    """
+
     def __init__(self, text: str):
-        self.items: list[tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0]
-            for tok in _TOKEN_RE.findall(line):
-                if tok == ",":
-                    continue
-                self.items.append((tok, lineno))
-        self.pos = 0
+        self._stream = (
+            (tok, lineno)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            for tok in _TOKEN_RE.findall(line.split("#", 1)[0]) if tok != ",")
+        self._tok: str | None = None
+        self._line = 1  # the next token's line, or the last token's at the end
+        self._advance()
+
+    def _advance(self) -> None:
+        item = next(self._stream, None)
+        if item is None:
+            self._tok = None
+        else:
+            self._tok, self._line = item
 
     def peek(self) -> str | None:
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
+        return self._tok
 
     @property
     def line(self) -> int:
-        if self.pos < len(self.items):
-            return self.items[self.pos][1]
-        return self.items[-1][1] if self.items else 1
+        return self._line
 
     def take(self, what: str) -> str:
-        if self.pos >= len(self.items):
+        tok = self._tok
+        if tok is None:
             raise ModelError(self.line, f"unexpected end of document, expected {what}")
-        tok, _ = self.items[self.pos]
-        self.pos += 1
+        self._advance()
         return tok
 
     def next(self, expected: str) -> str:
-        if self.pos >= len(self.items):
+        tok = self._tok
+        if tok is None:
             raise ModelError(self.line,
                              f"unexpected end of document, expected {expected!r}")
-        tok, line = self.items[self.pos]
         if tok != expected:
-            raise ModelError(line, f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
+            raise ModelError(self.line, f"expected {expected!r}, got {tok!r}")
+        self._advance()
         return tok
 
 
@@ -164,9 +174,9 @@ def _parse_value(tokens: _Tokens) -> ExtNonneg:
         raise ModelError(line, str(exc)) from None
 
 
-def _parse_point_map(tokens: _Tokens, space: FinSpace, what: str) -> list[ExtNonneg]:
-    values = [ExtNonneg(0)] * len(space)
-    seen: set[int] = set()
+def _parse_point_map(tokens: _Tokens, space: FinSpace, what: str) -> dict[int, ExtNonneg]:
+    """The listed values of a measure or effect, keyed by point index."""
+    values: dict[int, ExtNonneg] = {}
     tokens.next("{")
     while tokens.peek() != "}":
         line = tokens.line
@@ -174,9 +184,8 @@ def _parse_point_map(tokens: _Tokens, space: FinSpace, what: str) -> list[ExtNon
         if label not in space:
             raise ModelError(line, f"label {format_label(label)} is not in the {what} space")
         idx = space.index(label)
-        if idx in seen:
+        if idx in values:
             raise ModelError(line, f"duplicate entry for {format_label(label)}")
-        seen.add(idx)
         tokens.next("=")
         values[idx] = _parse_value(tokens)
     tokens.next("}")
@@ -226,21 +235,23 @@ def parse(text: str) -> ModelDocument:
             space = named_space()
             values = _parse_point_map(tokens, space, keyword)
             if keyword == "probability":
-                for x, v in zip(space.labels, values):
+                for idx, v in sorted(values.items()):
                     if not v <= ONE:
-                        raise ModelError(
-                            line, f"probability value {v} at {format_label(x)} exceeds 1")
+                        raise ModelError(line, f"probability value {v} at "
+                                         f"{format_label(space.labels[idx])} exceeds 1")
             if keyword == "measure":
-                store[name] = measure(space, values)
+                charged = {i: v for i, v in values.items() if v.num}
+                store[name] = Kernel._new(UNIT, space, (dict_row(charged),))
             else:
-                store[name] = effect(space, values)
+                store[name] = Kernel._new(space, UNIT, tuple(
+                    value_row(values.get(i, ZERO)) for i in range(len(space))))
         elif keyword == "kernel":
             name = fresh_name(doc.kernels, "kernel")
             tokens.next(":")
             dom = named_space()
             tokens.next("->")
             cod = named_space()
-            rows = [[ExtNonneg(0)] * len(cod) for _ in range(len(dom))]
+            rows: list[dict[int, ExtNonneg]] = [{} for _ in dom.labels]
             seen: set[tuple[int, int]] = set()
             tokens.next("{")
             while tokens.peek() != "}":
@@ -259,9 +270,11 @@ def parse(text: str) -> ModelDocument:
                     raise ModelError(entry_line, "duplicate kernel entry")
                 seen.add(key)
                 tokens.next("=")
-                rows[key[0]][key[1]] = _parse_value(tokens)
+                value = _parse_value(tokens)
+                if value.num:
+                    rows[key[0]][key[1]] = value
             tokens.next("}")
-            doc.kernels[name] = Kernel(dom, cod, rows)
+            doc.kernels[name] = Kernel._new(dom, cod, tuple(map(dict_row, rows)))
         elif keyword == "involution":
             name = fresh_name(doc.involutions, "involution")
             tokens.next("on")
@@ -309,20 +322,25 @@ def emit(doc: ModelDocument) -> str:
                            ("effect", doc.effects),
                            ("probability", doc.probabilities)):
         for name, kernel in store.items():
-            space = kernel.cod if keyword == "measure" else kernel.dom
-            values = (kernel.measure_values() if keyword == "measure"
-                      else kernel.effect_values())
-            body = "  ".join(f"{format_label(x)} = {v}"
-                             for x, v in zip(space.labels, values) if v.num != 0)
+            if keyword == "measure":
+                space = kernel.cod
+                charged = zip(*kernel.rows[0])
+            else:
+                space = kernel.dom
+                charged = ((i, vals[0]) for i, (_, vals) in enumerate(kernel.rows)
+                           if vals)
+            body = "  ".join(f"{format_label(space.labels[i])} = {v}"
+                             for i, v in charged)
             block = f"{{ {body} }}" if body else "{ }"
             out.append(f"{keyword} {name} on {doc.space_name(space)} {block}")
     for name, kernel in doc.kernels.items():
         out.append(f"kernel {name} : {doc.space_name(kernel.dom)} -> "
                    f"{doc.space_name(kernel.cod)} {{")
-        for x, row in zip(kernel.dom.labels, kernel.entries):
-            for y, v in zip(kernel.cod.labels, row):
-                if v.num != 0:
-                    out.append(f"  {format_label(x)} -> {format_label(y)} = {v}")
+        cod_labels = [format_label(y) for y in kernel.cod.labels]
+        for x, (cols, vals) in zip(kernel.dom.labels, kernel.rows):
+            src = format_label(x)
+            for j, v in zip(cols, vals):
+                out.append(f"  {src} -> {cod_labels[j]} = {v}")
         out.append("}")
     for name, inv in doc.involutions.items():
         body = "  ".join(f"{format_label(a)} -> {format_label(b)}"

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .kernels import Kernel, is_normalized
 from .enrichment import is_cancellative
@@ -30,9 +31,12 @@ def to_float(kernel: Kernel) -> FloatMatrix:
         raise ValueError("kernel has infinite entries")
     if not is_normalized(kernel):
         raise ValueError("kernel is not normalized")
+    width = len(kernel.cod)
     rows = []
-    for row in kernel.entries:
-        floats = [v.to_float() for v in row]
+    for cols, vals in kernel.rows:
+        floats = [0.0] * width
+        for j, v in zip(cols, vals):
+            floats[j] = v.to_float()
         top = max(range(len(floats)), key=floats.__getitem__)
         for _ in range(10):
             gap = 1.0 - math.fsum(floats)
@@ -66,24 +70,34 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
         raise IndexError(f"initial state {initial} out of range")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    cumulative = []
-    for row in kernel:
-        acc, cum = 0.0, []
-        for p in row:
-            acc += p
-            cum.append(acc)
-        cum[-1] = 1.0  # guard against trailing rounding in the running sum
-        cumulative.append(cum)
+    cumulative = [_cumulative(row) for row in kernel]
     rng = random.Random(seed)
     state = initial
     trace = [state]
     append = trace.append
     rand = rng.random
     for _ in range(length):
-        state = bisect_left(cumulative[state], rand())
+        state = bisect_right(cumulative[state], rand())
         append(state)
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
+
+
+def _cumulative(row: tuple[float, ...]) -> list[float]:
+    """The running sums of a row, set to 1.0 from its last positive entry on.
+
+    ``bisect_right(cum, u)`` for ``u`` in [0, 1) then lands only on
+    positive entries: a zero entry repeats the sum before it, so no ``u``
+    selects it, and the 1.0 tail closes the gap that rounding leaves below
+    1.0 at the last positive entry instead of handing it to a trailing
+    zero.
+    """
+    cum = list(accumulate(row))
+    last = len(row) - 1
+    while last > 0 and row[last] <= 0.0:
+        last -= 1
+    cum[last:] = [1.0] * (len(row) - last)
+    return cum
 
 
 def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:

@@ -83,9 +83,11 @@ class ExtNonneg:
 
     @staticmethod
     def _lift(other):
+        # None for anything outside [0, oo], so comparisons with a negative
+        # int are unequal instead of raising.
         if isinstance(other, ExtNonneg):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and other >= 0:
             return ExtNonneg(other)
         return None
 

@@ -289,3 +289,28 @@ def test_model_error_reported_with_line(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--model", str(bad), "normalized", "m")
     assert code == 2
     assert "line 2" in err
+
+
+def test_exchange_with_infinite_prior_is_a_model_error(capsys, tmp_path):
+    model = tmp_path / "inf_prior.fk"
+    model.write_text(Path(EXCHANGE).read_text().replace(
+        "t1 = 1/2  t2 = 1/2", "t1 = inf  t2 = 1/2"))
+    code, out, err = run(capsys, "exchange", "--model", str(model),
+                         "--prior", "prior", "--likelihood", "lik",
+                         "--obs", "z1", "--proposal", "q")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_arithmetic_error_exits_2(capsys, monkeypatch):
+    import finkern.cli as cli
+    from finkern.semiring import SemiringDivisionError
+
+    def divide(args):
+        raise SemiringDivisionError("oo/oo is undefined")
+    monkeypatch.setattr(cli, "_cmd_gibbs", divide)
+    code, _, err = run(capsys, "gibbs", "--model", GIBBS,
+                       "--target", "joint", "--factors", "X,Y")
+    assert code == 2
+    assert err == "error: oo/oo is undefined\n"

@@ -13,7 +13,7 @@ from finkern.kernels import (
     reweight, right_unitor, row_mass, structure, swap, tensor, uniform,
 )
 from finkern.enrichment import kernel_zero
-from strategies import composable_pairs, kernels
+from strategies import composable_pairs, kernel_pairs, kernels, kernels_on
 
 
 def q(num, den=1):
@@ -352,3 +352,125 @@ def test_reweight_examples():
 def test_reweight_mismatch():
     with pytest.raises(SpaceMismatchError):
         reweight(effect(X3, [1, 1, 1]), identity(X2))
+
+
+# -- the sparse representation against a dense oracle -------------------------
+#
+# Each kernel stores only its nonzero entries. The oracles below work on the
+# dense ``entries`` view, entry by entry, as the matrix definitions read.
+
+def _oracle_compose(later, earlier):
+    mid = range(len(earlier.cod))
+    return [[sum((row[t] * later.entries[t][j] for t in mid), ZERO)
+             for j in range(len(later.cod))] for row in earlier.entries]
+
+
+def _oracle_tensor(left, right):
+    return [[a * b for a in lrow for b in rrow]
+            for lrow in left.entries for rrow in right.entries]
+
+
+def _oracle_sum(p, q_):
+    return [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(p.entries, q_.entries)]
+
+
+def _oracle_reweight(weight, k):
+    return [[w[0] * v for v in row] for w, row in zip(weight.entries, k.entries)]
+
+
+def _assert_canonical(k):
+    """Ascending in-range columns, one value each, and never a stored zero."""
+    assert len(k.rows) == len(k.dom)
+    for cols, vals in k.rows:
+        assert len(cols) == len(vals)
+        assert list(cols) == sorted(set(cols))
+        assert all(0 <= j < len(k.cod) for j in cols)
+        assert all(isinstance(v, ExtNonneg) and v.num != 0 for v in vals)
+
+
+def _matches(k, dense):
+    _assert_canonical(k)
+    assert k.entries == tuple(tuple(row) for row in dense)
+    assert k == Kernel(k.dom, k.cod, dense)
+
+
+small_values = st.sampled_from([ZERO, ONE, INF, q(1, 2), q(3)])
+
+
+@given(composable_pairs())
+def test_compose_matches_dense_oracle(pair):
+    later, earlier = pair
+    _matches(compose(later, earlier), _oracle_compose(later, earlier))
+
+
+@given(kernels(max_size=3), kernels(max_size=3))
+def test_tensor_matches_dense_oracle(left, right):
+    _matches(tensor(left, right), _oracle_tensor(left, right))
+
+
+@given(kernel_pairs())
+def test_sum_matches_dense_oracle(pair):
+    p, q_ = pair
+    _matches(p + q_, _oracle_sum(p, q_))
+
+
+@given(kernels(), st.data())
+def test_reweight_matches_dense_oracle(k, data):
+    weight = data.draw(kernels_on(k.dom, UNIT))
+    _matches(reweight(weight, k), _oracle_reweight(weight, k))
+
+
+@given(kernel_pairs(max_size=2, entry_strategy=small_values))
+def test_equality_matches_dense_oracle(pair):
+    p, q_ = pair
+    assert (p == q_) == (p.entries == q_.entries)
+    if p == q_:
+        assert hash(p) == hash(q_)
+
+
+def test_zero_times_infinity_stores_nothing():
+    p = Kernel(X2, X2, [[INF, 0], [0, 1]])
+    w = effect(X2, [0, 1])
+    assert reweight(w, p).rows == (((), ()), ((1,), (ONE,)))
+    assert compose(p, Kernel(UNIT, X2, [[0, q(1, 2)]])).rows == (((1,), (q(1, 2),)),)
+    assert tensor(Kernel(UNIT, UNIT, [[0]]), p).is_zero()
+
+
+@given(kernels())
+def test_constructor_stores_nonzeros_only(k):
+    _assert_canonical(k)
+    assert sum(len(cols) for cols, _ in k.rows) == sum(
+        1 for row in k.entries for v in row if v != ZERO)
+
+
+def test_entries_is_a_kept_read_only_view():
+    k = Kernel(X2, X2, [[q(1, 2), q(1, 2)], [0, 1]])
+    assert k.entries is k.entries
+    with pytest.raises(AttributeError):
+        k.entries = ((ONE, ZERO), (ZERO, ONE))
+
+
+def _structural_kernels():
+    """Each structural kernel with the label function it should store."""
+    uvw = FinSpace.atoms("u v w")
+    phi = Involution.from_mapping(X3, {"a": "c", "c": "a"})
+    return [
+        (identity(X3), lambda x: x),
+        (deterministic(X3, X2, lambda x: "a" if x == "c" else "b"),
+         lambda x: "a" if x == "c" else "b"),
+        (copy(X3), lambda x: (x, x)),
+        (swap(X2, uvw), lambda p: (p[1], p[0])),
+        (delete(X3), lambda x: "*"),
+        (dirac(X3, "b"), lambda x: "b"),
+        (left_unitor(X3), lambda p: p[1]),
+        (right_unitor(X3), lambda p: p[0]),
+        (associator(X2, uvw, X3), lambda p: (p[0][0], (p[0][1], p[1]))),
+        (lift_involution(phi), phi),
+    ]
+
+
+@pytest.mark.parametrize("k, fn", _structural_kernels())
+def test_structural_kernels_store_one_unit_entry_per_row(k, fn):
+    for x, row in zip(k.dom.labels, k.rows):
+        assert row == ((k.cod.index(fn(x)),), (ONE,))
+    assert len(k.rows) == len(k.dom)

@@ -15,7 +15,8 @@ from finkern.enrichment import NotAbsolutelyContinuous, leq_witness
 from finkern.mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, MhProblem, augment_reversible,
     balancing_alpha, bayesian_inverse, build_mh, build_skew_mh,
-    check_balancing, classical_mh, conditional, exchange_algorithm,
+    check_balancing, classical_mh, conditional, detailed_balance_violation,
+    exchange_algorithm,
     first_summand_reversible, gibbs, gibbs_site_kernels, is_invariant,
     is_reversible, is_skew_reversible, mh_acceptance_ratio,
     reweighted_involution_identity, verify_mh_theorem, verify_skew_theorem,
@@ -668,3 +669,42 @@ def test_gibbs_site_kernels_reversible():
         for site in gibbs_site_kernels(joint, factors):
             assert is_reversible(joint, site)
         assert is_invariant(joint, gibbs(joint, factors))
+
+
+# -- the sparse pair scans against the all-pairs definitions ------------------
+
+sparse_values = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO),
+                          st.builds(ExtNonneg, st.integers(1, 6), st.integers(1, 4)),
+                          st.just(INF))
+
+
+@st.composite
+def _targets_and_chains(draw):
+    n = draw(st.integers(2, 6))
+    space = FinSpace(tuple(f"x{i}" for i in range(n)))
+    target = measure(space, draw(st.lists(sparse_values, min_size=n, max_size=n)))
+    chain = Kernel(space, space, draw(st.lists(
+        st.lists(sparse_values, min_size=n, max_size=n), min_size=n, max_size=n)))
+    return target, chain
+
+
+@given(_targets_and_chains())
+def test_detailed_balance_witness_is_first_unbalanced_pair(pair):
+    target, chain = pair
+    masses, rows = target.measure_values(), chain.entries
+    labels = target.cod.labels
+    expected = next(((labels[i], labels[j])
+                     for i in range(len(labels)) for j in range(i + 1, len(labels))
+                     if masses[i] * rows[i][j] != masses[j] * rows[j][i]), None)
+    assert detailed_balance_violation(target, chain) == expected
+
+
+@given(st.integers(0, 2 ** 32))
+def test_skew_reversibility_matches_all_pairs_definition(seed):
+    target, twist, chain = rand_skew_instance(random.Random(seed))
+    lifted = lift_involution(twist)
+    back = compose(lifted, compose(chain, lifted)).entries
+    masses, n = target.measure_values(), len(target.cod)
+    expected = all(masses[i] * chain.entries[i][j] == masses[j] * back[j][i]
+                   for i in range(n) for j in range(n))
+    assert is_skew_reversible(target, twist, chain) == expected

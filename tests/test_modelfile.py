@@ -56,6 +56,15 @@ def test_absent_entries_are_zero():
     assert doc.kernels["k"].entry("b", "b") == q(0)
 
 
+def test_listed_zero_entries_are_not_stored():
+    doc = parse(MINIMAL + "kernel k : X -> X { a -> a = 0  a -> b = 1 }\n"
+                "effect w on X { a = 0  b = 2 }\n"
+                "measure z on X { a = 0 }\n")
+    assert doc.kernels["k"].rows == (((1,), (q(1),)), ((), ()))
+    assert doc.effects["w"].rows == (((), ()), ((0,), (q(2),)))
+    assert doc.measures["z"].is_zero()
+
+
 def test_comments_and_commas_are_ignored():
     doc = parse("space X { a, b } # trailing\nmeasure m on X { a = 1 } # done\n")
     assert doc.spaces["X"].labels == ("a", "b")

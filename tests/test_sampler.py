@@ -6,6 +6,7 @@ from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import FinSpace
 from finkern.kernels import Involution, Kernel, identity, measure
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
+from finkern import sampler
 from finkern.sampler import (
     RNG_NAME, empirical, run_chain, to_float, tv_distance,
 )
@@ -98,3 +99,50 @@ def test_tv_decreases_over_checkpoints_within_noise():
         tvs.append(tv_distance(empirical(run, steps // 100), target))
     for prev_steps, prev_tv, next_tv in zip((10**4, 10**5), tvs, tvs[1:]):
         assert next_tv < prev_tv + 3 * math.sqrt(states / prev_steps)
+
+
+# -- exact-zero transitions ---------------------------------------------------
+
+LAST_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1.0
+
+
+class _FixedDraws:
+    """Stands in for ``random.Random``: returns the given draws in turn."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def __call__(self, seed):
+        return self
+
+    def random(self):
+        return next(self._draws)
+
+
+def _steps(monkeypatch, row, draws):
+    """The states run_chain visits from state 0 of a chain whose rows are
+    all ``row``, under fixed uniform draws."""
+    monkeypatch.setattr(sampler.random, "Random", _FixedDraws(draws))
+    space = FinSpace(tuple(f"x{i}" for i in range(len(row))))
+    matrix = to_float(Kernel(space, space, [row] * len(space)))
+    return run_chain(matrix, 0, 0, len(draws)).trace[1:]
+
+
+@pytest.mark.parametrize("row", [
+    # the float running sum stops two steps below 1.0, so the old 1.0 guard
+    # on the last (zero) entry caught u = LAST_BELOW_ONE
+    [q(2, 7), q(2, 7), q(1, 7), q(1, 7), q(1, 7), 0],
+    # the running sum reaches LAST_BELOW_ONE itself: bisect_right needs the
+    # 1.0 from the last positive entry on
+    [q(1, 10)] * 10 + [0],
+])
+def test_trailing_zero_entry_is_never_taken(monkeypatch, row):
+    trace = _steps(monkeypatch, row, [LAST_BELOW_ONE, 0.5, 0.0])
+    assert all(row[state] != 0 for state in trace)
+    assert trace[0] == len(row) - 2
+
+
+def test_leading_zero_entry_is_never_taken(monkeypatch):
+    row = [0, q(1, 2), 0, q(1, 2), 0]
+    trace = _steps(monkeypatch, row, [0.0, 0.5, LAST_BELOW_ONE])
+    assert trace == [1, 3, 3]

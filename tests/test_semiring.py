@@ -28,6 +28,15 @@ def test_rejects_negatives_and_zero_over_zero():
         ExtNonneg(0, 0)
 
 
+def test_out_of_domain_ints_compare_unequal():
+    assert not ZERO == -1 and ZERO != -1
+    assert not INF == -5 and q(1, 2) != -1
+    with pytest.raises(TypeError):
+        ZERO <= -1
+    with pytest.raises(TypeError):
+        ONE + -1
+
+
 # -- addition ----------------------------------------------------------------
 
 def test_add_halves_and_thirds():
