@@ -13,13 +13,12 @@ from .kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
     deterministic, dirac, effect, effect_mul, identity, is_copyable,
     is_normalized, is_substochastic, left_unitor, lift_involution, measure,
-    pushforward, reweight, right_unitor, row_mass, structure, swap, tensor,
-    uniform,
+    pushforward, reweight, right_unitor, row_mass, swap, tensor, uniform,
 )
 from .enrichment import (
     Decomposition, NoExactDerivative, NotAbsolutelyContinuous,
     NotCancellative, abs_cont, ae_equal, equivalent, involutive_decompose,
-    is_cancellative, is_finite_morphism, is_singular, kernel_add, kernel_zero,
+    is_cancellative, is_finite_morphism, is_singular, kernel_zero,
     lebesgue_decompose, leq_kernel, leq_witness, meet, rn_derivative,
     support_labels,
 )

@@ -15,23 +15,22 @@ import os
 import sys
 from pathlib import Path
 
-from .semiring import ONE, ZERO
+from .semiring import ext_sum
 from .spaces import FinSpace
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, is_copyable,
-    is_normalized, is_substochastic, lift_involution, row_masses,
+    Involution, Kernel, SpaceMismatchError, compose, copyable_violation,
+    is_normalized, normalized_violation, substochastic_violation,
 )
 from .enrichment import (
-    abs_cont, ae_violation, equivalent, involutive_decompose, is_cancellative,
-    is_finite_morphism, is_singular, lebesgue_decompose, leq_kernel,
-    support_labels,
+    abs_cont_violation, ae_violation, cancellative_violation,
+    equivalent_violation, finite_violation, involutive_decompose,
+    lebesgue_decompose, leq_violation, singular_violation, support_labels,
 )
 from .mcmc import (
     BALANCING_FUNCTIONS, MhProblem, balancing_alpha, balancing_violation,
-    build_mh, build_skew_mh, check_balancing, classical_mh,
-    detailed_balance_violation, exchange_algorithm, gibbs, is_invariant,
-    is_reversible, is_skew_reversible, verify_mh_theorem,
-    verify_skew_theorem,
+    build_mh, build_skew_mh, classical_mh, detailed_balance_violation,
+    exchange_algorithm, gibbs, invariant_violation, is_invariant,
+    is_reversible, skew_balance_violation, verify_mh_theorem,
 )
 from .generators import rand_mh_problem
 from .modelfile import (
@@ -59,6 +58,10 @@ class Report:
         if isinstance(value, bool):
             value = "true" if value else "false"
         self.lines.append((key, str(value)))
+
+    def extend(self, pairs) -> None:
+        for key, value in pairs:
+            self.add(key, value)
 
     def text(self, comment: bool = False) -> str:
         prefix = "# " if comment else ""
@@ -147,141 +150,68 @@ def _mh_problem(doc: ModelDocument, args) -> tuple[MhProblem, str]:
 # the check registry
 
 
-def _row_witness(kernel: Kernel, predicate) -> list[tuple[str, str]]:
-    for x, mass in zip(kernel.dom.labels, row_masses(kernel)):
-        if not predicate(mass):
-            return [("witness_row", format_label(x)), ("row_mass", str(mass))]
-    return []
+def _row(names, x):
+    return [("witness_row", format_label(x))]
 
 
-def _entry_witness(p: Kernel, q: Kernel, bad) -> list[tuple[str, str]]:
-    # Every ``bad`` is false where both entries are zero, so only the
-    # positions where p or q is nonzero are visited, in row-major order.
-    for x, r1, r2 in zip(p.dom.labels, p.rows, q.rows):
-        left, right = dict(zip(*r1)), dict(zip(*r2))
-        for j in sorted(left.keys() | right.keys()):
-            a, b = left.get(j, ZERO), right.get(j, ZERO)
-            if bad(a, b):
-                return [("witness_x", format_label(x)),
-                        ("witness_y", format_label(p.cod.labels[j])),
-                        ("left", str(a)), ("right", str(b))]
-    return []
+def _row_mass(names, x):
+    return _row(names, x) + [("row_mass", ext_sum(names[0].row(x)))]
 
 
-def _check_normalized(doc, names):
-    k = _kernel_like(doc, names[0])
-    return is_normalized(k), _row_witness(k, lambda m: m == ONE)
+def _entry(names, witness):
+    # The entry of the first and the last name (one name: both sides are it).
+    x, y = witness
+    return [("witness_x", format_label(x)), ("witness_y", format_label(y)),
+            ("left", names[0].entry(x, y)), ("right", names[-1].entry(x, y))]
 
 
-def _check_substochastic(doc, names):
-    k = _kernel_like(doc, names[0])
-    return is_substochastic(k), _row_witness(k, lambda m: m <= ONE)
+def _pushed(names, y):
+    # Invariance fails at y: the target and its image under the chain differ.
+    target, chain = names
+    return _entry((target, compose(chain, target)), ("*", y))
 
 
-def _check_copyable(doc, names):
-    return is_copyable(_kernel_like(doc, names[0])), []
+def _pair(names, pair):
+    # Both sides of the failed detailed-balance identity at (x, y); with a
+    # twist s between target and chain, the right side is
+    # target[y] * (s∘chain∘s)[y][x] = target[y] * chain[s(y)][s(x)].
+    target, *twist, chain = names
+    x, y = pair
+    back = (twist[0](y), twist[0](x)) if twist else (y, x)
+    return [("witness_x", format_label(x)), ("witness_y", format_label(y)),
+            ("left", target.entry("*", x) * chain.entry(x, y)),
+            ("right", target.entry("*", y) * chain.entry(*back))]
 
 
-def _check_cancellative(doc, names):
-    k = _kernel_like(doc, names[0])
-    ok = is_cancellative(k)
-    witness = [] if ok else _entry_witness(k, k, lambda a, b: not a.is_finite)
-    return ok, witness
+def _point(names, x):
+    return [("witness_point", format_label(x))]
 
 
-def _check_finite(doc, names):
-    k = _kernel_like(doc, names[0])
-    return is_finite_morphism(k), _row_witness(k, lambda m: m.is_finite)
+def _balancing_violation(target, phi, accept):
+    return balancing_violation(MhProblem(target, phi, accept))
 
 
-def _check_leq(doc, names):
-    p, q = (_kernel_like(doc, n) for n in names)
-    return leq_kernel(p, q), _entry_witness(p, q, lambda a, b: not a <= b)
-
-
-def _check_abs_cont(doc, names):
-    p, q = (_kernel_like(doc, n) for n in names)
-    return abs_cont(p, q), _entry_witness(
-        p, q, lambda a, b: b.num == 0 and a.num != 0)
-
-
-def _check_equivalent(doc, names):
-    p, q = (_kernel_like(doc, n) for n in names)
-    return equivalent(p, q), _entry_witness(
-        p, q, lambda a, b: (a.num == 0) != (b.num == 0))
-
-
-def _check_singular(doc, names):
-    p, q = (_kernel_like(doc, n) for n in names)
-    return is_singular(p, q), _entry_witness(
-        p, q, lambda a, b: a.num != 0 and b.num != 0)
-
-
-def _check_invariant(doc, names):
-    target = _measure(doc, names[0])
-    chain = _kernel_like(doc, names[1])
-    ok = is_invariant(target, chain)
-    witness = []
-    if not ok:
-        pushed = compose(chain, target)
-        witness = _entry_witness(target, pushed, lambda a, b: a != b)
-    return ok, witness
-
-
-def _check_reversible(doc, names):
-    target = _measure(doc, names[0])
-    chain = _kernel_like(doc, names[1])
-    pair = detailed_balance_violation(target, chain)
-    witness = []
-    if pair is not None:
-        x, y = pair
-        witness = [("witness_x", format_label(x)), ("witness_y", format_label(y)),
-                   ("left", str(target.entry("*", x) * chain.entry(x, y))),
-                   ("right", str(target.entry("*", y) * chain.entry(y, x)))]
-    return pair is None, witness
-
-
-def _check_skew_reversible(doc, names):
-    target = _measure(doc, names[0])
-    twist = _involution(doc, names[1])
-    chain = _kernel_like(doc, names[2])
-    return is_skew_reversible(target, twist, chain), []
-
-
-def _check_balanced(doc, names):
-    target = _measure(doc, names[0])
-    phi = _involution(doc, names[1])
-    accept = _effect_like(doc, names[2])
-    problem = MhProblem(target=target, involution=phi, acceptance=accept)
-    point = balancing_violation(problem)
-    witness = [] if point is None else [("witness_point", format_label(point))]
-    return point is None, witness
-
-
-def _check_ae_equal(doc, names):
-    target = _measure(doc, names[0])
-    p = _kernel_like(doc, names[1])
-    q = _kernel_like(doc, names[2])
-    point = ae_violation(target, p, q)
-    witness = [] if point is None else [("witness_point", format_label(point))]
-    return point is None, witness
-
-
+# predicate -> (one lookup per name, violation function, witness formatter);
+# a formatter turns the resolved names and the witness into report lines.
+_KERNEL = (_kernel_like,)
+_KERNELS = (_kernel_like, _kernel_like)
 CHECKS = {
-    "normalized": (1, _check_normalized),
-    "copyable": (1, _check_copyable),
-    "substochastic": (1, _check_substochastic),
-    "cancellative": (1, _check_cancellative),
-    "finite": (1, _check_finite),
-    "leq": (2, _check_leq),
-    "abs-cont": (2, _check_abs_cont),
-    "equivalent": (2, _check_equivalent),
-    "singular": (2, _check_singular),
-    "invariant": (2, _check_invariant),
-    "reversible": (2, _check_reversible),
-    "skew-reversible": (3, _check_skew_reversible),
-    "balanced": (3, _check_balanced),
-    "ae-equal": (3, _check_ae_equal),
+    "normalized": (_KERNEL, normalized_violation, _row_mass),
+    "copyable": (_KERNEL, copyable_violation, _row),
+    "substochastic": (_KERNEL, substochastic_violation, _row_mass),
+    "cancellative": (_KERNEL, cancellative_violation, _entry),
+    "finite": (_KERNEL, finite_violation, _row_mass),
+    "leq": (_KERNELS, leq_violation, _entry),
+    "abs-cont": (_KERNELS, abs_cont_violation, _entry),
+    "equivalent": (_KERNELS, equivalent_violation, _entry),
+    "singular": (_KERNELS, singular_violation, _entry),
+    "invariant": ((_measure, _kernel_like), invariant_violation, _pushed),
+    "reversible": ((_measure, _kernel_like), detailed_balance_violation, _pair),
+    "skew-reversible": ((_measure, _involution, _kernel_like),
+                        skew_balance_violation, _pair),
+    "balanced": ((_measure, _involution, _effect_like),
+                 _balancing_violation, _point),
+    "ae-equal": ((_measure, _kernel_like, _kernel_like), ae_violation, _point),
 }
 
 
@@ -290,19 +220,20 @@ def _cmd_check(args) -> int:
     if args.predicate not in CHECKS:
         raise CliError(f"unknown predicate {args.predicate!r}; choose from "
                        + ", ".join(sorted(CHECKS)))
-    arity, fn = CHECKS[args.predicate]
-    if len(args.names) != arity:
-        raise CliError(f"predicate {args.predicate!r} takes {arity} name(s)")
-    ok, witness = fn(doc, args.names)
+    lookups, violation, witness_lines = CHECKS[args.predicate]
+    if len(args.names) != len(lookups):
+        raise CliError(f"predicate {args.predicate!r} takes {len(lookups)} name(s)")
+    names = [lookup(doc, name) for lookup, name in zip(lookups, args.names)]
+    witness = violation(*names)
     report = Report()
     report.add("command", "check")
     report.add("predicate", args.predicate)
     report.add("args", " ".join(args.names))
-    report.add("result", ok)
-    for key, value in witness:
-        report.add(key, value)
+    report.add("result", witness is None)
+    if witness is not None:
+        report.extend(witness_lines(names, witness))
     _write_output(report, None, args.out)
-    return 0 if ok else 1
+    return 0 if witness is None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +299,17 @@ def _cmd_build_mh(args) -> int:
     return 0
 
 
-def _verify_report(report: Report, problem: MhProblem, chain: Kernel,
-                   reversible: bool, balanced: bool) -> None:
-    report.add("reversible", reversible)
-    report.add("balanced", balanced)
-    report.add("flags_agree", reversible == balanced)
-    if not reversible:
-        pair = detailed_balance_violation(problem.target, chain)
-        if pair is not None:
-            x, y = pair
-            report.add("witness_kind", "detailed-balance")
-            report.add("witness_x", format_label(x))
-            report.add("witness_y", format_label(y))
-            report.add("left", problem.target.entry("*", x) * chain.entry(x, y))
-            report.add("right", problem.target.entry("*", y) * chain.entry(y, x))
-    if not balanced:
-        point = balancing_violation(problem)
-        if point is not None:
-            report.add("witness_balancing", format_label(point))
+def _theorem_report(report: Report, flag: str, names, pair, point) -> bool:
+    """Both sides of a reversibility theorem, each with its own witness."""
+    report.add(flag, pair is None)
+    report.add("balanced", point is None)
+    report.add("flags_agree", (pair is None) == (point is None))
+    if pair is not None:
+        report.add("witness_kind", "detailed-balance")
+        report.extend(_pair(names, pair))
+    if point is not None:
+        report.add("witness_balancing", format_label(point))
+    return pair is None
 
 
 def _cmd_verify_mh(args) -> int:
@@ -393,15 +317,17 @@ def _cmd_verify_mh(args) -> int:
         return _verify_batch(args)
     doc = _load_model(args)
     problem, accept_name = _mh_problem(doc, args)
-    flags = verify_mh_theorem(problem)
+    chain = build_mh(problem)
     report = Report()
     report.add("command", "verify-mh")
     report.add("target", args.target)
     report.add("involution", args.involution)
     report.add("acceptance", accept_name)
-    _verify_report(report, problem, build_mh(problem), *flags)
+    ok = _theorem_report(report, "reversible", (problem.target, chain),
+                         detailed_balance_violation(problem.target, chain),
+                         balancing_violation(problem))
     _write_output(report, None, args.out)
-    return 0 if flags.reversible else 1
+    return 0 if ok else 1
 
 
 def _verify_batch(args) -> int:
@@ -433,7 +359,6 @@ def _cmd_verify_skew(args) -> int:
     doc = _load_model(args)
     problem, accept_name = _mh_problem(doc, args)
     twist = _involution(doc, args.twist)
-    flags = verify_skew_theorem(problem, twist)
     chain = build_skew_mh(problem, twist)
     report = Report()
     report.add("command", "verify-skew")
@@ -441,23 +366,11 @@ def _cmd_verify_skew(args) -> int:
     report.add("involution", args.involution)
     report.add("twist", args.twist)
     report.add("acceptance", accept_name)
-    report.add("skew_reversible", flags.reversible)
-    report.add("balanced", flags.balanced)
-    report.add("flags_agree", flags.reversible == flags.balanced)
-    if not flags.balanced:
-        point = balancing_violation(problem)
-        if point is not None:
-            report.add("witness_balancing", format_label(point))
-    if not flags.reversible:
-        # the twisted chain composed with the twist fails plain detailed balance
-        pair = detailed_balance_violation(
-            problem.target, compose(lift_involution(twist), chain))
-        if pair is not None:
-            report.add("witness_kind", "detailed-balance")
-            report.add("witness_x", format_label(pair[0]))
-            report.add("witness_y", format_label(pair[1]))
+    ok = _theorem_report(report, "skew_reversible", (problem.target, twist, chain),
+                         skew_balance_violation(problem.target, twist, chain),
+                         balancing_violation(problem))
     _write_output(report, None, args.out)
-    return 0 if flags.reversible else 1
+    return 0 if ok else 1
 
 
 def _cmd_classical_mh(args) -> int:
@@ -490,8 +403,8 @@ def _cmd_exchange(args) -> int:
     proposal = _lookup(doc, args.proposal, {"kernel": doc.kernels})
     observed = parse_label(args.obs)
     augmented, phi, accept = exchange_algorithm(prior, likelihood, observed, proposal)
-    problem = MhProblem(target=augmented, involution=phi, acceptance=accept)
-    balanced = check_balancing(problem)
+    point = balancing_violation(
+        MhProblem(target=augmented, involution=phi, acceptance=accept))
     out_doc = ModelDocument()
     out_doc.add_space("augmented", augmented.cod)
     out_doc.measures["mu"] = augmented
@@ -503,13 +416,11 @@ def _cmd_exchange(args) -> int:
     report.add("likelihood", args.likelihood)
     report.add("observed", args.obs)
     report.add("proposal", args.proposal)
-    report.add("balanced", balanced)
-    if not balanced:
-        point = balancing_violation(problem)
-        if point is not None:
-            report.add("witness_balancing", format_label(point))
+    report.add("balanced", point is None)
+    if point is not None:
+        report.add("witness_balancing", format_label(point))
     _write_output(report, emit(out_doc), args.out)
-    return 0 if balanced else 1
+    return 0 if point is None else 1
 
 
 def _cmd_gibbs(args) -> int:
@@ -541,6 +452,9 @@ def _cmd_sample(args) -> int:
     target = _measure(doc, args.target)
     if target.cod != chain.dom:
         raise CliError("target and kernel live on different spaces")
+    if not is_normalized(target):
+        raise CliError(f"target {args.target!r} is not a probability measure "
+                       f"(total mass {ext_sum(target.rows[0][1])})")
     initial_label = parse_label(args.init)
     initial = chain.dom.index(initial_label)
     matrix = to_float(chain)
@@ -577,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--model", required=True, help="model file path")
         p.add_argument("--out", help="write the report or document here")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-        default_instances = int(os.environ.get(INSTANCES_ENV, DEFAULT_INSTANCES))
-        p.add_argument("--instances", type=int, nargs="?", const=default_instances,
-                       default=0, help="run a randomized theorem batch instead")
 
     p = sub.add_parser("check", help="evaluate a named predicate")
     common(p)
@@ -594,15 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs=2)
     p.set_defaults(func=_cmd_decompose)
 
-    for name, fn, needs_mh in (("build-mh", _cmd_build_mh, True),
-                               ("verify-mh", _cmd_verify_mh, True),
-                               ("verify-skew", _cmd_verify_skew, True)):
+    for name, fn in (("build-mh", _cmd_build_mh),
+                     ("verify-mh", _cmd_verify_mh),
+                     ("verify-skew", _cmd_verify_skew)):
         p = sub.add_parser(name)
         common(p)
         p.add_argument("--target", required=(name != "verify-mh"))
         p.add_argument("--involution", required=(name != "verify-mh"))
         p.add_argument("--acceptance")
         p.add_argument("--balancing")
+        if name == "verify-mh":
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed")
+            default = int(os.environ.get(INSTANCES_ENV, DEFAULT_INSTANCES))
+            p.add_argument("--instances", type=int, nargs="?", const=default,
+                           default=0, help="run a randomized theorem batch instead")
         if name == "verify-skew":
             p.add_argument("--twist", required=True)
         p.set_defaults(func=fn)
@@ -629,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     p.add_argument("--kernel", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--init", required=True)

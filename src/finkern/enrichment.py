@@ -1,23 +1,29 @@
 """Sums of kernels and the order structure they induce.
 
-Hom-sets of kernels are commutative monoids under entrywise addition, which
-yields two preorders: the additive order (P <= Q when some R has P + R = Q)
-and pointwise absolute continuity (P << Q when Q's null entries are null for
-P). On top of these live cancellativity, meets, singularity, Lebesgue
-decompositions, Radon-Nikodym derivatives, and almost-everywhere equality,
-all decided exactly.
+Hom-sets of kernels are commutative monoids under entrywise addition
+(``P + Q``, with unit ``kernel_zero``), which yields two preorders: the
+additive order (P <= Q when some R has P + R = Q) and pointwise absolute
+continuity (P << Q when Q's null entries are null for P). On top of these
+live cancellativity, meets, singularity, Lebesgue decompositions,
+Radon-Nikodym derivatives, and almost-everywhere equality, all decided
+exactly.
+
+Each predicate is decided by one ``*_violation`` function that returns its
+first witness or None: an entry ``(x, y)`` for the order relations and
+cancellativity, a domain point for finiteness and a.e. equality. The
+boolean form is ``*_violation(...) is None``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress
 
 from .semiring import ONE, ZERO, residual
 from .spaces import FinSpace, Label
 from .kernels import (
-    EMPTY_ROW, Involution, Kernel, SpaceMismatchError, compose, dict_row,
-    dirac, effect, point_row, pushforward, row_masses,
+    EMPTY_ROW, Involution, Kernel, SpaceMismatchError, dict_row, effect,
+    point_row, pushforward, row_masses,
 )
 
 
@@ -42,24 +48,25 @@ def _check_same_type(p: Kernel, q: Kernel, what: str) -> None:
 # the commutative-monoid structure
 
 
-def kernel_add(p: Kernel, q: Kernel) -> Kernel:
-    return p + q
-
-
 def kernel_zero(dom: FinSpace, cod: FinSpace) -> Kernel:
     return Kernel._new(dom, cod, (EMPTY_ROW,) * len(dom))
 
 
-def leq_kernel(p: Kernel, q: Kernel) -> bool:
-    """The additive preorder, decided entrywise."""
+def leq_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
+    """The first entry (x, y), in row-major order, where p[x][y] <= q[x][y] fails."""
     _check_same_type(p, q, "leq")
-    for (pcols, pvals), (qcols, qvals) in zip(p.rows, q.rows):
+    for x, (pcols, pvals), (qcols, qvals) in zip(p.dom.labels, p.rows, q.rows):
         upper = dict(zip(qcols, qvals))
-        for j, a in zip(pcols, pvals):
+        for j, a in zip(pcols, pvals):  # a zero entry of p is below anything
             b = upper.get(j)
             if b is None or not a <= b:
-                return False
-    return True
+                return x, p.cod.labels[j]
+    return None
+
+
+def leq_kernel(p: Kernel, q: Kernel) -> bool:
+    """The additive preorder, decided entrywise."""
+    return leq_violation(p, q) is None
 
 
 def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
@@ -89,69 +96,82 @@ def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
 # cancellativity and finiteness
 
 
-def is_cancellative(kernel: Kernel) -> bool:
-    """Whether sums with this kernel can be cancelled.
+def cancellative_violation(kernel: Kernel) -> tuple[Label, Label] | None:
+    """The first infinite entry (x, y), in row-major order.
 
     On a finite space a row measure is sigma-finite exactly when it has no
-    infinite atom, so this reduces to all entries being finite.
+    infinite atom, so sums with the kernel cancel exactly when every entry
+    is finite.
     """
-    return all(v.is_finite for _, vals in kernel.rows for v in vals)
+    for x, (cols, vals) in zip(kernel.dom.labels, kernel.rows):
+        for j, v in zip(cols, vals):
+            if not v.is_finite:
+                return x, kernel.cod.labels[j]
+    return None
+
+
+def is_cancellative(kernel: Kernel) -> bool:
+    """Whether sums with this kernel can be cancelled."""
+    return cancellative_violation(kernel) is None
 
 
 def cancellation_counterexample(kernel: Kernel) -> tuple[Kernel, Kernel] | None:
     """A pair (Q, R) with kernel+Q == kernel+R but Q != R, if one exists."""
-    for i, (cols, vals) in enumerate(kernel.rows):
-        for j, v in zip(cols, vals):
-            if not v.is_finite:
-                q = kernel_zero(kernel.dom, kernel.cod)
-                rows = list(q.rows)
-                rows[i] = point_row(j)
-                return q, Kernel._new(kernel.dom, kernel.cod, tuple(rows))
-    return None
+    witness = cancellative_violation(kernel)
+    if witness is None:
+        return None
+    x, y = witness
+    q = kernel_zero(kernel.dom, kernel.cod)
+    rows = list(q.rows)
+    rows[kernel.dom.index(x)] = point_row(kernel.cod.index(y))
+    return q, Kernel._new(kernel.dom, kernel.cod, tuple(rows))
+
+
+def finite_violation(kernel: Kernel) -> Label | None:
+    """The first domain point whose row mass is infinite."""
+    return next(compress(kernel.dom.labels,
+                         (not m.is_finite for m in row_masses(kernel))), None)
 
 
 def is_finite_morphism(kernel: Kernel) -> bool:
     """Every row has finite total mass."""
-    return all(m.is_finite for m in row_masses(kernel))
+    return finite_violation(kernel) is None
 
 
 # ---------------------------------------------------------------------------
 # absolute continuity and singularity
 
 
+def _support_violation(p: Kernel, q: Kernel, what: str,
+                       failing) -> tuple[Label, Label] | None:
+    # The first entry, in row-major order, in the column set that
+    # ``failing(p's support, q's support)`` returns for its row.
+    _check_same_type(p, q, what)
+    for x, (pcols, _), (qcols, _) in zip(p.dom.labels, p.rows, q.rows):
+        bad = failing(set(pcols), qcols)
+        if bad:
+            return x, p.cod.labels[min(bad)]
+    return None
+
+
+def abs_cont_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
+    """The first entry where p is nonzero and q is zero."""
+    return _support_violation(p, q, "abs_cont", set.difference)
+
+
 def abs_cont(p: Kernel, q: Kernel) -> bool:
     """Pointwise absolute continuity: q's null entries are null for p."""
-    _check_same_type(p, q, "abs_cont")
-    return all(set(qcols).issuperset(pcols)
-               for (pcols, _), (qcols, _) in zip(p.rows, q.rows))
+    return abs_cont_violation(p, q) is None
 
 
-def abs_cont_basis(p: Kernel, q: Kernel) -> bool:
-    """Definitional absolute-continuity check over the Dirac/indicator basis.
-
-    Quantifies the pre-composition over all Dirac measures on the domain and
-    the post-composition over all indicator effects on the codomain. This is
-    exponential in the codomain size; it exists as the oracle the fast
-    support check is validated against.
-    """
-    _check_same_type(p, q, "abs_cont")
-    points = list(p.dom.labels)
-    indices = range(len(p.cod))
-    for x in points:
-        delta = dirac(p.dom, x)
-        for size in range(len(p.cod) + 1):
-            for subset in combinations(indices, size):
-                ind = effect(p.cod, [ONE if j in subset else ZERO
-                                     for j in indices])
-                if compose(ind, compose(q, delta)).is_zero():
-                    if not compose(ind, compose(p, delta)).is_zero():
-                        return False
-    return True
+def equivalent_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
+    """The first entry where exactly one of p and q is zero."""
+    return _support_violation(p, q, "equivalent", set.symmetric_difference)
 
 
 def equivalent(p: Kernel, q: Kernel) -> bool:
     """Mutual absolute continuity: equal supports, row by row."""
-    return abs_cont(p, q) and abs_cont(q, p)
+    return equivalent_violation(p, q) is None
 
 
 def meet(p: Kernel, q: Kernel) -> Kernel:
@@ -160,11 +180,14 @@ def meet(p: Kernel, q: Kernel) -> Kernel:
     return lebesgue_decompose(p, q).ac
 
 
+def singular_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
+    """The first entry where both p and q are nonzero."""
+    return _support_violation(p, q, "is_singular", set.intersection)
+
+
 def is_singular(p: Kernel, q: Kernel) -> bool:
     """Whether p and q put mass on disjoint points, row by row."""
-    _check_same_type(p, q, "is_singular")
-    return all(set(qcols).isdisjoint(pcols)
-               for (pcols, _), (qcols, _) in zip(p.rows, q.rows))
+    return singular_violation(p, q) is None
 
 
 # ---------------------------------------------------------------------------

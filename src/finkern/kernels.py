@@ -18,6 +18,10 @@ the library itself never reads it.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
+
+The row predicates (normalized, substochastic, copyable) are each decided
+by one ``*_violation`` function returning the first failing domain point or
+None; the boolean form is ``*_violation(...) is None``.
 """
 
 from __future__ import annotations
@@ -356,29 +360,6 @@ def associator(a: FinSpace, b: FinSpace, c: FinSpace) -> Kernel:
                       range(len(a) * len(b) * len(c)))
 
 
-STRUCTURE_KINDS = ("identity", "copy", "delete", "swap", "dirac")
-
-
-def structure(kind: str, space: FinSpace, other: FinSpace | None = None,
-              point: Label | None = None) -> Kernel:
-    """Build a structure morphism by name (dispatcher for the CLI layer)."""
-    if kind == "identity":
-        return identity(space)
-    if kind == "copy":
-        return copy(space)
-    if kind == "delete":
-        return delete(space)
-    if kind == "swap":
-        if other is None:
-            raise ValueError("swap needs a second space")
-        return swap(space, other)
-    if kind == "dirac":
-        if point is None:
-            raise ValueError("dirac needs a point label")
-        return dirac(space, point)
-    raise ValueError(f"unknown structure morphism {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # involutions
 
@@ -451,29 +432,44 @@ def row_mass(kernel: Kernel) -> Kernel:
                        tuple(value_row(m) for m in row_masses(kernel)))
 
 
+def normalized_violation(kernel: Kernel) -> Label | None:
+    """The first domain point whose row mass is not exactly 1."""
+    return next(compress(kernel.dom.labels,
+                         (ext_sum(vals) != ONE for _, vals in kernel.rows)), None)
+
+
 def is_normalized(kernel: Kernel) -> bool:
     """Every row carries total mass exactly 1."""
-    return all(ext_sum(vals) == ONE for _, vals in kernel.rows)
+    return normalized_violation(kernel) is None
+
+
+def substochastic_violation(kernel: Kernel) -> Label | None:
+    """The first domain point whose row mass exceeds 1."""
+    return next(compress(kernel.dom.labels,
+                         (not ext_sum(vals) <= ONE for _, vals in kernel.rows)), None)
 
 
 def is_substochastic(kernel: Kernel) -> bool:
     """Every row carries total mass at most 1."""
-    return all(ext_sum(vals) <= ONE for _, vals in kernel.rows)
+    return substochastic_violation(kernel) is None
+
+
+def copyable_violation(kernel: Kernel) -> Label | None:
+    """The first domain point whose row does not commute with copy.
+
+    On finite spaces a kernel commutes with copy exactly when each row has
+    at most one nonzero entry and that entry is idempotent under
+    multiplication (1 or oo); see the copy-equation oracle in the test
+    suite.
+    """
+    return next(compress(kernel.dom.labels, (
+        len(vals) > 1 or (vals and vals[0] != ONE and vals[0] != INF)
+        for _, vals in kernel.rows)), None)
 
 
 def is_copyable(kernel: Kernel) -> bool:
-    """Whether the kernel commutes with copy.
-
-    On finite spaces this holds exactly when each row has at most one
-    nonzero entry and that entry is idempotent under multiplication
-    (1 or oo); see the copy-equation oracle in the test suite.
-    """
-    for _, vals in kernel.rows:
-        if len(vals) > 1:
-            return False
-        if vals and vals[0] != ONE and vals[0] != INF:
-            return False
-    return True
+    """Whether the kernel commutes with copy."""
+    return copyable_violation(kernel) is None
 
 
 def effect_mul(left: Kernel, right: Kernel) -> Kernel:

@@ -107,10 +107,19 @@ class TheoremFlags(NamedTuple):
 # invariance and reversibility
 
 
+def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
+    """The first point where chain ∘ target and target differ."""
+    _check_endo(target, chain)
+    before = dict(zip(*target.rows[0]))
+    after = dict(zip(*compose(chain, target).rows[0]))
+    moved = [j for j in before.keys() | after.keys()
+             if before.get(j, ZERO) != after.get(j, ZERO)]
+    return target.cod.labels[min(moved)] if moved else None
+
+
 def is_invariant(target: Kernel, chain: Kernel) -> bool:
     """Whether the chain preserves the target: chain ∘ target == target."""
-    _check_endo(target, chain)
-    return compose(chain, target) == target
+    return invariant_violation(target, chain) is None
 
 
 def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, Label] | None:
@@ -137,27 +146,35 @@ def is_reversible(target: Kernel, chain: Kernel) -> bool:
     return detailed_balance_violation(target, chain) is None
 
 
-def is_skew_reversible(target: Kernel, twist: Involution, chain: Kernel) -> bool:
-    """Detailed balance twisted by a target-invariant involution.
+def skew_balance_violation(target: Kernel, twist: Involution,
+                           chain: Kernel) -> tuple[Label, Label] | None:
+    """A pair (x, y) with target[x]*chain[x][y] != target[y]*(s∘chain∘s)[y][x].
 
-    Checks target[x]*chain[x][y] == target[y]*(s∘chain∘s)[y][x] for all
-    pairs, where s is the twist. Raises if the twist does not preserve the
-    target (a precondition of the definition).
+    s is the twist; (s∘chain∘s)[y][x] is chain[s(y)][s(x)]. Pairs are taken
+    in row-major order over the chain's nonzero entries. Raises if the
+    twist does not preserve the target (a precondition of the definition).
     """
     _check_endo(target, chain)
-    lifted = lift_involution(twist)
-    if not is_invariant(target, lifted):
+    if invariant_violation(target, lift_involution(twist)) is not None:
         raise ValueError("twist involution does not preserve the target")
-    conjugated = compose(lifted, compose(chain, lifted))
     masses = target.measure_values()
+    s = twist.perm
     # Only pairs on the chain's support need checking. A pair (x, y) with
     # chain[x][y] == 0 fails only if target[y] * chain[s(y)][s(x)] != 0; the
     # supported pair (s(y), s(x)) then fails as well, since its left side is
     # target[s(y)] * chain[s(y)][s(x)] with target[s(y)] == target[y], and
     # its right side is target[s(x)] * chain[x][y] == 0.
-    return all(masses[i] * v == masses[j] * conjugated.at(j, i)
-               for i, (cols, vals) in enumerate(chain.rows)
-               for j, v in zip(cols, vals))
+    for i, (cols, vals) in enumerate(chain.rows):
+        for j, v in zip(cols, vals):
+            if masses[i] * v != masses[j] * chain.at(s[j], s[i]):
+                labels = target.cod.labels
+                return labels[i], labels[j]
+    return None
+
+
+def is_skew_reversible(target: Kernel, twist: Involution, chain: Kernel) -> bool:
+    """Detailed balance twisted by a target-invariant involution."""
+    return skew_balance_violation(target, twist, chain) is None
 
 
 def _check_endo(target: Kernel, chain: Kernel) -> None:
@@ -315,26 +332,6 @@ def first_summand_reversible(target: Kernel, phi: Involution,
     return TheoremFlags(
         reversible=is_reversible(target, summand),
         balanced=_balancing_violation(target, phi, accept) is None)
-
-
-def reweighted_involution_identity(target: Kernel, phi: Involution) -> bool:
-    """The involution is reversible up to reweighting by the density.
-
-    Checks target[x]*[phi(x)=y] == target[y]*r[y]*[phi(y)=x] for all pairs,
-    with r the density of the pushforward target against the target. Holds
-    whenever the density exists.
-    """
-    ratio = rn_derivative(pushforward(phi, target), target)
-    masses = target.measure_values()
-    r = ratio.effect_values()
-    n = len(masses)
-    for i in range(n):
-        for j in range(n):
-            lhs = masses[i] * (ONE if phi.perm[i] == j else ZERO)
-            rhs = masses[j] * r[j] * (ONE if phi.perm[j] == i else ZERO)
-            if lhs != rhs:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

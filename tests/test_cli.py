@@ -1,9 +1,19 @@
+import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+from finkern import cli
 from finkern.cli import main
-from finkern.semiring import ExtNonneg
+from finkern.semiring import ExtNonneg, ZERO, ext_sum
+from finkern.kernels import (
+    Involution, compose, dirac, is_copyable, is_normalized, is_substochastic,
+    lift_involution, pushforward,
+)
+from finkern.enrichment import is_finite_morphism, rn_derivative
+from finkern.mcmc import MhProblem, build_skew_mh
 from finkern.modelfile import parse
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -239,10 +249,11 @@ involution flip on X { a -> b  b -> a }
 involution stay on X { }
 probability alpha on X { a = 1  b = 1/2 }
 probability alpha_one on X { a = 1  b = 1 }
+measure on_a on X { a = 1 }
 """
 
 
-@pytest.mark.parametrize("predicate,names,expect", [
+PREDICATE_CASES = [
     ("normalized", ["walk"], True),
     ("normalized", ["big"], False),
     ("copyable", ["still"], True),
@@ -267,13 +278,192 @@ probability alpha_one on X { a = 1  b = 1 }
     ("balanced", ["mu", "flip", "alpha_one"], False),
     ("ae-equal", ["mu", "walk", "walk"], True),
     ("ae-equal", ["mu", "walk", "still"], False),
-])
+    ("abs-cont", ["mu", "on_a"], False),
+    ("equivalent", ["on_a", "mu"], False),
+    ("skew-reversible", ["mu", "stay", "walk"], False),
+]
+
+
+@pytest.mark.parametrize("predicate,names,expect", PREDICATE_CASES)
 def test_every_check_predicate(capsys, tmp_path, predicate, names, expect):
     model = tmp_path / "preds.fk"
     model.write_text(PREDICATE_MODEL)
     code, out, _ = run(capsys, "check", "--model", str(model), predicate, *names)
     assert code == (0 if expect else 1)
     assert report_dict(out)["result"] == ("true" if expect else "false")
+
+
+def _entity(doc, name):
+    for store in (doc.kernels, doc.measures, doc.effects, doc.probabilities,
+                  doc.involutions):
+        if name in store:
+            return store[name]
+    raise KeyError(name)
+
+
+def _row_of(kernel, x):
+    """Row x of a kernel, as a measure."""
+    return compose(kernel, dirac(kernel.dom, x))
+
+
+def _skew_sides(target, twist, chain, x, y):
+    lifted = lift_involution(twist)
+    back = compose(lifted, compose(chain, lifted))
+    return (target.entry("*", x) * chain.entry(x, y),
+            target.entry("*", y) * back.entry(y, x))
+
+
+def _balancing_sides(target, phi, accept, x):
+    ratio = rn_derivative(pushforward(phi, target), target)
+    return (accept.entry(x, "*"),
+            accept.entry(phi(x), "*") * ratio.entry(x, "*"))
+
+
+def _weighted_rows(mu, p, q, x):
+    weight = mu.entry("*", x)
+    return (tuple(weight * v for v in p.row(x)), tuple(weight * v for v in q.row(x)))
+
+
+# Re-checks of a printed witness, by witness kind; each says whether the
+# predicate fails there. Row predicates re-fail on the witness row alone.
+ROW_PREDICATES = {"normalized": is_normalized, "copyable": is_copyable,
+                  "substochastic": is_substochastic, "finite": is_finite_morphism}
+# entry predicates: do the entries of the first and last names fail?
+ENTRY_FAILS = {
+    "cancellative": lambda a, b: not a.is_finite,
+    "leq": lambda a, b: not a <= b,
+    "abs-cont": lambda a, b: a != ZERO and b == ZERO,
+    "equivalent": lambda a, b: (a == ZERO) != (b == ZERO),
+    "singular": lambda a, b: a != ZERO and b != ZERO,
+}
+# equation predicates: the two sides of the defining equation at the witness
+SIDES = {
+    "invariant": lambda k, w: (k[0].entry("*", w["witness_y"]),
+                               compose(k[1], k[0]).entry("*", w["witness_y"])),
+    "reversible": lambda k, w: _skew_sides(k[0], Involution.identity(k[0].cod), k[1],
+                                           w["witness_x"], w["witness_y"]),
+    "skew-reversible": lambda k, w: _skew_sides(*k, w["witness_x"], w["witness_y"]),
+    "balanced": lambda k, w: _balancing_sides(*k, w["witness_point"]),
+    "ae-equal": lambda k, w: _weighted_rows(*k, w["witness_point"]),
+}
+
+
+def _refails(predicate, names, report):
+    if predicate in ROW_PREDICATES:
+        return not ROW_PREDICATES[predicate](_row_of(names[0], report["witness_row"]))
+    if predicate in ENTRY_FAILS:
+        x, y = report["witness_x"], report["witness_y"]
+        return ENTRY_FAILS[predicate](names[0].entry(x, y), names[-1].entry(x, y))
+    left, right = SIDES[predicate](names, report)
+    return left != right
+
+
+@pytest.mark.parametrize("predicate,names",
+                         [(p, n) for p, n, expect in PREDICATE_CASES if not expect])
+def test_failing_check_witness_refails(capsys, tmp_path, predicate, names):
+    model = tmp_path / "preds.fk"
+    model.write_text(PREDICATE_MODEL)
+    code, out, _ = run(capsys, "check", "--model", str(model), predicate, *names)
+    assert code == 1
+    report = report_dict(out)
+    doc = parse(PREDICATE_MODEL)
+    assert _refails(predicate, [_entity(doc, name) for name in names], report)
+    if "left" in report:
+        assert report["left"] != report["right"] or predicate == "cancellative"
+    if "row_mass" in report:
+        kernel = _entity(doc, names[0])
+        assert report["row_mass"] == str(ext_sum(kernel.row(report["witness_row"])))
+
+
+def test_every_predicate_has_a_failing_row():
+    assert {p for p, _, expect in PREDICATE_CASES if not expect} == set(cli.CHECKS)
+
+
+def test_verify_skew_witness_refails_with_a_twist(capsys, tmp_path):
+    model = tmp_path / "skew.fk"
+    model.write_text("""
+space X { p0 p1 p2 p3 }
+measure mu on X { p0 = 1/2 p1 = 1/6 p2 = 1/6 p3 = 1/6 }
+involution prop on X { p0 -> p2 p2 -> p0 }
+involution twist on X { p2 -> p3 p3 -> p2 }
+probability alpha on X { p0 = 1 p1 = 1 p2 = 1 p3 = 1 }
+""")
+    code, out, _ = run(capsys, "verify-skew", "--model", str(model),
+                       "--target", "mu", "--involution", "prop",
+                       "--acceptance", "alpha", "--twist", "twist")
+    assert code == 1
+    report = report_dict(out)
+    assert report["skew_reversible"] == "false"
+    doc = parse(model.read_text())
+    target, twist = doc.measures["mu"], doc.involutions["twist"]
+    chain = build_skew_mh(MhProblem(target=target, involution=doc.involutions["prop"],
+                                    acceptance=doc.probabilities["alpha"]), twist)
+    left, right = _skew_sides(target, twist, chain,
+                              report["witness_x"], report["witness_y"])
+    assert left != right
+    assert (report["left"], report["right"]) == (str(left), str(right))
+
+
+def test_copyable_and_skew_failures_print_witnesses(capsys, tmp_path):
+    model = tmp_path / "preds.fk"
+    model.write_text(PREDICATE_MODEL)
+    _, out, _ = run(capsys, "check", "--model", str(model), "copyable", "walk")
+    assert report_dict(out)["witness_row"] == "a"
+    _, out, _ = run(capsys, "check", "--model", str(model),
+                    "skew-reversible", "mu", "stay", "walk")
+    report = report_dict(out)
+    assert (report["witness_x"], report["witness_y"]) == ("a", "b")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", TWO_STATE, "normalized", "walk", "--instances", "5"],
+    ["check", "--model", TWO_STATE, "normalized", "walk", "--seed", "5"],
+    ["build-mh", "--model", TWO_STATE, "--target", "mu", "--involution", "flip",
+     "--balancing", "met", "--seed", "5"],
+    ["verify-skew", "--model", SKEW, "--target", "mu", "--involution", "prop",
+     "--acceptance", "alpha", "--twist", "twist", "--instances", "5"],
+    ["sample", "--model", TWO_STATE, "--kernel", "walk", "--target", "mu",
+     "--init", "a", "--steps", "10", "--instances", "5"],
+    ["gibbs", "--model", GIBBS, "--target", "joint", "--factors", "X,Y",
+     "--seed", "1"],
+])
+def test_flags_only_on_the_subcommands_that_use_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sample_rejects_a_target_that_is_not_a_probability(capsys, tmp_path):
+    model = tmp_path / "heavy.fk"
+    model.write_text(Path(TWO_STATE).read_text()
+                     + "measure heavy on X { a = 1  b = 3 }\n")
+    code, out, err = run(capsys, "sample", "--model", str(model),
+                         "--kernel", "walk", "--target", "heavy",
+                         "--init", "a", "--seed", "5", "--steps", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "probability" in err and "4" in err
+
+
+def test_readme_lists_exactly_the_check_predicates():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = set(re.findall(r"^\| `([a-z-]+)` \|", readme, re.MULTILINE))
+    assert listed == set(cli.CHECKS)
+
+
+def test_every_package_export_resolves():
+    import finkern
+
+    init = Path(finkern.__file__).read_text()
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse(init))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert imported
+    for module, name in imported:
+        source = importlib.import_module(f"finkern.{module}")
+        assert getattr(finkern, name) is getattr(source, name)
 
 
 def test_missing_model_file(capsys):

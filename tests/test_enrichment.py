@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -5,12 +7,12 @@ import hypothesis.strategies as st
 from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import FinSpace, UNIT
 from finkern.kernels import (
-    Involution, Kernel, compose, effect, effect_mul, identity,
+    Involution, Kernel, compose, dirac, effect, effect_mul, identity,
     lift_involution, measure, pushforward, tensor, uniform,
 )
 from finkern.enrichment import (
     NoExactDerivative, NotAbsolutelyContinuous, NotCancellative, abs_cont,
-    abs_cont_basis, ae_equal, cancellation_counterexample, equivalent,
+    ae_equal, cancellation_counterexample, equivalent,
     involutive_decompose, is_cancellative, is_finite_morphism, is_singular,
     kernel_zero, lebesgue_decompose, leq_kernel, leq_witness,
     meet, rn_derivative, support_labels,
@@ -200,6 +202,27 @@ def test_leq_implies_abs_cont(pq):
     p, q_ = pq
     if leq_kernel(p, q_):
         assert abs_cont(p, q_)
+
+
+def abs_cont_basis(p, q):
+    """Definitional absolute-continuity check over the Dirac/indicator basis.
+
+    Quantifies the pre-composition over all Dirac measures on the domain and
+    the post-composition over all indicator effects on the codomain. This is
+    exponential in the codomain size; it is the oracle the fast support
+    check is validated against.
+    """
+    indices = range(len(p.cod))
+    for x in p.dom.labels:
+        delta = dirac(p.dom, x)
+        for size in range(len(p.cod) + 1):
+            for subset in combinations(indices, size):
+                ind = effect(p.cod, [ONE if j in subset else ZERO
+                                     for j in indices])
+                if compose(ind, compose(q, delta)).is_zero():
+                    if not compose(ind, compose(p, delta)).is_zero():
+                        return False
+    return True
 
 
 @given(kernel_pairs(max_size=2))

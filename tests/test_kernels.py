@@ -10,7 +10,7 @@ from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
     deterministic, dirac, effect, effect_mul, identity, is_copyable,
     is_normalized, is_substochastic, left_unitor, lift_involution, measure,
-    reweight, right_unitor, row_mass, structure, swap, tensor, uniform,
+    reweight, right_unitor, row_mass, swap, tensor, uniform,
 )
 from finkern.enrichment import kernel_zero
 from strategies import composable_pairs, kernel_pairs, kernels, kernels_on
@@ -155,22 +155,6 @@ def test_structure_morphisms_normalized_and_copyable():
               associator(X2, X2, X3)):
         assert is_normalized(k)
         assert is_copyable(k)
-
-
-def test_structure_dispatcher():
-    assert structure("identity", X2) == identity(X2)
-    assert structure("copy", X2) == copy(X2)
-    assert structure("delete", X2) == delete(X2)
-    assert structure("swap", X2, X3) == swap(X2, X3)
-    assert structure("dirac", X2, point="a") == dirac(X2, "a")
-    with pytest.raises(ValueError):
-        structure("nope", X2)
-    with pytest.raises(ValueError):
-        structure("swap", X2)
-    with pytest.raises(ValueError):
-        structure("dirac", X2)
-    with pytest.raises(KeyError):
-        structure("dirac", X2, point="zz")
 
 
 def _all_involutions(space):
