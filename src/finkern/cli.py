@@ -31,6 +31,7 @@ from .mcmc import (
     build_mh, build_skew_mh, classical_mh, detailed_balance_violation,
     exchange_algorithm, gibbs, invariant_violation, is_invariant,
     is_reversible, skew_balance_violation, verify_mh_theorem,
+    _skew_pair_violation,
 )
 from .generators import rand_mh_problem
 from .modelfile import (
@@ -367,7 +368,7 @@ def _cmd_verify_skew(args) -> int:
     report.add("twist", args.twist)
     report.add("acceptance", accept_name)
     ok = _theorem_report(report, "skew_reversible", (problem.target, twist, chain),
-                         skew_balance_violation(problem.target, twist, chain),
+                         _skew_pair_violation(problem.target, twist, chain),
                          balancing_violation(problem))
     _write_output(report, None, args.out)
     return 0 if ok else 1

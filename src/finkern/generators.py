@@ -60,7 +60,7 @@ def rand_probability_measure(rng: random.Random, space: FinSpace,
     if not any(weights):
         weights[rng.randrange(len(weights))] = 1
     total = sum(weights)
-    return measure(space, [ExtNonneg(w, total) for w in weights])
+    return measure(space, [ExtNonneg(w, total) if w else ZERO for w in weights])
 
 
 def rand_normalized_kernel(rng: random.Random, dom: FinSpace, cod: FinSpace,
@@ -72,7 +72,7 @@ def rand_normalized_kernel(rng: random.Random, dom: FinSpace, cod: FinSpace,
         if not any(weights):
             weights[rng.randrange(len(weights))] = 1
         total = sum(weights)
-        rows.append([ExtNonneg(w, total) for w in weights])
+        rows.append([ExtNonneg(w, total) if w else ZERO for w in weights])
     return Kernel(dom, cod, rows)
 
 
@@ -152,7 +152,7 @@ def rand_reversible_kernel(rng: random.Random, target: Kernel,
         for j in range(i, n):
             v = rand_value(rng, max_den, zero_weight=0.2)
             sym[i][j] = sym[j][i] = v
-    rows = [[sym[i][j] / masses[i] for j in range(n)] for i in range(n)]
+    rows = [[v / masses[i] if v.num else ZERO for v in sym[i]] for i in range(n)]
     return Kernel(space, space, rows)
 
 

@@ -286,11 +286,17 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
     dom = product(left.dom, right.dom)
     cod = product(left.cod, right.cod)
     width = len(right.cod)
+    full = None  # the columns of a product of two full rows, built once
     rows = []
     for lcols, lvals in left.rows:
         unit_left = lvals == _UNIT_MASS
         for rcols, rvals in right.rows:
-            cols = tuple([i * width + j for i in lcols for j in rcols])
+            if len(lcols) * len(rcols) == len(cod):  # both rows are full
+                if full is None:
+                    full = tuple(range(len(cod)))
+                cols = full
+            else:
+                cols = tuple([i * width + j for i in lcols for j in rcols])
             if unit_left:
                 vals = rvals
             elif rvals == _UNIT_MASS:

@@ -157,6 +157,13 @@ def skew_balance_violation(target: Kernel, twist: Involution,
     _check_endo(target, chain)
     if invariant_violation(target, lift_involution(twist)) is not None:
         raise ValueError("twist involution does not preserve the target")
+    return _skew_pair_violation(target, twist, chain)
+
+
+def _skew_pair_violation(target: Kernel, twist: Involution,
+                         chain: Kernel) -> tuple[Label, Label] | None:
+    """``skew_balance_violation`` for a twist already known to preserve
+    the target (e.g. one ``build_skew_mh`` accepted)."""
     masses = target.measure_values()
     s = twist.perm
     # Only pairs on the chain's support need checking. A pair (x, y) with
@@ -317,7 +324,7 @@ def verify_skew_theorem(problem: MhProblem, twist: Involution) -> TheoremFlags:
     """Skew reversibility of the twisted kernel vs the balancing condition."""
     chain = build_skew_mh(problem, twist)
     return TheoremFlags(
-        reversible=is_skew_reversible(problem.target, twist, chain),
+        reversible=_skew_pair_violation(problem.target, twist, chain) is None,
         balanced=check_balancing(problem))
 
 

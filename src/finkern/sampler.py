@@ -3,15 +3,28 @@
 Exact kernels are converted to double-precision stochastic matrices once,
 then chains run with a seeded Mersenne Twister. Runs are deterministic given
 (kernel, initial, seed, length) and record the generator identity.
+
+Each step is inverse-CDF sampling on the row's float running sums
+(``_cumulative``) with a (g+53)-bit uniform ``u = (c + v) / 2**g``: the
+successor is the number of running sums ``<= u``. A zero entry repeats the
+sum before it, and the sums are 1.0 from the row's last positive entry on,
+so no step ever takes a zero entry. A step draws ``c = getrandbits(g)`` and
+reads cell ``c`` of the row's guide table (Chen & Asau 1974), which splits
+[0, 1) into ``2**g`` equal cells, ``2**g`` being the least power of two at
+least 16 times the row's support size. A cell that no running sum falls
+strictly inside holds its successor, and that is the whole step (at least
+15 steps in 16); otherwise the step draws ``v = random()`` and compares it
+with the sums inside the cell. Seeded traces therefore differ from those of
+earlier versions, which drew one ``random()`` per step.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+import sys
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 
 from .kernels import Kernel, is_normalized
 from .enrichment import is_cancellative
@@ -19,6 +32,14 @@ from .enrichment import is_cancellative
 RNG_NAME = "python-mersenne-twister"
 
 FloatMatrix = tuple[tuple[float, ...], ...]
+
+#: Guide-table cells per positive entry of a row, before rounding up to a
+#: power of two: at most one step in 16 then needs a second draw.
+_CELLS_PER_ENTRY = 16
+
+#: The latest run's trace list, for the next run to fill again (see
+#: ``_trace_list``).
+_spare: list[list[int]] = []
 
 
 def to_float(kernel: Kernel) -> FloatMatrix:
@@ -70,27 +91,62 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
         raise IndexError(f"initial state {initial} out of range")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    cumulative = [_cumulative(row) for row in kernel]
+    trace = _trace_list(initial, length + 1)
+    offsets: list[float] = []  # the split cells, one after another
+    picks: list[int] = []
+    tables = [_guide_table(row, offsets, picks) for row in kernel]
     rng = random.Random(seed)
-    state = initial
-    trace = [state]
-    append = trace.append
+    getrandbits = rng.getrandbits
     rand = rng.random
-    for _ in range(length):
-        state = bisect_right(cumulative[state], rand())
-        append(state)
+    state = initial
+    bits, cells = tables[state]
+    for t in range(1, length + 1):
+        state = cells[getrandbits(bits)]
+        if state < 0:
+            i = ~state
+            v = rand()
+            while offsets[i] <= v:
+                i += 1
+            state = picks[i]
+        trace[t] = state
+        bits, cells = tables[state]
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
+
+
+def _trace_list(initial: int, size: int) -> list[int]:
+    """A list of ``size`` states for a new trace, ``initial`` first.
+
+    The latest run's list is filled again when it has the same size and
+    nothing else refers to it any more: its ``ChainRun`` and every other
+    reference to it are gone. A 10**6-step trace is an 8 MB block. Were it
+    freed and allocated afresh by each run, the allocator could split the
+    freed block for smaller objects made in between, and the next trace
+    would then take another 8 MB of the heap, so that the peak memory of a
+    series of runs depended on where the allocator happened to place them.
+    The cost is that the last run's list stays allocated until the next run
+    or the end of the process.
+    """
+    spare = _spare.pop() if _spare else None
+    # the count of a list that one local name refers to: what the
+    # interpreter adds to a count depends on its version, not on the list
+    alone: list[int] = []
+    if (spare is None or len(spare) != size
+            or sys.getrefcount(spare) != sys.getrefcount(alone)):
+        spare = [initial] * size
+    spare[0] = initial
+    _spare[:] = [spare]
+    return spare
 
 
 def _cumulative(row: tuple[float, ...]) -> list[float]:
     """The running sums of a row, set to 1.0 from its last positive entry on.
 
-    ``bisect_right(cum, u)`` for ``u`` in [0, 1) then lands only on
-    positive entries: a zero entry repeats the sum before it, so no ``u``
-    selects it, and the 1.0 tail closes the gap that rounding leaves below
-    1.0 at the last positive entry instead of handing it to a trailing
-    zero.
+    The number of sums ``<= u`` for ``u`` in [0, 1) is then always the
+    index of a positive entry: a zero entry repeats the sum before it, so
+    no ``u`` selects it, and the 1.0 tail closes the gap that rounding
+    leaves below 1.0 at the last positive entry instead of handing it to a
+    trailing zero.
     """
     cum = list(accumulate(row))
     last = len(row) - 1
@@ -100,15 +156,62 @@ def _cumulative(row: tuple[float, ...]) -> list[float]:
     return cum
 
 
+def _guide_table(row: tuple[float, ...], offsets: list[float],
+                 picks: list[int]) -> tuple[int, list[int]]:
+    """A row's guide table ``(g, cells)``: ``2**g`` cells over [0, 1).
+
+    Cell ``c`` covers ``[c/m, (c+1)/m)``, ``m = 2**g``. If no running sum
+    ``b`` of the row lies strictly inside it, ``cells[c]`` is the successor
+    of every ``u`` in it. Otherwise ``cells[c]`` is ``~i``: the cell's
+    sums are ``offsets[i:k]``, each stored as ``b*m - c``, followed by a
+    1.0 that ends the cell, and ``picks[i:k+1]`` are the successors below,
+    between and above them. The successor at ``u = (c + v)/m`` is then
+    ``picks[j]`` for the first ``j >= i`` with ``v < offsets[j]``, since
+    ``b <= u`` iff ``b*m - c <= v``. Each ``b*m - c`` is exact: ``b*m``
+    only shifts the exponent, and it lies in ``(c, c+1)``, so Sterbenz's
+    lemma applies. Forming ``c + v`` in floating point instead could round
+    up to ``m`` in the last cell.
+
+    The loop runs once per positive entry; the cells between two sums are
+    filled by one list extension.
+    """
+    cum = _cumulative(row)
+    support = list(compress(range(len(row)), row))
+    if not support:
+        raise ValueError("a row has no positive entry")
+    bits = (_CELLS_PER_ENTRY * len(support) - 1).bit_length()
+    m = 1 << bits
+    cells: list[int] = []
+    inside = False  # whether the last sum fell strictly inside a cell
+    for j in support:
+        # an entry lost to rounding repeats the sum before it: it adds no
+        # cell, or an offset equal to the one before, so no v selects it
+        x = cum[j] * m
+        c = int(x)
+        if inside:
+            picks.append(j)
+            if c < len(cells):  # this sum lies in the same split cell
+                offsets.append(x - c)
+                continue
+            offsets.append(1.0)  # every v is below it
+            inside = False
+        cells += [j] * (c - len(cells))
+        if x != c:
+            cells.append(~len(picks))
+            picks.append(j)
+            offsets.append(x - c)
+            inside = True
+    return bits, cells
+
+
 def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:
     """Visit frequencies over the trace after discarding ``burn_in`` steps."""
     if not 0 <= burn_in < run.length:
         raise ValueError("burn_in must satisfy 0 <= burn_in < length")
     counts = [0] * len(run.kernel)
-    kept = run.trace[burn_in:]
-    for state in kept:
+    for state in islice(run.trace, burn_in, None):
         counts[state] += 1
-    total = len(kept)
+    total = len(run.trace) - burn_in
     return tuple(c / total for c in counts)
 
 

@@ -17,6 +17,24 @@ def spaces(min_size=1, max_size=4, prefix="x"):
         lambda n: FinSpace(tuple(f"{prefix}{i}" for i in range(n))))
 
 
+# weights for normalized rows: zero half the time, sometimes tiny after
+# normalization
+weights = st.one_of(st.just(0), st.integers(1, 48), st.integers(1, 10**6))
+
+
+@st.composite
+def normalized_kernels(draw, min_size=1, max_size=6):
+    """An endo-kernel whose rows are probability vectors, zeros included."""
+    space = draw(spaces(min_size, max_size))
+    n = len(space)
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+        total = sum(row)
+        rows.append([ExtNonneg(w, total) for w in row])
+    return Kernel(space, space, rows)
+
+
 def kernels_on(dom, cod, entry_strategy=values):
     rows = st.lists(
         st.lists(entry_strategy, min_size=len(cod), max_size=len(cod)),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from finkern import cli
+from finkern import cli, mcmc
 from finkern.cli import main
 from finkern.semiring import ExtNonneg, ZERO, ext_sum
 from finkern.kernels import (
@@ -127,6 +127,21 @@ def test_verify_skew(capsys):
     assert code == 0
     report = report_dict(out)
     assert report["skew_reversible"] == "true" and report["balanced"] == "true"
+
+
+def test_verify_skew_checks_the_twist_once(capsys, monkeypatch):
+    calls = []
+    real = mcmc.invariant_violation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(mcmc, "invariant_violation", counted)
+    code, _, _ = run(capsys, "verify-skew", "--model", SKEW,
+                     "--target", "mu", "--involution", "prop",
+                     "--acceptance", "alpha", "--twist", "twist")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_build_mh_emits_parseable_document(capsys, tmp_path):

@@ -1,0 +1,156 @@
+"""Fuzz the CLI in-process: every input exits 0, 1 or 2, and none raises.
+
+Model documents are assembled from valid statements with random values,
+with now and then an invalid one (a value out of range, a broken
+involution, a stray token); each subcommand gets names drawn from those
+the document defines and some it does not, and sometimes a flag it does
+not take.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from finkern.cli import CHECKS, main
+
+ATOMS = ("a", "b", "c", "d")
+NAMES = ("mu", "nu", "pi", "K", "P", "lik", "alpha", "flip", "met", "X",
+         "Y", "J", "joint", "ghost")
+VALUES = ("0", "1", "1/2", "1/3", "2/3", "3/2", "inf", "5", "0/1")
+PROBABILITIES = ("0", "1", "1/2", "1/3", "2/3")
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, len(ATOMS)))
+    atoms = ATOMS[:n]
+    value = st.sampled_from(VALUES)
+
+    def assignments(labels, values=value):
+        picked = draw(st.lists(st.sampled_from(labels), unique=True))
+        return "  ".join(f"{x} = {draw(values)}" for x in picked)
+
+    lines = [f"space X {{ {' '.join(atoms)} }}", "space Y { u v }",
+             "space J { (a,u) (a,v) (b,u) (b,v) }"]
+    lines.append(f"measure mu on X {{ {assignments(atoms)} }}")
+    lines.append(f"measure nu on X {{ {assignments(atoms)} }}")
+    lines.append("measure joint on J { "
+                 + assignments(("(a,u)", "(a,v)", "(b,u)", "(b,v)")) + " }")
+    lines.append("measure pi on X { "
+                 + "  ".join(f"{x} = 1/{n}" for x in atoms) + " }")
+    lines.append("probability alpha on X { "
+                 + assignments(atoms, st.sampled_from(PROBABILITIES)) + " }")
+    pairs = draw(st.lists(st.tuples(st.sampled_from(atoms),
+                                    st.sampled_from(atoms)),
+                          max_size=8, unique=True))
+    lines.append("kernel K : X -> X { "
+                 + "  ".join(f"{x} -> {y} = {draw(value)}" for x, y in pairs)
+                 + " }")
+    # a normalized kernel: each row splits its mass between two points
+    halves = [(x, draw(st.sampled_from(atoms)), draw(st.sampled_from(atoms)))
+              for x in atoms]
+    lines.append("kernel P : X -> X { " + "  ".join(
+        f"{x} -> {y} = 1" if y == z else f"{x} -> {y} = 1/2  {x} -> {z} = 1/2"
+        for x, y, z in halves) + " }")
+    lik = draw(st.lists(st.tuples(st.sampled_from(atoms),
+                                  st.sampled_from(("u", "v"))),
+                        max_size=6, unique=True))
+    lines.append("kernel lik : X -> Y { "
+                 + "  ".join(f"{x} -> {y} = {draw(value)}" for x, y in lik)
+                 + " }")
+    moves = draw(st.lists(st.tuples(st.sampled_from(atoms),
+                                    st.sampled_from(atoms)), max_size=3))
+    if draw(st.integers(0, 3)) != 1:  # make it self-inverse
+        moves = [m for x, y in moves for m in ((x, y), (y, x))]
+        moves = list(dict(moves).items())
+    lines.append("involution flip on X { "
+                 + "  ".join(f"{x} -> {y}" for x, y in moves) + " }")
+    lines.append(f"balancing met = {draw(st.sampled_from(('metropolis', 'barker')))}")
+    if draw(st.integers(0, 9)) == 5:
+        junk = draw(st.sampled_from(("}", "kernel", "measure mu on X {",
+                                     "space X { a }", "= 1/0", "(")))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines) + "\n"
+
+
+label = st.sampled_from(ATOMS + ("u", "ghost", "(a,u)", "(("))
+
+
+def name(*fitting):
+    """Mostly a name of the fitting kinds, sometimes any name at all."""
+    return st.one_of(st.sampled_from(fitting), st.sampled_from(fitting),
+                     st.sampled_from(NAMES))
+
+
+@st.composite
+def arguments(draw):
+    """A subcommand and its arguments, the model path left as ``MODEL``."""
+    command = draw(st.sampled_from(
+        ("check", "decompose", "build-mh", "verify-mh", "verify-skew",
+         "classical-mh", "exchange", "gibbs", "sample")))
+    argv = [command, "--model", "MODEL"]
+    if command == "check":
+        predicate = draw(st.sampled_from(sorted(CHECKS) + ["bogus"]))
+        kinds = CHECKS.get(predicate, ((),))[0]
+        argv.append(predicate)
+        argv += [draw(name("mu", "pi", "K", "P", "alpha", "flip"))
+                 for _ in kinds]
+        argv += draw(st.lists(name("K"), max_size=1))
+    elif command == "decompose":
+        argv += [draw(name("mu", "K")), draw(name("flip", "nu", "P"))]
+    elif command in ("build-mh", "verify-mh", "verify-skew"):
+        argv += ["--target", draw(name("mu", "pi")),
+                 "--involution", draw(name("flip"))]
+        if command == "verify-mh" and draw(st.booleans()):
+            argv = argv[:3] + ["--instances", str(draw(st.integers(0, 3))),
+                               "--seed", str(draw(st.integers(-3, 3)))]
+        for flag, fitting in (("--acceptance", "alpha"), ("--balancing", "met")):
+            if draw(st.booleans()):
+                argv += [flag, draw(name(fitting))]
+        if command == "verify-skew":
+            argv += ["--twist", draw(name("flip"))]
+    elif command == "classical-mh":
+        argv += ["--target", draw(name("mu", "pi")),
+                 "--proposal", draw(name("P", "K"))]
+    elif command == "exchange":
+        argv += ["--prior", draw(name("pi", "mu")),
+                 "--likelihood", draw(name("lik")),
+                 "--obs", draw(label), "--proposal", draw(name("P", "K"))]
+    elif command == "gibbs":
+        argv += ["--target", draw(name("joint")),
+                 "--factors", draw(st.sampled_from(("X,Y", "X", "Q,X", "")))]
+    else:
+        argv += ["--kernel", draw(name("P", "K")),
+                 "--target", draw(name("pi", "mu")),
+                 "--init", draw(st.one_of(st.just("a"), label)),
+                 "--steps", str(draw(st.integers(-1, 40))),
+                 "--burn", str(draw(st.integers(-1, 12))),
+                 "--seed", str(draw(st.integers(-3, 3)))]
+    if draw(st.integers(0, 9)) == 5:
+        argv += draw(st.sampled_from((["--seed", "1"], ["--instances"],
+                                      ["--bogus"], ["--steps", "x"])))
+    if draw(st.integers(0, 3)) == 2:
+        argv += ["--out", "OUT"]
+    return argv
+
+
+@settings(max_examples=50)
+@given(documents(), arguments())
+def test_cli_exits_0_1_or_2_and_never_raises(document, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.fk"
+        model.write_text(document)
+        argv = [str(model) if a == "MODEL" else
+                str(Path(tmp) / "out.fk") if a == "OUT" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, document, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -12,6 +12,7 @@ from finkern.kernels import (
     swap, tensor, uniform, is_normalized,
 )
 from finkern.enrichment import NotAbsolutelyContinuous, leq_witness, rn_derivative
+from finkern import mcmc
 from finkern.mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, MhProblem, augment_reversible,
     balancing_alpha, bayesian_inverse, build_mh, build_skew_mh,
@@ -19,7 +20,7 @@ from finkern.mcmc import (
     exchange_algorithm,
     first_summand_reversible, gibbs, gibbs_site_kernels, is_invariant,
     is_reversible, is_skew_reversible, mh_acceptance_ratio,
-    verify_mh_theorem, verify_skew_theorem,
+    skew_balance_violation, verify_mh_theorem, verify_skew_theorem,
 )
 from finkern.generators import (
     rand_involution, rand_mh_problem, rand_normalized_kernel,
@@ -481,6 +482,45 @@ def test_skew_mh_violating_alpha():
     prob = MhProblem(target=target, involution=phi,
                      acceptance=effect(space, [1, 1, 1, 1]))
     assert verify_skew_theorem(prob, twist) == (False, False)
+
+
+def _twisted_problem():
+    """An MH problem and a twist that preserves its target (p1 <-> p2)."""
+    space = FinSpace.atoms("p0 p1 p2 p3")
+    target = measure(space, [q(1, 10), q(2, 10), q(2, 10), q(5, 10)])
+    phi = Involution.from_mapping(space, {"p0": "p1", "p1": "p0"})
+    prob = MhProblem(target=target, involution=phi,
+                     acceptance=balancing_alpha(METROPOLIS, target, phi))
+    return prob, Involution.from_mapping(space, {"p1": "p2", "p2": "p1"})
+
+
+def test_verify_skew_checks_the_twist_once(monkeypatch):
+    prob, twist = _twisted_problem()
+    calls = []
+    real = mcmc.invariant_violation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(mcmc, "invariant_violation", counted)
+    assert verify_skew_theorem(prob, twist).balanced
+    assert len(calls) == 1
+    # the public predicate keeps its own precondition check
+    chain = build_skew_mh(prob, twist)
+    calls.clear()
+    skew_balance_violation(prob.target, twist, chain)
+    assert len(calls) == 1
+
+
+def test_skew_twist_must_preserve_the_target():
+    prob, _ = _twisted_problem()
+    moving = Involution.from_mapping(prob.target.cod, {"p0": "p3", "p3": "p0"})
+    for check in (lambda: build_skew_mh(prob, moving),
+                  lambda: verify_skew_theorem(prob, moving),
+                  lambda: skew_balance_violation(prob.target, moving,
+                                                 build_mh(prob))):
+        with pytest.raises(ValueError, match="does not preserve the target"):
+            check()
 
 
 def test_skew_theorem_flags_agree_randomized():

@@ -1,6 +1,10 @@
 import math
+import random
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import FinSpace
@@ -10,6 +14,7 @@ from finkern import sampler
 from finkern.sampler import (
     RNG_NAME, empirical, run_chain, to_float, tv_distance,
 )
+from strategies import normalized_kernels
 
 
 def q(num, den=1):
@@ -65,6 +70,26 @@ def test_run_chain_trace_shape():
     assert all(0 <= s < 2 for s in run.trace)
 
 
+def test_run_chain_refills_a_dropped_trace_list():
+    matrix = to_float(two_state_chain()[0])
+    dropped = id(run_chain(matrix, 0, 1, 1000).trace)
+    again = run_chain(matrix, 1, 2, 1000)
+    assert id(again.trace) == dropped
+    fresh = run_chain(matrix, 1, 2, 1000)  # `again` still holds its list
+    assert fresh.trace is not again.trace
+    assert fresh.trace == again.trace
+
+
+def test_run_chain_never_refills_a_trace_still_referred_to():
+    matrix = to_float(two_state_chain()[0])
+    held_run = run_chain(matrix, 0, 1, 1000)
+    held_list = run_chain(matrix, 0, 2, 1000).trace
+    before = (list(held_run.trace), list(held_list))
+    for seed in range(3, 6):
+        run_chain(matrix, 1, seed, 1000)
+    assert (held_run.trace, held_list) == before
+
+
 def test_identity_kernel_gives_constant_trace():
     run = run_chain(to_float(identity(X2)), 1, 77, 500)
     assert set(run.trace) == {1}
@@ -107,16 +132,30 @@ LAST_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1.0
 
 
 class _FixedDraws:
-    """Stands in for ``random.Random``: returns the given draws in turn."""
+    """Stands in for ``random.Random``: serves the given uniforms in turn.
+
+    The sampler reads a uniform ``u`` as a cell ``getrandbits(g)`` and, when
+    the cell needs one, a ``random()`` inside it: this serves ``u`` as
+    ``floor(u * 2**g)``, then the remainder ``u * 2**g - floor(u * 2**g)``
+    (both exact, for a float or a ``Fraction`` ``u``).
+    """
 
     def __init__(self, draws):
         self._draws = iter(draws)
+        self._remainder = None
 
     def __call__(self, seed):
         return self
 
+    def getrandbits(self, bits):
+        scaled = next(self._draws) * 2 ** bits
+        cell = math.floor(scaled)
+        self._remainder = float(scaled - cell)
+        return cell
+
     def random(self):
-        return next(self._draws)
+        remainder, self._remainder = self._remainder, None
+        return remainder
 
 
 def _steps(monkeypatch, row, draws):
@@ -146,3 +185,77 @@ def test_leading_zero_entry_is_never_taken(monkeypatch):
     row = [0, q(1, 2), 0, q(1, 2), 0]
     trace = _steps(monkeypatch, row, [0.0, 0.5, LAST_BELOW_ONE])
     assert trace == [1, 3, 3]
+
+
+# -- the guide-table step ------------------------------------------------------
+
+IN_CELL = (0.0, 0.5, LAST_BELOW_ONE)  # v: the bottom, middle and top of a cell
+
+
+def _rows_with_zeros():
+    """Exact probability rows with leading, interior and trailing zeros."""
+    rows = [
+        [0, q(1, 2), 0, q(1, 2), 0],  # running sums on cell edges
+        [q(2, 7), q(2, 7), q(1, 7), q(1, 7), q(1, 7), 0],
+        [q(1, 10)] * 10 + [0],
+        # four running sums in one cell of width 1/128 around 1/3
+        [0, q(1, 3), q(1, 10**4), 0, q(1, 10**4), q(1, 10**4),
+         q(19991, 30000), 0],
+    ]
+    rng = random.Random(2024)
+    for _ in range(16):
+        width = rng.randint(3, 12)
+        weights = [0 if rng.random() < 0.3 else rng.randint(1, 50)
+                   for _ in range(width)]
+        weights[0] = weights[-1] = weights[width // 2] = 0
+        weights[1] = weights[1] or 1
+        total = sum(weights)
+        rows.append([q(w, total) for w in weights])
+    return rows
+
+
+@pytest.mark.parametrize("row", _rows_with_zeros())
+def test_guide_table_is_exact_inverse_cdf(monkeypatch, row):
+    space = FinSpace(tuple(f"x{i}" for i in range(len(row))))
+    matrix = to_float(Kernel(space, space, [row] * len(space)))
+    floats = matrix[0]
+    bits, cells = sampler._guide_table(floats, [], [])
+    m = 2 ** bits
+    sums = [Fraction(b) for b in sampler._cumulative(floats)]
+    # every cell at the bottom, middle and top, and every running sum itself
+    draws = [(c + Fraction(v)) / m for c in range(m) for v in IN_CELL]
+    draws += [b for b in sums if b < 1]
+    monkeypatch.setattr(sampler.random, "Random", _FixedDraws(draws))
+    picks = run_chain(matrix, 0, 0, len(draws)).trace[1:]
+    assert picks == [sum(b <= u for b in sums) for u in draws]
+    assert all(row[j] != 0 for j in picks)
+
+
+def test_guide_table_splits_a_cell_at_every_sum_inside_it():
+    row = _rows_with_zeros()[3]
+    space = FinSpace(tuple(f"x{i}" for i in range(len(row))))
+    floats = to_float(Kernel(space, space, [row] * len(space)))[0]
+    offsets, picks = [], []
+    bits, cells = sampler._guide_table(floats, offsets, picks)
+    assert len(cells) == 2 ** bits == 128  # 16 cells per positive entry
+    c = math.floor(128 / 3)
+    assert offsets[~cells[c]:] == [floats[1] * 128 - c,
+                                   (floats[1] + floats[2]) * 128 - c,
+                                   (floats[1] + floats[2] + floats[4]) * 128 - c,
+                                   (floats[1] + floats[2] + floats[4]
+                                    + floats[5]) * 128 - c, 1.0]
+    assert picks[~cells[c]:] == [1, 2, 4, 5, 6]
+    assert [s for s in cells if s < 0] == [cells[c]]
+
+
+def test_guide_table_rejects_a_row_without_mass():
+    with pytest.raises(ValueError):
+        run_chain(((0.0, 0.0), (0.0, 1.0)), 0, 0, 3)
+
+
+@settings(max_examples=60)
+@given(normalized_kernels(), st.integers(0, 2**32 - 1))
+def test_no_step_follows_an_exact_zero_entry(kernel, seed):
+    initial = seed % len(kernel.dom)
+    trace = run_chain(to_float(kernel), initial, seed, 300).trace
+    assert all(kernel.at(a, b).num != 0 for a, b in zip(trace, trace[1:]))
