@@ -5,6 +5,10 @@ copy/delete structure of finite probability, order-theoretic tooling
 (absolute continuity, meets, Lebesgue decompositions, Radon-Nikodym
 derivatives), and constructions with decidable correctness checks for
 Metropolis-Hastings-type Markov chains.
+
+The names of ``coproducts`` and ``sampler`` load on first use, so a
+process that never touches them (the CLI, for most subcommands) never
+compiles them.
 """
 
 from .semiring import INF, ONE, ZERO, ExtNonneg, SemiringDivisionError, residual
@@ -30,8 +34,23 @@ from .mcmc import (
     is_invariant, is_reversible, is_skew_reversible, verify_mh_theorem,
     verify_skew_theorem,
 )
-from .coproducts import copair, distributivity_iso, injection, oplus
-from .sampler import ChainRun, empirical, run_chain, to_float, tv_distance
 from .modelfile import ModelDocument, ModelError, emit, parse
 
 __version__ = "0.1.0"
+
+_COPRODUCTS = ("copair", "distributivity_iso", "injection", "oplus")
+_SAMPLER = ("ChainRun", "empirical", "run_chain", "to_float", "tv_distance")
+
+
+def __getattr__(name: str):
+    if name in _COPRODUCTS:
+        from .coproducts import copair, distributivity_iso, injection, oplus
+    elif name in _SAMPLER:
+        from .sampler import ChainRun, empirical, run_chain, to_float, tv_distance
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return locals()[name]
+
+
+def __dir__():
+    return sorted(globals().keys() | {*_COPRODUCTS, *_SAMPLER})

@@ -33,14 +33,12 @@ from .mcmc import (
     is_reversible, skew_balance_violation, verify_mh_theorem,
     _skew_pair_violation,
 )
-from .generators import rand_mh_problem
 from .modelfile import (
     ModelDocument, ModelError, emit, format_label, parse, parse_label,
 )
-from .sampler import empirical, run_chain, to_float, tv_distance
 
 DEFAULT_INSTANCES = 1000
-INSTANCES_ENV = "FINKERN_INSTANCES"
+INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
 
 
 class CliError(Exception):
@@ -282,6 +280,21 @@ def _cmd_decompose(args) -> int:
 # MH builders and verifiers
 
 
+#: The verify-mh flags that read back a document made by ``_mh_document``.
+_REPLAY = "verify-mh --target mu --involution phi --acceptance alpha"
+
+
+def _mh_document(space_name: str, target: Kernel, phi: Involution,
+                 accept: Kernel) -> ModelDocument:
+    """An MH problem as a document: measure mu, involution phi, probability alpha."""
+    doc = ModelDocument()
+    doc.add_space(space_name, target.cod)
+    doc.measures["mu"] = target
+    doc.involutions["phi"] = phi
+    doc.probabilities["alpha"] = accept
+    return doc
+
+
 def _cmd_build_mh(args) -> int:
     doc = _load_model(args)
     problem, accept_name = _mh_problem(doc, args)
@@ -332,27 +345,40 @@ def _cmd_verify_mh(args) -> int:
 
 
 def _verify_batch(args) -> int:
+    """A seeded theorem batch; the first disagreeing instance, if any, is
+    emitted as a document that single-instance verify-mh replays."""
     import random
+
+    from .generators import rand_mh_problem
+    from .sampler import RNG_NAME
 
     count = args.instances
     rng = random.Random(args.seed)
     agree = 0
-    disagreement = None
-    for _ in range(count):
+    disagreement = None  # (instance index, problem)
+    for index in range(count):
         problem = rand_mh_problem(rng)
         flags = verify_mh_theorem(problem)
         if flags.reversible == flags.balanced:
             agree += 1
         elif disagreement is None:
-            disagreement = problem
+            disagreement = index, problem
     report = Report()
     report.add("command", "verify-mh")
     report.add("mode", "batch")
+    report.add("rng", RNG_NAME)
     report.add("seed", args.seed)
     report.add("instances", count)
     report.add("flags_agree", agree)
     report.add("result", agree == count)
-    _write_output(report, None, args.out)
+    doc_text = None
+    if disagreement is not None:
+        index, problem = disagreement
+        report.add("disagreement_instance", index)
+        report.add("replay", _REPLAY)
+        doc_text = emit(_mh_document("X", problem.target, problem.involution,
+                                     problem.acceptance))
+    _write_output(report, doc_text, args.out)
     return 0 if agree == count else 1
 
 
@@ -406,11 +432,7 @@ def _cmd_exchange(args) -> int:
     augmented, phi, accept = exchange_algorithm(prior, likelihood, observed, proposal)
     point = balancing_violation(
         MhProblem(target=augmented, involution=phi, acceptance=accept))
-    out_doc = ModelDocument()
-    out_doc.add_space("augmented", augmented.cod)
-    out_doc.measures["mu"] = augmented
-    out_doc.involutions["phi"] = phi
-    out_doc.probabilities["alpha"] = accept
+    out_doc = _mh_document("augmented", augmented, phi, accept)
     report = Report()
     report.add("command", "exchange")
     report.add("prior", args.prior)
@@ -448,6 +470,8 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampler import empirical, run_chain, to_float, tv_distance
+
     doc = _load_model(args)
     chain = _lookup(doc, args.kernel, {"kernel": doc.kernels})
     target = _measure(doc, args.target)
@@ -483,6 +507,17 @@ def _cmd_sample(args) -> int:
 # argument parsing
 
 
+def _count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finkern",
@@ -516,9 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--balancing")
         if name == "verify-mh":
             p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-            default = int(os.environ.get(INSTANCES_ENV, DEFAULT_INSTANCES))
-            p.add_argument("--instances", type=int, nargs="?", const=default,
-                           default=0, help="run a randomized theorem batch instead")
+            # a bare --instances leaves None, for main to read the count
+            # from the environment
+            p.add_argument("--instances", type=_count, nargs="?", const=None,
+                           default=0, help="run a randomized theorem batch "
+                           f"instead (bare: ${INSTANCES_ENV} or {DEFAULT_INSTANCES})")
         if name == "verify-skew":
             p.add_argument("--twist", required=True)
         p.set_defaults(func=fn)
@@ -559,15 +596,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "verify-mh" and not args.instances:
-        if not (args.target and args.involution):
+    if args.subcommand == "verify-mh":
+        if args.instances is None:
+            text = os.environ.get(INSTANCES_ENV)
+            try:
+                args.instances = DEFAULT_INSTANCES if text is None else _count(text)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"{INSTANCES_ENV}: {exc}")
+        if not args.instances and not (args.target and args.involution):
             parser.error("verify-mh needs --target and --involution "
                          "(or --instances for batch mode)")
     try:
         return args.func(args)
     except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError,
-            ArithmeticError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+            ArithmeticError, OSError) as exc:
+        # str() of a KeyError quotes its message; that of an OSError or a
+        # UnicodeDecodeError joins its several args into one sentence
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,8 @@ boolean form is ``*_violation(...) is None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .semiring import ONE, ZERO, residual
 from .spaces import FinSpace, Label
@@ -194,8 +194,7 @@ def is_singular(p: Kernel, q: Kernel) -> bool:
 # Lebesgue decompositions
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A split P = ac + si with ac << reference and si singular to it."""
 
     ac: Kernel

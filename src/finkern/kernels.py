@@ -27,12 +27,12 @@ None; the boolean form is ``*_violation(...) is None``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .semiring import ExtNonneg, INF, ONE, ZERO, ext_sum
 from .spaces import FinSpace, Label, UNIT, product
+from ._record import FrozenRecord
 
 Entry = Union[ExtNonneg, int]
 
@@ -370,23 +370,21 @@ def associator(a: FinSpace, b: FinSpace, c: FinSpace) -> Kernel:
 # involutions
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(FrozenRecord):
     """A self-inverse permutation of a space's points."""
 
-    space: FinSpace
-    perm: tuple[int, ...]
+    __slots__ = ("space", "perm")
 
-    def __post_init__(self):
-        n = len(self.space)
-        perm = tuple(self.perm)
-        object.__setattr__(self, "perm", perm)
-        if sorted(perm) != list(range(n)):
+    def __init__(self, space: FinSpace, perm: Sequence[int]):
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(space))):
             raise ValueError("not a permutation of the space's points")
         for i, j in enumerate(perm):
             if perm[j] != i:
                 raise ValueError(
                     f"permutation is not self-inverse at index {i}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "perm", perm)
 
     @classmethod
     def identity(cls, space: FinSpace) -> "Involution":

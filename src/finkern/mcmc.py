@@ -10,7 +10,6 @@ check is an exact decidable equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .semiring import ExtNonneg, ONE, ZERO, ext_sum, residual
@@ -23,6 +22,7 @@ from .kernels import (
 from .enrichment import (
     NotCancellative, is_cancellative, rn_derivative,
 )
+from ._record import FrozenRecord
 
 
 class InfiniteMassError(ValueError):
@@ -33,8 +33,7 @@ class InfiniteMassError(ValueError):
 # balancing functions
 
 
-@dataclass(frozen=True)
-class BalancingFunction:
+class BalancingFunction(NamedTuple):
     """A named map [0, oo] -> [0, 1] with a(0) = 0 and a(t) = t * a(1/t)."""
 
     name: str
@@ -68,30 +67,30 @@ BALANCING_FUNCTIONS = {f.name: f for f in (METROPOLIS, BARKER)}
 # problem container
 
 
-@dataclass(frozen=True)
-class MhProblem:
+class MhProblem(FrozenRecord):
     """A target measure, an involution on its space, and an acceptance effect.
 
     The target must have finite atoms and the acceptance must be a
     probability (all values at most 1).
     """
 
-    target: Kernel
-    involution: Involution
-    acceptance: Kernel
+    __slots__ = ("target", "involution", "acceptance")
 
-    def __post_init__(self):
-        if not self.target.is_measure:
+    def __init__(self, target: Kernel, involution: Involution, acceptance: Kernel):
+        if not target.is_measure:
             raise SpaceMismatchError("target must be a measure")
-        if self.target.cod != self.involution.space:
+        if target.cod != involution.space:
             raise SpaceMismatchError("involution lives on a different space")
-        if not self.acceptance.is_effect or self.acceptance.dom != self.target.cod:
+        if not acceptance.is_effect or acceptance.dom != target.cod:
             raise SpaceMismatchError("acceptance must be an effect on the target space")
-        if not is_cancellative(self.target):
+        if not is_cancellative(target):
             raise NotCancellative("target must have finite atoms")
-        for value in self.acceptance.effect_values():
+        for value in acceptance.effect_values():
             if not value <= ONE:
                 raise ValueError(f"acceptance value {value} exceeds 1")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "acceptance", acceptance)
 
     @property
     def space(self) -> FinSpace:

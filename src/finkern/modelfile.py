@@ -29,12 +29,12 @@ document, and all semantic validation happens at parse with line numbers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .semiring import ExtNonneg, ONE, ZERO
 from .spaces import UNIT, FinSpace, Label, Tagged
 from .kernels import Involution, Kernel, dict_row, value_row
 from .mcmc import BALANCING_FUNCTIONS
+from ._record import Record
 
 
 class ModelError(ValueError):
@@ -45,18 +45,31 @@ class ModelError(ValueError):
         self.line = line
 
 
-@dataclass
-class ModelDocument:
+class ModelDocument(Record):
     """Named spaces, kernels, measures, effects, probabilities, involutions,
-    and balancing-function selections."""
+    and balancing-function selections.
 
-    spaces: dict[str, FinSpace] = field(default_factory=dict)
-    measures: dict[str, Kernel] = field(default_factory=dict)
-    effects: dict[str, Kernel] = field(default_factory=dict)
-    probabilities: dict[str, Kernel] = field(default_factory=dict)
-    kernels: dict[str, Kernel] = field(default_factory=dict)
-    involutions: dict[str, Involution] = field(default_factory=dict)
-    balancing: dict[str, str] = field(default_factory=dict)
+    Each field is a dict from names, empty unless given; two documents are
+    equal when all their dicts are.
+    """
+
+    __slots__ = ("spaces", "measures", "effects", "probabilities", "kernels",
+                 "involutions", "balancing")
+
+    def __init__(self, spaces: dict[str, FinSpace] | None = None,
+                 measures: dict[str, Kernel] | None = None,
+                 effects: dict[str, Kernel] | None = None,
+                 probabilities: dict[str, Kernel] | None = None,
+                 kernels: dict[str, Kernel] | None = None,
+                 involutions: dict[str, Involution] | None = None,
+                 balancing: dict[str, str] | None = None):
+        self.spaces = {} if spaces is None else spaces
+        self.measures = {} if measures is None else measures
+        self.effects = {} if effects is None else effects
+        self.probabilities = {} if probabilities is None else probabilities
+        self.kernels = {} if kernels is None else kernels
+        self.involutions = {} if involutions is None else involutions
+        self.balancing = {} if balancing is None else balancing
 
     def space_name(self, space: FinSpace) -> str:
         for name, candidate in self.spaces.items():

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 
 from .kernels import Kernel, is_normalized
 from .enrichment import is_cancellative
+from ._record import Record
 
 RNG_NAME = "python-mersenne-twister"
 
@@ -72,16 +72,23 @@ def to_float(kernel: Kernel) -> FloatMatrix:
     return tuple(rows)
 
 
-@dataclass
-class ChainRun:
-    """A finished simulation: the matrix, the configuration, and the trace."""
+class ChainRun(Record):
+    """A finished simulation: the matrix, the configuration, and the trace.
 
-    kernel: FloatMatrix
-    initial: int
-    seed: int
-    length: int
-    trace: list[int] = field(repr=False)
-    rng_name: str = RNG_NAME
+    The trace, ``length + 1`` states, is left out of the repr.
+    """
+
+    __slots__ = ("kernel", "initial", "seed", "length", "trace", "rng_name")
+    _hidden = ("trace",)
+
+    def __init__(self, kernel: FloatMatrix, initial: int, seed: int,
+                 length: int, trace: list[int], rng_name: str = RNG_NAME):
+        self.kernel = kernel
+        self.initial = initial
+        self.seed = seed
+        self.length = length
+        self.trace = trace
+        self.rng_name = rng_name
 
 
 def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> ChainRun:

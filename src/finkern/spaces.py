@@ -8,21 +8,26 @@ explicit kernels (see :mod:`finkern.kernels`), never silent coercions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Union
 
+from ._record import FrozenRecord
 
-@dataclass(frozen=True)
-class Tagged:
-    """A coproduct point label: the original label plus an L/R tag."""
 
-    side: str
-    label: "Label"
+class Tagged(FrozenRecord):
+    """A coproduct point label: the original label plus an L/R tag.
 
-    def __post_init__(self):
-        if self.side not in ("L", "R"):
-            raise ValueError(f"tag must be 'L' or 'R', got {self.side!r}")
+    A tagged label never equals a tuple, so a coproduct point cannot
+    collide with a product point.
+    """
+
+    __slots__ = ("side", "label")
+
+    def __init__(self, side: str, label: "Label"):
+        if side not in ("L", "R"):
+            raise ValueError(f"tag must be 'L' or 'R', got {side!r}")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "label", label)
 
 
 Label = Union[str, tuple, Tagged]

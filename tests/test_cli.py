@@ -519,3 +519,105 @@ def test_arithmetic_error_exits_2(capsys, monkeypatch):
                        "--target", "joint", "--factors", "X,Y")
     assert code == 2
     assert err == "error: oo/oo is undefined\n"
+
+
+def test_model_path_that_is_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--model", str(tmp_path),
+                         "normalized", "walk")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_unwritable_out_exits_2_after_the_check(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "check", "--model", TWO_STATE, "normalized",
+                         "walk", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
+def test_instances_env_is_read_only_by_a_bare_instances(capsys, monkeypatch):
+    monkeypatch.setenv("FINKERN_INSTANCES", "abc")
+    code, out, _ = run(capsys, "check", "--model", TWO_STATE, "normalized", "walk")
+    assert code == 0
+    assert report_dict(out)["result"] == "true"
+    code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE,
+                       "--instances", "3")
+    assert code == 0
+    assert report_dict(out)["instances"] == "3"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+def test_bad_instances_env_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("FINKERN_INSTANCES", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-mh", "--model", TWO_STATE, "--instances"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"FINKERN_INSTANCES: expected a positive integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "x"])
+def test_non_positive_instances_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-mh", "--model", TWO_STATE, "--instances", value])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_verify_mh_batch_reports_its_rng(capsys):
+    code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE,
+                       "--seed", "4", "--instances", "5")
+    assert code == 0
+    report = report_dict(out)
+    assert report["rng"] == "python-mersenne-twister"
+    assert "disagreement_instance" not in report
+    assert not out.startswith("#")  # no document follows the report
+
+
+def test_verify_mh_batch_emits_a_replayable_disagreement(capsys, monkeypatch,
+                                                         tmp_path):
+    import random
+
+    from finkern.generators import rand_mh_problem
+    from finkern.mcmc import TheoremFlags, verify_mh_theorem
+
+    calls = []
+
+    def third_disagrees(problem):
+        calls.append(problem)
+        flags = verify_mh_theorem(problem)
+        if len(calls) == 3:
+            return TheoremFlags(flags.reversible, not flags.reversible)
+        return flags
+    monkeypatch.setattr(cli, "verify_mh_theorem", third_disagrees)
+    code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE,
+                       "--seed", "7", "--instances", "5")
+    assert code == 1
+    report = report_dict(out)
+    assert (report["flags_agree"], report["result"]) == ("4", "false")
+    assert report["disagreement_instance"] == "2"
+    assert report["replay"] == ("verify-mh --target mu --involution phi "
+                                "--acceptance alpha")
+
+    rng = random.Random(7)
+    problem = [rand_mh_problem(rng) for _ in range(3)][2]
+    assert problem == calls[2]
+    doc = parse(out)
+    assert doc.measures["mu"] == problem.target
+    assert doc.involutions["phi"] == problem.involution
+    assert doc.probabilities["alpha"] == problem.acceptance
+
+    monkeypatch.undo()
+    replay = tmp_path / "disagreement.fk"
+    replay.write_text(out)
+    code, out, _ = run(capsys, "verify-mh", "--model", str(replay),
+                       *report["replay"].split()[1:])
+    flags = verify_mh_theorem(problem)
+    assert code == (0 if flags.reversible else 1)
+    replayed = report_dict(out)
+    assert replayed["reversible"] == str(flags.reversible).lower()
+    assert replayed["flags_agree"] == "true"
