@@ -621,3 +621,60 @@ def test_verify_mh_batch_emits_a_replayable_disagreement(capsys, monkeypatch,
     replayed = report_dict(out)
     assert replayed["reversible"] == str(flags.reversible).lower()
     assert replayed["flags_agree"] == "true"
+
+
+
+MH_FLAGS = ("--target", "mu", "--involution", "flip")
+MH_KEYS = ["command", "target", "involution", "acceptance"]
+THEOREM_KEYS = ["balanced", "flags_agree"]
+PAIR_KEYS = ["witness_x", "witness_y", "left", "right"]
+REPORT_KEYS = {
+    "check": (["check", "--model", TWO_STATE, "normalized", "walk"],
+              ["command", "predicate", "args", "result"]),
+    "check-witness": (["check", "--model", TWO_STATE, "reversible", "mu", "walk"],
+                      ["command", "predicate", "args", "result", *PAIR_KEYS]),
+    "decompose": (["decompose", "--model", DECOMPOSE, "mu", "swap_ab"],
+                  ["command", "S"]),
+    "build-mh": (["build-mh", "--model", TWO_STATE, *MH_FLAGS, "--balancing", "met"],
+                 [*MH_KEYS, "normalized"]),
+    "verify-mh": (["verify-mh", "--model", TWO_STATE, *MH_FLAGS,
+                   "--acceptance", "alpha"],
+                  [*MH_KEYS, "reversible", *THEOREM_KEYS]),
+    "verify-mh-witness": (["verify-mh", "--model", TWO_STATE, *MH_FLAGS,
+                           "--acceptance", "alpha_bad"],
+                          [*MH_KEYS, "reversible", *THEOREM_KEYS, "witness_kind",
+                           *PAIR_KEYS, "witness_balancing"]),
+    "verify-mh-batch": (["verify-mh", "--model", TWO_STATE, "--instances", "5",
+                         "--seed", "4"],
+                        ["command", "mode", "rng", "seed", "instances",
+                         "flags_agree", "result"]),
+    "verify-skew": (["verify-skew", "--model", SKEW, "--target", "mu",
+                     "--involution", "prop", "--balancing", "bk", "--twist", "twist"],
+                    ["command", "target", "involution", "twist", "acceptance",
+                     "skew_reversible", *THEOREM_KEYS]),
+    "classical-mh": (["classical-mh", "--model", CLASSICAL, "--target", "pi",
+                      "--proposal", "q"],
+                     ["command", "target", "proposal", "routes_equal",
+                      "reversible_via_involution", "reversible_direct"]),
+    "exchange": (["exchange", "--model", EXCHANGE, "--prior", "prior",
+                  "--likelihood", "lik", "--obs", "z1", "--proposal", "q"],
+                 ["command", "prior", "likelihood", "observed", "proposal",
+                  "balanced"]),
+    "gibbs": (["gibbs", "--model", GIBBS, "--target", "joint", "--factors", "X,Y"],
+              ["command", "target", "factors", "invariant"]),
+    "sample": (["sample", "--model", TWO_STATE, "--kernel", "walk", "--target", "mu",
+                "--init", "a", "--steps", "100"],
+               ["command", "kernel", "target", "rng", "seed", "init", "steps",
+                "burn", "freq_a", "freq_b", "tv_to_target"]),
+}
+
+
+@pytest.mark.parametrize("case", REPORT_KEYS)
+def test_report_keys_in_order(capsys, case):
+    argv, keys = REPORT_KEYS[case]
+    _, out, _ = run(capsys, *argv)
+    # with a document on stdout, the report is its "# "-prefixed head
+    lines = out.splitlines()
+    if out.startswith("# "):
+        lines = [l[2:] for l in lines if l.startswith("# ")]
+    assert [l.partition(" = ")[0] for l in lines] == keys
