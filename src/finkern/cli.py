@@ -6,6 +6,11 @@ Reports are ``key = value`` lines with a stable schema. Built artifacts
 when they share stdout with a report, the report lines are ``#``-prefixed so
 the output stays parseable. Exit status is 0 on pass or successful build,
 1 on a failed check (with a witness section), 2 on usage or model errors.
+
+Adding a subcommand means adding one handler and one ``COMMANDS`` record.
+A handler maps the loaded model and the parsed arguments to ``(ok, report
+lines after "command", document or None)``; ``main`` alone loads ``--model``,
+writes the output and maps the outcome to the exit status.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 from .semiring import ext_sum
 from .spaces import FinSpace
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, copyable_violation,
+    Involution, SpaceMismatchError, compose, copyable_violation,
     is_normalized, normalized_violation, substochastic_violation,
 )
 from .enrichment import (
@@ -33,9 +38,7 @@ from .mcmc import (
     is_reversible, skew_balance_violation, verify_mh_theorem,
     _skew_pair_violation,
 )
-from .modelfile import (
-    ModelDocument, ModelError, emit, format_label, parse, parse_label,
-)
+from .modelfile import ModelDocument, ModelError, emit, format_label, parse, parse_label
 
 DEFAULT_INSTANCES = 1000
 INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
@@ -46,103 +49,63 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
-
-
-class Report:
-    def __init__(self):
-        self.lines: list[tuple[str, str]] = []
-
-    def add(self, key: str, value) -> None:
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        self.lines.append((key, str(value)))
-
-    def extend(self, pairs) -> None:
-        for key, value in pairs:
-            self.add(key, value)
-
-    def text(self, comment: bool = False) -> str:
-        prefix = "# " if comment else ""
-        return "".join(f"{prefix}{key} = {value}\n" for key, value in self.lines)
-
-
-def _write_output(report: Report, doc_text: str | None, out: str | None) -> None:
-    if doc_text is None:
-        body = report.text()
-        if out:
-            Path(out).write_text(body)
-        else:
-            sys.stdout.write(body)
-    elif out:
-        Path(out).write_text(doc_text)
-        sys.stdout.write(report.text())
-    else:
-        sys.stdout.write(report.text(comment=True))
-        sys.stdout.write(doc_text)
-
-
-# ---------------------------------------------------------------------------
 # model lookups
 
 
-def _load_model(args) -> ModelDocument:
-    path = Path(args.model)
-    if not path.exists():
-        raise CliError(f"model file {path} does not exist")
-    return parse(path.read_text())
+_STORES = {"kernel": "kernels", "measure": "measures", "effect": "effects",
+           "probability": "probabilities", "involution": "involutions"}
+# the kinds of entity a name may refer to, in the order the model is searched
+_KERNEL = ("kernel", "measure", "effect", "probability")
+_MEASURE = ("measure",)
+_EFFECT = ("probability", "effect")
+_INVOLUTION = ("involution",)
 
 
-def _lookup(doc: ModelDocument, name: str, stores: dict[str, dict]):
-    hits = [(kind, store[name]) for kind, store in stores.items() if name in store]
+def _lookup(doc: ModelDocument, name: str, kinds: tuple[str, ...]):
+    hits = [kind for kind in kinds if name in getattr(doc, _STORES[kind])]
     if not hits:
-        kinds = "/".join(stores)
-        raise CliError(f"no {kinds} named {name!r} in the model")
+        raise CliError(f"no {'/'.join(kinds)} named {name!r} in the model")
     if len(hits) > 1:
-        raise CliError(f"name {name!r} is ambiguous across kinds "
-                       + "/".join(kind for kind, _ in hits))
-    return hits[0][1]
+        raise CliError(f"name {name!r} is ambiguous across kinds " + "/".join(hits))
+    return getattr(doc, _STORES[hits[0]])[name]
 
 
-def _kernel_like(doc: ModelDocument, name: str) -> Kernel:
-    return _lookup(doc, name, {"kernel": doc.kernels, "measure": doc.measures,
-                               "effect": doc.effects,
-                               "probability": doc.probabilities})
-
-
-def _measure(doc: ModelDocument, name: str) -> Kernel:
-    return _lookup(doc, name, {"measure": doc.measures})
-
-
-def _effect_like(doc: ModelDocument, name: str) -> Kernel:
-    return _lookup(doc, name, {"probability": doc.probabilities,
-                               "effect": doc.effects})
-
-
-def _involution(doc: ModelDocument, name: str) -> Involution:
-    return _lookup(doc, name, {"involution": doc.involutions})
-
-
-def _acceptance(doc: ModelDocument, args, target: Kernel,
-                phi: Involution) -> tuple[Kernel, str]:
-    """Resolve --acceptance NAME or --balancing NAME into an effect."""
+def _mh_problem(doc: ModelDocument, args, twist: str | None = None):
+    """The MH problem the flags name, and the report lines echoing those
+    names (a twist name goes before the acceptance)."""
+    target = _lookup(doc, args.target, _MEASURE)
+    phi = _lookup(doc, args.involution, _INVOLUTION)
     if args.acceptance and args.balancing:
         raise CliError("pass either --acceptance or --balancing, not both")
     if args.acceptance:
-        return _effect_like(doc, args.acceptance), args.acceptance
-    if args.balancing:
-        key = doc.balancing.get(args.balancing, args.balancing)
-        if key not in BALANCING_FUNCTIONS:
-            raise CliError(f"unknown balancing function {key!r}")
-        return balancing_alpha(BALANCING_FUNCTIONS[key], target, phi), key
-    raise CliError("an acceptance is required: --acceptance or --balancing")
+        accept, accept_name = _lookup(doc, args.acceptance, _EFFECT), args.acceptance
+    elif args.balancing:
+        accept_name = doc.balancing.get(args.balancing, args.balancing)
+        if accept_name not in BALANCING_FUNCTIONS:
+            raise CliError(f"unknown balancing function {accept_name!r}")
+        accept = balancing_alpha(BALANCING_FUNCTIONS[accept_name], target, phi)
+    else:
+        raise CliError("an acceptance is required: --acceptance or --balancing")
+    echo = [("target", args.target), ("involution", args.involution),
+            ("twist", twist), ("acceptance", accept_name)]
+    return MhProblem(target, phi, accept), [(k, v) for k, v in echo if v is not None]
 
 
-def _mh_problem(doc: ModelDocument, args) -> tuple[MhProblem, str]:
-    target = _measure(doc, args.target)
-    phi = _involution(doc, args.involution)
-    accept, accept_name = _acceptance(doc, args, target, phi)
-    return MhProblem(target=target, involution=phi, acceptance=accept), accept_name
+def _space_doc(doc: ModelDocument, *spaces: FinSpace, **stores) -> ModelDocument:
+    """A document of the given stores, declaring the spaces by their names in doc."""
+    return ModelDocument(spaces={doc.space_name(s): s for s in spaces}, **stores)
+
+
+#: The verify-mh flags that read back a document made by ``_mh_document``.
+_REPLAY = "verify-mh --target mu --involution phi --acceptance alpha"
+
+
+def _mh_document(space_name: str, problem: MhProblem) -> ModelDocument:
+    """An MH problem as a document: measure mu, involution phi, probability alpha."""
+    return ModelDocument(spaces={space_name: problem.space},
+                         measures={"mu": problem.target},
+                         involutions={"phi": problem.involution},
+                         probabilities={"alpha": problem.acceptance})
 
 
 # ---------------------------------------------------------------------------
@@ -186,165 +149,93 @@ def _point(names, x):
     return [("witness_point", format_label(x))]
 
 
-def _balancing_violation(target, phi, accept):
-    return balancing_violation(MhProblem(target, phi, accept))
-
-
-# predicate -> (one lookup per name, violation function, witness formatter);
-# a formatter turns the resolved names and the witness into report lines.
-_KERNEL = (_kernel_like,)
-_KERNELS = (_kernel_like, _kernel_like)
+# predicate -> (the kinds each name may refer to, violation function,
+# witness formatter: (resolved names, witness) -> report lines)
 CHECKS = {
-    "normalized": (_KERNEL, normalized_violation, _row_mass),
-    "copyable": (_KERNEL, copyable_violation, _row),
-    "substochastic": (_KERNEL, substochastic_violation, _row_mass),
-    "cancellative": (_KERNEL, cancellative_violation, _entry),
-    "finite": (_KERNEL, finite_violation, _row_mass),
-    "leq": (_KERNELS, leq_violation, _entry),
-    "abs-cont": (_KERNELS, abs_cont_violation, _entry),
-    "equivalent": (_KERNELS, equivalent_violation, _entry),
-    "singular": (_KERNELS, singular_violation, _entry),
-    "invariant": ((_measure, _kernel_like), invariant_violation, _pushed),
-    "reversible": ((_measure, _kernel_like), detailed_balance_violation, _pair),
-    "skew-reversible": ((_measure, _involution, _kernel_like),
+    "normalized": ((_KERNEL,), normalized_violation, _row_mass),
+    "copyable": ((_KERNEL,), copyable_violation, _row),
+    "substochastic": ((_KERNEL,), substochastic_violation, _row_mass),
+    "cancellative": ((_KERNEL,), cancellative_violation, _entry),
+    "finite": ((_KERNEL,), finite_violation, _row_mass),
+    "leq": ((_KERNEL, _KERNEL), leq_violation, _entry),
+    "abs-cont": ((_KERNEL, _KERNEL), abs_cont_violation, _entry),
+    "equivalent": ((_KERNEL, _KERNEL), equivalent_violation, _entry),
+    "singular": ((_KERNEL, _KERNEL), singular_violation, _entry),
+    "invariant": ((_MEASURE, _KERNEL), invariant_violation, _pushed),
+    "reversible": ((_MEASURE, _KERNEL), detailed_balance_violation, _pair),
+    "skew-reversible": ((_MEASURE, _INVOLUTION, _KERNEL),
                         skew_balance_violation, _pair),
-    "balanced": ((_measure, _involution, _effect_like),
-                 _balancing_violation, _point),
-    "ae-equal": ((_measure, _kernel_like, _kernel_like), ae_violation, _point),
+    "balanced": ((_MEASURE, _INVOLUTION, _EFFECT),
+                 lambda *names: balancing_violation(MhProblem(*names)), _point),
+    "ae-equal": ((_MEASURE, _KERNEL, _KERNEL), ae_violation, _point),
 }
 
 
-def _cmd_check(args) -> int:
-    doc = _load_model(args)
+# ---------------------------------------------------------------------------
+# subcommand handlers: (doc, args) -> (ok, report lines, document or None)
+
+
+def _check(doc, args):
     if args.predicate not in CHECKS:
         raise CliError(f"unknown predicate {args.predicate!r}; choose from "
                        + ", ".join(sorted(CHECKS)))
-    lookups, violation, witness_lines = CHECKS[args.predicate]
-    if len(args.names) != len(lookups):
-        raise CliError(f"predicate {args.predicate!r} takes {len(lookups)} name(s)")
-    names = [lookup(doc, name) for lookup, name in zip(lookups, args.names)]
+    kinds, violation, witness_lines = CHECKS[args.predicate]
+    if len(args.names) != len(kinds):
+        raise CliError(f"predicate {args.predicate!r} takes {len(kinds)} name(s)")
+    names = [_lookup(doc, name, k) for k, name in zip(kinds, args.names)]
     witness = violation(*names)
-    report = Report()
-    report.add("command", "check")
-    report.add("predicate", args.predicate)
-    report.add("args", " ".join(args.names))
-    report.add("result", witness is None)
+    lines = [("predicate", args.predicate), ("args", " ".join(args.names)),
+             ("result", witness is None)]
     if witness is not None:
-        report.extend(witness_lines(names, witness))
-    _write_output(report, None, args.out)
-    return 0 if witness is None else 1
+        lines += witness_lines(names, witness)
+    return witness is None, lines, None
 
 
-# ---------------------------------------------------------------------------
-# decompose
+def _decompose(doc, args):
+    first = _lookup(doc, args.names[0], ("measure", "kernel"))
+    second = _lookup(doc, args.names[1], ("involution", "measure", "kernel"))
+    parts = (involutive_decompose(first, second)[1] if isinstance(second, Involution)
+             else lebesgue_decompose(first, second))
+    pieces = {"ac": parts.ac, "si": parts.si}
+    if not first.is_measure:
+        return True, [], _space_doc(doc, first.dom, first.cod, kernels=pieces)
+    support = support_labels(parts.ac)
+    out = _space_doc(doc, first.cod, measures=pieces)
+    if isinstance(second, Involution):
+        out.add_space("S", FinSpace(support))
+    return True, [("S", " ".join(format_label(x) for x in support))], out
 
 
-def _cmd_decompose(args) -> int:
-    doc = _load_model(args)
-    first = _lookup(doc, args.names[0],
-                    {"measure": doc.measures, "kernel": doc.kernels})
-    report = Report()
-    report.add("command", "decompose")
-    out_doc = ModelDocument()
-    if args.names[1] in doc.involutions:
-        phi = doc.involutions[args.names[1]]
-        s, decomposition = involutive_decompose(first, phi)
-        space = first.cod
-        out_doc.add_space(doc.space_name(space), space)
-        out_doc.add_space("S", FinSpace(s))
-        out_doc.measures["ac"] = decomposition.ac
-        out_doc.measures["si"] = decomposition.si
-        report.add("S", " ".join(format_label(x) for x in s))
-    else:
-        second = _lookup(doc, args.names[1],
-                         {"measure": doc.measures, "kernel": doc.kernels})
-        decomposition = lebesgue_decompose(first, second)
-        if first.is_measure:
-            out_doc.add_space(doc.space_name(first.cod), first.cod)
-            out_doc.measures["ac"] = decomposition.ac
-            out_doc.measures["si"] = decomposition.si
-            report.add("S", " ".join(format_label(x)
-                                     for x in support_labels(decomposition.ac)))
-        else:
-            needed = ([first.dom] if first.dom == first.cod
-                      else [first.dom, first.cod])
-            for space in needed:
-                out_doc.add_space(doc.space_name(space), space)
-            out_doc.kernels["ac"] = decomposition.ac
-            out_doc.kernels["si"] = decomposition.si
-    _write_output(report, emit(out_doc), args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# MH builders and verifiers
-
-
-#: The verify-mh flags that read back a document made by ``_mh_document``.
-_REPLAY = "verify-mh --target mu --involution phi --acceptance alpha"
-
-
-def _mh_document(space_name: str, target: Kernel, phi: Involution,
-                 accept: Kernel) -> ModelDocument:
-    """An MH problem as a document: measure mu, involution phi, probability alpha."""
-    doc = ModelDocument()
-    doc.add_space(space_name, target.cod)
-    doc.measures["mu"] = target
-    doc.involutions["phi"] = phi
-    doc.probabilities["alpha"] = accept
-    return doc
-
-
-def _cmd_build_mh(args) -> int:
-    doc = _load_model(args)
-    problem, accept_name = _mh_problem(doc, args)
+def _build_mh(doc, args):
+    problem, echo = _mh_problem(doc, args)
     chain = build_mh(problem)
-    out_doc = ModelDocument()
-    out_doc.add_space(doc.space_name(problem.space), problem.space)
-    out_doc.kernels["mh_chain"] = chain
-    out_doc.probabilities["acceptance"] = problem.acceptance
-    report = Report()
-    report.add("command", "build-mh")
-    report.add("target", args.target)
-    report.add("involution", args.involution)
-    report.add("acceptance", accept_name)
-    report.add("normalized", is_normalized(chain))
-    _write_output(report, emit(out_doc), args.out)
-    return 0
+    out = _space_doc(doc, problem.space, kernels={"mh_chain": chain},
+                     probabilities={"acceptance": problem.acceptance})
+    return True, echo + [("normalized", is_normalized(chain))], out
 
 
-def _theorem_report(report: Report, flag: str, names, pair, point) -> bool:
+def _theorem_report(echo, flag: str, names, pair, point):
     """Both sides of a reversibility theorem, each with its own witness."""
-    report.add(flag, pair is None)
-    report.add("balanced", point is None)
-    report.add("flags_agree", (pair is None) == (point is None))
+    lines = echo + [(flag, pair is None), ("balanced", point is None),
+                    ("flags_agree", (pair is None) == (point is None))]
     if pair is not None:
-        report.add("witness_kind", "detailed-balance")
-        report.extend(_pair(names, pair))
+        lines += [("witness_kind", "detailed-balance"), *_pair(names, pair)]
     if point is not None:
-        report.add("witness_balancing", format_label(point))
-    return pair is None
+        lines.append(("witness_balancing", format_label(point)))
+    return pair is None, lines, None
 
 
-def _cmd_verify_mh(args) -> int:
+def _verify_mh(doc, args):
     if args.instances:
         return _verify_batch(args)
-    doc = _load_model(args)
-    problem, accept_name = _mh_problem(doc, args)
+    problem, echo = _mh_problem(doc, args)
     chain = build_mh(problem)
-    report = Report()
-    report.add("command", "verify-mh")
-    report.add("target", args.target)
-    report.add("involution", args.involution)
-    report.add("acceptance", accept_name)
-    ok = _theorem_report(report, "reversible", (problem.target, chain),
-                         detailed_balance_violation(problem.target, chain),
-                         balancing_violation(problem))
-    _write_output(report, None, args.out)
-    return 0 if ok else 1
+    return _theorem_report(echo, "reversible", (problem.target, chain),
+                           detailed_balance_violation(problem.target, chain),
+                           balancing_violation(problem))
 
 
-def _verify_batch(args) -> int:
+def _verify_batch(args):
     """A seeded theorem batch; the first disagreeing instance, if any, is
     emitted as a document that single-instance verify-mh replays."""
     import random
@@ -352,159 +243,100 @@ def _verify_batch(args) -> int:
     from .generators import rand_mh_problem
     from .sampler import RNG_NAME
 
-    count = args.instances
     rng = random.Random(args.seed)
-    agree = 0
-    disagreement = None  # (instance index, problem)
-    for index in range(count):
+    disagreements = []  # (instance index, problem)
+    for index in range(args.instances):
         problem = rand_mh_problem(rng)
         flags = verify_mh_theorem(problem)
-        if flags.reversible == flags.balanced:
-            agree += 1
-        elif disagreement is None:
-            disagreement = index, problem
-    report = Report()
-    report.add("command", "verify-mh")
-    report.add("mode", "batch")
-    report.add("rng", RNG_NAME)
-    report.add("seed", args.seed)
-    report.add("instances", count)
-    report.add("flags_agree", agree)
-    report.add("result", agree == count)
-    doc_text = None
-    if disagreement is not None:
-        index, problem = disagreement
-        report.add("disagreement_instance", index)
-        report.add("replay", _REPLAY)
-        doc_text = emit(_mh_document("X", problem.target, problem.involution,
-                                     problem.acceptance))
-    _write_output(report, doc_text, args.out)
-    return 0 if agree == count else 1
+        if flags.reversible != flags.balanced:
+            disagreements.append((index, problem))
+    lines = [("mode", "batch"), ("rng", RNG_NAME), ("seed", args.seed),
+             ("instances", args.instances),
+             ("flags_agree", args.instances - len(disagreements)),
+             ("result", not disagreements)]
+    if not disagreements:
+        return True, lines, None
+    index, problem = disagreements[0]
+    lines += [("disagreement_instance", index), ("replay", _REPLAY)]
+    return False, lines, _mh_document("X", problem)
 
 
-def _cmd_verify_skew(args) -> int:
-    doc = _load_model(args)
-    problem, accept_name = _mh_problem(doc, args)
-    twist = _involution(doc, args.twist)
+def _verify_skew(doc, args):
+    problem, echo = _mh_problem(doc, args, twist=args.twist)
+    twist = _lookup(doc, args.twist, _INVOLUTION)
     chain = build_skew_mh(problem, twist)
-    report = Report()
-    report.add("command", "verify-skew")
-    report.add("target", args.target)
-    report.add("involution", args.involution)
-    report.add("twist", args.twist)
-    report.add("acceptance", accept_name)
-    ok = _theorem_report(report, "skew_reversible", (problem.target, twist, chain),
-                         _skew_pair_violation(problem.target, twist, chain),
-                         balancing_violation(problem))
-    _write_output(report, None, args.out)
-    return 0 if ok else 1
+    return _theorem_report(echo, "skew_reversible", (problem.target, twist, chain),
+                           _skew_pair_violation(problem.target, twist, chain),
+                           balancing_violation(problem))
 
 
-def _cmd_classical_mh(args) -> int:
-    doc = _load_model(args)
-    target = _measure(doc, args.target)
-    proposal = _lookup(doc, args.proposal, {"kernel": doc.kernels})
+def _classical_mh(doc, args):
+    target = _lookup(doc, args.target, _MEASURE)
+    proposal = _lookup(doc, args.proposal, ("kernel",))
     via, direct = classical_mh(target, proposal)
-    equal = via == direct
-    rev_via = is_reversible(target, via)
-    rev_direct = is_reversible(target, direct)
-    out_doc = ModelDocument()
-    out_doc.add_space(doc.space_name(target.cod), target.cod)
-    out_doc.kernels["mh_chain"] = direct
-    report = Report()
-    report.add("command", "classical-mh")
-    report.add("target", args.target)
-    report.add("proposal", args.proposal)
-    report.add("routes_equal", equal)
-    report.add("reversible_via_involution", rev_via)
-    report.add("reversible_direct", rev_direct)
-    ok = equal and rev_via and rev_direct
-    _write_output(report, emit(out_doc), args.out)
-    return 0 if ok else 1
+    flags = [("routes_equal", via == direct),
+             ("reversible_via_involution", is_reversible(target, via)),
+             ("reversible_direct", is_reversible(target, direct))]
+    out = _space_doc(doc, target.cod, kernels={"mh_chain": direct})
+    return (all(flag for _, flag in flags),
+            [("target", args.target), ("proposal", args.proposal), *flags], out)
 
 
-def _cmd_exchange(args) -> int:
-    doc = _load_model(args)
-    prior = _measure(doc, args.prior)
-    likelihood = _lookup(doc, args.likelihood, {"kernel": doc.kernels})
-    proposal = _lookup(doc, args.proposal, {"kernel": doc.kernels})
-    observed = parse_label(args.obs)
-    augmented, phi, accept = exchange_algorithm(prior, likelihood, observed, proposal)
-    point = balancing_violation(
-        MhProblem(target=augmented, involution=phi, acceptance=accept))
-    out_doc = _mh_document("augmented", augmented, phi, accept)
-    report = Report()
-    report.add("command", "exchange")
-    report.add("prior", args.prior)
-    report.add("likelihood", args.likelihood)
-    report.add("observed", args.obs)
-    report.add("proposal", args.proposal)
-    report.add("balanced", point is None)
+def _exchange(doc, args):
+    prior = _lookup(doc, args.prior, _MEASURE)
+    likelihood = _lookup(doc, args.likelihood, ("kernel",))
+    proposal = _lookup(doc, args.proposal, ("kernel",))
+    problem = MhProblem(*exchange_algorithm(prior, likelihood,
+                                            parse_label(args.obs), proposal))
+    point = balancing_violation(problem)
+    lines = [("prior", args.prior), ("likelihood", args.likelihood),
+             ("observed", args.obs), ("proposal", args.proposal),
+             ("balanced", point is None)]
     if point is not None:
-        report.add("witness_balancing", format_label(point))
-    _write_output(report, emit(out_doc), args.out)
-    return 0 if point is None else 1
+        lines.append(("witness_balancing", format_label(point)))
+    return point is None, lines, _mh_document("augmented", problem)
 
 
-def _cmd_gibbs(args) -> int:
-    doc = _load_model(args)
-    joint = _measure(doc, args.target)
-    factors = []
-    for name in args.factors.split(","):
-        name = name.strip()
-        if name not in doc.spaces:
-            raise CliError(f"unknown space {name!r} in --factors")
-        factors.append(doc.spaces[name])
-    chain = gibbs(joint, factors)
+def _gibbs(doc, args):
+    joint = _lookup(doc, args.target, _MEASURE)
+    names = [name.strip() for name in args.factors.split(",")]
+    unknown = [name for name in names if name not in doc.spaces]
+    if unknown:
+        raise CliError(f"unknown space {unknown[0]!r} in --factors")
+    chain = gibbs(joint, [doc.spaces[name] for name in names])
     invariant = is_invariant(joint, chain)
-    out_doc = ModelDocument()
-    out_doc.add_space(doc.space_name(joint.cod), joint.cod)
-    out_doc.kernels["gibbs_chain"] = chain
-    report = Report()
-    report.add("command", "gibbs")
-    report.add("target", args.target)
-    report.add("factors", args.factors)
-    report.add("invariant", invariant)
-    _write_output(report, emit(out_doc), args.out)
-    return 0 if invariant else 1
+    out = _space_doc(doc, joint.cod, kernels={"gibbs_chain": chain})
+    return invariant, [("target", args.target), ("factors", args.factors),
+                       ("invariant", invariant)], out
 
 
-def _cmd_sample(args) -> int:
+def _sample(doc, args):
     from .sampler import empirical, run_chain, to_float, tv_distance
 
-    doc = _load_model(args)
-    chain = _lookup(doc, args.kernel, {"kernel": doc.kernels})
-    target = _measure(doc, args.target)
-    if target.cod != chain.dom:
+    chain = _lookup(doc, args.kernel, ("kernel",))
+    target = _lookup(doc, args.target, _MEASURE)
+    if not target.cod == chain.dom == chain.cod:
         raise CliError("target and kernel live on different spaces")
     if not is_normalized(target):
         raise CliError(f"target {args.target!r} is not a probability measure "
                        f"(total mass {ext_sum(target.rows[0][1])})")
-    initial_label = parse_label(args.init)
-    initial = chain.dom.index(initial_label)
-    matrix = to_float(chain)
-    run = run_chain(matrix, initial, args.seed, args.steps)
+    initial = chain.dom.index(parse_label(args.init))
+    run = run_chain(to_float(chain), initial, args.seed, args.steps)
     frequencies = empirical(run, args.burn)
-    target_floats = [v.to_float() for v in target.measure_values()]
-    tv = tv_distance(frequencies, target_floats)
-    report = Report()
-    report.add("command", "sample")
-    report.add("kernel", args.kernel)
-    report.add("target", args.target)
-    report.add("rng", run.rng_name)
-    report.add("seed", args.seed)
-    report.add("init", args.init)
-    report.add("steps", args.steps)
-    report.add("burn", args.burn)
-    for x, f in zip(chain.dom.labels, frequencies):
-        report.add(f"freq_{format_label(x)}", f"{f:.6f}")
-    report.add("tv_to_target", f"{tv:.6f}")
-    _write_output(report, None, args.out)
-    return 0
+    tv = tv_distance(frequencies, [v.to_float() for v in target.measure_values()])
+    lines = [("kernel", args.kernel), ("target", args.target),
+             ("rng", run.rng_name), ("seed", args.seed), ("init", args.init),
+             ("steps", args.steps), ("burn", args.burn)]
+    lines += [(f"freq_{format_label(x)}", f"{f:.6f}")
+              for x, f in zip(chain.dom.labels, frequencies)]
+    # not a check, so exit 0 either way; tv_to_target means nothing if false
+    lines += [("tv_to_target", f"{tv:.6f}"),
+              ("invariant", is_invariant(target, chain))]
+    return True, lines, None
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the subcommand table
 
 
 def _count(text: str) -> int:
@@ -518,78 +350,56 @@ def _count(text: str) -> int:
     return count
 
 
+_REQUIRED = {"required": True}
+_SEED = ("--seed", {"type": int, "default": 0, "help": "PRNG seed"})
+_MH_FLAGS = [("--target", _REQUIRED), ("--involution", _REQUIRED),
+             ("--acceptance", {}), ("--balancing", {})]
+
+# subcommand -> (handler, help, argument specs after --model and --out)
+COMMANDS = {
+    "check": (_check, "evaluate a named predicate", [
+        ("predicate", {"help": ", ".join(sorted(CHECKS))}),
+        ("names", {"nargs": "+", "help": "entity names from the model"})]),
+    "decompose": (_decompose, "Lebesgue decomposition (kernel/kernel or "
+                  "measure/involution)", [("names", {"nargs": 2})]),
+    "build-mh": (_build_mh, "build an involutive MH chain", _MH_FLAGS),
+    "verify-mh": (_verify_mh, "check the involutive MH theorem on one "
+                  "problem or a randomized batch", [
+        ("--target", {}), ("--involution", {}), *_MH_FLAGS[2:], _SEED,
+        # a bare --instances leaves None, for main to read the count from
+        # the environment
+        ("--instances", {"type": _count, "nargs": "?", "const": None,
+                         "default": 0, "help": "run a randomized theorem batch "
+                         f"instead (bare: ${INSTANCES_ENV} or {DEFAULT_INSTANCES})"})]),
+    "verify-skew": (_verify_skew, "check the skew-reversible MH theorem",
+                    [*_MH_FLAGS, ("--twist", _REQUIRED)]),
+    "classical-mh": (_classical_mh, "classical MH as an involutive MH chain",
+                     [("--target", _REQUIRED), ("--proposal", _REQUIRED)]),
+    "exchange": (_exchange, "the exchange algorithm's augmented MH problem", [
+        ("--prior", _REQUIRED), ("--likelihood", _REQUIRED),
+        ("--obs", {"required": True, "help": "observed data label"}),
+        ("--proposal", _REQUIRED)]),
+    "gibbs": (_gibbs, "build a Gibbs sampler over product factors", [
+        ("--target", _REQUIRED),
+        ("--factors", {"required": True, "help": "comma-separated space names"})]),
+    "sample": (_sample, "run a chain in floating point", [
+        _SEED, ("--kernel", _REQUIRED), ("--target", _REQUIRED),
+        ("--init", _REQUIRED), ("--steps", {"type": int, "required": True}),
+        ("--burn", {"type": int, "default": 0})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finkern",
         description="Exact kernel calculus checks and MCMC builders on finite spaces.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (_, help_text, specs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model file path")
         p.add_argument("--out", help="write the report or document here")
-
-    p = sub.add_parser("check", help="evaluate a named predicate")
-    common(p)
-    p.add_argument("predicate", help=", ".join(sorted(CHECKS)))
-    p.add_argument("names", nargs="+", help="entity names from the model")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("decompose", help="Lebesgue decomposition (kernel/kernel "
-                                         "or measure/involution)")
-    common(p)
-    p.add_argument("names", nargs=2)
-    p.set_defaults(func=_cmd_decompose)
-
-    for name, fn in (("build-mh", _cmd_build_mh),
-                     ("verify-mh", _cmd_verify_mh),
-                     ("verify-skew", _cmd_verify_skew)):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--target", required=(name != "verify-mh"))
-        p.add_argument("--involution", required=(name != "verify-mh"))
-        p.add_argument("--acceptance")
-        p.add_argument("--balancing")
-        if name == "verify-mh":
-            p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-            # a bare --instances leaves None, for main to read the count
-            # from the environment
-            p.add_argument("--instances", type=_count, nargs="?", const=None,
-                           default=0, help="run a randomized theorem batch "
-                           f"instead (bare: ${INSTANCES_ENV} or {DEFAULT_INSTANCES})")
-        if name == "verify-skew":
-            p.add_argument("--twist", required=True)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("classical-mh")
-    common(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--proposal", required=True)
-    p.set_defaults(func=_cmd_classical_mh)
-
-    p = sub.add_parser("exchange")
-    common(p)
-    p.add_argument("--prior", required=True)
-    p.add_argument("--likelihood", required=True)
-    p.add_argument("--obs", required=True, help="observed data label")
-    p.add_argument("--proposal", required=True)
-    p.set_defaults(func=_cmd_exchange)
-
-    p = sub.add_parser("gibbs")
-    common(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--factors", required=True, help="comma-separated space names")
-    p.set_defaults(func=_cmd_gibbs)
-
-    p = sub.add_parser("sample")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--init", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--burn", type=int, default=0)
-    p.set_defaults(func=_cmd_sample)
-
+        for flag, options in specs:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -603,11 +413,30 @@ def main(argv=None) -> int:
                 args.instances = DEFAULT_INSTANCES if text is None else _count(text)
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"{INSTANCES_ENV}: {exc}")
+        # a batch draws its own problems: it takes no flag that names one
+        given = [f"--{name}" for name in ("target", "involution", "acceptance",
+                                          "balancing") if getattr(args, name) is not None]
+        if args.instances and given:
+            parser.error("--instances takes none of " + ", ".join(given))
         if not args.instances and not (args.target and args.involution):
             parser.error("verify-mh needs --target and --involution "
                          "(or --instances for batch mode)")
     try:
-        return args.func(args)
+        path = Path(args.model)
+        if not path.exists():
+            raise CliError(f"model file {path} does not exist")
+        ok, lines, doc = COMMANDS[args.subcommand][0](parse(path.read_text()), args)
+        report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+                  for key, value in [("command", args.subcommand), *lines]]
+        # --out receives the document if there is one, else the report; a
+        # report that shares stdout with a document is "#"-commented
+        body, head = ("".join(report), []) if doc is None else (emit(doc), report)
+        if args.out:
+            Path(args.out).write_text(body)
+            sys.stdout.write("".join(head))
+        else:
+            sys.stdout.write("".join("# " + line for line in head) + body)
+        return 0 if ok else 1
     except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError,
             ArithmeticError, OSError) as exc:
         # str() of a KeyError quotes its message; that of an OSError or a

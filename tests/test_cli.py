@@ -512,9 +512,9 @@ def test_arithmetic_error_exits_2(capsys, monkeypatch):
     import finkern.cli as cli
     from finkern.semiring import SemiringDivisionError
 
-    def divide(args):
+    def divide(*args):
         raise SemiringDivisionError("oo/oo is undefined")
-    monkeypatch.setattr(cli, "_cmd_gibbs", divide)
+    monkeypatch.setattr(cli, "gibbs", divide)
     code, _, err = run(capsys, "gibbs", "--model", GIBBS,
                        "--target", "joint", "--factors", "X,Y")
     assert code == 2
@@ -567,6 +567,82 @@ def test_non_positive_instances_is_a_usage_error(capsys, value):
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("flags,named", [
+    (["--target", "mu", "--involution", "flip", "--acceptance", "alpha_bad"],
+     "--target, --involution, --acceptance"),
+    (["--balancing", "met"], "--balancing"),
+], ids=["one-problem", "balancing"])
+def test_verify_mh_batch_rejects_single_instance_flags(capsys, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-mh", "--model", TWO_STATE, *flags, "--instances", "3"])
+    assert exc.value.code == 2
+    assert f"--instances takes none of {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "does not exist"),
+    ("space X { a }\nmeasure m on X { a = 3/0 }\n", "line 2"),
+], ids=["missing", "malformed"])
+def test_verify_mh_batch_reads_the_model(capsys, tmp_path, text, message):
+    model = tmp_path / "batch.fk"
+    if text is not None:
+        model.write_text(text)
+    code, out, err = run(capsys, "verify-mh", "--model", str(model),
+                         "--instances", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_decompose_rejects_an_ambiguous_name(capsys, tmp_path):
+    model = tmp_path / "ambiguous.fk"
+    model.write_text("""
+space X { a b }
+measure mu on X { a = 1  b = 1 }
+measure s on X { a = 1 }
+involution s on X { a -> b  b -> a }
+""")
+    code, out, err = run(capsys, "decompose", "--model", str(model), "mu", "s")
+    assert code == 2
+    assert out == ""
+    assert "ambiguous" in err
+
+
+SAMPLED_CHAIN = """
+kernel mh_chain : X -> X {
+  a -> b = 1
+  b -> a = 1/2
+  b -> b = 1/2
+}
+"""
+
+
+@pytest.mark.parametrize("text,kernel,invariant", [
+    (PREDICATE_MODEL, "walk", "false"),
+    (Path(TWO_STATE).read_text() + SAMPLED_CHAIN, "mh_chain", "true"),
+], ids=["walk", "mh_chain"])
+def test_sample_reports_whether_the_chain_keeps_the_target(
+        capsys, tmp_path, text, kernel, invariant):
+    model = tmp_path / "sample.fk"
+    model.write_text(text)
+    code, out, _ = run(capsys, "sample", "--model", str(model), "--kernel", kernel,
+                       "--target", "mu", "--init", "a", "--steps", "100")
+    assert code == 0
+    assert report_dict(out)["invariant"] == invariant
+
+
+def test_sample_rejects_a_kernel_between_two_spaces(capsys, tmp_path):
+    model = tmp_path / "lik.fk"
+    model.write_text(Path(TWO_STATE).read_text() + """
+space Y { u v }
+kernel lik : X -> Y { a -> u = 1  b -> v = 1 }
+""")
+    code, out, err = run(capsys, "sample", "--model", str(model), "--kernel", "lik",
+                         "--target", "mu", "--init", "a", "--steps", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "error: target and kernel live on different spaces\n"
 
 def test_verify_mh_batch_reports_its_rng(capsys):
     code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE,
@@ -665,7 +741,7 @@ REPORT_KEYS = {
     "sample": (["sample", "--model", TWO_STATE, "--kernel", "walk", "--target", "mu",
                 "--init", "a", "--steps", "100"],
                ["command", "kernel", "target", "rng", "seed", "init", "steps",
-                "burn", "freq_a", "freq_b", "tv_to_target"]),
+                "burn", "freq_a", "freq_b", "tv_to_target", "invariant"]),
 }
 
 

@@ -106,8 +106,10 @@ def arguments(draw):
         argv += ["--target", draw(name("mu", "pi")),
                  "--involution", draw(name("flip"))]
         if command == "verify-mh" and draw(st.booleans()):
-            argv = argv[:3] + ["--instances", str(draw(st.integers(0, 3))),
-                               "--seed", str(draw(st.integers(-3, 3)))]
+            # a batch with the flags of one problem is a usage error
+            kept = argv if draw(st.integers(0, 3)) == 0 else argv[:3]
+            argv = kept + ["--instances", str(draw(st.integers(0, 3))),
+                           "--seed", str(draw(st.integers(-3, 3)))]
         for flag, fitting in (("--acceptance", "alpha"), ("--balancing", "met")):
             if draw(st.booleans()):
                 argv += [flag, draw(name(fitting))]
