@@ -398,29 +398,30 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model file path")
         p.add_argument("--out", help="write the report or document here")
+        # a usage error found after parsing shows the subcommand's own usage
+        p.set_defaults(usage_error=p.error)
         for flag, options in specs:
             p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.subcommand == "verify-mh":
         if args.instances is None:
             text = os.environ.get(INSTANCES_ENV)
             try:
                 args.instances = DEFAULT_INSTANCES if text is None else _count(text)
             except argparse.ArgumentTypeError as exc:
-                parser.error(f"{INSTANCES_ENV}: {exc}")
+                args.usage_error(f"{INSTANCES_ENV}: {exc}")
         # a batch draws its own problems: it takes no flag that names one
         given = [f"--{name}" for name in ("target", "involution", "acceptance",
                                           "balancing") if getattr(args, name) is not None]
         if args.instances and given:
-            parser.error("--instances takes none of " + ", ".join(given))
+            args.usage_error("--instances takes none of " + ", ".join(given))
         if not args.instances and not (args.target and args.involution):
-            parser.error("verify-mh needs --target and --involution "
-                         "(or --instances for batch mode)")
+            args.usage_error("verify-mh needs --target and --involution "
+                             "(or --instances for batch mode)")
     try:
         path = Path(args.model)
         if not path.exists():

@@ -245,7 +245,11 @@ def effect(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]
         col = [values.get(x, ZERO) for x in space.labels]
     else:
         col = list(values)
-    return Kernel(space, UNIT, ((v,) for v in col))
+    if len(col) != len(space):
+        raise SpaceMismatchError(
+            f"expected {len(space)} rows for {space!r}, got {len(col)}")
+    return Kernel._new(space, UNIT, tuple([
+        value_row(v if v.__class__ is ExtNonneg else _coerce(v)) for v in col]))
 
 
 def uniform(space: FinSpace) -> Kernel:

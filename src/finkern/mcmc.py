@@ -17,7 +17,7 @@ from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
     Involution, Kernel, Row, SpaceMismatchError, compose, copy, delete,
     deterministic, dict_row, effect, identity, is_normalized,
-    lift_involution, pushforward, reweight, right_unitor, tensor,
+    lift_involution, point_row, pushforward, reweight, right_unitor, tensor,
 )
 from .enrichment import (
     NotCancellative, is_cancellative, rn_derivative,
@@ -252,18 +252,28 @@ def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple
 
 
 def build_mh(problem: MhProblem) -> Kernel:
-    """accept * involution + (1 - accept) * identity; always normalized."""
-    accept = problem.acceptance
-    space = problem.space
-    reject_values = []
-    for value in accept.effect_values():
-        rest = residual(value, ONE)
-        if rest is None:
-            raise ValueError(f"acceptance value {value} exceeds 1")
-        reject_values.append(rest)
-    reject = effect(space, reject_values)
-    return (reweight(accept, lift_involution(problem.involution))
-            + reweight(reject, identity(space)))
+    """accept * involution + (1 - accept) * identity; always normalized.
+
+    Row ``i`` is ``{phi(i): a_i, i: 1 - a_i}``: a unit entry at ``i`` when
+    ``phi(i) == i`` or ``a_i == 0``, and at ``phi(i)`` when ``a_i == 1``.
+    """
+    perm = problem.involution.perm
+    rows = []
+    for i, (_, vals) in enumerate(problem.acceptance.rows):
+        accept = vals[0] if vals else ZERO
+        reject = residual(accept, ONE)
+        if reject is None:
+            raise ValueError(f"acceptance value {accept} exceeds 1")
+        j = perm[i]
+        if j == i or not accept.num:
+            rows.append(point_row(i))
+        elif not reject.num:
+            rows.append(point_row(j))
+        elif i < j:
+            rows.append(((i, j), (reject, accept)))
+        else:
+            rows.append(((j, i), (accept, reject)))
+    return Kernel._new(problem.space, problem.space, tuple(rows))
 
 
 def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Label | None:
@@ -354,6 +364,18 @@ def mh_acceptance_ratio(num: ExtNonneg, den: ExtNonneg) -> ExtNonneg:
         return ZERO
     ratio = num / den
     return ONE if ratio >= ONE or not ratio.is_finite else ratio
+
+
+def _product(*values: ExtNonneg) -> ExtNonneg:
+    """The product of a few values as one integer fraction: one gcd in all.
+
+    A zero factor gives 0, also beside an infinite one (``0 * oo = 0``).
+    """
+    num = den = 1
+    for v in values:
+        num *= v.num
+        den *= v.den
+    return ExtNonneg(num, den) if num else ZERO
 
 
 def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
@@ -460,11 +482,11 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     def alpha_at(point) -> ExtNonneg:
         x, (z, y) = point
         xi, zi, yi = base.index(x), data.index(z), base.index(y)
-        num = (prior_values[yi] * likelihood.at(yi, obs_j)
-               * proposal.at(yi, xi) * likelihood.at(xi, zi))
-        den = (prior_values[xi] * likelihood.at(xi, obs_j)
-               * proposal.at(xi, yi) * likelihood.at(yi, zi))
-        return mh_acceptance_ratio(num, den)
+        return mh_acceptance_ratio(
+            _product(prior_values[yi], likelihood.at(yi, obs_j),
+                     proposal.at(yi, xi), likelihood.at(xi, zi)),
+            _product(prior_values[xi], likelihood.at(xi, obs_j),
+                     proposal.at(xi, yi), likelihood.at(yi, zi)))
 
     accept = effect(aug_space, [alpha_at(p) for p in aug_space.labels])
     return augmented, phi, accept

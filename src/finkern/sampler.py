@@ -55,19 +55,23 @@ def to_float(kernel: Kernel) -> FloatMatrix:
     width = len(kernel.cod)
     rows = []
     for cols, vals in kernel.rows:
-        floats = [0.0] * width
-        for j, v in zip(cols, vals):
-            floats[j] = v.to_float()
-        top = max(range(len(floats)), key=floats.__getitem__)
+        # the work is per nonzero: zeros add nothing to an exact fsum, and a
+        # normalized row's largest float is positive, so its first maximal
+        # index is a stored column's
+        nonzero = [v.to_float() for v in vals]
+        top = max(range(len(nonzero)), key=nonzero.__getitem__)
         for _ in range(10):
-            gap = 1.0 - math.fsum(floats)
+            gap = 1.0 - math.fsum(nonzero)
             if gap == 0.0:
                 break
-            floats[top] += gap
+            nonzero[top] += gap
         else:
             raise ValueError("row failed to renormalize to 1.0")
-        if floats[top] < 0.0:
+        if nonzero[top] < 0.0:
             raise ValueError("residual absorption produced a negative entry")
+        floats = [0.0] * width
+        for j, x in zip(cols, nonzero):
+            floats[j] = x
         rows.append(tuple(floats))
     return tuple(rows)
 

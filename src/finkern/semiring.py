@@ -16,6 +16,10 @@ class SemiringDivisionError(ArithmeticError):
     """A quotient the semiring leaves undefined: x/0 or oo/oo."""
 
 
+#: Allocates an instance without running ``__init__``; callers store a
+#: canonical ``num``/``den`` themselves.
+_new = object.__new__
+
 _FINITE_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
@@ -46,14 +50,6 @@ class ExtNonneg:
             den //= g
         self.num = num
         self.den = den
-
-    @classmethod
-    def _raw(cls, num: int, den: int) -> "ExtNonneg":
-        # Internal fast path: caller guarantees canonical form.
-        value = object.__new__(cls)
-        value.num = num
-        value.den = den
-        return value
 
     @classmethod
     def parse(cls, text: str) -> "ExtNonneg":
@@ -91,86 +87,149 @@ class ExtNonneg:
             return ExtNonneg(other)
         return None
 
+    # The operators below test ``other.__class__ is ExtNonneg`` inline and
+    # lift only other operands, and build results with ``_new`` and two
+    # slot stores: a Python call per operation costs more than the integer
+    # arithmetic on small values.
+
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if self.den == 0 or other.den == 0:
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
+        b = self.den
+        d = other.den
+        if b == 0 or d == 0:
             return INF
-        n = self.num * other.den + other.num * self.den
-        d = self.den * other.den
-        g = gcd(n, d)
-        return ExtNonneg._raw(n // g, d // g)
+        a = self.num
+        c = other.num
+        if c == 0:
+            return self
+        if a == 0:
+            return other
+        if b == d:
+            n = a + c
+        else:
+            n = a * d + c * b
+            b *= d
+        g = gcd(n, b)
+        value = _new(ExtNonneg)
+        value.num = n // g
+        value.den = b // g
+        return value
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if self.num == 0 or other.num == 0:
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
+        a = self.num
+        c = other.num
+        if a == 0 or c == 0:
             return ZERO  # includes 0 * oo = 0
-        if self.den == 0 or other.den == 0:
+        b = self.den
+        d = other.den
+        if b == 0 or d == 0:
             return INF
-        n = self.num * other.num
-        d = self.den * other.den
-        g = gcd(n, d)
-        return ExtNonneg._raw(n // g, d // g)
+        if c == 1 and d == 1:
+            return self
+        if a == 1 and b == 1:
+            return other
+        # cross-cancel: a/b * c/d with gcd(a, d) and gcd(c, b) divided out
+        # is already coprime, since a/b and c/d are
+        g = gcd(a, d)
+        if g != 1:
+            a //= g
+            d //= g
+        g = gcd(c, b)
+        if g != 1:
+            c //= g
+            b //= g
+        value = _new(ExtNonneg)
+        value.num = a * c
+        value.den = b * d
+        return value
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if other.num == 0:
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
+        c = other.num
+        d = other.den
+        if c == 0:
             raise SemiringDivisionError("division by zero")
-        if other.den == 0:
-            if self.den == 0:
+        b = self.den
+        if d == 0:
+            if b == 0:
                 raise SemiringDivisionError("oo/oo is undefined")
             return ZERO
-        if self.den == 0:
+        if b == 0:
             return INF
-        n = self.num * other.den
-        d = self.den * other.num
-        g = gcd(n, d)
-        return ExtNonneg._raw(n // g, d // g)
+        a = self.num
+        if a == 0:
+            return ZERO
+        # a/b / c/d = (a*d) / (b*c), cross-cancelled as in __mul__
+        g = gcd(a, c)
+        if g != 1:
+            a //= g
+            c //= g
+        g = gcd(d, b)
+        if g != 1:
+            d //= g
+            b //= g
+        value = _new(ExtNonneg)
+        value.num = a * d
+        value.den = b * c
+        return value
 
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __le__(self, other):
         # The canonical semiring order (exists c with a + c = b); on [0, oo]
         # this is the usual extended order.
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
         if other.den == 0:
             return True
         if self.den == 0:
             return False
         return self.num * other.den <= other.num * self.den
 
+    # The order is total, so the strict and reversed forms are negations
+    # and swaps of ``__le__`` on two values.
+
     def __lt__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self <= other and self != other
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
+        return not other.__le__(self)
 
     def __ge__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other <= self
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
+        return other.__le__(self)
 
     def __gt__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other < self
+        if other.__class__ is not ExtNonneg:
+            other = ExtNonneg._lift(other)
+            if other is None:
+                return NotImplemented
+        return not self.__le__(other)
 
     def __hash__(self):
         # Integers hash like the ints they equal, so mixed lookups behave.
@@ -198,7 +257,9 @@ class ExtNonneg:
 
 ZERO = ExtNonneg(0)
 ONE = ExtNonneg(1)
-INF = ExtNonneg._raw(1, 0)
+INF = _new(ExtNonneg)
+INF.num = 1
+INF.den = 0
 ExtNonneg.INF = INF
 
 
@@ -219,12 +280,43 @@ def residual(lower: ExtNonneg, upper: ExtNonneg) -> ExtNonneg | None:
     diff_n = d - n
     diff_d = lower.den * upper.den
     g = gcd(diff_n, diff_d) if diff_n else diff_d
-    return ExtNonneg._raw(diff_n // g, diff_d // g)
+    value = _new(ExtNonneg)
+    value.num = diff_n // g
+    value.den = diff_d // g
+    return value
 
 
 def ext_sum(values) -> ExtNonneg:
-    """Sum an iterable of values in [0, oo]."""
-    total = ZERO
+    """Sum an iterable of values in [0, oo].
+
+    The finite terms are added into one integer numerator over a running
+    common denominator (grown by the lcm, so a row over one denominator
+    never grows it), with one gcd at the end; the first infinite term
+    returns oo.
+    """
+    num, den = 0, 1
     for v in values:
-        total = total + v
-    return total
+        if v.__class__ is not ExtNonneg:
+            lifted = ExtNonneg._lift(v)
+            if lifted is None:
+                raise TypeError(f"cannot add {v!r} in [0, oo]")
+            v = lifted
+        d = v.den
+        if d == den:
+            num += v.num
+        elif d == 0:
+            return INF
+        elif den % d == 0:
+            num += v.num * (den // d)
+        else:
+            g = gcd(den, d)
+            scale = d // g
+            num = num * scale + v.num * (den // g)
+            den *= scale
+    if num == 0:
+        return ZERO
+    g = gcd(num, den)
+    value = _new(ExtNonneg)
+    value.num = num // g
+    value.den = den // g
+    return value

@@ -580,6 +580,25 @@ def test_verify_mh_batch_rejects_single_instance_flags(capsys, flags, named):
     assert f"--instances takes none of {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env,flags,message", [
+    ("abc", ["--instances"], "FINKERN_INSTANCES: expected a positive integer"),
+    (None, ["--target", "mu", "--instances", "3"], "--instances takes none of --target"),
+    (None, ["--target", "mu"], "verify-mh needs --target and --involution"),
+], ids=["bad-env", "batch-with-problem-flags", "missing-involution"])
+def test_verify_mh_usage_errors_show_its_own_usage(capsys, monkeypatch, env,
+                                                  flags, message):
+    if env is None:
+        monkeypatch.delenv("FINKERN_INSTANCES", raising=False)
+    else:
+        monkeypatch.setenv("FINKERN_INSTANCES", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-mh", "--model", TWO_STATE, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: finkern verify-mh [-h] --model MODEL")
+    assert f"finkern verify-mh: error: {message}" in err
+
+
 @pytest.mark.parametrize("text,message", [
     (None, "does not exist"),
     ("space X { a }\nmeasure m on X { a = 3/0 }\n", "line 2"),

@@ -1,15 +1,16 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from finkern.semiring import ExtNonneg, INF, ONE, ZERO, ext_sum
+from finkern.semiring import ExtNonneg, INF, ONE, ZERO, ext_sum, residual
 from finkern.spaces import FinSpace, UNIT, product, product_many
 from finkern.kernels import (
-    Involution, Kernel, compose, copy, delete, deterministic, effect,
-    identity, lift_involution, measure, pushforward, reweight, right_unitor,
-    swap, tensor, uniform, is_normalized,
+    Involution, Kernel, SpaceMismatchError, compose, copy, delete,
+    deterministic, effect, identity, lift_involution, measure, pushforward,
+    reweight, right_unitor, swap, tensor, uniform, is_normalized,
 )
 from finkern.enrichment import NotAbsolutelyContinuous, leq_witness, rn_derivative
 from finkern import mcmc
@@ -345,6 +346,66 @@ def test_build_mh_hand_example():
 def test_build_mh_always_normalized(seed):
     prob = rand_mh_problem(random.Random(seed), max_size=5)
     assert is_normalized(build_mh(prob))
+
+
+def reweight_oracle(problem):
+    """build_mh by its defining formula: accept * phi + (1 - accept) * id."""
+    accept = problem.acceptance
+    reject = effect(problem.space,
+                    [residual(a, ONE) for a in accept.effect_values()])
+    return (reweight(accept, lift_involution(problem.involution))
+            + reweight(reject, identity(problem.space)))
+
+
+def _with_acceptance(problem, choices):
+    """The problem with some acceptances forced to exactly 0 or 1."""
+    forced = {"keep": None, "zero": ZERO, "one": ONE}
+    values = [a if forced[c] is None else forced[c]
+              for a, c in zip(problem.acceptance.effect_values(), choices)]
+    return MhProblem(target=problem.target, involution=problem.involution,
+                     acceptance=effect(problem.space, values))
+
+
+@given(st.integers(0, 2**32),
+       st.lists(st.sampled_from(["keep", "zero", "one"]), min_size=8, max_size=8))
+def test_build_mh_matches_reweight_oracle(seed, choices):
+    problem = rand_mh_problem(random.Random(seed), max_size=8)
+    for prob in (problem, _with_acceptance(problem, choices)):
+        chain = build_mh(prob)
+        assert chain == reweight_oracle(prob)
+        assert chain.rows == reweight_oracle(prob).rows
+
+
+def test_build_mh_oracle_seeds_cover_fixed_points_and_extreme_acceptances():
+    seen = {"fixed point": 0, "accept 0": 0, "accept 1": 0, "strict": 0}
+    for seed in range(200):
+        prob = rand_mh_problem(random.Random(seed), max_size=8)
+        assert build_mh(prob) == reweight_oracle(prob)
+        perm = prob.involution.perm
+        for i, a in enumerate(prob.acceptance.effect_values()):
+            seen["fixed point"] += perm[i] == i
+            seen["accept 0"] += perm[i] != i and a == ZERO
+            seen["accept 1"] += perm[i] != i and a == ONE
+            seen["strict"] += perm[i] != i and ZERO < a < ONE
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("bad", [q(3, 2), INF])
+def test_build_mh_rejects_acceptance_above_one(bad):
+    # MhProblem refuses such an acceptance; build_mh checks it again
+    prob = two_state_problem()
+    forged = SimpleNamespace(target=prob.target, involution=prob.involution,
+                             space=prob.space,
+                             acceptance=effect(X2, [q(1, 2), bad]))
+    with pytest.raises(ValueError, match=f"acceptance value {bad} exceeds 1"):
+        build_mh(forged)
+
+
+def test_effect_of_the_wrong_length_is_a_space_mismatch():
+    with pytest.raises(SpaceMismatchError, match="expected 2 rows for .*, got 3"):
+        effect(X2, [q(1, 2), ONE, ZERO])
+    with pytest.raises(SpaceMismatchError, match="expected 3 rows for .*, got 2"):
+        effect(X3, [q(1, 2), ONE])
 
 
 # -- balancing -----------------------------------------------------------------------------------

@@ -22,6 +22,7 @@ def q(num, den=1):
 
 
 X2 = FinSpace.atoms("a b")
+X4 = FinSpace.atoms("a b c d")
 
 
 def two_state_chain():
@@ -49,6 +50,51 @@ def test_to_float_rejects_bad_input():
         to_float(Kernel(X2, X2, [[INF, 0], [0, 1]]))
     with pytest.raises(ValueError):
         to_float(Kernel(X2, X2, [[0, 0], [0, 1]]))  # zero row
+
+
+def dense_to_float(kernel):
+    """to_float's result by the dense algorithm: a float per entry, the
+    residual absorbed by the first maximal entry of the full row."""
+    rows = []
+    for row in kernel.entries:
+        floats = [v.to_float() for v in row]
+        top = max(range(len(floats)), key=floats.__getitem__)
+        for _ in range(10):
+            gap = 1.0 - math.fsum(floats)
+            if gap == 0.0:
+                break
+            floats[top] += gap
+        rows.append(tuple(floats))
+    return tuple(rows)
+
+
+TINY = q(1, 2 ** 1100)  # rounds to 0.0: below the least double
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, q(1, 3), q(1, 3), q(1, 3)], [q(1, 2), 0, 0, q(1, 2)],
+     [0, 0, 0, 1], [q(1, 10), q(1, 10), q(1, 10), q(7, 10)]],
+    [[TINY, q(2 ** 1100 - 1, 2 ** 1100), 0, 0], [0, 0, q(1, 3), q(2, 3)],
+     [q(1, 7), q(2, 7), q(2, 7), q(2, 7)], [q(1, 4), 0, q(3, 8), q(3, 8)]],
+], ids=["ties-and-thirds", "tiny-and-sevenths"])
+def test_to_float_matches_the_dense_algorithm(rows):
+    k = Kernel(X4, X4, rows)
+    assert to_float(k) == dense_to_float(k)
+
+
+@settings(max_examples=80)
+@given(normalized_kernels(max_size=8))
+def test_to_float_matches_the_dense_algorithm_randomized(kernel):
+    assert to_float(kernel) == dense_to_float(kernel)
+
+
+def test_to_float_of_a_sparse_wide_chain_matches_the_dense_algorithm():
+    space = FinSpace(tuple(f"s{i}" for i in range(256)))
+    phi = Involution(space, [i ^ 1 for i in range(256)])
+    mu = measure(space, [q(i % 5 + 1, 768) for i in range(256)])
+    chain = build_mh(MhProblem(target=mu, involution=phi,
+                               acceptance=balancing_alpha(METROPOLIS, mu, phi)))
+    assert to_float(chain) == dense_to_float(chain)
 
 
 def test_run_chain_deterministic_in_seed():

@@ -1,3 +1,7 @@
+from fractions import Fraction
+from math import gcd
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -207,3 +211,132 @@ def test_ext_sum():
     assert ext_sum([q(1, 2), q(1, 3), q(1, 6)]) == ONE
     assert ext_sum([]) == ZERO
     assert ext_sum([ONE, INF]) == INF
+
+
+# -- the inline fast paths against a Fraction oracle ---------------------------
+
+# finite operands: values, the shared zero, and plain nonnegative ints
+finite_operands = st.one_of(finite_values, st.just(ZERO), st.integers(0, 60))
+operands = st.one_of(finite_operands, st.just(INF))
+
+
+def frac(x):
+    return Fraction(x) if isinstance(x, int) else Fraction(x.num, x.den)
+
+
+def assert_canonical(r):
+    assert type(r) is ExtNonneg
+    if r.den == 0:
+        assert r.num == 1
+    else:
+        assert r.den >= 1 and r.num >= 0 and gcd(r.num, r.den) == 1
+        assert r.num or r.den == 1
+
+
+def lift(x):
+    return ExtNonneg(x) if isinstance(x, int) else x
+
+
+@given(finite_values | st.just(ZERO), finite_operands)
+def test_ops_match_fraction_oracle_both_orders(a, b):
+    for r, expected in [(a + b, frac(a) + frac(b)), (b + a, frac(a) + frac(b)),
+                        (a * b, frac(a) * frac(b)), (b * a, frac(a) * frac(b))]:
+        assert_canonical(r)
+        assert frac(r) == expected
+    if frac(b):
+        assert_canonical(a / b)
+        assert frac(a / b) == frac(a) / frac(b)
+    if frac(a):  # an int has no ExtNonneg quotient: ExtNonneg has no __rtruediv__
+        assert_canonical(lift(b) / a)
+        assert frac(lift(b) / a) == frac(b) / frac(a)
+
+
+@given(st.lists(finite_operands, max_size=8))
+def test_ext_sum_matches_fraction_oracle(terms):
+    total = ext_sum(terms)
+    assert_canonical(total)
+    assert frac(total) == sum(map(frac, terms), Fraction(0))
+
+
+@given(st.lists(operands, max_size=8))
+def test_ext_sum_is_the_fold_of_add(terms):
+    total = ext_sum(terms)
+    assert_canonical(total)
+    folded = ZERO
+    for t in terms:
+        folded = folded + t
+    assert total == folded
+    assert (total == INF) == any(lift(t) == INF for t in terms)
+
+
+@given(finite_values, finite_values)
+def test_residual_matches_fraction_oracle(a, b):
+    c = residual(a, b)
+    if frac(a) <= frac(b):
+        assert_canonical(c)
+        assert frac(c) == frac(b) - frac(a)
+    else:
+        assert c is None
+
+
+@given(operands, operands)
+def test_every_result_is_canonical(a, b):
+    a = lift(a)  # b may stay an int
+    results = [a + b, a * b, b + a, b * a]
+    for x, y in [(a, b), (lift(b), a)]:
+        try:
+            results.append(x / y)
+        except SemiringDivisionError:
+            assert lift(y) == ZERO or x == lift(y) == INF
+    c = residual(a, lift(b))
+    if c is not None:
+        results.append(c)
+    for r in results:
+        assert_canonical(r)
+
+
+@given(operands)
+def test_zero_annihilates_and_division_by_zero_raises(a):
+    assert a * ZERO == ZERO and ZERO * a == ZERO and a * 0 == ZERO
+    a = lift(a)
+    with pytest.raises(SemiringDivisionError):
+        a / ZERO
+    with pytest.raises(SemiringDivisionError):
+        a / 0
+
+
+def test_zero_times_infinity_with_int_operands():
+    assert 0 * INF == ZERO and INF * 0 == ZERO
+    with pytest.raises(SemiringDivisionError):
+        INF / INF
+
+
+@pytest.mark.parametrize("bad", [-1, -7, 1.5, 0.0, float("inf")])
+@pytest.mark.parametrize("a", [ZERO, ONE, q(3, 4), INF], ids=str)
+def test_outside_operands_are_not_implemented(a, bad):
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
+               "__eq__", "__le__", "__lt__", "__ge__", "__gt__"):
+        assert getattr(a, op)(bad) is NotImplemented
+    for binary in (lambda: a + bad, lambda: bad + a, lambda: a * bad,
+                   lambda: bad * a, lambda: a / bad, lambda: a <= bad,
+                   lambda: a > bad):
+        with pytest.raises(TypeError):
+            binary()
+    assert not a == bad and a != bad
+
+
+@given(operands, operands)
+def test_order_is_total_and_consistent(a, b):
+    a, b = lift(a), lift(b)
+    assert (a <= b) or (b <= a)
+    assert (a < b) == (a <= b and a != b)
+    assert (a >= b) == (b <= a) and (a > b) == (b < a)
+    if a != INF and b != INF:
+        assert (a <= b) == (frac(a) <= frac(b))
+
+
+def test_ext_sum_rejects_values_outside_the_semiring():
+    with pytest.raises(TypeError):
+        ext_sum([ONE, -1])
+    with pytest.raises(TypeError):
+        ext_sum([0.5])
