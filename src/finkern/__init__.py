@@ -15,9 +15,10 @@ from .semiring import INF, ONE, ZERO, ExtNonneg, SemiringDivisionError, residual
 from .spaces import EMPTY, UNIT, FinSpace, Tagged, product, product_many
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
-    deterministic, dirac, effect, effect_mul, identity, is_copyable,
-    is_normalized, is_substochastic, left_unitor, lift_involution, measure,
-    pushforward, reweight, right_unitor, row_mass, swap, tensor, uniform,
+    deterministic, dirac, effect, effect_mul, from_maps, identity,
+    is_copyable, is_normalized, is_substochastic, lazy_involution,
+    left_unitor, lift_involution, measure, pushforward, reweight,
+    right_unitor, row_mass, swap, tensor, uniform,
 )
 from .enrichment import (
     Decomposition, NoExactDerivative, NotAbsolutelyContinuous,

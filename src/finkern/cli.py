@@ -20,11 +20,10 @@ import os
 import sys
 from pathlib import Path
 
-from .semiring import ext_sum
-from .spaces import FinSpace
+from .spaces import FinSpace, format_label
 from .kernels import (
     Involution, SpaceMismatchError, compose, copyable_violation,
-    is_normalized, normalized_violation, substochastic_violation,
+    is_normalized, normalized_violation, row_masses, substochastic_violation,
 )
 from .enrichment import (
     abs_cont_violation, ae_violation, cancellative_violation,
@@ -38,7 +37,7 @@ from .mcmc import (
     is_reversible, skew_balance_violation, verify_mh_theorem,
     _skew_pair_violation,
 )
-from .modelfile import ModelDocument, ModelError, emit, format_label, parse, parse_label
+from .modelfile import ModelDocument, ModelError, emit, parse, parse_label
 
 DEFAULT_INSTANCES = 1000
 INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
@@ -117,7 +116,7 @@ def _row(names, x):
 
 
 def _row_mass(names, x):
-    return _row(names, x) + [("row_mass", ext_sum(names[0].row(x)))]
+    return _row(names, x) + [("row_mass", row_masses(names[0])[names[0].dom.index(x)])]
 
 
 def _entry(names, witness):
@@ -319,7 +318,7 @@ def _sample(doc, args):
         raise CliError("target and kernel live on different spaces")
     if not is_normalized(target):
         raise CliError(f"target {args.target!r} is not a probability measure "
-                       f"(total mass {ext_sum(target.rows[0][1])})")
+                       f"(total mass {row_masses(target)[0]})")
     initial = chain.dom.index(parse_label(args.init))
     run = run_chain(to_float(chain), initial, args.seed, args.steps)
     frequencies = empirical(run, args.burn)

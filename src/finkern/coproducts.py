@@ -9,7 +9,7 @@ relabelings witness X (x) (Y (+) Z) ~ (X (x) Y) (+) (X (x) Z).
 from __future__ import annotations
 
 from .spaces import EMPTY, FinSpace, Tagged, product
-from .kernels import Kernel, SpaceMismatchError, deterministic
+from .kernels import Kernel, SpaceMismatchError, deterministic, from_maps
 
 
 def oplus(left: FinSpace, right: FinSpace) -> FinSpace:
@@ -37,7 +37,8 @@ def copair(f: Kernel, g: Kernel) -> Kernel:
     """
     if f.cod != g.cod:
         raise SpaceMismatchError("copair needs kernels into the same space")
-    return Kernel._new(oplus(f.dom, g.dom), f.cod, f.rows + g.rows)
+    return from_maps(oplus(f.dom, g.dom), f.cod,
+                     [dict(zip(*row)) for row in f.rows + g.rows])
 
 
 def distributivity_iso(x: FinSpace, y: FinSpace, z: FinSpace) -> tuple[Kernel, Kernel]:
@@ -59,6 +60,4 @@ def distributivity_iso(x: FinSpace, y: FinSpace, z: FinSpace) -> tuple[Kernel, K
 def nullary_distributivity_iso(x: FinSpace) -> tuple[Kernel, Kernel]:
     """The empty-space case 0 <-> 0 (x) X: both kernels are empty matrices."""
     target = product(EMPTY, x)
-    empty = Kernel._new(EMPTY, target, ())
-    other = Kernel._new(target, EMPTY, ())
-    return empty, other
+    return Kernel(EMPTY, target, ()), Kernel(target, EMPTY, ())

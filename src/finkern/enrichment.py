@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .semiring import ONE, ZERO, residual
 from .spaces import FinSpace, Label
 from .kernels import (
-    EMPTY_ROW, Involution, Kernel, SpaceMismatchError, dict_row, effect,
-    point_row, pushforward, row_masses,
+    Involution, Kernel, SpaceMismatchError, effect, from_maps, pushforward,
+    row_masses,
 )
 
 
@@ -49,7 +49,7 @@ def _check_same_type(p: Kernel, q: Kernel, what: str) -> None:
 
 
 def kernel_zero(dom: FinSpace, cod: FinSpace) -> Kernel:
-    return Kernel._new(dom, cod, (EMPTY_ROW,) * len(dom))
+    return from_maps(dom, cod, ({},) * len(dom))
 
 
 def leq_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
@@ -84,12 +84,11 @@ def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
             c = residual(lower.pop(j, ZERO), b)
             if c is None:
                 return None
-            if c.num:
-                gaps[j] = c
+            gaps[j] = c
         if lower:  # a nonzero entry of p over a zero entry of q
             return None
-        rows.append(dict_row(gaps))
-    return Kernel._new(p.dom, p.cod, tuple(rows))
+        rows.append(gaps)
+    return from_maps(p.dom, p.cod, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +120,10 @@ def cancellation_counterexample(kernel: Kernel) -> tuple[Kernel, Kernel] | None:
     if witness is None:
         return None
     x, y = witness
-    q = kernel_zero(kernel.dom, kernel.cod)
-    rows = list(q.rows)
-    rows[kernel.dom.index(x)] = point_row(kernel.cod.index(y))
-    return q, Kernel._new(kernel.dom, kernel.cod, tuple(rows))
+    dom, cod = kernel.dom, kernel.cod
+    maps = [{}] * len(dom)
+    maps[dom.index(x)] = {cod.index(y): ONE}
+    return kernel_zero(dom, cod), from_maps(dom, cod, maps)
 
 
 def finite_violation(kernel: Kernel) -> Label | None:
@@ -215,11 +214,10 @@ def lebesgue_decompose(p: Kernel, q: Kernel) -> Decomposition:
         ac, si = {}, {}
         for j, a in zip(pcols, pvals):
             (ac if j in charged else si)[j] = a
-        ac_rows.append(dict_row(ac))
-        si_rows.append(dict_row(si))
-    return Decomposition(
-        ac=Kernel._new(p.dom, p.cod, tuple(ac_rows)),
-        si=Kernel._new(p.dom, p.cod, tuple(si_rows)))
+        ac_rows.append(ac)
+        si_rows.append(si)
+    return Decomposition(ac=from_maps(p.dom, p.cod, ac_rows),
+                         si=from_maps(p.dom, p.cod, si_rows))
 
 
 def involutive_decompose(mu: Kernel, phi: Involution) -> tuple[tuple[Label, ...], Decomposition]:

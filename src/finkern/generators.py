@@ -52,28 +52,27 @@ def rand_measure(rng: random.Random, space: FinSpace,
                            for _ in space.labels])
 
 
+def _rand_distribution(rng: random.Random, n: int,
+                       zero_weight: float) -> list[ExtNonneg]:
+    """Weights 0 (with chance ``zero_weight``) or 1..24, never all 0, over their sum."""
+    weights = [0 if rng.random() < zero_weight else rng.randint(1, 24)
+               for _ in range(n)]
+    if not any(weights):
+        weights[rng.randrange(n)] = 1
+    total = sum(weights)
+    return [ExtNonneg(w, total) if w else ZERO for w in weights]
+
+
 def rand_probability_measure(rng: random.Random, space: FinSpace,
                              zero_weight: float = 0.0) -> Kernel:
     """A normalized measure with exact rational masses."""
-    weights = [0 if rng.random() < zero_weight else rng.randint(1, 24)
-               for _ in space.labels]
-    if not any(weights):
-        weights[rng.randrange(len(weights))] = 1
-    total = sum(weights)
-    return measure(space, [ExtNonneg(w, total) if w else ZERO for w in weights])
+    return measure(space, _rand_distribution(rng, len(space), zero_weight))
 
 
 def rand_normalized_kernel(rng: random.Random, dom: FinSpace, cod: FinSpace,
                            zero_weight: float = 0.0) -> Kernel:
-    rows = []
-    for _ in dom.labels:
-        weights = [0 if rng.random() < zero_weight else rng.randint(1, 24)
-                   for _ in cod.labels]
-        if not any(weights):
-            weights[rng.randrange(len(weights))] = 1
-        total = sum(weights)
-        rows.append([ExtNonneg(w, total) if w else ZERO for w in weights])
-    return Kernel(dom, cod, rows)
+    return Kernel(dom, cod, [_rand_distribution(rng, len(cod), zero_weight)
+                             for _ in dom.labels])
 
 
 def rand_involution(rng: random.Random, space: FinSpace) -> Involution:

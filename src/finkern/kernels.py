@@ -14,7 +14,10 @@ kernel is a function, and is stored as its index map: identity, copy,
 swap, the unitors and associator, relabelings and involutions hold one
 entry ``((j,), (ONE,))`` per row. The ``entries`` property is a read-only
 dense view, built on first access for callers that index the full matrix;
-the library itself never reads it.
+the library itself never reads it. ``rows`` is the public read view, and
+only this module writes it: other code builds kernels with ``Kernel(dom,
+cod, dense)``, ``measure``, ``effect``, ``from_maps`` and the structural
+constructors.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
@@ -30,16 +33,16 @@ from bisect import bisect_left
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .semiring import ExtNonneg, INF, ONE, ZERO, ext_sum
+from .semiring import ExtNonneg, INF, ONE, ZERO, ext_sum, residual
 from .spaces import FinSpace, Label, UNIT, product
 from ._record import FrozenRecord
 
 Entry = Union[ExtNonneg, int]
 
 #: A sparse row: ascending column indices and their nonzero values.
-Row = tuple[tuple[int, ...], tuple[ExtNonneg, ...]]
+_Row = tuple[tuple[int, ...], tuple[ExtNonneg, ...]]
 
-EMPTY_ROW: Row = ((), ())
+_EMPTY_ROW: _Row = ((), ())
 _UNIT_MASS = (ONE,)
 
 
@@ -55,40 +58,43 @@ def _coerce(value: Entry) -> ExtNonneg:
     raise TypeError(f"kernel entries must be ExtNonneg or int, got {value!r}")
 
 
-def point_row(j: int) -> Row:
+def _point_row(j: int) -> _Row:
     """The row with unit mass at column ``j``: one step of an index map."""
     return ((j,), _UNIT_MASS)
 
 
-def value_row(value: ExtNonneg) -> Row:
-    """The one-column row holding ``value`` (empty when it is zero)."""
-    return ((0,), (value,)) if value.num else EMPTY_ROW
-
-
-def dict_row(acc: Mapping[int, ExtNonneg]) -> Row:
+def _dict_row(acc: Mapping[int, ExtNonneg]) -> _Row:
     """The sparse row of a column -> nonzero value mapping."""
     cols = tuple(sorted(acc))
     return cols, tuple([acc[j] for j in cols])
 
 
-def _dense_row(row: Row, width: int) -> tuple[ExtNonneg, ...]:
+def _nonzero_row(cols: tuple[int, ...], vals: list[ExtNonneg]) -> _Row:
+    """The row of parallel columns and values, with the zero values dropped."""
+    nonzero = [v.num for v in vals]
+    if all(nonzero):
+        return cols, tuple(vals)
+    return tuple(compress(cols, nonzero)), tuple(compress(vals, nonzero))
+
+
+def _dense_row(row: _Row, width: int) -> tuple[ExtNonneg, ...]:
     out = [ZERO] * width
     for j, v in zip(*row):
         out[j] = v
     return tuple(out)
 
 
-def _scale(weight: ExtNonneg, row: Row) -> Row:
+def _scale(weight: ExtNonneg, row: _Row) -> _Row:
     """``weight`` times every entry of a row."""
     if weight.num == 0:
-        return EMPTY_ROW
+        return _EMPTY_ROW
     if weight == ONE:
         return row
     cols, vals = row
     return cols, tuple([weight * v for v in vals])
 
 
-def _add_rows(r1: Row, r2: Row) -> Row:
+def _add_rows(r1: _Row, r2: _Row) -> _Row:
     if not r1[0]:
         return r2
     if not r2[0]:
@@ -99,7 +105,7 @@ def _add_rows(r1: Row, r2: Row) -> Row:
     for j, v in zip(*r2):
         prev = acc.get(j)
         acc[j] = v if prev is None else prev + v
-    return dict_row(acc)
+    return _dict_row(acc)
 
 
 class Kernel:
@@ -125,19 +131,14 @@ class Kernel:
             if len(row) != width:
                 raise SpaceMismatchError(
                     f"expected {width} columns for {cod!r}, got {len(row)}")
-            nonzero = [v.num for v in row]
-            if all(nonzero):
-                rows.append((full, tuple(row)))
-            else:
-                rows.append((tuple(compress(full, nonzero)),
-                             tuple(compress(row, nonzero))))
+            rows.append(_nonzero_row(full, row))
         self.dom = dom
         self.cod = cod
         self.rows = tuple(rows)
         self._dense = None
 
     @classmethod
-    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[Row, ...]) -> "Kernel":
+    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[_Row, ...]) -> "Kernel":
         # Internal constructor: rows are already canonical sparse rows.
         k = object.__new__(cls)
         k.dom = dom
@@ -145,11 +146,6 @@ class Kernel:
         k.rows = rows
         k._dense = None
         return k
-
-    @classmethod
-    def from_function(cls, dom: FinSpace, cod: FinSpace,
-                      fn: Callable[[Label, Label], Entry]) -> "Kernel":
-        return cls(dom, cod, ((fn(x, y) for y in cod.labels) for x in dom.labels))
 
     @property
     def entries(self) -> tuple[tuple[ExtNonneg, ...], ...]:
@@ -248,8 +244,33 @@ def effect(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]
     if len(col) != len(space):
         raise SpaceMismatchError(
             f"expected {len(space)} rows for {space!r}, got {len(col)}")
+    col = [v if v.__class__ is ExtNonneg else _coerce(v) for v in col]
     return Kernel._new(space, UNIT, tuple([
-        value_row(v if v.__class__ is ExtNonneg else _coerce(v)) for v in col]))
+        ((0,), (v,)) if v.num else _EMPTY_ROW for v in col]))
+
+
+def from_maps(dom: FinSpace, cod: FinSpace,
+              maps: Sequence[Mapping[int, ExtNonneg]]) -> Kernel:
+    """The kernel whose row ``i`` is ``maps[i]``, a column index -> value map.
+
+    Absent columns and zero values are zero entries. A wrong number of maps
+    or a column outside ``cod`` raises ``SpaceMismatchError``.
+    """
+    if len(maps) != len(dom):
+        raise SpaceMismatchError(
+            f"expected {len(dom)} rows for {dom!r}, got {len(maps)}")
+    width = len(cod)
+    rows = []
+    for acc in maps:
+        if not acc:
+            rows.append(_EMPTY_ROW)
+            continue
+        cols = tuple(sorted(acc))
+        if cols[0] < 0 or cols[-1] >= width:
+            raise SpaceMismatchError(
+                f"column index out of range 0..{width - 1} for {cod!r}")
+        rows.append(_nonzero_row(cols, [acc[j] for j in cols]))
+    return Kernel._new(dom, cod, tuple(rows))
 
 
 def uniform(space: FinSpace) -> Kernel:
@@ -281,7 +302,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
             for j, w in zip(*later_rows[mid]):
                 prev = acc.get(j)
                 acc[j] = mass * w if prev is None else prev + mass * w
-        out.append(dict_row(acc))
+        out.append(_dict_row(acc))
     return Kernel._new(earlier.dom, later.cod, tuple(out))
 
 
@@ -316,7 +337,7 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
 
 
 def _index_map(dom: FinSpace, cod: FinSpace, targets: Iterable[int]) -> Kernel:
-    return Kernel._new(dom, cod, tuple(point_row(j) for j in targets))
+    return Kernel._new(dom, cod, tuple(_point_row(j) for j in targets))
 
 
 def identity(space: FinSpace) -> Kernel:
@@ -336,7 +357,7 @@ def copy(space: FinSpace) -> Kernel:
 
 def delete(space: FinSpace) -> Kernel:
     """Delete: X -> I, the all-ones effect."""
-    return Kernel._new(space, UNIT, (point_row(0),) * len(space))
+    return Kernel._new(space, UNIT, (_point_row(0),) * len(space))
 
 
 def swap(left: FinSpace, right: FinSpace) -> Kernel:
@@ -348,7 +369,7 @@ def swap(left: FinSpace, right: FinSpace) -> Kernel:
 
 def dirac(space: FinSpace, point: Label) -> Kernel:
     """The Dirac measure at ``point``: I -> X with unit mass at the point."""
-    return Kernel._new(UNIT, space, (point_row(space.index(point)),))
+    return Kernel._new(UNIT, space, (_point_row(space.index(point)),))
 
 
 # Product points are numbered in lexicographic order of their factors'
@@ -421,6 +442,30 @@ def lift_involution(phi: Involution) -> Kernel:
     return _index_map(phi.space, phi.space, phi.perm)
 
 
+def lazy_involution(phi: Involution, accept: Kernel) -> Kernel:
+    """``accept * lift_involution(phi) + (1 - accept) * identity``.
+
+    ``accept`` is an effect on phi's space with values at most 1; row ``i``
+    is ``{phi(i): a_i, i: 1 - a_i}``, built directly.
+    """
+    if not accept.is_effect or accept.dom != phi.space:
+        raise SpaceMismatchError(
+            "lazy_involution needs an effect on the involution's space")
+    rows = []
+    for i, (j, (_, vals)) in enumerate(zip(phi.perm, accept.rows)):
+        a = vals[0] if vals else ZERO
+        reject = residual(a, ONE)
+        if reject is None:
+            raise ValueError(f"acceptance value {a} exceeds 1")
+        if j == i or not a.num:
+            rows.append(_point_row(i))
+        elif not reject.num:
+            rows.append(_point_row(j))
+        else:
+            rows.append(((i, j), (reject, a)) if i < j else ((j, i), (a, reject)))
+    return Kernel._new(phi.space, phi.space, tuple(rows))
+
+
 def pushforward(phi: Involution, mu: Kernel) -> Kernel:
     """The pushforward of a measure under an involution."""
     return compose(lift_involution(phi), mu)
@@ -436,8 +481,7 @@ def row_masses(kernel: Kernel) -> tuple[ExtNonneg, ...]:
 
 def row_mass(kernel: Kernel) -> Kernel:
     """The effect sending each input point to its total output mass."""
-    return Kernel._new(kernel.dom, UNIT,
-                       tuple(value_row(m) for m in row_masses(kernel)))
+    return effect(kernel.dom, row_masses(kernel))
 
 
 def normalized_violation(kernel: Kernel) -> Label | None:

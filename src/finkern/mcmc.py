@@ -15,9 +15,10 @@ from typing import Callable, NamedTuple, Sequence
 from .semiring import ExtNonneg, ONE, ZERO, ext_sum, residual
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, Row, SpaceMismatchError, compose, copy, delete,
-    deterministic, dict_row, effect, identity, is_normalized,
-    lift_involution, point_row, pushforward, reweight, right_unitor, tensor,
+    Involution, Kernel, SpaceMismatchError, compose, copy, delete,
+    deterministic, effect, from_maps, identity, is_normalized,
+    lazy_involution, lift_involution, pushforward, reweight, right_unitor,
+    tensor,
 )
 from .enrichment import (
     NotCancellative, is_cancellative, rn_derivative,
@@ -207,21 +208,24 @@ def bayesian_inverse(prior: Kernel, forward: Kernel) -> Kernel:
     for i, mass in zip(*prior.rows[0]):
         for j, w in zip(*forward.rows[i]):
             joint_cols[j][i] = mass * w
-    n = len(forward.dom)
-    rows = []
-    for col in joint_cols:
-        mass = ext_sum(col.values())
+    return _normalized(forward.cod, forward.dom, joint_cols,
+                       "bayesian_inverse needs finite joint masses")
+
+
+def _normalized(dom: FinSpace, cod: FinSpace, blocks: list[dict[int, ExtNonneg]],
+                infinite: str) -> Kernel:
+    """Row ``i`` is ``blocks[i]`` over its mass, uniform when that is 0;
+    an infinite mass raises ``InfiniteMassError(infinite)``."""
+    maps = []
+    for block in blocks:
+        mass = ext_sum(block.values())
         if not mass.is_finite:
-            raise InfiniteMassError("bayesian_inverse needs finite joint masses")
+            raise InfiniteMassError(infinite)
         if mass.num == 0:
-            rows.append(_uniform_row(n))
+            maps.append(dict.fromkeys(range(len(cod)), ExtNonneg(1, len(cod))))
         else:
-            rows.append(dict_row({i: v / mass for i, v in col.items()}))
-    return Kernel._new(forward.cod, forward.dom, tuple(rows))
-
-
-def _uniform_row(n: int) -> Row:
-    return tuple(range(n)), (ExtNonneg(1, n),) * n
+            maps.append({j: v / mass for j, v in block.items()})
+    return from_maps(dom, cod, maps)
 
 
 def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple[Kernel, Kernel]:
@@ -252,28 +256,8 @@ def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple
 
 
 def build_mh(problem: MhProblem) -> Kernel:
-    """accept * involution + (1 - accept) * identity; always normalized.
-
-    Row ``i`` is ``{phi(i): a_i, i: 1 - a_i}``: a unit entry at ``i`` when
-    ``phi(i) == i`` or ``a_i == 0``, and at ``phi(i)`` when ``a_i == 1``.
-    """
-    perm = problem.involution.perm
-    rows = []
-    for i, (_, vals) in enumerate(problem.acceptance.rows):
-        accept = vals[0] if vals else ZERO
-        reject = residual(accept, ONE)
-        if reject is None:
-            raise ValueError(f"acceptance value {accept} exceeds 1")
-        j = perm[i]
-        if j == i or not accept.num:
-            rows.append(point_row(i))
-        elif not reject.num:
-            rows.append(point_row(j))
-        elif i < j:
-            rows.append(((i, j), (reject, accept)))
-        else:
-            rows.append(((j, i), (accept, reject)))
-    return Kernel._new(problem.space, problem.space, tuple(rows))
+    """accept * involution + (1 - accept) * identity; always normalized."""
+    return lazy_involution(problem.involution, problem.acceptance)
 
 
 def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Label | None:
@@ -412,20 +396,13 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
 
     rows = []
     for i, (cols, vals) in enumerate(proposal.rows):
-        off = {}
-        for j, w in zip(cols, vals):
-            if j != i:
-                move = w * alpha_at(i, j)
-                if move.num:
-                    off[j] = move
+        off = {j: w * alpha_at(i, j) for j, w in zip(cols, vals) if j != i}
         stay = residual(ext_sum(off.values()), ONE)
         if stay is None:
             raise ValueError("proposal rows must be normalized")
-        if stay.num:
-            off[i] = stay
-        rows.append(dict_row(off))
-    direct = Kernel._new(base, base, tuple(rows))
-    return via_involution, direct
+        off[i] = stay
+        rows.append(off)
+    return via_involution, from_maps(base, base, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +434,12 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     obs_j = data.index(observed)
 
     prior_values = prior.measure_values()
-    posterior_raw = {}
-    for i, mass in zip(*prior.rows[0]):
-        joint = mass * likelihood.at(i, obs_j)
-        if joint.num:
-            posterior_raw[i] = joint
-    total = ext_sum(posterior_raw.values())
-    if total.num == 0:
+    posterior_raw = {i: mass * likelihood.at(i, obs_j)
+                     for i, mass in zip(*prior.rows[0])}
+    if not any(v.num for v in posterior_raw.values()):
         raise ValueError("target has zero mass at the observed data")
-    posterior = Kernel._new(
-        UNIT, base, (dict_row({i: v / total for i, v in posterior_raw.items()}),))
+    posterior = _normalized(UNIT, base, [posterior_raw],
+                            "exchange_algorithm needs a finite prior and likelihood")
 
     # X -> Z (x) X: propose a parameter, then draw synthetic data from it
     # (keeping the proposed parameter alongside the data).
@@ -519,16 +492,8 @@ def conditional(joint: Kernel, given: str = "left") -> Kernel:
     blocks: list[dict[int, ExtNonneg]] = [{} for _ in left_sp.labels]
     for k, v in zip(*joint.rows[0]):
         blocks[k // m][k % m] = v
-    rows = []
-    for block in blocks:
-        mass = ext_sum(block.values())
-        if not mass.is_finite:
-            raise InfiniteMassError("conditional needs finite marginal masses")
-        if mass.num == 0:
-            rows.append(_uniform_row(m))
-        else:
-            rows.append(dict_row({j: v / mass for j, v in block.items()}))
-    return Kernel._new(left_sp, right_sp, tuple(rows))
+    return _normalized(left_sp, right_sp, blocks,
+                       "conditional needs finite marginal masses")
 
 
 def _split_product(space: FinSpace) -> tuple[FinSpace, FinSpace]:

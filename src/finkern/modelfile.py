@@ -31,8 +31,8 @@ from __future__ import annotations
 import re
 
 from .semiring import ExtNonneg, ONE, ZERO
-from .spaces import UNIT, FinSpace, Label, Tagged
-from .kernels import Involution, Kernel, dict_row, value_row
+from .spaces import UNIT, FinSpace, Label, Tagged, format_label
+from .kernels import Involution, Kernel, effect, from_maps
 from .mcmc import BALANCING_FUNCTIONS
 from ._record import Record
 
@@ -86,14 +86,6 @@ class ModelDocument(Record):
 _ATOM_RE = re.compile(r"^[A-Za-z0-9_.*]+$")
 _TOKEN_RE = re.compile(r"->|[(){},=]|[A-Za-z0-9_.*/:]+|\S")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def format_label(label: Label) -> str:
-    if isinstance(label, Tagged):
-        return f"{label.side}:{format_label(label.label)}"
-    if isinstance(label, tuple):
-        return "(" + ",".join(format_label(p) for p in label) + ")"
-    return str(label)
 
 
 def parse_label(text: str) -> Label:
@@ -253,11 +245,10 @@ def parse(text: str) -> ModelDocument:
                         raise ModelError(line, f"probability value {v} at "
                                          f"{format_label(space.labels[idx])} exceeds 1")
             if keyword == "measure":
-                charged = {i: v for i, v in values.items() if v.num}
-                store[name] = Kernel._new(UNIT, space, (dict_row(charged),))
+                store[name] = from_maps(UNIT, space, (values,))
             else:
-                store[name] = Kernel._new(space, UNIT, tuple(
-                    value_row(values.get(i, ZERO)) for i in range(len(space))))
+                store[name] = effect(
+                    space, [values.get(i, ZERO) for i in range(len(space))])
         elif keyword == "kernel":
             name = fresh_name(doc.kernels, "kernel")
             tokens.next(":")
@@ -283,11 +274,9 @@ def parse(text: str) -> ModelDocument:
                     raise ModelError(entry_line, "duplicate kernel entry")
                 seen.add(key)
                 tokens.next("=")
-                value = _parse_value(tokens)
-                if value.num:
-                    rows[key[0]][key[1]] = value
+                rows[key[0]][key[1]] = _parse_value(tokens)
             tokens.next("}")
-            doc.kernels[name] = Kernel._new(dom, cod, tuple(map(dict_row, rows)))
+            doc.kernels[name] = from_maps(dom, cod, rows)
         elif keyword == "involution":
             name = fresh_name(doc.involutions, "involution")
             tokens.next("on")

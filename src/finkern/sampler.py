@@ -25,8 +25,8 @@ import random
 import sys
 from itertools import accumulate, compress, islice
 
-from .kernels import Kernel, is_normalized
-from .enrichment import is_cancellative
+from .spaces import format_label
+from .kernels import Kernel, normalized_violation
 from ._record import Record
 
 RNG_NAME = "python-mersenne-twister"
@@ -43,15 +43,14 @@ _spare: list[list[int]] = []
 
 
 def to_float(kernel: Kernel) -> FloatMatrix:
-    """Nearest-double conversion of a normalized, all-finite kernel.
+    """Nearest-double conversion of a normalized (hence all-finite) kernel.
 
     After rounding, each row's largest entry absorbs the residual so row
     sums are exactly 1.0.
     """
-    if not is_cancellative(kernel):
-        raise ValueError("kernel has infinite entries")
-    if not is_normalized(kernel):
-        raise ValueError("kernel is not normalized")
+    bad = normalized_violation(kernel)
+    if bad is not None:
+        raise ValueError(f"kernel is not normalized at row {format_label(bad)}")
     width = len(kernel.cod)
     rows = []
     for cols, vals in kernel.rows:

@@ -187,6 +187,10 @@ class ExtNonneg:
         value.den = b * c
         return value
 
+    def __rtruediv__(self, other):
+        other = ExtNonneg._lift(other)
+        return NotImplemented if other is None else other.__truediv__(self)
+
     def __eq__(self, other):
         if other.__class__ is not ExtNonneg:
             other = ExtNonneg._lift(other)

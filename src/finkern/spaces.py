@@ -77,17 +77,18 @@ class FinSpace:
         return hash(self.labels)
 
     def __repr__(self):
-        shown = " ".join(_short(label) for label in self.labels[:6])
+        shown = " ".join(format_label(label) for label in self.labels[:6])
         if len(self.labels) > 6:
             shown += " ..."
         return f"FinSpace({shown})"
 
 
-def _short(label) -> str:
+def format_label(label: Label) -> str:
+    """A label in model-file syntax: ``a``, ``(a,b)``, ``L:a``."""
     if isinstance(label, Tagged):
-        return f"{label.side}:{_short(label.label)}"
+        return f"{label.side}:{format_label(label.label)}"
     if isinstance(label, tuple):
-        return "(" + ",".join(_short(p) for p in label) + ")"
+        return "(" + ",".join(format_label(p) for p in label) + ")"
     return str(label)
 
 

@@ -67,3 +67,20 @@ def test_seeded_instances_are_unchanged(seed):
     assert (rand_reversible_kernel(new, target)
             == _old_reversible_kernel(old, target))
     assert new.getstate() == old.getstate()
+
+
+def test_seeded_distributions_are_pinned():
+    # literals drawn with seed 11; the last measure has every weight zeroed,
+    # so its one point comes from the fallback draw
+    rng = random.Random(11)
+    points = FinSpace.atoms("a b c d")
+    m = rand_probability_measure(rng, points, zero_weight=0.3)
+    k = rand_normalized_kernel(rng, FinSpace.atoms("u v w"), points, zero_weight=0.5)
+    fallback = rand_probability_measure(rng, points, zero_weight=1.0)
+    assert [str(v) for v in m.measure_values()] == ["9/26", "15/52", "19/52", "0"]
+    assert [[str(v) for v in row] for row in k.entries] == [
+        ["8/11", "3/11", "0", "0"],
+        ["0", "23/58", "10/29", "15/58"],
+        ["10/21", "10/21", "0", "1/21"]]
+    assert [str(v) for v in fallback.measure_values()] == ["0", "0", "1", "0"]
+    assert rng.random() == 0.4405311166566568

@@ -1,4 +1,6 @@
+import ast
 from itertools import permutations, product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,10 +10,12 @@ from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import EMPTY, FinSpace, UNIT, product
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
-    deterministic, dirac, effect, effect_mul, identity, is_copyable,
-    is_normalized, is_substochastic, left_unitor, lift_involution, measure,
-    reweight, right_unitor, row_mass, swap, tensor, uniform,
+    deterministic, dirac, effect, effect_mul, from_maps, identity,
+    is_copyable, is_normalized, is_substochastic, lazy_involution,
+    left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
+    swap, tensor, uniform,
 )
+from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from strategies import composable_pairs, kernel_pairs, kernels, kernels_on
 
@@ -458,3 +462,55 @@ def test_structural_kernels_store_one_unit_entry_per_row(k, fn):
     for x, row in zip(k.dom.labels, k.rows):
         assert row == ((k.cod.index(fn(x)),), (ONE,))
     assert len(k.rows) == len(k.dom)
+
+
+# -- public constructors: rows are built only inside ``kernels`` ---------------
+
+@given(kernels())
+def test_from_maps_rebuilds_every_kernel(k):
+    maps = [dict(zip(*row)) for row in k.rows]
+    rebuilt = from_maps(k.dom, k.cod, maps)
+    assert rebuilt == k and rebuilt.rows == k.rows
+    # key order does not matter, and zero values are zero entries
+    padded = [{j: m.get(j, ZERO) for j in reversed(range(len(k.cod)))} for m in maps]
+    rebuilt = from_maps(k.dom, k.cod, padded)
+    _assert_canonical(rebuilt)
+    assert rebuilt.rows == k.rows
+
+
+def test_from_maps_rejects_wrong_shapes():
+    with pytest.raises(SpaceMismatchError, match="expected 2 rows for .*, got 1"):
+        from_maps(X2, X3, [{}])
+    for bad in (3, -1):
+        for value in (ONE, ZERO):
+            with pytest.raises(SpaceMismatchError, match="out of range"):
+                from_maps(X2, X3, [{0: ONE}, {bad: value}])
+
+
+def test_lazy_involution_needs_an_effect_on_the_involutions_space():
+    phi = Involution.from_mapping(X2, {"a": "b", "b": "a"})
+    with pytest.raises(SpaceMismatchError):
+        lazy_involution(phi, effect(X3, [ONE, ONE, ONE]))
+    with pytest.raises(SpaceMismatchError):
+        lazy_involution(phi, identity(X2))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "finkern"
+
+
+def test_only_kernels_builds_rows():
+    """No module but ``kernels`` calls ``Kernel._new`` or reaches a private
+    name of ``kernels``, so the row format is decided in one place."""
+    for path in SRC.glob("*.py"):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "Kernel" and node.attr == "_new"), path.name
+                assert not (node.value.id == "kernels"
+                            and node.attr.startswith("_")), path.name
+            if isinstance(node, ast.ImportFrom) and node.module in ("kernels", "finkern.kernels"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, private)
+    for name in ("Row", "EMPTY_ROW", "point_row", "value_row", "dict_row"):
+        assert not hasattr(kernels_module, name), name

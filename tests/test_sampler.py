@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from finkern.semiring import ExtNonneg, INF
-from finkern.spaces import FinSpace
+from finkern.spaces import FinSpace, product
 from finkern.kernels import Involution, Kernel, identity, measure
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
 from finkern import sampler
@@ -50,6 +50,14 @@ def test_to_float_rejects_bad_input():
         to_float(Kernel(X2, X2, [[INF, 0], [0, 1]]))
     with pytest.raises(ValueError):
         to_float(Kernel(X2, X2, [[0, 0], [0, 1]]))  # zero row
+
+
+def test_to_float_names_the_row_that_is_not_normalized():
+    with pytest.raises(ValueError, match="not normalized at row b$"):
+        to_float(Kernel(X2, X2, [[q(1, 2), q(1, 2)], [INF, 0]]))
+    with pytest.raises(ValueError, match=r"not normalized at row \(a,b\)$"):
+        to_float(Kernel(product(X2, X2), X2,
+                        [[1, 0], [q(1, 2), q(1, 3)], [0, 1], [0, 1]]))
 
 
 def dense_to_float(kernel):

@@ -246,9 +246,30 @@ def test_ops_match_fraction_oracle_both_orders(a, b):
     if frac(b):
         assert_canonical(a / b)
         assert frac(a / b) == frac(a) / frac(b)
-    if frac(a):  # an int has no ExtNonneg quotient: ExtNonneg has no __rtruediv__
+    if frac(a):  # b may be an int, so lift it: an int over a value is tested below
         assert_canonical(lift(b) / a)
         assert frac(lift(b) / a) == frac(b) / frac(a)
+
+
+@given(st.integers(0, 60), finite_values)
+def test_int_over_value_matches_fraction_oracle(n, b):
+    if b.num:
+        assert_canonical(n / b)
+        assert frac(n / b) == Fraction(n) / frac(b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_int_over_zero_raises_and_over_infinity_is_zero(n):
+    with pytest.raises(SemiringDivisionError):
+        n / ZERO
+    assert n / INF == ZERO
+
+
+@pytest.mark.parametrize("bad", [-1, 0.5])
+def test_negative_int_or_float_over_value_is_a_type_error(bad):
+    assert q(1, 2).__rtruediv__(bad) is NotImplemented
+    with pytest.raises(TypeError):
+        bad / q(1, 2)
 
 
 @given(st.lists(finite_operands, max_size=8))
