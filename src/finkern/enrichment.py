@@ -16,14 +16,13 @@ boolean form is ``*_violation(...) is None``.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import NamedTuple
 
-from .semiring import ONE, ZERO, residual
+from .semiring import INF, ONE, ZERO, fraction, residual
 from .spaces import FinSpace, Label
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, effect, from_maps, pushforward,
-    row_masses,
+    infinite_entry, pair_rows, row_support, split_by_support,
 )
 
 
@@ -102,11 +101,10 @@ def cancellative_violation(kernel: Kernel) -> tuple[Label, Label] | None:
     infinite atom, so sums with the kernel cancel exactly when every entry
     is finite.
     """
-    for x, (cols, vals) in zip(kernel.dom.labels, kernel.rows):
-        for j, v in zip(cols, vals):
-            if not v.is_finite:
-                return x, kernel.cod.labels[j]
-    return None
+    entry = infinite_entry(kernel)
+    if entry is None:
+        return None
+    return kernel.dom.labels[entry[0]], kernel.cod.labels[entry[1]]
 
 
 def is_cancellative(kernel: Kernel) -> bool:
@@ -128,8 +126,9 @@ def cancellation_counterexample(kernel: Kernel) -> tuple[Kernel, Kernel] | None:
 
 def finite_violation(kernel: Kernel) -> Label | None:
     """The first domain point whose row mass is infinite."""
-    return next(compress(kernel.dom.labels,
-                         (not m.is_finite for m in row_masses(kernel))), None)
+    # finite entries have a finite sum
+    entry = infinite_entry(kernel)
+    return None if entry is None else kernel.dom.labels[entry[0]]
 
 
 def is_finite_morphism(kernel: Kernel) -> bool:
@@ -146,8 +145,8 @@ def _support_violation(p: Kernel, q: Kernel, what: str,
     # The first entry, in row-major order, in the column set that
     # ``failing(p's support, q's support)`` returns for its row.
     _check_same_type(p, q, what)
-    for x, (pcols, _), (qcols, _) in zip(p.dom.labels, p.rows, q.rows):
-        bad = failing(set(pcols), qcols)
+    for i, x in enumerate(p.dom.labels):
+        bad = failing(set(row_support(p, i)), row_support(q, i))
         if bad:
             return x, p.cod.labels[min(bad)]
     return None
@@ -207,17 +206,7 @@ class Decomposition(NamedTuple):
 def lebesgue_decompose(p: Kernel, q: Kernel) -> Decomposition:
     """Split p into the part dominated by q and the part singular to q."""
     _check_same_type(p, q, "lebesgue_decompose")
-    ac_rows = []
-    si_rows = []
-    for (pcols, pvals), (qcols, _) in zip(p.rows, q.rows):
-        charged = set(qcols)
-        ac, si = {}, {}
-        for j, a in zip(pcols, pvals):
-            (ac if j in charged else si)[j] = a
-        ac_rows.append(ac)
-        si_rows.append(si)
-    return Decomposition(ac=from_maps(p.dom, p.cod, ac_rows),
-                         si=from_maps(p.dom, p.cod, si_rows))
+    return Decomposition(*split_by_support(p, q))
 
 
 def involutive_decompose(mu: Kernel, phi: Involution) -> tuple[tuple[Label, ...], Decomposition]:
@@ -255,22 +244,22 @@ def rn_derivative(pi: Kernel, mu: Kernel) -> Kernel:
         raise SpaceMismatchError("rn_derivative needs two measures")
     if pi.cod != mu.cod:
         raise SpaceMismatchError("rn_derivative needs measures on the same space")
-    values = []
-    for x, p, m in zip(mu.cod.labels, pi.measure_values(), mu.measure_values()):
-        if m.num == 0:
-            if p.num != 0:
-                raise NotAbsolutelyContinuous(
-                    f"mass {p} at {x!r} outside the base measure's support")
-            values.append(ZERO)
-        elif m.is_finite:
-            values.append(p / m)
-        elif p.num == 0:
-            values.append(ZERO)
-        elif p.is_finite:
+    (p,), (m,) = pair_rows(pi), pair_rows(mu)
+    values = [ZERO] * len(mu.cod)
+    for j, (pn, pd) in p.items():  # the other points have density 0
+        if j not in m:
+            raise NotAbsolutelyContinuous(
+                f"mass {pi.at(0, j)} at {mu.cod.labels[j]!r} outside the base "
+                "measure's support")
+        mn, md = m[j]
+        if md:  # (pn / pd) / (mn / md), with one gcd
+            values[j] = fraction(pn * md, mn * pd) if pd else INF
+        elif pd:
             raise NoExactDerivative(
-                f"finite mass {p} over an infinite atom at {x!r}")
+                f"finite mass {pi.at(0, j)} over an infinite atom at "
+                f"{mu.cod.labels[j]!r}")
         else:
-            values.append(ONE)
+            values[j] = ONE
     return effect(mu.cod, values)
 
 
@@ -286,8 +275,9 @@ def ae_violation(mu: Kernel, p: Kernel, q: Kernel) -> Label | None:
     _check_same_type(p, q, "ae_equal")
     if not is_cancellative(mu):
         raise NotCancellative("ae_equal needs finite atoms")
-    for i in mu.rows[0][0]:
-        if p.rows[i] != q.rows[i]:
+    prows, qrows = pair_rows(p), pair_rows(q)
+    for i in row_support(mu, 0):
+        if prows[i] != qrows[i]:
             return mu.cod.labels[i]
     return None
 
@@ -297,4 +287,4 @@ def support_labels(mu: Kernel) -> tuple[Label, ...]:
     if not mu.is_measure:
         raise SpaceMismatchError("not a measure (domain is not the unit space)")
     labels = mu.cod.labels
-    return tuple(labels[i] for i in mu.rows[0][0])
+    return tuple([labels[i] for i in row_support(mu, 0)])

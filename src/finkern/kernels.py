@@ -5,19 +5,35 @@ out of the unit space (one row) and effects are kernels into it (one
 column). Composition is the Chapman-Kolmogorov sum, the monoidal product is
 the Kronecker product, and each space carries copy/delete/swap structure.
 
-Every kernel has one canonical sparse form. ``kernel.rows[i]`` is the pair
-``(cols, vals)`` of parallel tuples: the ascending column indices of row
-i's nonzero entries and their values. Zeros are never stored (and
-``0 * oo = 0`` keeps them out of every product), so equal kernels have
-equal rows and each operation loops over nonzeros only. A deterministic
-kernel is a function, and is stored as its index map: identity, copy,
-swap, the unitors and associator, relabelings and involutions hold one
-entry ``((j,), (ONE,))`` per row. The ``entries`` property is a read-only
-dense view, built on first access for callers that index the full matrix;
-the library itself never reads it. ``rows`` is the public read view, and
-only this module writes it: other code builds kernels with ``Kernel(dom,
-cod, dense)``, ``measure``, ``effect``, ``from_maps`` and the structural
-constructors.
+Every kernel has one canonical sparse form over the integers.
+``kernel.int_rows[i]`` is the row ``(cols, nums, den, infs)``: the
+ascending columns of row i's finite nonzero entries, their positive integer
+numerators over the one row denominator ``den``, and the ascending columns
+of its infinite entries, disjoint from ``cols``. Each row is reduced
+(``gcd(den, *nums) == 1``, and an empty finite part has ``den == 1``), so
+equal kernels have equal rows and hashes. Zeros are never stored, and
+``0 * oo = 0`` keeps them out of every product. The kernel operations work
+on these integers alone: ``compose`` scales each middle row to the lcm of
+the middle denominators and takes integer dot products, so a row costs one
+gcd, not one per scalar product and sum, and a row with one middle point
+is a scaled copy of that middle row. A deterministic kernel is a function,
+and is stored as its index map: identity, copy, swap, the unitors and
+associator, relabelings and involutions hold one entry ``((j,), (1,), 1,
+())`` per row, and keep their targets, so that running one after a kernel
+moves that kernel's columns instead of multiplying, and two index maps
+compose or tensor to an index map.
+
+``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
+pair ``(cols, vals)`` of every nonzero entry's column and value),
+``entries`` (the dense matrix), ``at``, ``entry``, ``measure_values`` and
+``effect_values`` read views that are built from the integer rows on first
+access and kept. Only this module reads or writes stored rows: other code
+builds kernels with ``Kernel(dom, cod, dense)``, ``measure``, ``effect``,
+``from_maps``, ``lazy_involution``, ``split_by_support`` and the structural
+constructors, and where it compares many entries it reads them as integer
+pairs (see ``semiring``) through ``pair_rows`` and ``effect_pairs``, and
+supports and infinite entries through ``row_support`` and
+``infinite_entry``, building no ``ExtNonneg``.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
@@ -30,20 +46,25 @@ None; the boolean form is ``*_violation(...) is None``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .semiring import ExtNonneg, INF, ONE, ZERO, ext_sum, residual
+from .semiring import ExtNonneg, INF, INF_PAIR, ZERO, ZERO_PAIR, fraction
 from .spaces import FinSpace, Label, UNIT, product
 from ._record import FrozenRecord
 
 Entry = Union[ExtNonneg, int]
 
-#: A sparse row: ascending column indices and their nonzero values.
-_Row = tuple[tuple[int, ...], tuple[ExtNonneg, ...]]
+#: A stored row: the ascending columns of the finite nonzero entries, their
+#: positive numerators over one denominator, and the ascending columns of
+#: the infinite entries.
+_Row = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
 
-_EMPTY_ROW: _Row = ((), ())
-_UNIT_MASS = (ONE,)
+_EMPTY_ROW: _Row = ((), (), 1, ())
+_INF_POINT: _Row = ((), (), 1, (0,))  # an effect's row with value oo
+_UNIT_NUM = (1,)
 
 
 class SpaceMismatchError(ValueError):
@@ -60,62 +81,131 @@ def _coerce(value: Entry) -> ExtNonneg:
 
 def _point_row(j: int) -> _Row:
     """The row with unit mass at column ``j``: one step of an index map."""
-    return ((j,), _UNIT_MASS)
+    return ((j,), _UNIT_NUM, 1, ())
 
 
-def _dict_row(acc: Mapping[int, ExtNonneg]) -> _Row:
-    """The sparse row of a column -> nonzero value mapping."""
+def _reduced(cols: tuple[int, ...], nums: Sequence[int], den: int,
+             infs: tuple[int, ...] = ()) -> _Row:
+    """The row with the common factor of ``den`` and ``nums`` divided out."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return cols, tuple(nums), den, infs
+    return cols, tuple([n // g for n in nums]), den // g, infs
+
+
+def _dict_row(acc: Mapping[int, int], den: int, infs: tuple[int, ...] = ()) -> _Row:
+    """The row of a column -> positive numerator mapping over ``den``."""
     cols = tuple(sorted(acc))
-    return cols, tuple([acc[j] for j in cols])
+    return _reduced(cols, [acc[j] for j in cols], den, infs)
 
 
-def _nonzero_row(cols: tuple[int, ...], vals: list[ExtNonneg]) -> _Row:
-    """The row of parallel columns and values, with the zero values dropped."""
-    nonzero = [v.num for v in vals]
-    if all(nonzero):
+def _value_row(cols: Sequence[int], vals: Sequence[ExtNonneg]) -> _Row:
+    """The row of parallel ascending columns and values, zeros dropped.
+
+    The finite values go over the lcm of their denominators. Each value is
+    a reduced fraction, so that row is reduced already: a prime dividing
+    the lcm divides the numerator of no value whose denominator holds its
+    highest power.
+    """
+    fcols, nums, dens, infs = [], [], [], []
+    for j, v in zip(cols, vals):
+        if v.num:
+            if v.den:
+                fcols.append(j)
+                nums.append(v.num)
+                dens.append(v.den)
+            else:
+                infs.append(j)
+    den = lcm(*dens)
+    return (tuple(fcols), tuple([n * (den // d) for n, d in zip(nums, dens)]),
+            den, tuple(infs))
+
+
+def _view_row(row: _Row) -> tuple[tuple[int, ...], tuple[ExtNonneg, ...]]:
+    """The ``(cols, vals)`` pair of a row's nonzero entries, oo included."""
+    cols, nums, den, infs = row
+    vals = [fraction(n, den) for n in nums]
+    if not infs:
         return cols, tuple(vals)
-    return tuple(compress(cols, nonzero)), tuple(compress(vals, nonzero))
+    merged = sorted(list(zip(cols, vals)) + [(j, INF) for j in infs])
+    return tuple([j for j, _ in merged]), tuple([v for _, v in merged])
 
 
-def _dense_row(row: _Row, width: int) -> tuple[ExtNonneg, ...]:
+def _dense_row(row, width: int) -> tuple[ExtNonneg, ...]:
     out = [ZERO] * width
     for j, v in zip(*row):
         out[j] = v
     return tuple(out)
 
 
-def _scale(weight: ExtNonneg, row: _Row) -> _Row:
-    """``weight`` times every entry of a row."""
-    if weight.num == 0:
-        return _EMPTY_ROW
-    if weight == ONE:
+def _scale(n: int, d: int, row: _Row) -> _Row:
+    """The finite positive weight ``n / d`` times every entry of a row."""
+    if n == d:  # reduced, so the weight is 1
         return row
-    cols, vals = row
-    return cols, tuple([weight * v for v in vals])
+    cols, nums, den, infs = row
+    return _reduced(cols, [n * x for x in nums], d * den, infs)
+
+
+def _support(row: _Row) -> tuple[int, ...]:
+    cols, _, _, infs = row
+    return tuple(sorted(cols + infs)) if infs else cols
 
 
 def _add_rows(r1: _Row, r2: _Row) -> _Row:
-    if not r1[0]:
+    c1, n1, d1, i1 = r1
+    c2, n2, d2, i2 = r2
+    if not c1 and not i1:
         return r2
-    if not r2[0]:
+    if not c2 and not i2:
         return r1
-    if r1[0] == r2[0]:  # same support: add entry by entry
-        return r1[0], tuple([a + b for a, b in zip(r1[1], r2[1])])
-    acc = dict(zip(*r1))
-    for j, v in zip(*r2):
-        prev = acc.get(j)
-        acc[j] = v if prev is None else prev + v
-    return _dict_row(acc)
+    den = d1 if d1 == d2 else lcm(d1, d2)
+    s1, s2 = den // d1, den // d2
+    if c1 == c2 and not i1 and not i2:  # same support: add entry by entry
+        return _reduced(c1, [a * s1 + b * s2 for a, b in zip(n1, n2)], den)
+    acc = dict(zip(c1, [a * s1 for a in n1]))
+    for j, b in zip(c2, n2):
+        acc[j] = acc.get(j, 0) + b * s2
+    infs = ()
+    if i1 or i2:
+        infs = tuple(sorted(set(i1).union(i2)))
+        for j in infs:
+            acc.pop(j, None)
+    return _dict_row(acc, den, infs)
+
+
+def _has_inf(kernel: "Kernel") -> bool:
+    return any(map(itemgetter(3), kernel.int_rows))
+
+
+def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
+    """A row with each column ``k`` moved to ``targets[k]``, sums where
+    columns meet, and oo where an infinite entry lands."""
+    cols, nums, den, infs = row
+    if len(cols) == 1 and not infs:
+        return (targets[cols[0]],), nums, den, ()
+    acc: dict[int, int] = {}
+    for k, n in zip(cols, nums):
+        j = targets[k]
+        acc[j] = acc.get(j, 0) + n
+    if infs:
+        infs = tuple(sorted({targets[k] for k in infs}))
+        for j in infs:
+            acc.pop(j, None)
+    return _dict_row(acc, den, infs)
 
 
 class Kernel:
     """An ExtNonneg-valued matrix with named domain and codomain spaces.
 
     ``Kernel(dom, cod, entries)`` takes the dense matrix, one row per
-    domain point; the kernel keeps only its nonzero entries, in ``rows``.
+    domain point; the kernel keeps only its nonzero entries, in
+    ``int_rows``.
     """
 
-    __slots__ = ("dom", "cod", "rows", "_dense")
+    # ``_map`` is the tuple of target columns of an index map (one unit
+    # entry per row), kept so that running it after a kernel moves columns
+    # instead of multiplying, or None.
+    __slots__ = ("dom", "cod", "int_rows", "_map", "_view", "_dense")
 
     def __init__(self, dom: FinSpace, cod: FinSpace, entries: Iterable[Iterable[Entry]]):
         dense = list(entries)
@@ -123,7 +213,6 @@ class Kernel:
             raise SpaceMismatchError(
                 f"expected {len(dom)} rows for {dom!r}, got {len(dense)}")
         width = len(cod)
-        full = tuple(range(width))  # shared by the rows with no zero
         rows = []
         for row in dense:  # one row at a time: no second dense copy
             # (the type test skips a call per entry that is already a value)
@@ -131,28 +220,44 @@ class Kernel:
             if len(row) != width:
                 raise SpaceMismatchError(
                     f"expected {width} columns for {cod!r}, got {len(row)}")
-            rows.append(_nonzero_row(full, row))
+            rows.append(_value_row(range(width), row))
         self.dom = dom
         self.cod = cod
-        self.rows = tuple(rows)
+        self.int_rows = tuple(rows)
+        self._map = None
+        self._view = None
         self._dense = None
 
     @classmethod
-    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[_Row, ...]) -> "Kernel":
-        # Internal constructor: rows are already canonical sparse rows.
+    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[_Row, ...],
+             targets: tuple[int, ...] | None = None) -> "Kernel":
+        # Internal constructor: rows are already canonical stored rows, and
+        # ``targets`` is given when they are the rows of that index map.
         k = object.__new__(cls)
         k.dom = dom
         k.cod = cod
-        k.rows = rows
+        k.int_rows = rows
+        k._map = targets
+        k._view = None
         k._dense = None
         return k
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, ...], tuple[ExtNonneg, ...]], ...]:
+        """Per row, the ascending columns of its nonzero entries and their
+        values; built on first access and kept."""
+        if self._view is None:
+            self._view = tuple([_view_row(row) for row in self.int_rows])
+        return self._view
 
     @property
     def entries(self) -> tuple[tuple[ExtNonneg, ...], ...]:
         """The dense matrix, built on first access and kept."""
         if self._dense is None:
             width = len(self.cod)
-            self._dense = tuple(_dense_row(row, width) for row in self.rows)
+            # the values of a kept ``rows`` view, or new ones kept here only
+            rows = self._view or map(_view_row, self.int_rows)
+            self._dense = tuple([_dense_row(row, width) for row in rows])
         return self._dense
 
     def at(self, i: int, j: int) -> ExtNonneg:
@@ -186,14 +291,14 @@ class Kernel:
         return tuple([vals[0] if vals else ZERO for _, vals in self.rows])
 
     def is_zero(self) -> bool:
-        return not any(cols for cols, _ in self.rows)
+        return not any(cols or infs for cols, _, _, infs in self.int_rows)
 
     def __add__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
         if self.dom != other.dom or self.cod != other.cod:
             raise SpaceMismatchError("kernel sum needs equal dom and cod")
-        rows = tuple(_add_rows(r1, r2) for r1, r2 in zip(self.rows, other.rows))
+        rows = tuple([_add_rows(r1, r2) for r1, r2 in zip(self.int_rows, other.int_rows)])
         return Kernel._new(self.dom, self.cod, rows)
 
     def __rshift__(self, other):
@@ -207,19 +312,56 @@ class Kernel:
         if not isinstance(other, Kernel):
             return NotImplemented
         return (self.dom == other.dom and self.cod == other.cod
-                and self.rows == other.rows)
+                and self.int_rows == other.int_rows)
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.rows))
+        return hash((self.dom, self.cod, self.int_rows))
 
     def __repr__(self):
         width = len(self.cod)
         body = "; ".join(
             " ".join(str(v) for v in _dense_row(row, width))
             for row in self.rows[:4])
-        if len(self.rows) > 4:
+        if len(self.int_rows) > 4:
             body += "; ..."
         return f"Kernel({self.dom!r} -> {self.cod!r}: {body})"
+
+
+def pair_rows(kernel: Kernel) -> list[dict[int, tuple[int, int]]]:
+    """Per row, its nonzero entries as column -> ``(num, den)`` pair, in
+    column order: a finite entry is its numerator over the row's
+    denominator, and oo is ``(1, 0)``. Rows are canonical, so two rows
+    are equal exactly when their maps are."""
+    out = []
+    for cols, nums, den, infs in kernel.int_rows:
+        pairs = dict(zip(cols, zip(nums, repeat(den))))
+        if infs:
+            pairs.update(dict.fromkeys(infs, INF_PAIR))
+            pairs = dict(sorted(pairs.items()))
+        out.append(pairs)
+    return out
+
+
+def effect_pairs(kernel: Kernel) -> list[tuple[int, int]]:
+    """An effect's values as pairs, in point order, 0 as ``(0, 1)``."""
+    if not kernel.is_effect:
+        raise SpaceMismatchError("not an effect (codomain is not the unit space)")
+    return [(nums[0], den) if nums else INF_PAIR if infs else ZERO_PAIR
+            for _, nums, den, infs in kernel.int_rows]
+
+
+def row_support(kernel: Kernel, i: int) -> tuple[int, ...]:
+    """The ascending columns of row ``i``'s nonzero entries, oo included."""
+    return _support(kernel.int_rows[i])
+
+
+def infinite_entry(kernel: Kernel) -> tuple[int, int] | None:
+    """The row and column index of the first infinite entry, in row-major
+    order, or None."""
+    for i, (_, _, _, infs) in enumerate(kernel.int_rows):
+        if infs:
+            return i, infs[0]
+    return None
 
 
 def measure(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> Kernel:
@@ -246,7 +388,8 @@ def effect(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]
             f"expected {len(space)} rows for {space!r}, got {len(col)}")
     col = [v if v.__class__ is ExtNonneg else _coerce(v) for v in col]
     return Kernel._new(space, UNIT, tuple([
-        ((0,), (v,)) if v.num else _EMPTY_ROW for v in col]))
+        _EMPTY_ROW if not v.num else ((0,), (v.num,), v.den, ()) if v.den
+        else _INF_POINT for v in col]))
 
 
 def from_maps(dom: FinSpace, cod: FinSpace,
@@ -269,7 +412,7 @@ def from_maps(dom: FinSpace, cod: FinSpace,
         if cols[0] < 0 or cols[-1] >= width:
             raise SpaceMismatchError(
                 f"column index out of range 0..{width - 1} for {cod!r}")
-        rows.append(_nonzero_row(cols, [acc[j] for j in cols]))
+        rows.append(_value_row(cols, [acc[j] for j in cols]))
     return Kernel._new(dom, cod, tuple(rows))
 
 
@@ -286,23 +429,50 @@ def uniform(space: FinSpace) -> Kernel:
 
 
 def compose(later: Kernel, earlier: Kernel) -> Kernel:
-    """Sequential composition ``later ∘ earlier`` (Chapman-Kolmogorov)."""
+    """Sequential composition ``later ∘ earlier`` (Chapman-Kolmogorov).
+
+    An output row is an integer dot product: each middle row is scaled to
+    the lcm ``L`` of the middle rows' denominators, weighted by the earlier
+    row's numerator, and summed over ``den * L``; one gcd then reduces it.
+    """
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
-    later_rows = later.rows
+    if later._map is not None:  # columns of ``earlier``, moved
+        targets = later._map
+        if earlier._map is not None:
+            return _index_map(earlier.dom, later.cod,
+                              [targets[k] for k in earlier._map])
+        return Kernel._new(earlier.dom, later.cod, tuple([
+            _relabel(row, targets) for row in earlier.int_rows]))
+    later_rows = later.int_rows
+    infinite = _has_inf(later) or _has_inf(earlier)
     out = []
-    for cols, vals in earlier.rows:
-        if len(cols) == 1:
+    for cols, nums, den, infs in earlier.int_rows:
+        if len(cols) == 1 and not infs:
             # one middle point: a scaled copy of that row of ``later``
-            out.append(_scale(vals[0], later_rows[cols[0]]))
+            out.append(_scale(nums[0], den, later_rows[cols[0]]))
             continue
-        acc: dict[int, ExtNonneg] = {}
-        for mid, mass in zip(cols, vals):
-            for j, w in zip(*later_rows[mid]):
-                prev = acc.get(j)
-                acc[j] = mass * w if prev is None else prev + mass * w
-        out.append(_dict_row(acc))
+        mids = [later_rows[k] for k in cols]
+        scale = lcm(*[ld for _, _, ld, _ in mids])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for a, (lcols, lnums, ld, _) in zip(nums, mids):
+            w = a * (scale // ld)
+            for j, n in zip(lcols, lnums):
+                acc[j] = get(j, 0) + w * n
+        if not infinite:
+            out.append(_dict_row(acc, den * scale))
+            continue
+        # oo where a positive mass meets an infinite one on the way
+        inf = set()
+        for row in mids:
+            inf.update(row[3])
+        for k in infs:
+            inf.update(_support(later_rows[k]))
+        for j in inf:
+            acc.pop(j, None)
+        out.append(_dict_row(acc, den * scale, tuple(sorted(inf))))
     return Kernel._new(earlier.dom, later.cod, tuple(out))
 
 
@@ -311,24 +481,37 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
     dom = product(left.dom, right.dom)
     cod = product(left.cod, right.cod)
     width = len(right.cod)
+    if left._map is not None and right._map is not None:
+        return _index_map(dom, cod, [i * width + j for i in left._map
+                                     for j in right._map])
+    size = len(cod)
     full = None  # the columns of a product of two full rows, built once
     rows = []
-    for lcols, lvals in left.rows:
-        unit_left = lvals == _UNIT_MASS
-        for rcols, rvals in right.rows:
-            if len(lcols) * len(rcols) == len(cod):  # both rows are full
+    for lcols, lnums, lden, linfs in left.int_rows:
+        unit_left = lden == 1 and lnums == _UNIT_NUM
+        for rcols, rnums, rden, rinfs in right.int_rows:
+            if len(lcols) == 1:  # the right row's columns, shifted
+                offset = lcols[0] * width
+                cols = tuple(map(offset.__add__, rcols)) if offset else rcols
+            elif len(lcols) * len(rcols) == size:  # both rows are full
                 if full is None:
-                    full = tuple(range(len(cod)))
+                    full = tuple(range(size))
                 cols = full
             else:
                 cols = tuple([i * width + j for i in lcols for j in rcols])
+            infs = ()
+            if linfs or rinfs:
+                # oo times a nonzero entry of the other factor
+                infs = tuple(sorted(
+                    [i * width + j for i in linfs for j in rcols + rinfs]
+                    + [i * width + j for i in lcols for j in rinfs]))
             if unit_left:
-                vals = rvals
-            elif rvals == _UNIT_MASS:
-                vals = lvals
+                rows.append((cols, rnums, rden, infs))
+            elif rden == 1 and rnums == _UNIT_NUM:
+                rows.append((cols, lnums, lden, infs))
             else:
-                vals = tuple([a * b for a in lvals for b in rvals])
-            rows.append((cols, vals))
+                rows.append(_reduced(cols, [a * b for a in lnums for b in rnums],
+                                     lden * rden, infs))
     return Kernel._new(dom, cod, tuple(rows))
 
 
@@ -337,7 +520,8 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
 
 
 def _index_map(dom: FinSpace, cod: FinSpace, targets: Iterable[int]) -> Kernel:
-    return Kernel._new(dom, cod, tuple(_point_row(j) for j in targets))
+    targets = tuple(targets)
+    return Kernel._new(dom, cod, tuple(map(_point_row, targets)), targets)
 
 
 def identity(space: FinSpace) -> Kernel:
@@ -357,7 +541,7 @@ def copy(space: FinSpace) -> Kernel:
 
 def delete(space: FinSpace) -> Kernel:
     """Delete: X -> I, the all-ones effect."""
-    return Kernel._new(space, UNIT, (_point_row(0),) * len(space))
+    return _index_map(space, UNIT, (0,) * len(space))
 
 
 def swap(left: FinSpace, right: FinSpace) -> Kernel:
@@ -369,7 +553,7 @@ def swap(left: FinSpace, right: FinSpace) -> Kernel:
 
 def dirac(space: FinSpace, point: Label) -> Kernel:
     """The Dirac measure at ``point``: I -> X with unit mass at the point."""
-    return Kernel._new(UNIT, space, (_point_row(space.index(point)),))
+    return _index_map(UNIT, space, (space.index(point),))
 
 
 # Product points are numbered in lexicographic order of their factors'
@@ -452,18 +636,45 @@ def lazy_involution(phi: Involution, accept: Kernel) -> Kernel:
         raise SpaceMismatchError(
             "lazy_involution needs an effect on the involution's space")
     rows = []
-    for i, (j, (_, vals)) in enumerate(zip(phi.perm, accept.rows)):
-        a = vals[0] if vals else ZERO
-        reject = residual(a, ONE)
-        if reject is None:
-            raise ValueError(f"acceptance value {a} exceeds 1")
-        if j == i or not a.num:
+    for i, (j, (_, nums, den, infs)) in enumerate(zip(phi.perm, accept.int_rows)):
+        a = nums[0] if nums else 0
+        if infs or a > den:
+            value = INF if infs else ExtNonneg(a, den)
+            raise ValueError(f"acceptance value {value} exceeds 1")
+        if j == i or not a:
             rows.append(_point_row(i))
-        elif not reject.num:
+        elif a == den:
             rows.append(_point_row(j))
-        else:
-            rows.append(((i, j), (reject, a)) if i < j else ((j, i), (a, reject)))
+        else:  # a / den and the reject mass (den - a) / den share den
+            rows.append(((i, j), (den - a, a), den, ()) if i < j
+                        else ((j, i), (a, den - a), den, ()))
     return Kernel._new(phi.space, phi.space, tuple(rows))
+
+
+def split_by_support(p: Kernel, q: Kernel) -> tuple[Kernel, Kernel]:
+    """``p``'s entries where ``q`` is nonzero, and its other entries.
+
+    ``p`` and ``q`` have equal dom and cod; the two parts sum to ``p``.
+    """
+    inside, outside = [], []
+    for row, (qcols, _, _, qinfs) in zip(p.int_rows, q.int_rows):
+        charged = set(qcols + qinfs)
+        keep = [j in charged for j in row[0]]
+        keep_inf = [j in charged for j in row[3]]
+        inside.append(_restrict(row, keep, keep_inf))
+        outside.append(_restrict(row, [not k for k in keep], [not k for k in keep_inf]))
+    return (Kernel._new(p.dom, p.cod, tuple(inside)),
+            Kernel._new(p.dom, p.cod, tuple(outside)))
+
+
+def _restrict(row: _Row, keep: list[bool], keep_inf: list[bool]) -> _Row:
+    """The entries of a row where the masks over its finite and its
+    infinite columns hold."""
+    if all(keep) and all(keep_inf):
+        return row
+    cols, nums, den, infs = row
+    return _reduced(tuple(compress(cols, keep)), list(compress(nums, keep)), den,
+                    tuple(compress(infs, keep_inf)))
 
 
 def pushforward(phi: Involution, mu: Kernel) -> Kernel:
@@ -476,7 +687,8 @@ def pushforward(phi: Involution, mu: Kernel) -> Kernel:
 
 
 def row_masses(kernel: Kernel) -> tuple[ExtNonneg, ...]:
-    return tuple(ext_sum(vals) for _, vals in kernel.rows)
+    return tuple([INF if infs else fraction(sum(nums), den)
+                  for _, nums, den, infs in kernel.int_rows])
 
 
 def row_mass(kernel: Kernel) -> Kernel:
@@ -486,8 +698,8 @@ def row_mass(kernel: Kernel) -> Kernel:
 
 def normalized_violation(kernel: Kernel) -> Label | None:
     """The first domain point whose row mass is not exactly 1."""
-    return next(compress(kernel.dom.labels,
-                         (ext_sum(vals) != ONE for _, vals in kernel.rows)), None)
+    return next(compress(kernel.dom.labels, [
+        infs or sum(nums) != den for _, nums, den, infs in kernel.int_rows]), None)
 
 
 def is_normalized(kernel: Kernel) -> bool:
@@ -497,8 +709,8 @@ def is_normalized(kernel: Kernel) -> bool:
 
 def substochastic_violation(kernel: Kernel) -> Label | None:
     """The first domain point whose row mass exceeds 1."""
-    return next(compress(kernel.dom.labels,
-                         (not ext_sum(vals) <= ONE for _, vals in kernel.rows)), None)
+    return next(compress(kernel.dom.labels, [
+        infs or sum(nums) > den for _, nums, den, infs in kernel.int_rows]), None)
 
 
 def is_substochastic(kernel: Kernel) -> bool:
@@ -514,9 +726,9 @@ def copyable_violation(kernel: Kernel) -> Label | None:
     multiplication (1 or oo); see the copy-equation oracle in the test
     suite.
     """
-    return next(compress(kernel.dom.labels, (
-        len(vals) > 1 or (vals and vals[0] != ONE and vals[0] != INF)
-        for _, vals in kernel.rows)), None)
+    return next(compress(kernel.dom.labels, [
+        len(cols) + len(infs) > 1 or (cols and (den != 1 or nums != _UNIT_NUM))
+        for cols, nums, den, infs in kernel.int_rows]), None)
 
 
 def is_copyable(kernel: Kernel) -> bool:
@@ -539,7 +751,12 @@ def reweight(weight: Kernel, kernel: Kernel) -> Kernel:
         raise SpaceMismatchError("reweight needs an effect")
     if weight.dom != kernel.dom:
         raise SpaceMismatchError("reweight needs an effect on the kernel's domain")
-    rows = tuple(
-        _scale(w[0] if w else ZERO, row)
-        for (_, w), row in zip(weight.rows, kernel.rows))
-    return Kernel._new(kernel.dom, kernel.cod, rows)
+    rows = []
+    for (_, w, d, inf), row in zip(weight.int_rows, kernel.int_rows):
+        if inf:  # oo times every nonzero entry
+            rows.append(((), (), 1, _support(row)))
+        elif w:
+            rows.append(_scale(w[0], d, row))
+        else:
+            rows.append(_EMPTY_ROW)
+    return Kernel._new(kernel.dom, kernel.cod, tuple(rows))

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence
 
-from .semiring import ExtNonneg, ONE, ZERO, ext_sum, residual
+from .semiring import (
+    ExtNonneg, ONE, ONE_PAIR, ZERO, ZERO_PAIR, capped_ratio, ext_sum,
+    pair_mul, pair_products_equal, residual,
+)
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, compose, copy, delete,
     deterministic, effect, from_maps, identity, is_normalized,
     lazy_involution, lift_involution, pushforward, reweight, right_unitor,
-    tensor,
+    effect_pairs, pair_rows, row_support, substochastic_violation, tensor,
 )
 from .enrichment import (
     NotCancellative, is_cancellative, rn_derivative,
@@ -86,9 +89,10 @@ class MhProblem(FrozenRecord):
             raise SpaceMismatchError("acceptance must be an effect on the target space")
         if not is_cancellative(target):
             raise NotCancellative("target must have finite atoms")
-        for value in acceptance.effect_values():
-            if not value <= ONE:
-                raise ValueError(f"acceptance value {value} exceeds 1")
+        bad = substochastic_violation(acceptance)
+        if bad is not None:
+            value = acceptance.at(acceptance.dom.index(bad), 0)
+            raise ValueError(f"acceptance value {value} exceeds 1")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "acceptance", acceptance)
@@ -105,16 +109,23 @@ class TheoremFlags(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # invariance and reversibility
+#
+# The checks in this module read entries through ``pair_rows`` and
+# ``effect_pairs`` and compare them as integer pairs by cross-multiplication,
+# building no ``ExtNonneg``.
 
 
 def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
     """The first point where chain ∘ target and target differ."""
     _check_endo(target, chain)
-    before = dict(zip(*target.rows[0]))
-    after = dict(zip(*compose(chain, target).rows[0]))
+    after = compose(chain, target)
+    if after == target:
+        return None
+    (before,), (after,) = pair_rows(target), pair_rows(after)
     moved = [j for j in before.keys() | after.keys()
-             if before.get(j, ZERO) != after.get(j, ZERO)]
-    return target.cod.labels[min(moved)] if moved else None
+             if not pair_products_equal(before.get(j, ZERO_PAIR), ONE_PAIR,
+                                        after.get(j, ZERO_PAIR), ONE_PAIR)]
+    return target.cod.labels[min(moved)]
 
 
 def is_invariant(target: Kernel, chain: Kernel) -> bool:
@@ -129,13 +140,13 @@ def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, La
     chain moves in at least one direction can fail.
     """
     _check_endo(target, chain)
-    masses = target.measure_values()
-    rows = [dict(zip(*row)) for row in chain.rows]
+    (masses,) = pair_rows(target)
+    rows = pair_rows(chain)
     pairs = sorted({(i, j) if i < j else (j, i)
                     for i, row in enumerate(rows) for j in row if i != j})
     for i, j in pairs:
-        if (masses[i] * rows[i].get(j, ZERO)
-                != masses[j] * rows[j].get(i, ZERO)):
+        if not pair_products_equal(masses.get(i, ZERO_PAIR), rows[i].get(j, ZERO_PAIR),
+                                   masses.get(j, ZERO_PAIR), rows[j].get(i, ZERO_PAIR)):
             labels = target.cod.labels
             return labels[i], labels[j]
     return None
@@ -164,16 +175,19 @@ def _skew_pair_violation(target: Kernel, twist: Involution,
                          chain: Kernel) -> tuple[Label, Label] | None:
     """``skew_balance_violation`` for a twist already known to preserve
     the target (e.g. one ``build_skew_mh`` accepted)."""
-    masses = target.measure_values()
+    (masses,) = pair_rows(target)
+    rows = pair_rows(chain)
     s = twist.perm
     # Only pairs on the chain's support need checking. A pair (x, y) with
     # chain[x][y] == 0 fails only if target[y] * chain[s(y)][s(x)] != 0; the
     # supported pair (s(y), s(x)) then fails as well, since its left side is
     # target[s(y)] * chain[s(y)][s(x)] with target[s(y)] == target[y], and
     # its right side is target[s(x)] * chain[x][y] == 0.
-    for i, (cols, vals) in enumerate(chain.rows):
-        for j, v in zip(cols, vals):
-            if masses[i] * v != masses[j] * chain.at(s[j], s[i]):
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if not pair_products_equal(masses.get(i, ZERO_PAIR), v,
+                                       masses.get(j, ZERO_PAIR),
+                                       rows[s[j]].get(s[i], ZERO_PAIR)):
                 labels = target.cod.labels
                 return labels[i], labels[j]
     return None
@@ -262,10 +276,10 @@ def build_mh(problem: MhProblem) -> Kernel:
 
 def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Label | None:
     ratio = rn_derivative(pushforward(phi, target), target)
-    alpha = accept.effect_values()
-    r = ratio.effect_values()
-    for i in target.rows[0][0]:  # the charged points
-        if alpha[i] != alpha[phi.perm[i]] * r[i]:
+    alpha = effect_pairs(accept)
+    r = effect_pairs(ratio)
+    for i in row_support(target, 0):  # the charged points
+        if not pair_products_equal(alpha[i], ONE_PAIR, alpha[phi.perm[i]], r[i]):
             return target.cod.labels[i]
     return None
 
@@ -344,22 +358,7 @@ def mh_acceptance_ratio(num: ExtNonneg, den: ExtNonneg) -> ExtNonneg:
     A zero denominator means the proposal is never launched from that
     configuration under the chain, so the value is free; 0 is canonical.
     """
-    if den.num == 0:
-        return ZERO
-    ratio = num / den
-    return ONE if ratio >= ONE or not ratio.is_finite else ratio
-
-
-def _product(*values: ExtNonneg) -> ExtNonneg:
-    """The product of a few values as one integer fraction: one gcd in all.
-
-    A zero factor gives 0, also beside an infinite one (``0 * oo = 0``).
-    """
-    num = den = 1
-    for v in values:
-        num *= v.num
-        den *= v.den
-    return ExtNonneg(num, den) if num else ZERO
+    return capped_ratio((num.num, num.den), (den.num, den.den))
 
 
 def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
@@ -378,16 +377,18 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
         raise ValueError("proposal rows must be normalized")
     if not is_cancellative(target):
         raise InfiniteMassError("classical_mh needs finite target masses")
-    masses = target.measure_values()
+    (masses,) = pair_rows(target)
+    steps = pair_rows(proposal)
 
     def alpha_at(i: int, j: int) -> ExtNonneg:
-        return mh_acceptance_ratio(
-            masses[j] * proposal.at(j, i), masses[i] * proposal.at(i, j))
+        return capped_ratio(
+            pair_mul(masses.get(j, ZERO_PAIR), steps[j].get(i, ZERO_PAIR)),
+            pair_mul(masses.get(i, ZERO_PAIR), steps[i].get(j, ZERO_PAIR)))
 
     joint = product(base, base)
     swap_inv = Involution.from_function(joint, lambda p: (p[1], p[0]))
-    accept = effect(joint, [alpha_at(base.index(p[0]), base.index(p[1]))
-                            for p in joint.labels])
+    n = len(base)  # joint points are (i, j) in lexicographic index order
+    accept = effect(joint, [alpha_at(i, j) for i in range(n) for j in range(n)])
     inner = build_mh(MhProblem(
         target=compose(compose(tensor(identity(base), proposal), copy(base)), target),
         involution=swap_inv,
@@ -433,7 +434,9 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
         raise InfiniteMassError("exchange_algorithm needs a finite prior and likelihood")
     obs_j = data.index(observed)
 
-    prior_values = prior.measure_values()
+    (priors,) = pair_rows(prior)
+    lik = pair_rows(likelihood)
+    steps = pair_rows(proposal)
     posterior_raw = {i: mass * likelihood.at(i, obs_j)
                      for i, mass in zip(*prior.rows[0])}
     if not any(v.num for v in posterior_raw.values()):
@@ -455,11 +458,11 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     def alpha_at(point) -> ExtNonneg:
         x, (z, y) = point
         xi, zi, yi = base.index(x), data.index(z), base.index(y)
-        return mh_acceptance_ratio(
-            _product(prior_values[yi], likelihood.at(yi, obs_j),
-                     proposal.at(yi, xi), likelihood.at(xi, zi)),
-            _product(prior_values[xi], likelihood.at(xi, obs_j),
-                     proposal.at(xi, yi), likelihood.at(yi, zi)))
+        return capped_ratio(
+            pair_mul(pair_mul(priors.get(yi, ZERO_PAIR), lik[yi].get(obs_j, ZERO_PAIR)),
+                     pair_mul(steps[yi].get(xi, ZERO_PAIR), lik[xi].get(zi, ZERO_PAIR))),
+            pair_mul(pair_mul(priors.get(xi, ZERO_PAIR), lik[xi].get(obs_j, ZERO_PAIR)),
+                     pair_mul(steps[xi].get(yi, ZERO_PAIR), lik[yi].get(zi, ZERO_PAIR))))
 
     accept = effect(aug_space, [alpha_at(p) for p in aug_space.labels])
     return augmented, phi, accept

@@ -29,10 +29,11 @@ document, and all semantic validation happens at parse with line numbers.
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .semiring import ExtNonneg, ONE, ZERO
 from .spaces import UNIT, FinSpace, Label, Tagged, format_label
-from .kernels import Involution, Kernel, effect, from_maps
+from .kernels import Involution, Kernel, effect, from_maps, pair_rows
 from .mcmc import BALANCING_FUNCTIONS
 from ._record import Record
 
@@ -314,6 +315,19 @@ def parse(text: str) -> ModelDocument:
     return doc
 
 
+def _entry_texts(pairs) -> list[tuple[int, str]]:
+    """A row's nonzero entries, from its ``pair_rows`` map, as (column,
+    value text), printed as ``str`` prints their values but building none."""
+    texts = []
+    for j, (n, d) in pairs.items():
+        if not d:
+            texts.append((j, "inf"))
+            continue
+        g = gcd(n, d)
+        texts.append((j, str(n // g) if g == d else f"{n // g}/{d // g}"))
+    return texts
+
+
 def emit(doc: ModelDocument) -> str:
     """Print a document in canonical form (zero entries omitted)."""
     out: list[str] = []
@@ -326,11 +340,11 @@ def emit(doc: ModelDocument) -> str:
         for name, kernel in store.items():
             if keyword == "measure":
                 space = kernel.cod
-                charged = zip(*kernel.rows[0])
+                charged = _entry_texts(pair_rows(kernel)[0])
             else:
                 space = kernel.dom
-                charged = ((i, vals[0]) for i, (_, vals) in enumerate(kernel.rows)
-                           if vals)
+                charged = [(i, text) for i, pairs in enumerate(pair_rows(kernel))
+                           for _, text in _entry_texts(pairs)]
             body = "  ".join(f"{format_label(space.labels[i])} = {v}"
                              for i, v in charged)
             block = f"{{ {body} }}" if body else "{ }"
@@ -339,9 +353,9 @@ def emit(doc: ModelDocument) -> str:
         out.append(f"kernel {name} : {doc.space_name(kernel.dom)} -> "
                    f"{doc.space_name(kernel.cod)} {{")
         cod_labels = [format_label(y) for y in kernel.cod.labels]
-        for x, (cols, vals) in zip(kernel.dom.labels, kernel.rows):
+        for x, pairs in zip(kernel.dom.labels, pair_rows(kernel)):
             src = format_label(x)
-            for j, v in zip(cols, vals):
+            for j, v in _entry_texts(pairs):
                 out.append(f"  {src} -> {cod_labels[j]} = {v}")
         out.append("}")
     for name, inv in doc.involutions.items():

@@ -15,7 +15,9 @@ least 16 times the row's support size. A cell that no running sum falls
 strictly inside holds its successor, and that is the whole step (at least
 15 steps in 16); otherwise the step draws ``v = random()`` and compares it
 with the sums inside the cell. Seeded traces therefore differ from those of
-earlier versions, which drew one ``random()`` per step.
+earlier versions, which drew one ``random()`` per step. Tables are built
+only for the rows the chain can reach from its initial state; a row's
+table does not depend on which others are built, so neither do the draws.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from itertools import accumulate, compress, islice
 
 from .spaces import format_label
-from .kernels import Kernel, normalized_violation
+from .kernels import Kernel, normalized_violation, pair_rows
 from ._record import Record
 
 RNG_NAME = "python-mersenne-twister"
@@ -53,11 +55,12 @@ def to_float(kernel: Kernel) -> FloatMatrix:
         raise ValueError(f"kernel is not normalized at row {format_label(bad)}")
     width = len(kernel.cod)
     rows = []
-    for cols, vals in kernel.rows:
+    for pairs in pair_rows(kernel):  # all finite: the kernel is normalized
         # the work is per nonzero: zeros add nothing to an exact fsum, and a
         # normalized row's largest float is positive, so its first maximal
-        # index is a stored column's
-        nonzero = [v.to_float() for v in vals]
+        # index is a stored column's. Python's int / int is correctly
+        # rounded, so num / den is the nearest double to the entry.
+        nonzero = [n / d for n, d in pairs.values()]
         top = max(range(len(nonzero)), key=nonzero.__getitem__)
         for _ in range(10):
             gap = 1.0 - math.fsum(nonzero)
@@ -69,7 +72,7 @@ def to_float(kernel: Kernel) -> FloatMatrix:
         if nonzero[top] < 0.0:
             raise ValueError("residual absorption produced a negative entry")
         floats = [0.0] * width
-        for j, x in zip(cols, nonzero):
+        for j, x in zip(pairs, nonzero):
             floats[j] = x
         rows.append(tuple(floats))
     return tuple(rows)
@@ -104,7 +107,15 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     trace = _trace_list(initial, length + 1)
     offsets: list[float] = []  # the split cells, one after another
     picks: list[int] = []
-    tables = [_guide_table(row, offsets, picks) for row in kernel]
+    # guide tables for the rows reachable from ``initial`` only, found by a
+    # walk over the positive support of each row it reaches
+    tables: list = [None] * n
+    todo = [initial]
+    while todo:
+        i = todo.pop()
+        if tables[i] is None:
+            tables[i] = _guide_table(kernel[i], offsets, picks)
+            todo.extend(compress(range(n), kernel[i]))
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     rand = rng.random

@@ -267,6 +267,54 @@ INF.den = 0
 ExtNonneg.INF = INF
 
 
+def fraction(num: int, den: int) -> ExtNonneg:
+    """The reduced value ``num / den`` of ints ``num >= 0`` and ``den > 0``:
+    one gcd, and none of the constructor's checks."""
+    g = gcd(num, den)
+    value = _new(ExtNonneg)
+    value.num = num // g
+    value.den = den // g
+    return value
+
+
+# ---------------------------------------------------------------------------
+# values as integer pairs
+#
+# A pair ``(num, den)`` holds a value's two fields without the object: a
+# finite value is ``num / den`` with ``den > 0``, not necessarily reduced;
+# oo is ``(1, 0)`` and 0 is ``(0, 1)``. Code that reads many stored entries
+# (``kernels.pair_rows``) multiplies and compares them as pairs, by
+# cross-multiplication, and builds an ``ExtNonneg`` only for a result.
+
+ZERO_PAIR = (0, 1)
+ONE_PAIR = (1, 1)
+INF_PAIR = (1, 0)
+
+
+def pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two pairs; a zero factor gives 0, also beside oo."""
+    return (x[0] * y[0], x[1] * y[1]) if x[0] and y[0] else ZERO_PAIR
+
+
+def pair_products_equal(a, b, c, d) -> bool:
+    """Whether ``a * b == c * d`` for pairs, with ``0 * oo = 0``."""
+    left, right = a[0] and b[0], c[0] and d[0]
+    if not left or not right:
+        return not left and not right
+    return a[0] * b[0] * c[1] * d[1] == c[0] * d[0] * a[1] * b[1]
+
+
+def capped_ratio(num: tuple[int, int], den: tuple[int, int]) -> ExtNonneg:
+    """``min(1, num / den)`` of two pairs, with one gcd; 0 when ``den`` is 0
+    (the Metropolis-Hastings convention), and oo/oo is undefined."""
+    if not den[0]:
+        return ZERO
+    top, bottom = num[0] * den[1], num[1] * den[0]
+    if not top and not bottom:  # both are oo
+        raise SemiringDivisionError("oo/oo is undefined")
+    return ONE if top >= bottom else fraction(top, bottom)
+
+
 def residual(lower: ExtNonneg, upper: ExtNonneg) -> ExtNonneg | None:
     """A witness ``c`` with ``lower + c == upper``, or None when none exists.
 
@@ -281,13 +329,7 @@ def residual(lower: ExtNonneg, upper: ExtNonneg) -> ExtNonneg | None:
     d = upper.num * lower.den
     if n > d:
         return None
-    diff_n = d - n
-    diff_d = lower.den * upper.den
-    g = gcd(diff_n, diff_d) if diff_n else diff_d
-    value = _new(ExtNonneg)
-    value.num = diff_n // g
-    value.den = diff_d // g
-    return value
+    return fraction(d - n, lower.den * upper.den)
 
 
 def ext_sum(values) -> ExtNonneg:
@@ -317,10 +359,4 @@ def ext_sum(values) -> ExtNonneg:
             scale = d // g
             num = num * scale + v.num * (den // g)
             den *= scale
-    if num == 0:
-        return ZERO
-    g = gcd(num, den)
-    value = _new(ExtNonneg)
-    value.num = num // g
-    value.den = den // g
-    return value
+    return fraction(num, den)

@@ -1,5 +1,8 @@
 import ast
+import random
+from fractions import Fraction
 from itertools import permutations, product as iproduct
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,10 +16,11 @@ from finkern.kernels import (
     deterministic, dirac, effect, effect_mul, from_maps, identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
-    swap, tensor, uniform,
+    effect_pairs, pair_rows, row_support, swap, tensor, uniform,
 )
 from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
+from finkern.generators import rand_normalized_kernel
 from strategies import composable_pairs, kernel_pairs, kernels, kernels_on
 
 
@@ -514,3 +518,115 @@ def test_only_kernels_builds_rows():
                 assert not private, (path.name, private)
     for name in ("Row", "EMPTY_ROW", "point_row", "value_row", "dict_row"):
         assert not hasattr(kernels_module, name), name
+
+
+def test_only_kernels_reads_stored_rows():
+    """Other modules read entries through ``pair_rows``, ``effect_pairs``,
+    ``row_support`` or the value views, never the stored ``int_rows``."""
+    for path in SRC.glob("*.py"):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "int_rows", path.name
+
+
+# -- the stored integer rows ---------------------------------------------------
+
+def _assert_reduced(k):
+    """Each stored row is ascending, positive, reduced, and keeps its oo
+    columns apart from its finite ones."""
+    assert len(k.int_rows) == len(k.dom)
+    for cols, nums, den, infs in k.int_rows:
+        assert list(cols) == sorted(set(cols)) and list(infs) == sorted(set(infs))
+        assert not set(cols) & set(infs)
+        assert all(0 <= j < len(k.cod) for j in cols + infs)
+        assert len(nums) == len(cols)
+        assert all(type(n) is int and n > 0 for n in nums)
+        assert type(den) is int and den >= 1 and gcd(den, *nums) == 1
+
+
+@given(kernels(entry_strategy=small_values | st.sampled_from([q(2, 3), q(5, 6)])))
+def test_every_route_to_a_kernel_stores_the_same_rows(k):
+    ones = effect(k.dom, [ONE] * len(k.dom))
+    routes = [
+        Kernel(k.dom, k.cod, k.entries),
+        from_maps(k.dom, k.cod, [dict(zip(*row)) for row in k.rows]),
+        identity(k.dom) >> k,
+        k >> identity(k.cod),
+        k + kernel_zero(k.dom, k.cod),
+        reweight(ones, k),
+    ]
+    _assert_reduced(k)
+    for built in routes:
+        _assert_reduced(built)
+        assert built.int_rows == k.int_rows
+        assert built == k and hash(built) == hash(k)
+
+
+@given(composable_pairs(), kernel_pairs())
+def test_kernel_operations_store_reduced_rows(pair, same_type):
+    later, earlier = pair
+    p, q_ = same_type
+    weight = effect(p.dom, [row[0] for row in q_.entries])
+    for k in (compose(later, earlier), tensor(later, earlier), p + q_,
+              reweight(weight, p)):
+        _assert_reduced(k)
+
+
+def _fraction_power_step(power, step):
+    n = len(step)
+    return [[sum(row[t] * step[t][j] for t in range(n)) for j in range(n)]
+            for row in power]
+
+
+def test_powers_grow_denominators_and_match_a_fraction_oracle():
+    """P^k >> P for k <= 3 on a dense n = 16 chain: the middle rows'
+    denominators differ, so each composition grows the row lcm."""
+    space = FinSpace(tuple(f"s{i}" for i in range(16)))
+    p = rand_normalized_kernel(random.Random(16), space, space)
+    step = [[Fraction(v.num, v.den) for v in row] for row in p.entries]
+    power, oracle = p, step
+    for _ in range(3):
+        later = power >> p
+        oracle = _fraction_power_step(oracle, step)
+        assert [[Fraction(v.num, v.den) for v in row]
+                for row in later.entries] == oracle
+        assert later == p >> power
+        _assert_reduced(later)
+        power = later
+    assert max(den.bit_length() for _, _, den, _ in power.int_rows) > 200
+
+
+@given(kernel_pairs(entry_strategy=small_values | st.sampled_from([q(2, 3), q(5, 6)])))
+def test_pair_readers_give_each_entry_and_tell_rows_apart(pair):
+    p, other = pair
+    for i, (pairs, other_pairs) in enumerate(zip(pair_rows(p), pair_rows(other))):
+        cols, vals = p.rows[i]
+        assert list(pairs) == list(cols) == list(row_support(p, i))
+        assert [ExtNonneg(n, d) if d else INF for n, d in pairs.values()] == list(vals)
+        assert (pairs == other_pairs) == (p.rows[i] == other.rows[i])
+    weight = effect(p.dom, [row[0] for row in p.entries])
+    assert [ExtNonneg(n, d) if d else (INF if n else ZERO)
+            for n, d in effect_pairs(weight)] == list(weight.effect_values())
+    with pytest.raises(SpaceMismatchError):
+        effect_pairs(identity(p.cod) @ identity(p.cod))
+
+
+@given(kernels(entry_strategy=small_values), st.data())
+def test_index_map_shortcuts_match_the_general_products(k, data):
+    """Running an index map after a kernel moves its columns (merging some,
+    oo included), and index maps compose and tensor to index maps; each
+    result equals the product of the same matrices built without targets."""
+    cod = FinSpace(tuple(f"c{i}" for i in range(data.draw(st.integers(1, 3)))))
+    f = data.draw(st.lists(st.integers(0, len(cod) - 1),
+                           min_size=len(k.cod), max_size=len(k.cod)))
+    g = deterministic(k.cod, cod, lambda y: cod.labels[f[k.cod.index(y)]])
+    swap_g = swap(cod, k.cod)
+
+    def plain(m):
+        return Kernel(m.dom, m.cod, m.entries)
+
+    assert k >> g == k >> plain(g)
+    assert copy(k.cod) >> (g @ identity(k.cod)) >> swap_g == (
+        plain(copy(k.cod)) >> (plain(g) @ plain(identity(k.cod))) >> plain(swap_g))

@@ -829,3 +829,36 @@ def test_skew_reversibility_matches_all_pairs_definition(seed):
     expected = all(masses[i] * chain.entries[i][j] == masses[j] * back[j][i]
                    for i in range(n) for j in range(n))
     assert is_skew_reversible(target, twist, chain) == expected
+
+
+@given(_targets_and_chains())
+def test_invariance_witness_matches_the_value_oracle(pair):
+    """The integer-pair comparison agrees with ExtNonneg arithmetic, zeros
+    and oo included (0 * oo = 0)."""
+    target, chain = pair
+    masses, rows = target.measure_values(), chain.entries
+    n = len(masses)
+    after = [sum((masses[i] * rows[i][j] for i in range(n)), ZERO) for j in range(n)]
+    expected = next((target.cod.labels[j] for j in range(n)
+                     if after[j] != masses[j]), None)
+    assert mcmc.invariant_violation(target, chain) == expected
+
+
+@given(_targets_and_chains(), st.data())
+def test_skew_witness_matches_the_value_oracle(pair, data):
+    target, chain = pair
+    n = len(target.cod)
+    perm = list(range(n))
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        j = perm[i]
+        if j == i:  # pair i with the first fixed point after it
+            k = next((k for k in range(i + 1, n) if perm[k] == k), None)
+            if k is not None:
+                perm[i], perm[k] = k, i
+    twist = Involution(target.cod, perm)
+    masses, rows = target.measure_values(), chain.entries
+    expected = next(((target.cod.labels[i], target.cod.labels[j])
+                     for i in range(n) for j in range(n) if rows[i][j].num
+                     and masses[i] * rows[i][j]
+                     != masses[j] * rows[perm[j]][perm[i]]), None)
+    assert mcmc._skew_pair_violation(target, twist, chain) == expected

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import FinSpace, product
 from finkern.kernels import Involution, Kernel, identity, measure
+from finkern.generators import rand_mh_problem, rand_normalized_kernel
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
 from finkern import sampler
 from finkern.sampler import (
@@ -313,3 +314,63 @@ def test_no_step_follows_an_exact_zero_entry(kernel, seed):
     initial = seed % len(kernel.dom)
     trace = run_chain(to_float(kernel), initial, seed, 300).trace
     assert all(kernel.at(a, b).num != 0 for a, b in zip(trace, trace[1:]))
+
+
+# -- guide tables for reachable rows only ---------------------------------------
+
+BLOCKS = Kernel(X4, X4, [[q(1, 3), q(2, 3), 0, 0], [q(1, 2), q(1, 2), 0, 0],
+                         [0, 0, q(1, 5), q(4, 5)], [0, q(1, 7), 0, q(6, 7)]])
+
+
+def _traces():
+    """Seeded traces of four chains, 30 steps each, with the literal traces
+    of the version that built a guide table for every row."""
+    rng = random.Random(9)
+    problem = rand_mh_problem(rng, 16, 16, mode="balanced")
+    space = FinSpace(tuple(f"x{i}" for i in range(16)))
+    sparse = rand_normalized_kernel(random.Random(5), space, space, zero_weight=0.6)
+    return [
+        (build_mh(problem), 0, 11,
+         [0, 5, 5, 0, 5, 5, 5, 0, 5, 0, 5, 0, 5, 0, 5, 5, 5, 5, 0, 5, 0, 5,
+          0, 5, 0, 5, 5, 5, 5, 0, 5]),
+        (sparse, 3, 12,
+         [3, 8, 6, 7, 4, 1, 7, 1, 15, 10, 8, 6, 7, 12, 7, 10, 10, 8, 4, 8, 1,
+          11, 5, 1, 15, 10, 8, 4, 6, 13, 1]),
+        (BLOCKS, 0, 13,
+         [0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1,
+          1, 0, 1, 0, 0, 1, 0, 1, 1]),
+        (BLOCKS, 2, 14,
+         [2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 0, 0, 1, 1, 1, 0,
+          1, 1, 1, 0, 0, 0, 1, 1, 0]),
+    ]
+
+
+@pytest.mark.parametrize("kernel, initial, seed, expected", _traces(),
+                         ids=["involutive", "sparse", "closed-block", "leaky-block"])
+def test_seeded_traces_are_those_of_tables_for_every_row(kernel, initial, seed, expected):
+    assert run_chain(to_float(kernel), initial, seed, 30).trace == expected
+
+
+_GUIDE_TABLE = sampler._guide_table
+
+
+def _tables_built(monkeypatch, matrix, initial):
+    built = []
+
+    def counting(row, offsets, picks):
+        built.append(matrix.index(row))
+        return _GUIDE_TABLE(row, offsets, picks)
+    monkeypatch.setattr(sampler, "_guide_table", counting)
+    run_chain(matrix, initial, 0, 5)
+    return sorted(built)
+
+
+def test_tables_are_built_for_the_reachable_rows_only(monkeypatch):
+    assert _tables_built(monkeypatch, to_float(BLOCKS), 0) == [0, 1]
+    assert _tables_built(monkeypatch, to_float(BLOCKS), 3) == [0, 1, 3]
+    chain = _traces()[0][0]
+    assert len(_tables_built(monkeypatch, to_float(chain), 0)) == 2
+
+
+def test_an_unreachable_row_without_mass_is_never_read():
+    assert run_chain(((1.0, 0.0), (0.0, 0.0)), 0, 0, 3).trace == [0, 0, 0, 0]

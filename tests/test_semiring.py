@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 
 from finkern.semiring import (
-    ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, ext_sum, residual,
+    ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, capped_ratio, ext_sum,
+    pair_mul, pair_products_equal, residual,
 )
 from strategies import finite_values, values
 
@@ -361,3 +362,39 @@ def test_ext_sum_rejects_values_outside_the_semiring():
         ext_sum([ONE, -1])
     with pytest.raises(TypeError):
         ext_sum([0.5])
+
+
+# -- values as integer pairs -------------------------------------------------
+
+def _pair(v, scale):
+    """A value's pair, a finite one with both fields scaled (unreduced)."""
+    return (v.num * scale, v.den * scale) if v.den else (1, 0)
+
+
+def _value(pair):
+    n, d = pair
+    return ExtNonneg(n, d) if d else (INF if n else ZERO)
+
+
+scales = st.integers(1, 6)
+
+
+@given(values, values, scales, scales)
+def test_pair_mul_matches_the_value_product(a, b, s, t):
+    assert _value(pair_mul(_pair(a, s), _pair(b, t))) == a * b
+
+
+@given(values, values, values, values, scales, scales)
+def test_pair_products_equal_matches_value_equality(a, b, c, d, s, t):
+    pairs = [_pair(a, s), _pair(b, t), _pair(c, t), _pair(d, s)]
+    assert pair_products_equal(*pairs) == (a * b == c * d)
+
+
+@given(values, values, scales, scales)
+def test_capped_ratio_is_min_one_and_zero_over_a_zero_denominator(a, b, s, t):
+    if a == INF and b == INF:
+        with pytest.raises(SemiringDivisionError):
+            capped_ratio(_pair(a, s), _pair(b, t))
+        return
+    expected = ZERO if b == ZERO else min(ONE, a / b)
+    assert capped_ratio(_pair(a, s), _pair(b, t)) == expected
