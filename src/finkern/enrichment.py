@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .semiring import INF, ONE, ZERO, fraction, residual
+from .semiring import ExtNonneg, INF, ONE, ZERO, fraction, residual
 from .spaces import FinSpace, Label
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, effect, from_maps, pushforward,
@@ -240,6 +240,11 @@ def rn_derivative(pi: Kernel, mu: Kernel) -> Kernel:
     NoExactDerivative at an infinite mu-atom carrying finite positive
     pi-mass, where no exact scalar exists under 0*oo = 0.
     """
+    return effect(mu.cod, _density_values(pi, mu))
+
+
+def _density_values(pi: Kernel, mu: Kernel) -> list[ExtNonneg]:
+    """``rn_derivative(pi, mu)``'s values in point order."""
     if not pi.is_measure or not mu.is_measure:
         raise SpaceMismatchError("rn_derivative needs two measures")
     if pi.cod != mu.cod:
@@ -260,7 +265,7 @@ def rn_derivative(pi: Kernel, mu: Kernel) -> Kernel:
                 f"{mu.cod.labels[j]!r}")
         else:
             values[j] = ONE
-    return effect(mu.cod, values)
+    return values
 
 
 def ae_equal(mu: Kernel, p: Kernel, q: Kernel) -> bool:

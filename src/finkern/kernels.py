@@ -154,6 +154,7 @@ def _support(row: _Row) -> tuple[int, ...]:
 def _add_rows(r1: _Row, r2: _Row) -> _Row:
     c1, n1, d1, i1 = r1
     c2, n2, d2, i2 = r2
+    # the empty-row and same-support shortcuts serve dense-algebra's mixture_64
     if not c1 and not i1:
         return r2
     if not c2 and not i2:
@@ -181,7 +182,7 @@ def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
     """A row with each column ``k`` moved to ``targets[k]``, sums where
     columns meet, and oo where an infinite entry lands."""
     cols, nums, den, infs = row
-    if len(cols) == 1 and not infs:
+    if len(cols) == 1 and not infs:  # one entry moves without a dict: theorem-batch
         return (targets[cols[0]],), nums, den, ()
     acc: dict[int, int] = {}
     for k, n in zip(cols, nums):
@@ -438,6 +439,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
+    # the index-map branches serve structural-build (build_mh_128, its p50 op)
     if later._map is not None:  # columns of ``earlier``, moved
         targets = later._map
         if earlier._map is not None:
@@ -451,6 +453,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     for cols, nums, den, infs in earlier.int_rows:
         if len(cols) == 1 and not infs:
             # one middle point: a scaled copy of that row of ``later``
+            # (structural-build, where ``earlier`` is an index map)
             out.append(_scale(nums[0], den, later_rows[cols[0]]))
             continue
         mids = [later_rows[k] for k in cols]
@@ -481,6 +484,7 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
     dom = product(left.dom, right.dom)
     cod = product(left.cod, right.cod)
     width = len(right.cod)
+    # two index maps: structural-build's copy and identity products
     if left._map is not None and right._map is not None:
         return _index_map(dom, cod, [i * width + j for i in left._map
                                      for j in right._map])
@@ -490,10 +494,7 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
     for lcols, lnums, lden, linfs in left.int_rows:
         unit_left = lden == 1 and lnums == _UNIT_NUM
         for rcols, rnums, rden, rinfs in right.int_rows:
-            if len(lcols) == 1:  # the right row's columns, shifted
-                offset = lcols[0] * width
-                cols = tuple(map(offset.__add__, rcols)) if offset else rcols
-            elif len(lcols) * len(rcols) == size:  # both rows are full
+            if len(lcols) * len(rcols) == size:  # both full: dense-algebra's tensor_8x8
                 if full is None:
                     full = tuple(range(size))
                 cols = full
@@ -505,7 +506,7 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
                 infs = tuple(sorted(
                     [i * width + j for i in linfs for j in rcols + rinfs]
                     + [i * width + j for i in lcols for j in rinfs]))
-            if unit_left:
+            if unit_left:  # unit-factor rows: structural-build's identity (x) kernel
                 rows.append((cols, rnums, rden, infs))
             elif rden == 1 and rnums == _UNIT_NUM:
                 rows.append((cols, lnums, lden, infs))

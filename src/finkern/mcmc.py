@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 from .semiring import (
-    ExtNonneg, ONE, ONE_PAIR, ZERO, ZERO_PAIR, capped_ratio, ext_sum,
-    pair_mul, pair_products_equal, residual,
+    ExtNonneg, ONE, ONE_PAIR, ZERO, ZERO_PAIR, ext_sum, pair_products_equal,
+    residual,
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
@@ -24,7 +24,8 @@ from .kernels import (
     effect_pairs, pair_rows, row_support, substochastic_violation, tensor,
 )
 from .enrichment import (
-    NotCancellative, is_cancellative, rn_derivative,
+    NotCancellative, _density_values, is_cancellative, lebesgue_decompose,
+    rn_derivative,
 )
 from ._record import FrozenRecord
 
@@ -48,10 +49,9 @@ class BalancingFunction(NamedTuple):
 
 
 def _metropolis(ratio: ExtNonneg) -> ExtNonneg:
-    # min(1, t); the limit convention gives a(oo) = 1.
-    if not ratio.is_finite or ratio >= ONE:
-        return ONE
-    return ratio
+    # min(1, t): t >= 1 exactly when num >= den, which holds for oo = 1/0,
+    # so the limit convention a(oo) = 1 needs no branch of its own.
+    return ONE if ratio.num >= ratio.den else ratio
 
 
 def _barker(ratio: ExtNonneg) -> ExtNonneg:
@@ -110,9 +110,10 @@ class TheoremFlags(NamedTuple):
 # ---------------------------------------------------------------------------
 # invariance and reversibility
 #
-# The checks in this module read entries through ``pair_rows`` and
+# The balance checks in this module read entries through ``pair_rows`` and
 # ``effect_pairs`` and compare them as integer pairs by cross-multiplication,
-# building no ``ExtNonneg``.
+# building no ``ExtNonneg``; the invariance check compares kernels with ``==``
+# and reads values only to name the witness of a failure.
 
 
 def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
@@ -121,11 +122,10 @@ def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
     after = compose(chain, target)
     if after == target:
         return None
-    (before,), (after,) = pair_rows(target), pair_rows(after)
-    moved = [j for j in before.keys() | after.keys()
-             if not pair_products_equal(before.get(j, ZERO_PAIR), ONE_PAIR,
-                                        after.get(j, ZERO_PAIR), ONE_PAIR)]
-    return target.cod.labels[min(moved)]
+    moved = next(j for j, (a, b) in enumerate(zip(target.measure_values(),
+                                                  after.measure_values()))
+                 if a != b)
+    return target.cod.labels[moved]
 
 
 def is_invariant(target: Kernel, chain: Kernel) -> bool:
@@ -299,12 +299,17 @@ def balancing_alpha(balancing: BalancingFunction, target: Kernel,
                     phi: Involution) -> Kernel:
     """Derive an acceptance effect from a balancing function.
 
-    Applies the function to the density of the pushforward target against
-    the target; the resulting problem always satisfies the balancing
-    condition.
+    Applies the function to the density, against the target, of the part
+    of the pushforward target that the target dominates. Where phi moves a
+    charged point off the target's support that density is 0, so the
+    acceptance is ``balancing(0) = 0`` and the move is never taken. The
+    chain ``build_mh`` makes from the result is always reversible, and the
+    problem satisfies the balancing condition whenever the target's
+    support is a union of phi-orbits (otherwise ``check_balancing`` raises
+    ``NotAbsolutelyContinuous``).
     """
-    ratio = rn_derivative(pushforward(phi, target), target)
-    return effect(target.cod, [balancing(r) for r in ratio.effect_values()])
+    dominated = lebesgue_decompose(pushforward(phi, target), target).ac
+    return effect(target.cod, list(map(balancing.fn, _density_values(dominated, target))))
 
 
 def verify_mh_theorem(problem: MhProblem) -> TheoremFlags:
@@ -358,7 +363,7 @@ def mh_acceptance_ratio(num: ExtNonneg, den: ExtNonneg) -> ExtNonneg:
     A zero denominator means the proposal is never launched from that
     configuration under the chain, so the value is free; 0 is canonical.
     """
-    return capped_ratio((num.num, num.den), (den.num, den.den))
+    return ZERO if den.is_zero else METROPOLIS(num / den)
 
 
 def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
@@ -377,27 +382,18 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
         raise ValueError("proposal rows must be normalized")
     if not is_cancellative(target):
         raise InfiniteMassError("classical_mh needs finite target masses")
-    (masses,) = pair_rows(target)
-    steps = pair_rows(proposal)
-
-    def alpha_at(i: int, j: int) -> ExtNonneg:
-        return capped_ratio(
-            pair_mul(masses.get(j, ZERO_PAIR), steps[j].get(i, ZERO_PAIR)),
-            pair_mul(masses.get(i, ZERO_PAIR), steps[i].get(j, ZERO_PAIR)))
-
-    joint = product(base, base)
-    swap_inv = Involution.from_function(joint, lambda p: (p[1], p[0]))
-    n = len(base)  # joint points are (i, j) in lexicographic index order
-    accept = effect(joint, [alpha_at(i, j) for i in range(n) for j in range(n)])
-    inner = build_mh(MhProblem(
-        target=compose(compose(tensor(identity(base), proposal), copy(base)), target),
-        involution=swap_inv,
-        acceptance=accept))
+    # point (i, j) is state i with proposed point j, at target(i) * proposal(i, j)
+    augmented = compose(compose(tensor(identity(base), proposal), copy(base)), target)
+    swap_inv = Involution.from_function(augmented.cod, lambda p: (p[1], p[0]))
+    accept = balancing_alpha(METROPOLIS, augmented, swap_inv)
+    inner = build_mh(MhProblem(target=augmented, involution=swap_inv, acceptance=accept))
     via_involution, _ = augment_reversible(target, proposal, inner)
 
+    alpha = accept.effect_values()
+    n = len(base)  # joint points are (i, j) in lexicographic index order
     rows = []
     for i, (cols, vals) in enumerate(proposal.rows):
-        off = {j: w * alpha_at(i, j) for j, w in zip(cols, vals) if j != i}
+        off = {j: w * alpha[i * n + j] for j, w in zip(cols, vals) if j != i}
         stay = residual(ext_sum(off.values()), ONE)
         if stay is None:
             raise ValueError("proposal rows must be normalized")
@@ -416,10 +412,10 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
 
     The chain targets the posterior over parameters X given one observation,
     augmented with synthetic data Z drawn from the proposed parameter, on
-    the space X (x) (Z (x) X). The acceptance is computed from unnormalized
-    prior and likelihood values; the likelihood's normalizing constants
-    cancel in the ratio, so rescaling likelihood rows leaves the acceptance
-    unchanged.
+    the space X (x) (Z (x) X). The acceptance is the Metropolis balancing
+    function of the augmented measure's density under the parameter swap;
+    the likelihood's normalizing constants cancel in that ratio, so
+    rescaling likelihood rows leaves the acceptance unchanged.
 
     Returns the augmented measure, the parameter-swap involution, and the
     acceptance effect. Feed them to MhProblem / build_mh / check_balancing.
@@ -433,10 +429,6 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     if not is_cancellative(prior) or not is_cancellative(likelihood):
         raise InfiniteMassError("exchange_algorithm needs a finite prior and likelihood")
     obs_j = data.index(observed)
-
-    (priors,) = pair_rows(prior)
-    lik = pair_rows(likelihood)
-    steps = pair_rows(proposal)
     posterior_raw = {i: mass * likelihood.at(i, obs_j)
                      for i, mass in zip(*prior.rows[0])}
     if not any(v.num for v in posterior_raw.values()):
@@ -451,21 +443,9 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     embed = compose(tensor(identity(base), attach), copy(base))
     augmented = compose(embed, posterior)
 
-    aug_space = augmented.cod
     phi = Involution.from_function(
-        aug_space, lambda p: (p[1][1], (p[1][0], p[0])))
-
-    def alpha_at(point) -> ExtNonneg:
-        x, (z, y) = point
-        xi, zi, yi = base.index(x), data.index(z), base.index(y)
-        return capped_ratio(
-            pair_mul(pair_mul(priors.get(yi, ZERO_PAIR), lik[yi].get(obs_j, ZERO_PAIR)),
-                     pair_mul(steps[yi].get(xi, ZERO_PAIR), lik[xi].get(zi, ZERO_PAIR))),
-            pair_mul(pair_mul(priors.get(xi, ZERO_PAIR), lik[xi].get(obs_j, ZERO_PAIR)),
-                     pair_mul(steps[xi].get(yi, ZERO_PAIR), lik[yi].get(zi, ZERO_PAIR))))
-
-    accept = effect(aug_space, [alpha_at(p) for p in aug_space.labels])
-    return augmented, phi, accept
+        augmented.cod, lambda p: (p[1][1], (p[1][0], p[0])))
+    return augmented, phi, balancing_alpha(METROPOLIS, augmented, phi)
 
 
 # ---------------------------------------------------------------------------

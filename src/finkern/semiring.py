@@ -283,17 +283,12 @@ def fraction(num: int, den: int) -> ExtNonneg:
 # A pair ``(num, den)`` holds a value's two fields without the object: a
 # finite value is ``num / den`` with ``den > 0``, not necessarily reduced;
 # oo is ``(1, 0)`` and 0 is ``(0, 1)``. Code that reads many stored entries
-# (``kernels.pair_rows``) multiplies and compares them as pairs, by
-# cross-multiplication, and builds an ``ExtNonneg`` only for a result.
+# (``kernels.pair_rows``) compares products of them as pairs, by
+# cross-multiplication, and builds no ``ExtNonneg``.
 
 ZERO_PAIR = (0, 1)
 ONE_PAIR = (1, 1)
 INF_PAIR = (1, 0)
-
-
-def pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """The product of two pairs; a zero factor gives 0, also beside oo."""
-    return (x[0] * y[0], x[1] * y[1]) if x[0] and y[0] else ZERO_PAIR
 
 
 def pair_products_equal(a, b, c, d) -> bool:
@@ -302,17 +297,6 @@ def pair_products_equal(a, b, c, d) -> bool:
     if not left or not right:
         return not left and not right
     return a[0] * b[0] * c[1] * d[1] == c[0] * d[0] * a[1] * b[1]
-
-
-def capped_ratio(num: tuple[int, int], den: tuple[int, int]) -> ExtNonneg:
-    """``min(1, num / den)`` of two pairs, with one gcd; 0 when ``den`` is 0
-    (the Metropolis-Hastings convention), and oo/oo is undefined."""
-    if not den[0]:
-        return ZERO
-    top, bottom = num[0] * den[1], num[1] * den[0]
-    if not top and not bottom:  # both are oo
-        raise SemiringDivisionError("oo/oo is undefined")
-    return ONE if top >= bottom else fraction(top, bottom)
 
 
 def residual(lower: ExtNonneg, upper: ExtNonneg) -> ExtNonneg | None:

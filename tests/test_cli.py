@@ -155,6 +155,20 @@ def test_build_mh_emits_parseable_document(capsys, tmp_path):
     assert "acceptance" in built.probabilities
 
 
+def test_build_mh_balancing_on_a_support_phi_leaves(capsys, tmp_path):
+    # swap_ab sends mu's mass at a onto the null point b: the move is
+    # never accepted, and the chain is reversible for mu
+    out_path = tmp_path / "built.fk"
+    code, _, err = run(capsys, "build-mh", "--model", DECOMPOSE,
+                       "--target", "mu", "--involution", "swap_ab",
+                       "--balancing", "metropolis", "--out", str(out_path))
+    assert code == 0 and err == ""
+    built = parse(out_path.read_text())
+    mu = parse(Path(DECOMPOSE).read_text()).measures["mu"]
+    assert built.probabilities["acceptance"].effect_values() == (ZERO, ZERO, ExtNonneg(1))
+    assert mcmc.is_reversible(mu, built.kernels["mh_chain"])
+
+
 def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "--model", DECOMPOSE, "mu", "swap_ab")
     assert code == 0

@@ -444,6 +444,38 @@ def test_balancing_propagates_absolute_continuity_failure():
         check_balancing(prob)
 
 
+@pytest.mark.parametrize("name", sorted(BALANCING_FUNCTIONS))
+def test_balancing_alpha_is_zero_where_phi_leaves_the_support(name):
+    # phi sends the charged point c onto the null point d: the target's
+    # support is not a union of phi-orbits
+    fn = BALANCING_FUNCTIONS[name]
+    space = FinSpace.atoms("a b c d")
+    target = measure(space, [q(1, 6), q(1, 3), q(1, 2), ZERO])
+    phi = Involution.from_mapping(space, {"a": "b", "b": "a", "c": "d", "d": "c"})
+    alpha = balancing_alpha(fn, target, phi)
+    assert alpha.effect_values() == (fn(q(2)), fn(q(1, 2)), ZERO, ZERO)
+    prob = MhProblem(target=target, involution=phi, acceptance=alpha)
+    assert is_reversible(target, build_mh(prob))
+    with pytest.raises(NotAbsolutelyContinuous):
+        check_balancing(prob)
+
+
+def test_balancing_alpha_chain_is_reversible_on_any_support():
+    rng, cases = _rng_cases(1021, 200)
+    for _ in cases:
+        space = FinSpace(tuple(f"x{i}" for i in range(rng.randint(2, 6))))
+        target = rand_probability_measure(rng, space, zero_weight=0.4)
+        phi = rand_involution(rng, space)
+        masses = target.measure_values()
+        for fn in BALANCING_FUNCTIONS.values():
+            alpha = balancing_alpha(fn, target, phi)
+            for i, a in enumerate(alpha.effect_values()):
+                if not masses[phi.perm[i]]:
+                    assert a == ZERO
+            prob = MhProblem(target=target, involution=phi, acceptance=alpha)
+            assert is_reversible(target, build_mh(prob))
+
+
 # -- the theorem checkers ---------------------------------------------------------------------------
 
 def test_verify_mh_metropolis_instance():
@@ -703,6 +735,54 @@ def test_exchange_marginal_chain_targets_posterior():
     assert augmented_again == augmented
     assert is_invariant(posterior, marginal_chain)
     assert is_reversible(posterior, marginal_chain)
+
+
+def _oracle_ratio(num, den):
+    return ZERO if den == ZERO else min(ONE, num / den)
+
+
+def test_classical_mh_matches_the_textbook_acceptance():
+    # alpha(i, j) = min(1, pi(j) q(j, i) / (pi(i) q(i, j))), 0 over a zero
+    # denominator; off the diagonal both routes are q(i, j) * alpha(i, j)
+    rng, cases = _rng_cases(1022, 150)
+    for _ in cases:
+        space = FinSpace(tuple(f"x{i}" for i in range(rng.randint(2, 5))))
+        target = rand_probability_measure(rng, space, zero_weight=0.3)
+        proposal = rand_normalized_kernel(rng, space, space, zero_weight=0.4)
+        pi, steps = target.measure_values(), proposal.entries
+        n = len(space)
+        rows = []
+        for i in range(n):
+            row = [steps[i][j] * _oracle_ratio(pi[j] * steps[j][i], pi[i] * steps[i][j])
+                   if j != i else ZERO for j in range(n)]
+            row[i] = residual(ext_sum(row), ONE)
+            rows.append(row)
+        expected = Kernel(space, space, rows)
+        via, direct = classical_mh(target, proposal)
+        assert via == direct == expected
+
+
+def test_exchange_matches_the_textbook_acceptance():
+    # alpha(x, z, y) = min(1, p(y) L(y, obs) q(y, x) L(x, z)
+    #                         / (p(x) L(x, obs) q(x, y) L(y, z))), 0 over 0
+    rng, cases = _rng_cases(1023, 150)
+    checked = 0
+    for _ in cases:
+        base = FinSpace(tuple(f"t{i}" for i in range(rng.randint(2, 3))))
+        data = FinSpace(tuple(f"z{i}" for i in range(rng.randint(2, 3))))
+        prior = rand_probability_measure(rng, base, zero_weight=0.3)
+        lik = rand_normalized_kernel(rng, base, data, zero_weight=0.4)
+        proposal = rand_normalized_kernel(rng, base, base, zero_weight=0.4)
+        p = dict(zip(base.labels, prior.measure_values()))
+        if all(p[x] * lik.entry(x, "z0") == ZERO for x in base.labels):
+            continue  # no posterior at the observation
+        _, _, alpha = exchange_algorithm(prior, lik, "z0", proposal)
+        for (x, (z, y)), value in zip(alpha.dom.labels, alpha.effect_values()):
+            num = p[y] * lik.entry(y, "z0") * proposal.entry(y, x) * lik.entry(x, z)
+            den = p[x] * lik.entry(x, "z0") * proposal.entry(x, y) * lik.entry(y, z)
+            assert value == _oracle_ratio(num, den)
+        checked += 1
+    assert checked > 100
 
 
 def test_exchange_rejects_zero_mass_target():

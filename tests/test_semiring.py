@@ -5,9 +5,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from finkern.mcmc import mh_acceptance_ratio
 from finkern.semiring import (
-    ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, capped_ratio, ext_sum,
-    pair_mul, pair_products_equal, residual,
+    ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, ext_sum,
+    pair_products_equal, residual,
 )
 from strategies import finite_values, values
 
@@ -371,17 +372,7 @@ def _pair(v, scale):
     return (v.num * scale, v.den * scale) if v.den else (1, 0)
 
 
-def _value(pair):
-    n, d = pair
-    return ExtNonneg(n, d) if d else (INF if n else ZERO)
-
-
 scales = st.integers(1, 6)
-
-
-@given(values, values, scales, scales)
-def test_pair_mul_matches_the_value_product(a, b, s, t):
-    assert _value(pair_mul(_pair(a, s), _pair(b, t))) == a * b
 
 
 @given(values, values, values, values, scales, scales)
@@ -390,11 +381,13 @@ def test_pair_products_equal_matches_value_equality(a, b, c, d, s, t):
     assert pair_products_equal(*pairs) == (a * b == c * d)
 
 
-@given(values, values, scales, scales)
-def test_capped_ratio_is_min_one_and_zero_over_a_zero_denominator(a, b, s, t):
+# -- the Metropolis-Hastings acceptance ratio over ExtNonneg ------------------
+
+@given(values, values)
+def test_mh_acceptance_ratio_is_min_one_and_zero_over_a_zero_denominator(a, b):
     if a == INF and b == INF:
         with pytest.raises(SemiringDivisionError):
-            capped_ratio(_pair(a, s), _pair(b, t))
+            mh_acceptance_ratio(a, b)
         return
     expected = ZERO if b == ZERO else min(ONE, a / b)
-    assert capped_ratio(_pair(a, s), _pair(b, t)) == expected
+    assert mh_acceptance_ratio(a, b) == expected
