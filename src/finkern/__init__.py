@@ -15,7 +15,7 @@ from .semiring import INF, ONE, ZERO, ExtNonneg, SemiringDivisionError, residual
 from .spaces import EMPTY, UNIT, FinSpace, Tagged, product, product_many
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
-    deterministic, dirac, effect, effect_mul, from_maps, identity,
+    deterministic, dirac, effect, effect_mul, from_maps, graph, identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, pushforward, reweight,
     right_unitor, row_mass, swap, tensor, uniform,

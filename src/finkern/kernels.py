@@ -15,8 +15,11 @@ equal kernels have equal rows and hashes. Zeros are never stored, and
 ``0 * oo = 0`` keeps them out of every product. The kernel operations work
 on these integers alone: ``compose`` scales each middle row to the lcm of
 the middle denominators and takes integer dot products, so a row costs one
-gcd, not one per scalar product and sum, and a row with one middle point
-is a scaled copy of that middle row. A deterministic kernel is a function,
+gcd, not one per scalar product and sum, a row with one middle point is a
+scaled copy of that middle row, and each distinct earlier row is worked out
+once. ``graph(k)``, the graph ``(identity (x) k) ∘ copy`` of ``k``, moves
+``k``'s rows into place instead of building the |X|*|X| rows of the
+tensor that copy reads |X| of. A deterministic kernel is a function,
 and is stored as its index map: identity, copy, swap, the unitors and
 associator, relabelings and involutions hold one entry ``((j,), (1,), 1,
 ())`` per row, and keep their targets, so that running one after a kernel
@@ -192,6 +195,9 @@ def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
         infs = tuple(sorted({targets[k] for k in infs}))
         for j in infs:
             acc.pop(j, None)
+    elif len(acc) == len(cols):  # no two columns met, so still reduced
+        cols = tuple(sorted(acc))
+        return cols, tuple([acc[j] for j in cols]), den, ()
     return _dict_row(acc, den, infs)
 
 
@@ -435,26 +441,39 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     An output row is an integer dot product: each middle row is scaled to
     the lcm ``L`` of the middle rows' denominators, weighted by the earlier
     row's numerator, and summed over ``den * L``; one gcd then reduces it.
+    Equal earlier rows give equal output rows, so each distinct earlier row
+    is worked out once.
     """
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
+    done: dict[_Row, _Row] = {}  # earlier row -> its output row
     # the index-map branches serve structural-build (build_mh_128, its p50 op)
     if later._map is not None:  # columns of ``earlier``, moved
         targets = later._map
         if earlier._map is not None:
             return _index_map(earlier.dom, later.cod,
                               [targets[k] for k in earlier._map])
-        return Kernel._new(earlier.dom, later.cod, tuple([
-            _relabel(row, targets) for row in earlier.int_rows]))
+        out = []
+        for row in earlier.int_rows:
+            new = done.get(row)
+            if new is None:
+                new = done[row] = _relabel(row, targets)
+            out.append(new)
+        return Kernel._new(earlier.dom, later.cod, tuple(out))
     later_rows = later.int_rows
     infinite = _has_inf(later) or _has_inf(earlier)
     out = []
-    for cols, nums, den, infs in earlier.int_rows:
+    for row in earlier.int_rows:
+        cols, nums, den, infs = row
         if len(cols) == 1 and not infs:
             # one middle point: a scaled copy of that row of ``later``
             # (structural-build, where ``earlier`` is an index map)
             out.append(_scale(nums[0], den, later_rows[cols[0]]))
+            continue
+        new = done.get(row)
+        if new is not None:  # a repeated row: gibbs' sites ignore one coordinate
+            out.append(new)
             continue
         mids = [later_rows[k] for k in cols]
         scale = lcm(*[ld for _, _, ld, _ in mids])
@@ -465,17 +484,19 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
             for j, n in zip(lcols, lnums):
                 acc[j] = get(j, 0) + w * n
         if not infinite:
-            out.append(_dict_row(acc, den * scale))
-            continue
-        # oo where a positive mass meets an infinite one on the way
-        inf = set()
-        for row in mids:
-            inf.update(row[3])
-        for k in infs:
-            inf.update(_support(later_rows[k]))
-        for j in inf:
-            acc.pop(j, None)
-        out.append(_dict_row(acc, den * scale, tuple(sorted(inf))))
+            new = _dict_row(acc, den * scale)
+        else:
+            # oo where a positive mass meets an infinite one on the way
+            inf = set()
+            for mid in mids:
+                inf.update(mid[3])
+            for k in infs:
+                inf.update(_support(later_rows[k]))
+            for j in inf:
+                acc.pop(j, None)
+            new = _dict_row(acc, den * scale, tuple(sorted(inf)))
+        out.append(new)
+        done[row] = new
     return Kernel._new(earlier.dom, later.cod, tuple(out))
 
 
@@ -514,6 +535,22 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
                 rows.append(_reduced(cols, [a * b for a in lnums for b in rnums],
                                      lden * rden, infs))
     return Kernel._new(dom, cod, tuple(rows))
+
+
+def graph(kernel: Kernel) -> Kernel:
+    """The graph of ``kernel: X -> Y``: X -> X (x) Y, which keeps the input
+    beside the output; equal to ``compose(tensor(identity(X), kernel),
+    copy(X))``. Row ``i`` is the kernel's row ``i`` moved to the columns
+    ``(i, j)``, so only the rows that copy reads are built."""
+    dom = kernel.dom
+    width = len(kernel.cod)
+    cod = product(dom, kernel.cod)
+    if kernel._map is not None:
+        return _index_map(dom, cod, [i * width + j for i, j in enumerate(kernel._map)])
+    return Kernel._new(dom, cod, tuple([
+        (tuple([i * width + j for j in cols]), nums, den,
+         tuple([i * width + j for j in infs]))
+        for i, (cols, nums, den, infs) in enumerate(kernel.int_rows)]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from .semiring import (
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, copy, delete,
-    deterministic, effect, from_maps, identity, is_normalized,
-    lazy_involution, lift_involution, pushforward, reweight, right_unitor,
-    effect_pairs, pair_rows, row_support, substochastic_violation, tensor,
+    Involution, Kernel, SpaceMismatchError, compose, delete, deterministic,
+    effect, from_maps, graph, identity, is_normalized, lazy_involution,
+    lift_involution, pushforward, reweight, right_unitor, effect_pairs,
+    pair_rows, row_support, substochastic_violation, swap, tensor,
 )
 from .enrichment import (
     NotCancellative, _density_values, is_cancellative, lebesgue_decompose,
@@ -258,7 +258,7 @@ def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple
     joint = product(base, aux)
     if inner.dom != joint or inner.cod != joint:
         raise SpaceMismatchError("inner chain must act on base (x) aux")
-    embed = compose(tensor(identity(base), proposal), copy(base))
+    embed = graph(proposal)
     augmented = compose(embed, target)
     marginalize = compose(right_unitor(base), tensor(identity(base), delete(aux)))
     chain = compose(marginalize, compose(inner, embed))
@@ -383,7 +383,7 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     if not is_cancellative(target):
         raise InfiniteMassError("classical_mh needs finite target masses")
     # point (i, j) is state i with proposed point j, at target(i) * proposal(i, j)
-    augmented = compose(compose(tensor(identity(base), proposal), copy(base)), target)
+    augmented = compose(graph(proposal), target)
     swap_inv = Involution.from_function(augmented.cod, lambda p: (p[1], p[0]))
     accept = balancing_alpha(METROPOLIS, augmented, swap_inv)
     inner = build_mh(MhProblem(target=augmented, involution=swap_inv, acceptance=accept))
@@ -438,10 +438,8 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
 
     # X -> Z (x) X: propose a parameter, then draw synthetic data from it
     # (keeping the proposed parameter alongside the data).
-    attach = compose(tensor(likelihood, identity(base)),
-                     compose(copy(base), proposal))
-    embed = compose(tensor(identity(base), attach), copy(base))
-    augmented = compose(embed, posterior)
+    attach = compose(swap(base, data), compose(graph(likelihood), proposal))
+    augmented = compose(graph(attach), posterior)
 
     phi = Involution.from_function(
         augmented.cod, lambda p: (p[1][1], (p[1][0], p[0])))
@@ -502,9 +500,12 @@ def gibbs_site_kernels(joint: Kernel, factors: Sequence[FinSpace]) -> list[Kerne
 
     The joint space carries flat tuple labels over ``factors``. For each
     coordinate, an explicit relabeling kernel moves it to the last slot,
-    the coordinate is deleted, the remaining coordinates are copied, and
-    the conditional refills the slot; the inverse relabeling restores the
-    original coordinate order.
+    the coordinate is deleted, and the graph of the conditional keeps the
+    remaining coordinates and refills the slot; the inverse relabeling
+    restores the original coordinate order. Row ``x`` of site ``i`` is the
+    joint at ``x`` with coordinate ``i`` set to each value, over its sum
+    (uniform where that sum is 0), so it does not depend on ``x``'s own
+    coordinate ``i``: rows repeat, and ``compose`` builds each once.
     """
     factors = tuple(factors)
     if len(factors) < 2:
@@ -531,10 +532,8 @@ def gibbs_site_kernels(joint: Kernel, factors: Sequence[FinSpace]) -> list[Kerne
         from_grouped = deterministic(grouped_sp, space, ungroup)
         resample = conditional(compose(to_grouped, joint), given="left")
         update = compose(
-            tensor(identity(rest_sp), resample),
-            compose(copy(rest_sp),
-                    compose(right_unitor(rest_sp),
-                            tensor(identity(rest_sp), delete(factor)))))
+            graph(resample),
+            compose(right_unitor(rest_sp), tensor(identity(rest_sp), delete(factor))))
         sites.append(compose(from_grouped, compose(update, to_grouped)))
     return sites
 

@@ -13,7 +13,7 @@ from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import EMPTY, FinSpace, UNIT, product
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
-    deterministic, dirac, effect, effect_mul, from_maps, identity,
+    deterministic, dirac, effect, effect_mul, from_maps, graph, identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
     effect_pairs, pair_rows, row_support, swap, tensor, uniform,
@@ -21,7 +21,7 @@ from finkern.kernels import (
 from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from finkern.generators import rand_normalized_kernel
-from strategies import composable_pairs, kernel_pairs, kernels, kernels_on
+from strategies import composable_pairs, kernel_pairs, kernels, kernels_on, spaces
 
 
 def q(num, den=1):
@@ -556,6 +556,8 @@ def test_every_route_to_a_kernel_stores_the_same_rows(k):
         k >> identity(k.cod),
         k + kernel_zero(k.dom, k.cod),
         reweight(ones, k),
+        # marginalize the graph onto its second factor
+        graph(k) >> tensor(delete(k.dom), identity(k.cod)) >> left_unitor(k.cod),
     ]
     _assert_reduced(k)
     for built in routes:
@@ -572,6 +574,63 @@ def test_kernel_operations_store_reduced_rows(pair, same_type):
     for k in (compose(later, earlier), tensor(later, earlier), p + q_,
               reweight(weight, p)):
         _assert_reduced(k)
+
+
+# -- each distinct row built once ---------------------------------------------
+
+def test_compose_keeps_each_rows_infinite_entries_to_itself():
+    """An empty row between two rows that meet oo stays empty, and a row
+    whose oo meets a zero keeps its finite sum."""
+    p = Kernel(X3, X3, [[q(13, 4), 3, 2], [0, 0, 0], [q(3, 8), 0, INF]])
+    r = Kernel(X3, UNIT, [[q(5, 2)], [INF], [0]])
+    assert compose(r, p).entries == ((INF,), (ZERO,), (q(15, 16),))
+
+
+repeat_values = st.sampled_from([ZERO, ZERO, ONE, INF, q(1, 2), q(3), q(2, 3)])
+
+
+@st.composite
+def repeated_row_kernels(draw):
+    """A kernel whose rows are 1-3 random rows (an empty one among them
+    half the time), each drawn 1-3 times, in random order."""
+    mid = draw(spaces(1, 3, "b"))
+    distinct = draw(st.lists(st.lists(repeat_values, min_size=len(mid),
+                                      max_size=len(mid)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        distinct.append([ZERO] * len(mid))
+    rows = draw(st.permutations([r for r in distinct for _ in range(draw(st.integers(1, 3)))]))
+    return Kernel(FinSpace(tuple(f"a{i}" for i in range(len(rows)))), mid, rows)
+
+
+@given(repeated_row_kernels(), st.data())
+def test_compose_over_repeated_rows_matches_dense_oracle(earlier, data):
+    cod = data.draw(spaces(1, 3, "c"))
+    later = data.draw(kernels_on(earlier.cod, cod, repeat_values))
+    f = data.draw(st.lists(st.integers(0, len(cod) - 1),
+                           min_size=len(earlier.cod), max_size=len(earlier.cod)))
+    relabel = deterministic(earlier.cod, cod, lambda y: cod.labels[f[earlier.cod.index(y)]])
+    for k in (later, relabel):
+        out = compose(k, earlier)
+        _matches(out, _oracle_compose(k, earlier))
+        _assert_reduced(out)
+
+
+@given(kernels())
+def test_graph_is_the_tensor_with_identity_after_copy(k):
+    built = graph(k)
+    assert built == compose(tensor(identity(k.dom), k), copy(k.dom))
+    assert built.cod == product(k.dom, k.cod)
+    _assert_reduced(built)
+
+
+def test_graph_of_an_index_map_is_an_index_map():
+    def fn(x):
+        return "a" if x == "c" else "b"
+
+    f = deterministic(X3, X2, fn)
+    built = graph(f)
+    assert built == compose(tensor(identity(X3), f), copy(X3))
+    assert built._map == deterministic(X3, product(X3, X2), lambda x: (x, fn(x)))._map
 
 
 def _fraction_power_step(power, step):

@@ -872,6 +872,27 @@ def test_gibbs_site_kernels_reversible():
         assert is_invariant(joint, gibbs(joint, factors))
 
 
+def test_gibbs_sites_match_the_conditional_written_out():
+    """Row x of site i is the joint at x with coordinate i set to each value
+    c, over its sum across c, and uniform where that sum is 0."""
+    rng, cases = _rng_cases(1119, 40)
+    for _ in cases:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        factors = [FinSpace(tuple(f"c{i}_{j}" for j in range(n)))
+                   for i, n in enumerate(sizes)]
+        grid = product_many(factors)
+        joint = rand_probability_measure(rng, grid, zero_weight=0.5)
+        mass = dict(zip(grid.labels, joint.measure_values()))
+        for i, site in enumerate(gibbs_site_kernels(joint, factors)):
+            for x in grid.labels:
+                moves = [x[:i] + (c,) + x[i + 1:] for c in factors[i].labels]
+                total = ext_sum(mass[y] for y in moves)
+                want = dict.fromkeys(grid.labels, ZERO)
+                for y in moves:
+                    want[y] = mass[y] / total if total.num else q(1, sizes[i])
+                assert site.row(x) == tuple(want.values()), (i, x)
+
+
 # -- the sparse pair scans against the all-pairs definitions ------------------
 
 sparse_values = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO),
