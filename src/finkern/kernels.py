@@ -30,13 +30,17 @@ compose or tensor to an index map.
 pair ``(cols, vals)`` of every nonzero entry's column and value),
 ``entries`` (the dense matrix), ``at``, ``entry``, ``measure_values`` and
 ``effect_values`` read views that are built from the integer rows on first
-access and kept. Only this module reads or writes stored rows: other code
-builds kernels with ``Kernel(dom, cod, dense)``, ``measure``, ``effect``,
-``from_maps``, ``lazy_involution``, ``split_by_support`` and the structural
-constructors, and where it compares many entries it reads them as integer
-pairs (see ``semiring``) through ``pair_rows`` and ``effect_pairs``, and
-supports and infinite entries through ``row_support`` and
-``infinite_entry``, building no ``ExtNonneg``.
+access and kept. ``pair_rows`` and these views are worked out once per
+distinct stored row, and equal rows share one map, one view and one dense
+row, so all of them are read-only. A chain whose rows repeat, as a Gibbs
+sweep's do, then builds each of them once. Only this module reads or
+writes stored rows: other code builds kernels with ``Kernel(dom, cod,
+dense)``, ``measure``, ``effect``, ``from_maps``, ``lazy_involution``,
+``split_by_support`` and the structural constructors, and where it
+compares many entries it reads them as integer pairs (see ``semiring``)
+through ``pair_rows`` and ``effect_pairs``, and supports and infinite
+entries through ``row_support`` and ``infinite_entry``, building no
+``ExtNonneg``.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
@@ -52,13 +56,14 @@ from bisect import bisect_left
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .semiring import ExtNonneg, INF, INF_PAIR, ZERO, ZERO_PAIR, fraction
 from .spaces import FinSpace, Label, UNIT, product
 from ._record import FrozenRecord
 
 Entry = Union[ExtNonneg, int]
+_T = TypeVar("_T")
 
 #: A stored row: the ascending columns of the finite nonzero entries, their
 #: positive numerators over one denominator, and the ascending columns of
@@ -252,19 +257,22 @@ class Kernel:
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], tuple[ExtNonneg, ...]], ...]:
         """Per row, the ascending columns of its nonzero entries and their
-        values; built on first access and kept."""
+        values; built on first access and kept. Equal rows share one
+        read-only pair of tuples."""
         if self._view is None:
-            self._view = tuple([_view_row(row) for row in self.int_rows])
+            self._view = tuple(_per_row(self, _view_row))
         return self._view
 
     @property
     def entries(self) -> tuple[tuple[ExtNonneg, ...], ...]:
-        """The dense matrix, built on first access and kept."""
+        """The dense matrix, built on first access and kept. Equal rows
+        share one tuple."""
         if self._dense is None:
             width = len(self.cod)
             # the values of a kept ``rows`` view, or new ones kept here only
-            rows = self._view or map(_view_row, self.int_rows)
-            self._dense = tuple([_dense_row(row, width) for row in rows])
+            views = dict(zip(self.int_rows, self._view)) if self._view else {}
+            self._dense = tuple(_per_row(self, lambda row: _dense_row(
+                views.get(row) or _view_row(row), width)))
         return self._dense
 
     def at(self, i: int, j: int) -> ExtNonneg:
@@ -334,19 +342,35 @@ class Kernel:
         return f"Kernel({self.dom!r} -> {self.cod!r}: {body})"
 
 
+def _per_row(kernel: Kernel, fn: Callable[[_Row], _T]) -> list[_T]:
+    """``fn`` of each distinct stored row, worked out once, as one result
+    per row in row order: equal rows get the same object."""
+    rows = kernel.int_rows
+    done = dict.fromkeys(rows)
+    if len(done) == len(rows):  # no two rows equal: no lookups needed
+        return list(map(fn, rows))
+    for row in done:
+        done[row] = fn(row)
+    return list(map(done.__getitem__, rows))
+
+
+def _pair_map(row: _Row) -> dict[int, tuple[int, int]]:
+    cols, nums, den, infs = row
+    pairs = dict(zip(cols, zip(nums, repeat(den))))
+    if infs:
+        pairs.update(dict.fromkeys(infs, INF_PAIR))
+        pairs = dict(sorted(pairs.items()))
+    return pairs
+
+
 def pair_rows(kernel: Kernel) -> list[dict[int, tuple[int, int]]]:
     """Per row, its nonzero entries as column -> ``(num, den)`` pair, in
     column order: a finite entry is its numerator over the row's
     denominator, and oo is ``(1, 0)``. Rows are canonical, so two rows
-    are equal exactly when their maps are."""
-    out = []
-    for cols, nums, den, infs in kernel.int_rows:
-        pairs = dict(zip(cols, zip(nums, repeat(den))))
-        if infs:
-            pairs.update(dict.fromkeys(infs, INF_PAIR))
-            pairs = dict(sorted(pairs.items()))
-        out.append(pairs)
-    return out
+    are equal exactly when their maps are. Equal rows share one map, so
+    the maps are read-only: a caller that changes one changes every row
+    equal to it."""
+    return _per_row(kernel, _pair_map)
 
 
 def effect_pairs(kernel: Kernel) -> list[tuple[int, int]]:

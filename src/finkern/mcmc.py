@@ -259,10 +259,14 @@ def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple
     if inner.dom != joint or inner.cod != joint:
         raise SpaceMismatchError("inner chain must act on base (x) aux")
     embed = graph(proposal)
-    augmented = compose(embed, target)
+    return _marginal(inner, embed, aux), compose(embed, target)
+
+
+def _marginal(inner: Kernel, embed: Kernel, aux: FinSpace) -> Kernel:
+    """``inner`` run after ``embed: X -> X (x) aux``, then ``aux`` deleted."""
+    base = embed.dom
     marginalize = compose(right_unitor(base), tensor(identity(base), delete(aux)))
-    chain = compose(marginalize, compose(inner, embed))
-    return chain, augmented
+    return compose(marginalize, compose(inner, embed))
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +387,12 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     if not is_cancellative(target):
         raise InfiniteMassError("classical_mh needs finite target masses")
     # point (i, j) is state i with proposed point j, at target(i) * proposal(i, j)
-    augmented = compose(graph(proposal), target)
+    embed = graph(proposal)
+    augmented = compose(embed, target)
     swap_inv = Involution.from_function(augmented.cod, lambda p: (p[1], p[0]))
     accept = balancing_alpha(METROPOLIS, augmented, swap_inv)
     inner = build_mh(MhProblem(target=augmented, involution=swap_inv, acceptance=accept))
-    via_involution, _ = augment_reversible(target, proposal, inner)
+    via_involution = _marginal(inner, embed, base)
 
     alpha = accept.effect_values()
     n = len(base)  # joint points are (i, j) in lexicographic index order

@@ -18,6 +18,14 @@ with the sums inside the cell. Seeded traces therefore differ from those of
 earlier versions, which drew one ``random()`` per step. Tables are built
 only for the rows the chain can reach from its initial state; a row's
 table does not depend on which others are built, so neither do the draws.
+
+Equal rows share one float row and one guide table: ``to_float`` converts
+each distinct row once, and ``run_chain`` builds one table per distinct
+reachable row, keyed on the row's value. A systematic-scan Gibbs chain
+on a 5 x 5 x 5 grid, whose row ignores the first coordinate it resamples,
+then converts 25 rows and builds 25 tables, not 125. A table depends on
+its row alone, so seeded traces are the same as when every row had its
+own.
 """
 
 from __future__ import annotations
@@ -48,34 +56,44 @@ def to_float(kernel: Kernel) -> FloatMatrix:
     """Nearest-double conversion of a normalized (hence all-finite) kernel.
 
     After rounding, each row's largest entry absorbs the residual so row
-    sums are exactly 1.0.
+    sums are exactly 1.0. Equal rows share one pair map (see
+    ``pair_rows``), which is converted once: they share one float tuple.
     """
     bad = normalized_violation(kernel)
     if bad is not None:
         raise ValueError(f"kernel is not normalized at row {format_label(bad)}")
     width = len(kernel.cod)
+    done: dict[int, tuple[float, ...]] = {}  # id of a pair map -> its floats
     rows = []
     for pairs in pair_rows(kernel):  # all finite: the kernel is normalized
-        # the work is per nonzero: zeros add nothing to an exact fsum, and a
-        # normalized row's largest float is positive, so its first maximal
-        # index is a stored column's. Python's int / int is correctly
-        # rounded, so num / den is the nearest double to the entry.
-        nonzero = [n / d for n, d in pairs.values()]
-        top = max(range(len(nonzero)), key=nonzero.__getitem__)
-        for _ in range(10):
-            gap = 1.0 - math.fsum(nonzero)
-            if gap == 0.0:
-                break
-            nonzero[top] += gap
-        else:
-            raise ValueError("row failed to renormalize to 1.0")
-        if nonzero[top] < 0.0:
-            raise ValueError("residual absorption produced a negative entry")
-        floats = [0.0] * width
-        for j, x in zip(pairs, nonzero):
-            floats[j] = x
-        rows.append(tuple(floats))
+        floats = done.get(id(pairs))
+        if floats is None:
+            floats = done[id(pairs)] = _float_row(pairs, width)
+        rows.append(floats)
     return tuple(rows)
+
+
+def _float_row(pairs: dict[int, tuple[int, int]], width: int) -> tuple[float, ...]:
+    """One normalized row's floats, from its pair map, summing to 1.0."""
+    # the work is per nonzero: zeros add nothing to an exact fsum, and a
+    # normalized row's largest float is positive, so its first maximal
+    # index is a stored column's. Python's int / int is correctly
+    # rounded, so num / den is the nearest double to the entry.
+    nonzero = [n / d for n, d in pairs.values()]
+    top = max(range(len(nonzero)), key=nonzero.__getitem__)
+    for _ in range(10):
+        gap = 1.0 - math.fsum(nonzero)
+        if gap == 0.0:
+            break
+        nonzero[top] += gap
+    else:
+        raise ValueError("row failed to renormalize to 1.0")
+    if nonzero[top] < 0.0:
+        raise ValueError("residual absorption produced a negative entry")
+    floats = [0.0] * width
+    for j, x in zip(pairs, nonzero):
+        floats[j] = x
+    return tuple(floats)
 
 
 class ChainRun(Record):
@@ -108,14 +126,20 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     offsets: list[float] = []  # the split cells, one after another
     picks: list[int] = []
     # guide tables for the rows reachable from ``initial`` only, found by a
-    # walk over the positive support of each row it reaches
+    # walk over the positive support of each row it reaches; equal rows
+    # share one table, and only the first of them pushes its successors
     tables: list = [None] * n
+    built: dict[tuple[float, ...], tuple[int, list[int]]] = {}  # row -> table
     todo = [initial]
     while todo:
         i = todo.pop()
         if tables[i] is None:
-            tables[i] = _guide_table(kernel[i], offsets, picks)
-            todo.extend(compress(range(n), kernel[i]))
+            row = kernel[i]
+            table = built.get(row)
+            if table is None:
+                table = built[row] = _guide_table(row, offsets, picks)
+                todo.extend(compress(range(n), row))
+            tables[i] = table
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     rand = rng.random

@@ -1,10 +1,14 @@
-"""Shared hypothesis strategies for exact kernels."""
+"""Shared hypothesis strategies and fixtures for exact kernels."""
+
+import random
 
 import hypothesis.strategies as st
 
 from finkern.semiring import INF, ExtNonneg
-from finkern.spaces import FinSpace
+from finkern.spaces import FinSpace, product_many
 from finkern.kernels import Kernel
+from finkern.generators import rand_probability_measure
+from finkern.mcmc import gibbs
 
 finite_values = st.builds(
     ExtNonneg, st.integers(0, 48), st.integers(1, 12))
@@ -67,3 +71,12 @@ def composable_pairs(draw, min_size=1, max_size=3, entry_strategy=values):
     earlier = draw(kernels_on(a, b, entry_strategy))
     later = draw(kernels_on(b, c, entry_strategy))
     return later, earlier
+
+
+def gibbs_3x3x3():
+    """The systematic-scan Gibbs chain of a seeded positive joint measure on
+    a 3 x 3 x 3 grid. Its row at x does not depend on x's first coordinate,
+    which the sweep resamples first, so its 27 rows hold 9 distinct ones."""
+    factors = [FinSpace(tuple(f"c{i}_{j}" for j in range(3))) for i in range(3)]
+    joint = rand_probability_measure(random.Random(21), product_many(factors))
+    return gibbs(joint, factors)

@@ -21,7 +21,9 @@ from finkern.kernels import (
 from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from finkern.generators import rand_normalized_kernel
-from strategies import composable_pairs, kernel_pairs, kernels, kernels_on, spaces
+from strategies import (
+    composable_pairs, gibbs_3x3x3, kernel_pairs, kernels, kernels_on, spaces,
+)
 
 
 def q(num, den=1):
@@ -440,6 +442,34 @@ def test_entries_is_a_kept_read_only_view():
     assert k.entries is k.entries
     with pytest.raises(AttributeError):
         k.entries = ((ONE, ZERO), (ZERO, ONE))
+
+
+def _shared_exactly_where_rows_are_equal(k, per_row):
+    rows = k.int_rows
+    return all((per_row[i] is per_row[j]) == (rows[i] == rows[j])
+               for i in range(len(rows)) for j in range(len(rows)))
+
+
+def test_equal_rows_share_one_pair_map_and_one_view():
+    chain = gibbs_3x3x3()
+    maps = pair_rows(chain)
+    assert len(maps) == 27
+    assert len({id(pairs) for pairs in maps}) == 9
+    assert _shared_exactly_where_rows_are_equal(chain, maps)
+    assert _shared_exactly_where_rows_are_equal(chain, chain.rows)
+    assert _shared_exactly_where_rows_are_equal(chain, chain.entries)
+    # equal rows built apart share too, whether the dense matrix is built
+    # before the ``rows`` view or after it
+    for view_first in (False, True):
+        k = Kernel(X3, X2, [[q(1, 2), q(1, 2)], [0, 1], [q(1, 2), q(1, 2)]])
+        assert k.int_rows[0] is not k.int_rows[2]
+        if view_first:
+            assert _shared_exactly_where_rows_are_equal(k, k.rows)
+        assert _shared_exactly_where_rows_are_equal(k, k.entries)
+        assert _shared_exactly_where_rows_are_equal(k, pair_rows(k))
+        assert k.entries == ((q(1, 2), q(1, 2)), (ZERO, ONE), (q(1, 2), q(1, 2)))
+        assert pair_rows(k) == [{0: (1, 2), 1: (1, 2)}, {1: (1, 1)},
+                                {0: (1, 2), 1: (1, 2)}]
 
 
 def _structural_kernels():

@@ -678,6 +678,26 @@ def test_classical_mh_routes_agree_randomized():
         assert is_reversible(target, direct)
 
 
+def test_classical_mh_builds_the_proposals_graph_once(monkeypatch):
+    rng = random.Random(1024)
+    target = rand_probability_measure(rng, X3, zero_weight=0.2)
+    proposal = rand_normalized_kernel(rng, X3, X3, zero_weight=0.3)
+    calls = []
+    real = mcmc.graph
+
+    def counted(kernel):
+        calls.append(kernel)
+        return real(kernel)
+    monkeypatch.setattr(mcmc, "graph", counted)
+    via, direct = classical_mh(target, proposal)
+    assert calls == [proposal]
+    assert via == direct
+    # augment_reversible builds it once more, for its own augmented measure
+    calls.clear()
+    augment_reversible(target, proposal, identity(product(X3, X3)))
+    assert calls == [proposal]
+
+
 # -- exchange algorithm -----------------------------------------------------------------------------------
 
 def _exchange_fixture(rng=None, nx=2, nz=2):

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 
 from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import FinSpace, product
-from finkern.kernels import Involution, Kernel, identity, measure
+from finkern.kernels import Involution, Kernel, identity, measure, pair_rows
 from finkern.generators import rand_mh_problem, rand_normalized_kernel
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
 from finkern import sampler
 from finkern.sampler import (
     RNG_NAME, empirical, run_chain, to_float, tv_distance,
 )
-from strategies import normalized_kernels
+from strategies import gibbs_3x3x3, normalized_kernels
 
 
 def q(num, den=1):
@@ -104,6 +104,16 @@ def test_to_float_of_a_sparse_wide_chain_matches_the_dense_algorithm():
     chain = build_mh(MhProblem(target=mu, involution=phi,
                                acceptance=balancing_alpha(METROPOLIS, mu, phi)))
     assert to_float(chain) == dense_to_float(chain)
+
+
+def test_to_float_converts_each_distinct_row_once():
+    chain = gibbs_3x3x3()
+    matrix = to_float(chain)
+    maps = pair_rows(chain)
+    assert len({id(row) for row in matrix}) == 9
+    assert all((matrix[i] is matrix[j]) == (maps[i] is maps[j])
+               for i in range(27) for j in range(27))
+    assert matrix == dense_to_float(chain)
 
 
 def test_run_chain_deterministic_in_seed():
@@ -323,8 +333,10 @@ BLOCKS = Kernel(X4, X4, [[q(1, 3), q(2, 3), 0, 0], [q(1, 2), q(1, 2), 0, 0],
 
 
 def _traces():
-    """Seeded traces of four chains, 30 steps each, with the literal traces
-    of the version that built a guide table for every row."""
+    """Seeded traces of five chains, 30 steps each. The first four literals
+    are the traces of the version that built a guide table for every row,
+    the Gibbs one that of the version that built one per row, equal rows
+    included."""
     rng = random.Random(9)
     problem = rand_mh_problem(rng, 16, 16, mode="balanced")
     space = FinSpace(tuple(f"x{i}" for i in range(16)))
@@ -342,11 +354,15 @@ def _traces():
         (BLOCKS, 2, 14,
          [2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 0, 0, 1, 1, 1, 0,
           1, 1, 1, 0, 0, 0, 1, 1, 0]),
+        (gibbs_3x3x3(), 7, 15,
+         [7, 26, 11, 0, 4, 15, 1, 24, 12, 23, 21, 17, 10, 17, 20, 26, 14, 5,
+          3, 5, 12, 19, 10, 7, 7, 4, 26, 24, 12, 23, 10]),
     ]
 
 
 @pytest.mark.parametrize("kernel, initial, seed, expected", _traces(),
-                         ids=["involutive", "sparse", "closed-block", "leaky-block"])
+                         ids=["involutive", "sparse", "closed-block", "leaky-block",
+                              "gibbs"])
 def test_seeded_traces_are_those_of_tables_for_every_row(kernel, initial, seed, expected):
     assert run_chain(to_float(kernel), initial, seed, 30).trace == expected
 
@@ -370,6 +386,19 @@ def test_tables_are_built_for_the_reachable_rows_only(monkeypatch):
     assert _tables_built(monkeypatch, to_float(BLOCKS), 3) == [0, 1, 3]
     chain = _traces()[0][0]
     assert len(_tables_built(monkeypatch, to_float(chain), 0)) == 2
+
+
+def test_equal_rows_share_one_table(monkeypatch):
+    matrix = to_float(gibbs_3x3x3())
+    firsts = sorted({matrix.index(row) for row in matrix})
+    assert len(firsts) == 9
+    assert _tables_built(monkeypatch, matrix, 7) == firsts
+    # equal rows that are separate tuples share a table all the same, and
+    # the draws are those of the shared rows
+    apart = tuple([tuple(list(row)) for row in matrix])
+    assert len({id(row) for row in apart}) == 27
+    assert _tables_built(monkeypatch, apart, 7) == firsts
+    assert run_chain(apart, 7, 16, 3000).trace == run_chain(matrix, 7, 16, 3000).trace
 
 
 def test_an_unreachable_row_without_mass_is_never_read():
