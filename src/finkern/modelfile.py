@@ -24,6 +24,11 @@ fixed. ``probability`` entries must lie in [0, 1].
 
 ``emit`` prints a canonical form; ``parse(emit(doc)) == doc`` for every
 document, and all semantic validation happens at parse with line numbers.
+
+``parse`` streams: it tokenizes one line at a time and holds only that
+line's tokens. A measure, effect or kernel entry ``x = v`` or ``x -> y =
+v`` over atom labels on one line costs a few dict lookups, and each
+distinct value text is parsed once per call.
 """
 
 from __future__ import annotations
@@ -98,52 +103,61 @@ def parse_label(text: str) -> Label:
     return label
 
 
-class _Tokens:
-    """The document's tokens, scanned one at a time as the parser asks.
+#: The token list of an exhausted document: its one token is None.
+_END = (None,)
 
-    Only the next token is held, so parsing a large kernel never holds a
-    token list as big as the document.
+
+class _Tokens:
+    """The document's tokens, read one line's list at a time.
+
+    ``toks`` is the current line's token list, ``pos`` the index of the
+    next token in it, and ``line`` that line's number (at the end, the last
+    token's line, and ``toks`` is ``_END``). Only the current line's list
+    is held, so parsing a large kernel never holds a token list as big as
+    the document. The entry loops of measures, effects and kernels read
+    ``toks`` by index and move ``pos`` themselves; all else uses the
+    methods.
     """
 
-    def __init__(self, text: str):
-        self._stream = (
-            (tok, lineno)
-            for lineno, line in enumerate(text.splitlines(), start=1)
-            for tok in _TOKEN_RE.findall(line.split("#", 1)[0]) if tok != ",")
-        self._tok: str | None = None
-        self._line = 1  # the next token's line, or the last token's at the end
-        self._advance()
+    __slots__ = ("_lines", "toks", "pos", "line")
 
-    def _advance(self) -> None:
-        item = next(self._stream, None)
-        if item is None:
-            self._tok = None
-        else:
-            self._tok, self._line = item
+    def __init__(self, text: str):
+        self._lines = enumerate(text.splitlines(), start=1)
+        self.line = 1
+        self.next_line()
+
+    def next_line(self) -> None:
+        """Move to the first token of the next line that has one."""
+        for lineno, line in self._lines:
+            if "#" in line:
+                line = line[:line.index("#")]
+            # a comma is whitespace, and no token contains one
+            toks = _TOKEN_RE.findall(line.replace(",", " "))
+            if toks:
+                self.toks, self.pos, self.line = toks, 0, lineno
+                return
+        self.toks, self.pos = _END, 0
 
     def peek(self) -> str | None:
-        return self._tok
-
-    @property
-    def line(self) -> int:
-        return self._line
+        return self.toks[self.pos]
 
     def take(self, what: str) -> str:
-        tok = self._tok
+        tok = self.toks[self.pos]
         if tok is None:
             raise ModelError(self.line, f"unexpected end of document, expected {what}")
-        self._advance()
+        self.pos += 1
+        if self.pos == len(self.toks):
+            self.next_line()
         return tok
 
     def next(self, expected: str) -> str:
-        tok = self._tok
+        tok = self.toks[self.pos]
         if tok is None:
             raise ModelError(self.line,
                              f"unexpected end of document, expected {expected!r}")
         if tok != expected:
             raise ModelError(self.line, f"expected {expected!r}, got {tok!r}")
-        self._advance()
-        return tok
+        return self.take(expected)
 
 
 def _parse_label(tokens: _Tokens) -> Label:
@@ -158,50 +172,122 @@ def _parse_label(tokens: _Tokens) -> Label:
             raise ModelError(line, "tuple labels need at least two components")
         return tuple(parts)
     if ":" in tok:
-        side, _, rest = tok.partition(":")
-        if side not in ("L", "R"):
-            raise ModelError(line, f"tag must be L or R, got {side!r}")
-        if rest:
-            if not _ATOM_RE.match(rest):
-                raise ModelError(line, f"bad atom {rest!r}")
-            return Tagged(side, rest)
-        return Tagged(side, _parse_label(tokens))
+        return _parse_tagged(tok, line, tokens)
     if not _ATOM_RE.match(tok):
         raise ModelError(line, f"bad label {tok!r}")
     return tok
 
 
-def _parse_value(tokens: _Tokens) -> ExtNonneg:
+def _parse_tagged(tok: str, line: int, tokens: _Tokens) -> Tagged:
+    """A tagged label whose first token is ``tok``: ``L:a``, ``L:L:a``, or
+    ``L:`` before a label's own tokens."""
+    side, _, rest = tok.partition(":")
+    if side not in ("L", "R"):
+        raise ModelError(line, f"tag must be L or R, got {side!r}")
+    if not rest:
+        return Tagged(side, _parse_label(tokens))
+    if ":" in rest:
+        return Tagged(side, _parse_tagged(rest, line, tokens))
+    if not _ATOM_RE.match(rest):
+        raise ModelError(line, f"bad atom {rest!r}")
+    return Tagged(side, rest)
+
+
+def _parse_value(tokens: _Tokens, values: dict[str, ExtNonneg]) -> ExtNonneg:
+    """The next token as a value, parsed once per text: ``values`` maps the
+    texts already parsed to their values."""
     line = tokens.line
     tok = tokens.take("a value")
-    try:
-        return ExtNonneg.parse(tok)
-    except ValueError as exc:
-        raise ModelError(line, str(exc)) from None
+    value = values.get(tok)
+    if value is None:
+        try:
+            value = values[tok] = ExtNonneg.parse(tok)
+        except ValueError as exc:
+            raise ModelError(line, str(exc)) from None
+    return value
 
 
-def _parse_point_map(tokens: _Tokens, space: FinSpace, what: str) -> dict[int, ExtNonneg]:
+# The entry loops below read a plain-atom entry that sits on one line
+# straight from the line's token list: a label is an atom exactly when it
+# is a string key of the space's index, so one ``dict.get`` both parses
+# and resolves it. Any other entry (a tuple or tagged label, an entry split
+# across lines, an unknown label, a duplicate, a bad value) goes through
+# ``_parse_label`` and ``_parse_value``, which raise every error.
+
+
+def _parse_point_map(tokens: _Tokens, space: FinSpace, what: str,
+                     values: dict[str, ExtNonneg]) -> dict[int, ExtNonneg]:
     """The listed values of a measure or effect, keyed by point index."""
-    values: dict[int, ExtNonneg] = {}
+    entries: dict[int, ExtNonneg] = {}
+    index = space._index
     tokens.next("{")
-    while tokens.peek() != "}":
+    while (toks := tokens.toks)[pos := tokens.pos] != "}":
+        if len(toks) - pos >= 3 and toks[pos + 1] == "=" \
+                and (i := index.get(toks[pos])) is not None and i not in entries:
+            value = values.get(toks[pos + 2])
+            if value is None:
+                tokens.pos = pos + 2
+                value = _parse_value(tokens, values)
+            elif pos + 3 == len(toks):
+                tokens.next_line()
+            else:
+                tokens.pos = pos + 3
+            entries[i] = value
+            continue
         line = tokens.line
         label = _parse_label(tokens)
-        if label not in space:
+        if (i := index.get(label)) is None:
             raise ModelError(line, f"label {format_label(label)} is not in the {what} space")
-        idx = space.index(label)
-        if idx in values:
+        if i in entries:
             raise ModelError(line, f"duplicate entry for {format_label(label)}")
         tokens.next("=")
-        values[idx] = _parse_value(tokens)
+        entries[i] = _parse_value(tokens, values)
     tokens.next("}")
-    return values
+    return entries
+
+
+def _parse_kernel_rows(tokens: _Tokens, dom: FinSpace, cod: FinSpace,
+                       values: dict[str, ExtNonneg]) -> list[dict[int, ExtNonneg]]:
+    """A kernel block's listed entries, as one column -> value map per row."""
+    rows: list[dict[int, ExtNonneg]] = [{} for _ in dom.labels]
+    src_index, dst_index = dom._index, cod._index
+    tokens.next("{")
+    while (toks := tokens.toks)[pos := tokens.pos] != "}":
+        if len(toks) - pos >= 5 and toks[pos + 1] == "->" and toks[pos + 3] == "=" \
+                and (i := src_index.get(toks[pos])) is not None \
+                and (j := dst_index.get(toks[pos + 2])) is not None \
+                and j not in (row := rows[i]):
+            value = values.get(toks[pos + 4])
+            if value is None:
+                tokens.pos = pos + 4
+                value = _parse_value(tokens, values)
+            elif pos + 5 == len(toks):
+                tokens.next_line()
+            else:
+                tokens.pos = pos + 5
+            row[j] = value
+            continue
+        entry_line = tokens.line
+        src = _parse_label(tokens)
+        if (i := src_index.get(src)) is None:
+            raise ModelError(entry_line, f"label {format_label(src)} is not in the domain")
+        tokens.next("->")
+        dst = _parse_label(tokens)
+        if (j := dst_index.get(dst)) is None:
+            raise ModelError(entry_line, f"label {format_label(dst)} is not in the codomain")
+        if j in rows[i]:
+            raise ModelError(entry_line, "duplicate kernel entry")
+        tokens.next("=")
+        rows[i][j] = _parse_value(tokens, values)
+    tokens.next("}")
+    return rows
 
 
 def parse(text: str) -> ModelDocument:
     """Parse a document, validating every semantic invariant."""
     tokens = _Tokens(text)
     doc = ModelDocument()
+    values: dict[str, ExtNonneg] = {}  # value text -> value, for this call
 
     def fresh_name(kind: dict, what: str) -> str:
         line = tokens.line
@@ -239,45 +325,25 @@ def parse(text: str) -> ModelDocument:
             name = fresh_name(store, keyword)
             tokens.next("on")
             space = named_space()
-            values = _parse_point_map(tokens, space, keyword)
+            entries = _parse_point_map(tokens, space, keyword, values)
             if keyword == "probability":
-                for idx, v in sorted(values.items()):
+                for idx, v in sorted(entries.items()):
                     if not v <= ONE:
                         raise ModelError(line, f"probability value {v} at "
                                          f"{format_label(space.labels[idx])} exceeds 1")
             if keyword == "measure":
-                store[name] = from_maps(UNIT, space, (values,))
+                store[name] = from_maps(UNIT, space, (entries,))
             else:
                 store[name] = effect(
-                    space, [values.get(i, ZERO) for i in range(len(space))])
+                    space, [entries.get(i, ZERO) for i in range(len(space))])
         elif keyword == "kernel":
             name = fresh_name(doc.kernels, "kernel")
             tokens.next(":")
             dom = named_space()
             tokens.next("->")
             cod = named_space()
-            rows: list[dict[int, ExtNonneg]] = [{} for _ in dom.labels]
-            seen: set[tuple[int, int]] = set()
-            tokens.next("{")
-            while tokens.peek() != "}":
-                entry_line = tokens.line
-                src = _parse_label(tokens)
-                if src not in dom:
-                    raise ModelError(entry_line,
-                                     f"label {format_label(src)} is not in the domain")
-                tokens.next("->")
-                dst = _parse_label(tokens)
-                if dst not in cod:
-                    raise ModelError(entry_line,
-                                     f"label {format_label(dst)} is not in the codomain")
-                key = (dom.index(src), cod.index(dst))
-                if key in seen:
-                    raise ModelError(entry_line, "duplicate kernel entry")
-                seen.add(key)
-                tokens.next("=")
-                rows[key[0]][key[1]] = _parse_value(tokens)
-            tokens.next("}")
-            doc.kernels[name] = from_maps(dom, cod, rows)
+            doc.kernels[name] = from_maps(
+                dom, cod, _parse_kernel_rows(tokens, dom, cod, values))
         elif keyword == "involution":
             name = fresh_name(doc.involutions, "involution")
             tokens.next("on")

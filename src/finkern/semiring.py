@@ -8,7 +8,6 @@ rationals or the single infinity, so equality is decidable and structural.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 
 
@@ -19,8 +18,6 @@ class SemiringDivisionError(ArithmeticError):
 #: Allocates an instance without running ``__init__``; callers store a
 #: canonical ``num``/``den`` themselves.
 _new = object.__new__
-
-_FINITE_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
 
 class ExtNonneg:
@@ -60,14 +57,22 @@ class ExtNonneg:
         text = text.strip()
         if text == "inf":
             return INF
-        m = _FINITE_RE.match(text)
-        if m is None:
+        # digits, optionally "/" and digits; isdecimal() accepts exactly
+        # the characters int() reads as digits
+        num, slash, den = text.partition("/")
+        if not num.isdecimal() or not (den.isdecimal() or not slash):
             raise ValueError(f"not a value in [0, oo]: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        den = int(den) if slash else 1
         if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return cls(num, den)
+        num = int(num)
+        if num == 0:
+            return ZERO
+        g = gcd(num, den)
+        value = _new(cls)
+        value.num = num // g
+        value.den = den // g
+        return value
 
     @property
     def is_finite(self) -> bool:

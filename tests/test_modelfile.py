@@ -1,12 +1,18 @@
+import random
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from finkern.semiring import ExtNonneg
-from finkern.spaces import Tagged
+from finkern.semiring import INF, ZERO, ExtNonneg
+from finkern.spaces import FinSpace, Tagged
+from finkern.kernels import Involution, Kernel, effect, measure
 from finkern.modelfile import (
     ModelDocument, ModelError, emit, format_label, parse, parse_label,
 )
+
+from strategies import finite_values
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -133,3 +139,153 @@ def test_bundled_corpus_round_trips():
     for path in files:
         doc = parse(path.read_text())
         assert parse(emit(doc)) == doc, path.name
+
+
+# ---------------------------------------------------------------------------
+# round trips over generated documents, and re-laid texts
+
+
+ATOM_NAMES = ("a", "b", "c_1", "x.2", "*")
+
+
+@st.composite
+def labels(draw, depth=2):
+    """An atom, a tuple of labels or a tagged label."""
+    kind = draw(st.sampled_from(("atom", "atom", "tuple", "tagged"))
+                if depth else st.just("atom"))
+    if kind == "atom":
+        return draw(st.sampled_from(ATOM_NAMES))
+    if kind == "tuple":
+        return tuple(draw(st.lists(labels(depth - 1), min_size=2, max_size=3)))
+    return Tagged(draw(st.sampled_from("LR")), draw(labels(depth - 1)))
+
+
+label_spaces = st.lists(labels(), min_size=1, max_size=5, unique=True).map(FinSpace)
+# 0 and oo often, so listed zeros and infinite entries both occur
+doc_values = st.one_of(st.just(ZERO), st.just(INF), finite_values)
+probability_values = st.builds(lambda n, d: ExtNonneg(min(n, d), d),
+                               st.integers(0, 6), st.integers(1, 6))
+
+
+@st.composite
+def documents(draw):
+    doc = ModelDocument()
+    spaces = draw(st.lists(label_spaces, min_size=1, max_size=3, unique=True))
+    for k, space in enumerate(spaces):
+        doc.add_space(f"S{k}", space)
+
+    def values_on(space, values=doc_values):
+        return draw(st.lists(values, min_size=len(space), max_size=len(space)))
+
+    for k in range(draw(st.integers(0, 2))):
+        space = draw(st.sampled_from(spaces))
+        doc.measures[f"mu{k}"] = measure(space, values_on(space))
+        doc.effects[f"w{k}"] = effect(space, values_on(space))
+        doc.probabilities[f"p{k}"] = effect(space, values_on(space, probability_values))
+    for k in range(draw(st.integers(0, 3))):
+        dom, cod = draw(st.sampled_from(spaces)), draw(st.sampled_from(spaces))
+        doc.kernels[f"K{k}"] = Kernel(dom, cod, [values_on(cod) for _ in dom.labels])
+    if draw(st.booleans()):
+        space = draw(st.sampled_from(spaces))
+        perm = list(range(len(space)))
+        if len(space) >= 2:
+            perm[0], perm[1] = 1, 0
+        doc.involutions["phi"] = Involution(space, tuple(perm))
+    if draw(st.booleans()):
+        doc.balancing["met"] = "metropolis"
+    return doc
+
+
+def relay(text: str, rng: random.Random) -> str:
+    """The same document laid out anew: words joined by commas, newlines
+    and comments as often as by spaces, so entries break across lines."""
+    separators = (" ", " ", ", ", "\n", "  # a comment, with {braces} -> =\n",
+                  ",\n", "\n\n  ")
+    words = []
+    for word in text.split():
+        if word.startswith(("(", "L:(", "R:(")) and rng.random() < 0.5:
+            word = word.replace(",", rng.choice((" ", " , ", ",\n")))
+        words.append(word)
+    return "".join(word + rng.choice(separators) for word in words)
+
+
+@given(documents(), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_generated_documents_round_trip_in_any_layout(doc, rng):
+    text = emit(doc)
+    assert parse(text) == doc
+    assert parse(relay(text, rng)) == doc
+
+
+# ---------------------------------------------------------------------------
+# errors deep in a large kernel block
+
+
+DEEP_SIZE = 24
+
+
+def _deep_document() -> list[str]:
+    """A space of atoms, a space of pairs, and a kernel block on each, one
+    entry a line: well over a thousand lines in all."""
+    atoms = [f"x{i}" for i in range(DEEP_SIZE)]
+    pairs = [f"(u{i},v{i % 3})" for i in range(DEEP_SIZE)]
+    lines = ["space X { " + " ".join(atoms) + " }",
+             "space P { " + " ".join(pairs) + " }",
+             "kernel K : X -> X {"]
+    lines += [f"  {a} -> {b} = {1 + (i * j) % 7}/{1 + (i + j) % 5}"
+              for i, a in enumerate(atoms) for j, b in enumerate(atoms)]
+    lines += ["}", "kernel M : P -> P {"]
+    lines += [f"  {a} -> {b} = {1 + (i + j) % 4}"
+              for i, a in enumerate(pairs) for j, b in enumerate(pairs)]
+    lines.append("}")
+    return lines
+
+
+@pytest.mark.parametrize("block,change,fragment", [
+    ("K", lambda e: e.replace(" = ", " = 3/0 #"), "zero denominator"),
+    ("K", lambda e: e.replace(" = ", " = -1 #"), "not a value"),
+    ("K", lambda e: e.replace(" -> ", " -> y"), "not in the codomain"),
+    ("K", lambda e: "  y" + e.lstrip(), "not in the domain"),
+    ("K", lambda e: e + "  " + e.strip(), "duplicate kernel entry"),
+    ("K", lambda e: e.replace(" = ", " = 1 }"), "unknown declaration"),
+    ("M", lambda e: e.replace(" = ", " = 1//2 #"), "not a value"),
+    ("M", lambda e: e.replace(" -> (", " -> (w"), "not in the codomain"),
+    ("M", lambda e: e.replace("(", "(w", 1), "not in the domain"),
+    ("M", lambda e: e + "  " + e.strip(), "duplicate kernel entry"),
+    ("M", lambda e: e.replace("(", "((", 1), "bad label '->'"),
+], ids=["atom-zero-den", "atom-negative", "atom-unknown-dst",
+        "atom-unknown-src", "atom-duplicate", "atom-early-close",
+        "tuple-bad-value", "tuple-unknown-dst", "tuple-unknown-src",
+        "tuple-duplicate", "tuple-malformed"])
+def test_errors_deep_in_a_large_kernel_block_carry_their_line(block, change, fragment):
+    lines = _deep_document()
+    assert len(lines) > 1000
+    assert parse("\n".join(lines)).kernels["M"].entry(
+        ("u3", "v0"), ("u5", "v2")) == ExtNonneg(1)
+    start = lines.index(f"kernel {block} : {'X -> X' if block == 'K' else 'P -> P'} {{")
+    index = start + 400  # hundreds of lines into the block
+    lines[index] = change(lines[index])
+    with pytest.raises(ModelError) as err:
+        parse("\n".join(lines))
+    assert err.value.line == index + 1
+    assert fragment in str(err.value)
+
+
+def test_an_error_in_a_split_entry_carries_the_line_of_its_token():
+    head = "space X { a b }\nkernel k : X -> X {\n  a -> a = 1/2\n"
+    with pytest.raises(ModelError) as err:
+        parse(head + "  a ->\n    b =\n    1/0 }\n")
+    assert err.value.line == 6
+    with pytest.raises(ModelError) as err:
+        parse(head + "  b ->\n    c = 1 }\n")
+    assert err.value.line == 4  # an entry's label errors name its first line
+    with pytest.raises(ModelError) as err:
+        parse(head + "  a\n  -> a = 1 }\n")
+    assert (err.value.line, str(err.value)) == (4, "line 4: duplicate kernel entry")
+
+
+def test_nested_tags_parse_as_the_grammar_reads_them():
+    assert parse_label("L:L:a") == Tagged("L", Tagged("L", "a"))
+    assert parse_label("R:L:(a,b)") == Tagged("R", Tagged("L", ("a", "b")))
+    with pytest.raises(ModelError, match="tag must be L or R, got 'X'"):
+        parse_label("L:X:a")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -191,6 +192,33 @@ def test_parse(text, value):
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         ExtNonneg.parse(text)
+
+
+def _regex_parse(text):
+    """The regex-based reading of a value's text: the oracle for parse."""
+    text = text.strip()
+    if text == "inf":
+        return INF
+    m = re.match(r"^(\d+)(?:/(\d+))?$", text)
+    if m is None:
+        raise ValueError(f"not a value in [0, oo]: {text!r}")
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return ExtNonneg(int(m.group(1)), den)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return value.num, value.den
+
+
+@given(st.text(alphabet="0123456789/ inf\u0663\u00b2-+_.\n", max_size=8))
+def test_parse_agrees_with_the_regex_reading(text):
+    assert _outcome(ExtNonneg.parse, text) == _outcome(_regex_parse, text)
 
 
 @given(values)
