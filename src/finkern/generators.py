@@ -100,11 +100,13 @@ def rand_probability_effect(rng: random.Random, space: FinSpace,
 
 
 def rand_mh_problem(rng: random.Random, min_size: int = 2, max_size: int = 6,
-                    mode: str = "mixed") -> MhProblem:
+                    mode: str = "mixed", support: str = "orbits") -> MhProblem:
     """A random target/involution/acceptance triple ready for verification.
 
-    The target's support is a union of involution orbits, so the pushforward
-    target is dominated by the target and the balancing density exists.
+    With ``support="orbits"`` the target's support is a union of involution
+    orbits, so the pushforward target is dominated by the target and the
+    balancing density exists; with ``support="any"`` each point is charged
+    or not on its own, so phi may move a charged point onto a null one.
     ``mode`` selects the acceptance: ``"balanced"`` derives it from a random
     balancing function, ``"adversarial"`` draws it at random (almost always
     violating balancing), ``"mixed"`` flips a coin.
@@ -112,14 +114,21 @@ def rand_mh_problem(rng: random.Random, min_size: int = 2, max_size: int = 6,
     space = rand_space(rng, min_size, max_size)
     phi = rand_involution(rng, space)
     n = len(space)
-    support = [False] * n
-    for i in range(n):
-        if rng.random() < 0.7:
-            support[i] = support[phi.perm[i]] = True
-    if not any(support):
-        i = rng.randrange(n)
-        support[i] = support[phi.perm[i]] = True
-    masses = [rand_value(rng) if s else ZERO for s in support]
+    charged = [False] * n
+    if support == "orbits":
+        for i in range(n):
+            if rng.random() < 0.7:
+                charged[i] = charged[phi.perm[i]] = True
+        if not any(charged):
+            i = rng.randrange(n)
+            charged[i] = charged[phi.perm[i]] = True
+    elif support == "any":
+        charged = [rng.random() < 0.6 for _ in range(n)]
+        if not any(charged):
+            charged[rng.randrange(n)] = True
+    else:
+        raise ValueError(f"unknown support {support!r}")
+    masses = [rand_value(rng) if s else ZERO for s in charged]
     target = measure(space, masses)
 
     if mode == "mixed":

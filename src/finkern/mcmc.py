@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 from .semiring import (
-    ExtNonneg, ONE, ONE_PAIR, ZERO, ZERO_PAIR, ext_sum, pair_products_equal,
+    ExtNonneg, ONE, ZERO, ZERO_PAIR, ext_sum, pair_products_equal,
     residual,
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
@@ -21,11 +21,10 @@ from .kernels import (
     Involution, Kernel, SpaceMismatchError, compose, delete, deterministic,
     effect, from_maps, graph, identity, is_normalized, lazy_involution,
     lift_involution, pushforward, reweight, right_unitor, effect_pairs,
-    pair_rows, row_support, substochastic_violation, swap, tensor,
+    pair_rows, substochastic_violation, swap, tensor,
 )
 from .enrichment import (
     NotCancellative, _density_values, is_cancellative, lebesgue_decompose,
-    rn_derivative,
 )
 from ._record import FrozenRecord
 
@@ -279,17 +278,28 @@ def build_mh(problem: MhProblem) -> Kernel:
 
 
 def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Label | None:
-    ratio = rn_derivative(pushforward(phi, target), target)
+    # At a point neither x nor phi(x) charges both sides are 0, and the
+    # condition at an uncharged x is the one at phi(x); so the charged
+    # points, in order, are all there is to check.
+    (masses,) = pair_rows(target)
     alpha = effect_pairs(accept)
-    r = effect_pairs(ratio)
-    for i in row_support(target, 0):  # the charged points
-        if not pair_products_equal(alpha[i], ONE_PAIR, alpha[phi.perm[i]], r[i]):
+    perm = phi.perm
+    for i, mass in masses.items():
+        j = perm[i]
+        if not pair_products_equal(alpha[i], mass, alpha[j], masses.get(j, ZERO_PAIR)):
             return target.cod.labels[i]
     return None
 
 
 def balancing_violation(problem: MhProblem) -> Label | None:
-    """The first charged point where accept != (accept ∘ phi) * density."""
+    """The first charged point x where the balancing condition
+    ``accept(x) * pi(x) = accept(phi x) * pi(phi x)`` fails.
+
+    Where phi maps the target's support onto itself this is the paper's
+    ``accept = (accept ∘ phi) * d(phi_* pi)/d pi`` times ``pi(x)``; where
+    phi sends a charged point x to a null one it demands ``accept(x) = 0``
+    (Tierney 1998). So it is decided on every support.
+    """
     return _balancing_violation(problem.target, problem.involution,
                                 problem.acceptance)
 
@@ -308,9 +318,7 @@ def balancing_alpha(balancing: BalancingFunction, target: Kernel,
     charged point off the target's support that density is 0, so the
     acceptance is ``balancing(0) = 0`` and the move is never taken. The
     chain ``build_mh`` makes from the result is always reversible, and the
-    problem satisfies the balancing condition whenever the target's
-    support is a union of phi-orbits (otherwise ``check_balancing`` raises
-    ``NotAbsolutelyContinuous``).
+    problem satisfies the balancing condition on any support.
     """
     dominated = lebesgue_decompose(pushforward(phi, target), target).ac
     return effect(target.cod, list(map(balancing.fn, _density_values(dominated, target))))

@@ -292,7 +292,6 @@ def fraction(num: int, den: int) -> ExtNonneg:
 # cross-multiplication, and builds no ``ExtNonneg``.
 
 ZERO_PAIR = (0, 1)
-ONE_PAIR = (1, 1)
 INF_PAIR = (1, 0)
 
 

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from finkern.semiring import ExtNonneg, INF, ONE, ZERO, ext_sum, residual
+from finkern.semiring import (
+    ExtNonneg, INF, ONE, ZERO, ext_sum, pair_products_equal, residual,
+)
 from finkern.spaces import FinSpace, UNIT, product, product_many
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, compose, copy, delete,
-    deterministic, effect, identity, lift_involution, measure, pushforward,
-    reweight, right_unitor, swap, tensor, uniform, is_normalized,
+    deterministic, effect, effect_pairs, identity, lift_involution, measure,
+    pair_rows, pushforward, reweight, right_unitor, row_support, swap, tensor,
+    uniform, is_normalized,
 )
 from finkern.enrichment import NotAbsolutelyContinuous, leq_witness, rn_derivative
 from finkern import mcmc
 from finkern.mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, MhProblem, augment_reversible,
-    balancing_alpha, bayesian_inverse, build_mh, build_skew_mh,
-    check_balancing, classical_mh, conditional, detailed_balance_violation,
+    balancing_alpha, balancing_violation, bayesian_inverse, build_mh,
+    build_skew_mh, check_balancing, classical_mh, conditional, detailed_balance_violation,
     exchange_algorithm,
     first_summand_reversible, gibbs, gibbs_site_kernels, is_invariant,
     is_reversible, is_skew_reversible, mh_acceptance_ratio,
@@ -437,11 +440,15 @@ def test_balancing_alpha_constant_when_target_invariant():
 
 
 def test_balancing_propagates_absolute_continuity_failure():
+    # phi sends the charged point a onto the null point b, so the density
+    # d(phi_* pi)/d pi does not exist; the product form still decides the
+    # condition: accepting the move off the support violates it at a
     target = measure(X2, [ONE, ZERO])
     prob = MhProblem(target=target, involution=SWAP2,
                      acceptance=effect(X2, [1, 1]))
-    with pytest.raises(NotAbsolutelyContinuous):
-        check_balancing(prob)
+    assert check_balancing(prob) is False
+    assert balancing_violation(prob) == "a"
+    assert not is_reversible(target, build_mh(prob))
 
 
 @pytest.mark.parametrize("name", sorted(BALANCING_FUNCTIONS))
@@ -456,8 +463,53 @@ def test_balancing_alpha_is_zero_where_phi_leaves_the_support(name):
     assert alpha.effect_values() == (fn(q(2)), fn(q(1, 2)), ZERO, ZERO)
     prob = MhProblem(target=target, involution=phi, acceptance=alpha)
     assert is_reversible(target, build_mh(prob))
-    with pytest.raises(NotAbsolutelyContinuous):
-        check_balancing(prob)
+    assert check_balancing(prob)
+
+
+def _density_balancing_violation(problem):
+    """The balancing condition in the paper's density form, ``accept =
+    (accept ∘ phi) * d(phi_* pi)/d pi`` at each charged point: the oracle
+    for the product form, defined only where the density exists."""
+    target, phi, accept = problem.target, problem.involution, problem.acceptance
+    ratio = effect_pairs(rn_derivative(pushforward(phi, target), target))
+    alpha = effect_pairs(accept)
+    for i in row_support(target, 0):
+        if not pair_products_equal(alpha[i], (1, 1), alpha[phi.perm[i]], ratio[i]):
+            return target.cod.labels[i]
+    return None
+
+
+@pytest.mark.parametrize("support", ["orbits", "any"])
+def test_balancing_product_form_is_the_density_form_where_it_exists(support):
+    rng, cases = _rng_cases(1031, 600)
+    dominated = 0
+    for _ in cases:
+        prob = rand_mh_problem(rng, mode="mixed", support=support)
+        try:
+            expected = _density_balancing_violation(prob)
+        except NotAbsolutelyContinuous:
+            assert support == "any"
+            continue
+        dominated += 1
+        assert balancing_violation(prob) == expected
+    assert dominated > 100
+
+
+def test_theorem_flags_agree_on_arbitrary_supports():
+    # a batch beside acceptance 01, whose instances keep supports that are
+    # unions of phi-orbits: here phi may move charged points onto null ones
+    rng, cases = _rng_cases(1041, 2000)
+    off_support = reversible = 0
+    for _ in cases:
+        prob = rand_mh_problem(rng, 2, 6, mode="mixed", support="any")
+        (masses,) = pair_rows(prob.target)
+        off_support += any(prob.involution.perm[i] not in masses for i in masses)
+        flags = verify_mh_theorem(prob)
+        assert flags.reversible == flags.balanced
+        assert flags == first_summand_reversible(prob.target, prob.involution,
+                                                 prob.acceptance)
+        reversible += flags.reversible
+    assert off_support > 500 and 200 < reversible < 1800
 
 
 def test_balancing_alpha_chain_is_reversible_on_any_support():
