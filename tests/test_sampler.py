@@ -8,7 +8,9 @@ from hypothesis import given, settings
 
 from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import FinSpace, product
-from finkern.kernels import Involution, Kernel, identity, measure, pair_rows
+from finkern.kernels import (
+    Involution, Kernel, identity, measure, normalized_violation, pair_rows,
+)
 from finkern.generators import rand_mh_problem, rand_normalized_kernel
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
 from finkern import sampler
@@ -59,6 +61,25 @@ def test_to_float_names_the_row_that_is_not_normalized():
     with pytest.raises(ValueError, match=r"not normalized at row \(a,b\)$"):
         to_float(Kernel(product(X2, X2), X2,
                         [[1, 0], [q(1, 2), q(1, 3)], [0, 1], [0, 1]]))
+
+
+def _row_choices():
+    half = ExtNonneg(1, 2)
+    return st.sampled_from([[half, half], [1, 0], [0, 1], [INF, 0], [0, 0],
+                            [half, 0], [1, 1], [half, INF]])
+
+
+@given(st.lists(_row_choices(), min_size=1, max_size=6))
+def test_to_float_checks_each_distinct_row_as_normalized_violation_does(rows):
+    # few row choices, so rows repeat and share one pair map
+    space = FinSpace(tuple(f"r{i}" for i in range(len(rows))))
+    kernel = Kernel(space, X2, rows)
+    bad = normalized_violation(kernel)
+    if bad is None:
+        assert len(to_float(kernel)) == len(rows)
+    else:
+        with pytest.raises(ValueError, match=f"not normalized at row {bad}$"):
+            to_float(kernel)
 
 
 def dense_to_float(kernel):
