@@ -211,8 +211,9 @@ def _parse_value(tokens: _Tokens, values: dict[str, ExtNonneg]) -> ExtNonneg:
 # straight from the line's token list: a label is an atom exactly when it
 # is a string key of the space's index, so one ``dict.get`` both parses
 # and resolves it. Any other entry (a tuple or tagged label, an entry split
-# across lines, an unknown label, a duplicate, a bad value) goes through
-# ``_parse_label`` and ``_parse_value``, which raise every error.
+# across lines, an unknown label, a duplicate) takes the general path
+# through ``_parse_label``, and a value text not parsed before goes through
+# ``_parse_value``; those two raise every error.
 
 
 def _parse_point_map(tokens: _Tokens, space: FinSpace, what: str,

@@ -61,30 +61,27 @@ def to_float(kernel: Kernel) -> FloatMatrix:
     float tuple.
     """
     maps = pair_rows(kernel)
-    # id of a pair map -> its floats, None until converted
-    done: dict[int, tuple[float, ...] | None] = {}
+    distinct = {}  # id of a pair map -> the map, in the order rows show them
     for i, pairs in enumerate(maps):
-        if id(pairs) not in done:
+        if id(pairs) not in distinct:
             if not _has_mass_one(pairs):
                 raise ValueError("kernel is not normalized at row "
                                  f"{format_label(kernel.dom.labels[i])}")
-            done[id(pairs)] = None
+            distinct[id(pairs)] = pairs
     width = len(kernel.cod)
-    rows = []
-    for pairs in maps:  # all finite: the kernel is normalized
-        floats = done[id(pairs)]
-        if floats is None:
-            floats = done[id(pairs)] = _float_row(pairs, width)
-        rows.append(floats)
-    return tuple(rows)
+    floats = {key: _float_row(pairs, width) for key, pairs in distinct.items()}
+    return tuple([floats[id(pairs)] for pairs in maps])
 
 
 def _has_mass_one(pairs: dict[int, tuple[int, int]]) -> bool:
     """Whether a row's pair map sums to exactly 1. Its finite entries share
     the row denominator and oo's is 0, so it does when that is the one
-    denominator and the numerators sum to it."""
+    denominator, it is not 0, and the numerators sum to it."""
     dens = {d for _, d in pairs.values()}
-    return len(dens) == 1 and sum(n for n, _ in pairs.values()) == dens.pop() != 0
+    if len(dens) != 1:
+        return False
+    den = dens.pop()
+    return den != 0 and sum(n for n, _ in pairs.values()) == den
 
 
 def _float_row(pairs: dict[int, tuple[int, int]], width: int) -> tuple[float, ...]:
