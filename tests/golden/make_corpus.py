@@ -34,9 +34,8 @@ CORPUS = HERE / "corpus.txt"
 #: Replaced in an argv by a fresh file path at run time.
 OUT = "{out}"
 
-#: The environment every argv runs in, apart from its own assignments:
-#: argparse wraps usage lines at the terminal width.
-BASE_ENV = {"COLUMNS": "80", "FINKERN_INSTANCES": None}
+#: The environment every argv runs in, apart from its own assignments.
+BASE_ENV = {"FINKERN_INSTANCES": None}
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +83,19 @@ def run_argv(words: list[str], out_path: Path) -> str:
             else:
                 os.environ[name] = value
     written = out_path.read_text() if out_path.exists() else None
-    return format_record(words, status, stdout.getvalue(), stderr.getvalue(),
-                         written)
+    return format_record(words, status, stdout.getvalue(),
+                         _unwrap_usage(stderr.getvalue()), written)
+
+
+def _unwrap_usage(text: str) -> str:
+    """argparse's usage block joined into one line: where it wraps depends
+    on the Python version, not on the CLI."""
+    lines = text.splitlines(keepends=True)
+    if not lines or not lines[0].startswith("usage:"):
+        return text
+    end = next((i for i, line in enumerate(lines) if i and not line.startswith(" ")),
+               len(lines))
+    return " ".join(line.strip() for line in lines[:end]) + "\n" + "".join(lines[end:])
 
 
 def _section(name: str, text: str | None) -> list[str]:
