@@ -30,7 +30,7 @@ from .enrichment import (
 from .mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, BalancingFunction, MhProblem,
     TheoremFlags, augment_reversible, balancing_alpha, bayesian_inverse,
-    build_mh, build_skew_mh, check_balancing, classical_mh, conditional,
+    build_mh, build_skew_mh, check_balancing, classical_mh,
     exchange_algorithm, first_summand_reversible, gibbs, gibbs_site_kernels,
     is_invariant, is_reversible, is_skew_reversible, verify_mh_theorem,
     verify_skew_theorem,

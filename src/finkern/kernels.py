@@ -16,15 +16,18 @@ equal kernels have equal rows and hashes. Zeros are never stored, and
 on these integers alone: ``compose`` scales each middle row to the lcm of
 the middle denominators and takes integer dot products, so a row costs one
 gcd, not one per scalar product and sum, a row with one middle point is a
-scaled copy of that middle row, and each distinct earlier row is worked out
-once. ``graph(k)``, the graph ``(identity (x) k) ∘ copy`` of ``k``, moves
-``k``'s rows into place instead of building the |X|*|X| rows of the
-tensor that copy reads |X| of. A deterministic kernel is a function,
-and is stored as its index map: identity, copy, swap, the unitors and
-associator, relabelings and involutions hold one entry ``((j,), (1,), 1,
-())`` per row, and keep their targets, so that running one after a kernel
-moves that kernel's columns instead of multiplying, and two index maps
-compose or tensor to an index map.
+scaled copy of that middle row, each distinct earlier row is worked out
+once, and a later row that middle points share as one stored object is
+multiplied once per output row. ``graph(k)``, the graph ``(identity (x)
+k) ∘ copy`` of ``k``, moves ``k``'s rows into place instead of building
+the |X|*|X| rows of the tensor that copy reads |X| of, and
+``resample_within`` stores one row per block of a partition, which every
+point of the block shares (a Gibbs site is one). A deterministic kernel
+is a function, and is stored as its index map: identity, copy, swap, the
+unitors and associator, relabelings and involutions hold one entry
+``((j,), (1,), 1, ())`` per row, and keep their targets, so that running
+one after a kernel moves that kernel's columns instead of multiplying,
+and two index maps compose or tensor to an index map.
 
 ``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
 pair ``(cols, vals)`` of every nonzero entry's column and value),
@@ -36,11 +39,11 @@ row, so all of them are read-only. A chain whose rows repeat, as a Gibbs
 sweep's do, then builds each of them once. Only this module reads or
 writes stored rows: other code builds kernels with ``Kernel(dom, cod,
 dense)``, ``measure``, ``effect``, ``from_maps``, ``lazy_involution``,
-``split_by_support`` and the structural constructors, and where it
-compares many entries it reads them as integer pairs (see ``semiring``)
-through ``pair_rows`` and ``effect_pairs``, and supports and infinite
-entries through ``row_support`` and ``infinite_entry``, building no
-``ExtNonneg``.
+``resample_within``, ``split_by_support`` and the structural
+constructors, and where it compares many entries it reads them as integer
+pairs (see ``semiring``) through ``pair_rows`` and ``effect_pairs``, and
+supports and infinite entries through ``row_support`` and
+``infinite_entry``, building no ``ExtNonneg``.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
@@ -455,6 +458,39 @@ def uniform(space: FinSpace) -> Kernel:
     return measure(space, [ExtNonneg(1, n)] * n)
 
 
+def resample_within(mu: Kernel, blocks: Iterable[Iterable[int]]) -> Kernel:
+    """The kernel X -> X that redraws a point of the finite measure ``mu``
+    on X from ``mu`` within the point's block.
+
+    ``blocks`` partitions X's point indices. Every point of a block gets
+    the same row, stored once: ``mu`` on the block over the block's mass,
+    or uniform over the block where that mass is 0. The row is ``mu``'s
+    numerators on the block over their sum, so it costs one gcd.
+    """
+    if not mu.is_measure:
+        raise SpaceMismatchError("resample_within needs a measure")
+    ((cols, nums, _, infs),) = mu.int_rows
+    if infs:
+        raise ValueError("resample_within needs a finite measure")
+    mass = dict(zip(cols, nums))
+    rows: list = [None] * len(mu.cod)
+    placed = 0
+    for block in blocks:
+        block = sorted(block)
+        charged = [j for j in block if j in mass]
+        if charged:
+            weights = [mass[j] for j in charged]
+            row = _reduced(tuple(charged), weights, sum(weights))
+        else:
+            row = (tuple(block), (1,) * len(block), len(block), ())
+        for j in block:
+            rows[j] = row
+        placed += len(block)
+    if placed != len(rows) or None in rows:
+        raise ValueError("blocks must partition the measure's points")
+    return Kernel._new(mu.cod, mu.cod, tuple(rows))
+
+
 # ---------------------------------------------------------------------------
 # composition and monoidal product
 
@@ -466,7 +502,9 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     the lcm ``L`` of the middle rows' denominators, weighted by the earlier
     row's numerator, and summed over ``den * L``; one gcd then reduces it.
     Equal earlier rows give equal output rows, so each distinct earlier row
-    is worked out once.
+    is worked out once. Where middle points share one stored later row (a
+    Gibbs site's fibers do), the earlier row's numerators on them are added
+    up first, so each shared later row is multiplied once per output row.
     """
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
@@ -487,6 +525,10 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         return Kernel._new(earlier.dom, later.cod, tuple(out))
     later_rows = later.int_rows
     infinite = _has_inf(later) or _has_inf(earlier)
+    first = None  # per middle point, the first one sharing its later row
+    if not infinite and len(set(map(id, later_rows))) < len(later_rows):
+        seen: dict[int, int] = {}
+        first = [seen.setdefault(id(r), k) for k, r in enumerate(later_rows)]
     out = []
     for row in earlier.int_rows:
         cols, nums, den, infs = row
@@ -499,6 +541,12 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         if new is not None:  # a repeated row: gibbs' sites ignore one coordinate
             out.append(new)
             continue
+        if first is not None:
+            merged: dict[int, int] = {}
+            for k, a in zip(cols, nums):
+                k = first[k]
+                merged[k] = merged.get(k, 0) + a
+            cols, nums = merged, merged.values()
         mids = [later_rows[k] for k in cols]
         scale = lcm(*[ld for _, _, ld, _ in mids])
         acc: dict[int, int] = {}

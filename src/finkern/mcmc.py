@@ -18,10 +18,10 @@ from .semiring import (
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, delete, deterministic,
-    effect, from_maps, graph, identity, is_normalized, lazy_involution,
-    lift_involution, pushforward, reweight, right_unitor, effect_pairs,
-    pair_rows, substochastic_violation, swap, tensor,
+    Involution, Kernel, SpaceMismatchError, compose, delete, effect,
+    from_maps, graph, identity, is_normalized, lazy_involution,
+    lift_involution, pushforward, resample_within, reweight, right_unitor,
+    effect_pairs, pair_rows, substochastic_violation, swap, tensor,
 )
 from .enrichment import (
     NotCancellative, _density_values, is_cancellative, lebesgue_decompose,
@@ -460,65 +460,21 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
 
 
 # ---------------------------------------------------------------------------
-# conditionals and the systematic-scan Gibbs sampler
-
-
-def conditional(joint: Kernel, given: str = "left") -> Kernel:
-    """A conditional of a measure on a binary product space.
-
-    With ``given="left"`` returns f: X -> Y with joint[(x, y)] ==
-    marginal[x] * f[x][y]; ``given="right"`` conditions on the second
-    factor. Rows at marginal-null points are set to the uniform
-    distribution (any normalized row satisfies the defining equation).
-    """
-    if not joint.is_measure:
-        raise SpaceMismatchError("conditional needs a measure")
-    left_sp, right_sp = _split_product(joint.cod)
-    if given == "right":
-        flipped = compose(
-            deterministic(joint.cod, product(right_sp, left_sp),
-                          lambda p: (p[1], p[0])),
-            joint)
-        return conditional(flipped, given="left")
-    if given != "left":
-        raise ValueError("given must be 'left' or 'right'")
-    m = len(right_sp)
-    blocks: list[dict[int, ExtNonneg]] = [{} for _ in left_sp.labels]
-    for k, v in zip(*joint.rows[0]):
-        blocks[k // m][k % m] = v
-    return _normalized(left_sp, right_sp, blocks,
-                       "conditional needs finite marginal masses")
-
-
-def _split_product(space: FinSpace) -> tuple[FinSpace, FinSpace]:
-    """Recover the factors of a space built by ``product``."""
-    firsts: list[Label] = []
-    seconds: list[Label] = []
-    for label in space.labels:
-        if not isinstance(label, tuple) or len(label) != 2:
-            raise SpaceMismatchError(f"label {label!r} is not a product pair")
-        if label[0] not in firsts:
-            firsts.append(label[0])
-        if label[1] not in seconds and len(firsts) == 1:
-            seconds.append(label[1])
-    left_sp = FinSpace(firsts)
-    right_sp = FinSpace(seconds)
-    if product(left_sp, right_sp) != space:
-        raise SpaceMismatchError("space is not a binary product in index order")
-    return left_sp, right_sp
+# the systematic-scan Gibbs sampler
 
 
 def gibbs_site_kernels(joint: Kernel, factors: Sequence[FinSpace]) -> list[Kernel]:
     """One single-site resampling kernel per coordinate of the joint space.
 
-    The joint space carries flat tuple labels over ``factors``. For each
-    coordinate, an explicit relabeling kernel moves it to the last slot,
-    the coordinate is deleted, and the graph of the conditional keeps the
-    remaining coordinates and refills the slot; the inverse relabeling
-    restores the original coordinate order. Row ``x`` of site ``i`` is the
-    joint at ``x`` with coordinate ``i`` set to each value, over its sum
-    (uniform where that sum is 0), so it does not depend on ``x``'s own
-    coordinate ``i``: rows repeat, and ``compose`` builds each once.
+    The joint space carries flat tuple labels over ``factors``, numbered in
+    lexicographic order, so the points that differ only in coordinate ``i``
+    form a fiber of ``len(factors[i])`` indices a stride apart, the stride
+    being the number of points of the later factors. Site ``i`` resamples
+    coordinate ``i`` within its fiber (``resample_within``): row ``x`` is
+    the joint at ``x`` with coordinate ``i`` set to each value, over its
+    sum (uniform where that sum is 0). It does not depend on ``x``'s own
+    coordinate ``i``, so a fiber's points share one stored row. A factor
+    with no points makes the space empty, and every site the empty chain.
     """
     factors = tuple(factors)
     if len(factors) < 2:
@@ -528,26 +484,16 @@ def gibbs_site_kernels(joint: Kernel, factors: Sequence[FinSpace]) -> list[Kerne
         raise SpaceMismatchError("joint must be a measure on the product of the factors")
     if not is_cancellative(joint):
         raise NotCancellative("gibbs needs a finite joint measure")
+    if not space:
+        return [identity(space)] * len(factors)
     sites = []
-    for i, factor in enumerate(factors):
-        rest = factors[:i] + factors[i + 1:]
-        rest_sp = product_many(rest)
-        grouped_sp = product(rest_sp, factor)
-
-        def group(label, i=i):
-            return (label[:i] + label[i + 1:], label[i])
-
-        def ungroup(label, i=i):
-            rest_part, coord = label
-            return rest_part[:i] + (coord,) + rest_part[i:]
-
-        to_grouped = deterministic(space, grouped_sp, group)
-        from_grouped = deterministic(grouped_sp, space, ungroup)
-        resample = conditional(compose(to_grouped, joint), given="left")
-        update = compose(
-            graph(resample),
-            compose(right_unitor(rest_sp), tensor(identity(rest_sp), delete(factor))))
-        sites.append(compose(from_grouped, compose(update, to_grouped)))
+    step = len(space)  # how many points share the coordinates before i
+    for factor in factors:
+        stride = step // len(factor)
+        sites.append(resample_within(joint, [
+            range(start + r, start + step, stride)
+            for start in range(0, len(space), step) for r in range(stride)]))
+        step = stride
     return sites
 
 

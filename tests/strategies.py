@@ -1,6 +1,7 @@
 """Shared hypothesis strategies and fixtures for exact kernels."""
 
 import random
+from math import gcd
 
 import hypothesis.strategies as st
 
@@ -80,3 +81,16 @@ def gibbs_3x3x3():
     factors = [FinSpace(tuple(f"c{i}_{j}" for j in range(3))) for i in range(3)]
     joint = rand_probability_measure(random.Random(21), product_many(factors))
     return gibbs(joint, factors)
+
+
+def assert_reduced(k):
+    """Each stored row is ascending, positive, reduced, and keeps its oo
+    columns apart from its finite ones."""
+    assert len(k.int_rows) == len(k.dom)
+    for cols, nums, den, infs in k.int_rows:
+        assert list(cols) == sorted(set(cols)) and list(infs) == sorted(set(infs))
+        assert not set(cols) & set(infs)
+        assert all(0 <= j < len(k.cod) for j in cols + infs)
+        assert len(nums) == len(cols)
+        assert all(type(n) is int and n > 0 for n in nums)
+        assert type(den) is int and den >= 1 and gcd(den, *nums) == 1

@@ -207,6 +207,19 @@ def test_gibbs(capsys):
     assert report_dict(out)["invariant"] == "true"
 
 
+def test_gibbs_over_a_factor_with_no_points(capsys, tmp_path):
+    """The joint space is empty, so the chain is the empty one."""
+    model = tmp_path / "empty.fk"
+    model.write_text("space X { a b }\nspace E { }\nmeasure joint on E { }\n")
+    code, out, err = run(capsys, "gibbs", "--model", str(model),
+                         "--target", "joint", "--factors", "X,E")
+    assert (code, err) == (0, "")
+    assert report_dict(out)["invariant"] == "true"
+    body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+    chain = parse(body).kernels["gibbs_chain"]
+    assert len(chain.dom) == len(chain.cod) == 0
+
+
 def test_sample(capsys, tmp_path):
     merged = tmp_path / "chain.fk"
     base = Path(TWO_STATE).read_text()

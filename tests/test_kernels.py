@@ -2,7 +2,6 @@ import ast
 import random
 from fractions import Fraction
 from itertools import permutations, product as iproduct
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,13 +15,15 @@ from finkern.kernels import (
     deterministic, dirac, effect, effect_mul, from_maps, graph, identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
-    effect_pairs, pair_rows, row_support, swap, tensor, uniform,
+    effect_pairs, pair_rows, resample_within, row_support, swap, tensor,
+    uniform,
 )
 from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from finkern.generators import rand_normalized_kernel
 from strategies import (
-    composable_pairs, gibbs_3x3x3, kernel_pairs, kernels, kernels_on, spaces,
+    assert_reduced, composable_pairs, gibbs_3x3x3, kernel_pairs, kernels,
+    kernels_on, spaces,
 )
 
 
@@ -563,19 +564,6 @@ def test_only_kernels_reads_stored_rows():
 
 # -- the stored integer rows ---------------------------------------------------
 
-def _assert_reduced(k):
-    """Each stored row is ascending, positive, reduced, and keeps its oo
-    columns apart from its finite ones."""
-    assert len(k.int_rows) == len(k.dom)
-    for cols, nums, den, infs in k.int_rows:
-        assert list(cols) == sorted(set(cols)) and list(infs) == sorted(set(infs))
-        assert not set(cols) & set(infs)
-        assert all(0 <= j < len(k.cod) for j in cols + infs)
-        assert len(nums) == len(cols)
-        assert all(type(n) is int and n > 0 for n in nums)
-        assert type(den) is int and den >= 1 and gcd(den, *nums) == 1
-
-
 @given(kernels(entry_strategy=small_values | st.sampled_from([q(2, 3), q(5, 6)])))
 def test_every_route_to_a_kernel_stores_the_same_rows(k):
     ones = effect(k.dom, [ONE] * len(k.dom))
@@ -589,9 +577,9 @@ def test_every_route_to_a_kernel_stores_the_same_rows(k):
         # marginalize the graph onto its second factor
         graph(k) >> tensor(delete(k.dom), identity(k.cod)) >> left_unitor(k.cod),
     ]
-    _assert_reduced(k)
+    assert_reduced(k)
     for built in routes:
-        _assert_reduced(built)
+        assert_reduced(built)
         assert built.int_rows == k.int_rows
         assert built == k and hash(built) == hash(k)
 
@@ -603,7 +591,7 @@ def test_kernel_operations_store_reduced_rows(pair, same_type):
     weight = effect(p.dom, [row[0] for row in q_.entries])
     for k in (compose(later, earlier), tensor(later, earlier), p + q_,
               reweight(weight, p)):
-        _assert_reduced(k)
+        assert_reduced(k)
 
 
 # -- each distinct row built once ---------------------------------------------
@@ -642,7 +630,54 @@ def test_compose_over_repeated_rows_matches_dense_oracle(earlier, data):
     for k in (later, relabel):
         out = compose(k, earlier)
         _matches(out, _oracle_compose(k, earlier))
-        _assert_reduced(out)
+        assert_reduced(out)
+
+
+finite_repeat_values = st.sampled_from([ZERO, ZERO, ONE, q(1, 2), q(3), q(2, 3)])
+
+
+@given(st.data())
+def test_compose_over_shared_later_rows_matches_dense_oracle(data):
+    """``later``'s rows repeat as one stored object, whose weights compose
+    adds up first, and as equal but separate tuples; ``oo`` entries sit on
+    either side or on neither."""
+    mid = data.draw(spaces(1, 5, "b"))
+    cod = data.draw(spaces(1, 3, "c"))
+    distinct = data.draw(kernels_on(data.draw(spaces(1, 3, "s")), cod, data.draw(
+        st.sampled_from([finite_repeat_values, repeat_values]))))
+    picks = data.draw(st.lists(st.integers(0, len(distinct.dom) - 1),
+                               min_size=len(mid), max_size=len(mid)))
+    earlier = data.draw(kernels_on(data.draw(spaces(1, 4, "a")), mid, data.draw(
+        st.sampled_from([finite_repeat_values, repeat_values]))))
+    shared = [distinct.int_rows[i] for i in picks]
+    for rows in (shared, [tuple(list(row)) for row in shared]):
+        later = Kernel._new(mid, cod, tuple(rows))
+        out = compose(later, earlier)
+        _matches(out, _oracle_compose(later, earlier))
+        assert_reduced(out)
+
+
+def test_resample_within_shares_one_reduced_row_per_block():
+    space = FinSpace(tuple("abcdef"))
+    mu = measure(space, [q(1, 6), q(1, 3), 0, 0, q(1, 4), 0])
+    k = resample_within(mu, [[1, 0], range(2, 4), (5, 4)])
+    assert k.dom == k.cod == space
+    assert k.entries == (
+        (q(1, 3), q(2, 3), 0, 0, 0, 0), (q(1, 3), q(2, 3), 0, 0, 0, 0),
+        (0, 0, q(1, 2), q(1, 2), 0, 0), (0, 0, q(1, 2), q(1, 2), 0, 0),
+        (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0))
+    rows = k.int_rows
+    assert rows[0] is rows[1] and rows[2] is rows[3] and rows[4] is rows[5]
+    assert_reduced(k)
+    assert resample_within(measure(EMPTY, []), []) == identity(EMPTY)
+    for blocks in ([[0, 1], [2, 3], [4]], [[0, 1], [1, 2, 3], [4, 5]],
+                   [[0, 1, 2, 3], [4, 5], [5]]):
+        with pytest.raises(ValueError, match="partition"):
+            resample_within(mu, blocks)
+    with pytest.raises(ValueError, match="finite"):
+        resample_within(measure(space, [INF, 0, 0, 0, 0, 0]), [range(6)])
+    with pytest.raises(SpaceMismatchError):
+        resample_within(identity(space), [range(6)])
 
 
 @given(kernels())
@@ -650,7 +685,7 @@ def test_graph_is_the_tensor_with_identity_after_copy(k):
     built = graph(k)
     assert built == compose(tensor(identity(k.dom), k), copy(k.dom))
     assert built.cod == product(k.dom, k.cod)
-    _assert_reduced(built)
+    assert_reduced(built)
 
 
 def test_graph_of_an_index_map_is_an_index_map():
@@ -682,7 +717,7 @@ def test_powers_grow_denominators_and_match_a_fraction_oracle():
         assert [[Fraction(v.num, v.den) for v in row]
                 for row in later.entries] == oracle
         assert later == p >> power
-        _assert_reduced(later)
+        assert_reduced(later)
         power = later
     assert max(den.bit_length() for _, _, den, _ in power.int_rows) > 200
 

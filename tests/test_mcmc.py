@@ -8,19 +8,19 @@ import hypothesis.strategies as st
 from finkern.semiring import (
     ExtNonneg, INF, ONE, ZERO, ext_sum, pair_products_equal, residual,
 )
-from finkern.spaces import FinSpace, UNIT, product, product_many
+from finkern.spaces import EMPTY, FinSpace, UNIT, product, product_many
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, compose, copy, delete,
-    deterministic, effect, effect_pairs, identity, lift_involution, measure,
-    pair_rows, pushforward, reweight, right_unitor, row_support, swap, tensor,
-    uniform, is_normalized,
+    deterministic, effect, effect_pairs, from_maps, graph, identity,
+    lift_involution, measure, pair_rows, pushforward, reweight, right_unitor,
+    row_support, swap, tensor, uniform, is_normalized,
 )
 from finkern.enrichment import NotAbsolutelyContinuous, leq_witness, rn_derivative
 from finkern import mcmc
 from finkern.mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, MhProblem, augment_reversible,
     balancing_alpha, balancing_violation, bayesian_inverse, build_mh,
-    build_skew_mh, check_balancing, classical_mh, conditional, detailed_balance_violation,
+    build_skew_mh, check_balancing, classical_mh, detailed_balance_violation,
     exchange_algorithm,
     first_summand_reversible, gibbs, gibbs_site_kernels, is_invariant,
     is_reversible, is_skew_reversible, mh_acceptance_ratio,
@@ -30,6 +30,7 @@ from finkern.generators import (
     rand_involution, rand_mh_problem, rand_normalized_kernel,
     rand_probability_measure, rand_reversible_kernel, rand_skew_instance,
 )
+from strategies import assert_reduced
 
 
 def q(num, den=1):
@@ -869,6 +870,32 @@ def test_exchange_rejects_zero_mass_target():
 
 # -- conditionals and Gibbs ----------------------------------------------------------------------------------
 
+def _split_product(space):
+    """The two factors of a space built by ``product``."""
+    left_sp = FinSpace(dict.fromkeys(x for x, _ in space.labels))
+    right_sp = FinSpace(dict.fromkeys(y for _, y in space.labels))
+    assert product(left_sp, right_sp) == space
+    return left_sp, right_sp
+
+
+def conditional(joint, given="left"):
+    """The conditional of a finite measure on X (x) Y given the left
+    factor: f: X -> Y with joint[(x, y)] == marginal[x] * f[x][y], uniform
+    at marginal-null x; ``given="right"`` conditions on Y."""
+    left_sp, right_sp = _split_product(joint.cod)
+    if given == "right":
+        return conditional(compose(deterministic(
+            joint.cod, product(right_sp, left_sp), lambda p: (p[1], p[0])), joint))
+    m = len(right_sp)
+    values = joint.measure_values()
+    maps = []
+    for start in range(0, len(values), m):
+        block = values[start:start + m]
+        total = ext_sum(block)
+        maps.append({j: v / total if total.num else q(1, m) for j, v in enumerate(block)})
+    return from_maps(left_sp, right_sp, maps)
+
+
 def test_conditional_of_product_measure():
     left = measure(X2, [q(1, 4), q(3, 4)])
     right = measure(FinSpace.atoms("u v"), [q(1, 3), q(2, 3)])
@@ -963,6 +990,54 @@ def test_gibbs_sites_match_the_conditional_written_out():
                 for y in moves:
                     want[y] = mass[y] / total if total.num else q(1, sizes[i])
                 assert site.row(x) == tuple(want.values()), (i, x)
+
+
+def _gibbs_site_oracle(joint, factors, i):
+    """Site ``i`` built from structural kernels: relabel coordinate ``i`` to
+    the last slot, delete it, refill it by the graph of the conditional
+    given the rest, and relabel back."""
+    space = product_many(factors)
+    rest_sp = product_many(factors[:i] + factors[i + 1:])
+    grouped_sp = product(rest_sp, factors[i])
+    to_grouped = deterministic(space, grouped_sp, lambda x: (x[:i] + x[i + 1:], x[i]))
+    from_grouped = deterministic(grouped_sp, space,
+                                 lambda p: p[0][:i] + (p[1],) + p[0][i:])
+    resample = conditional(compose(to_grouped, joint), given="left")
+    update = compose(graph(resample), compose(
+        right_unitor(rest_sp), tensor(identity(rest_sp), delete(factors[i]))))
+    return compose(from_grouped, compose(update, to_grouped))
+
+
+def test_gibbs_sites_equal_the_structural_construction():
+    """2-4 factors of 1-3 points; joints with null fibers, unnormalized
+    integer weights, and all zero."""
+    rng, cases = _rng_cases(1420, 60)
+    for case in cases:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        factors = [FinSpace(tuple(f"c{i}_{j}" for j in range(n)))
+                   for i, n in enumerate(sizes)]
+        grid = product_many(factors)
+        if case % 3 == 0:
+            joint = rand_probability_measure(rng, grid, zero_weight=0.6)
+        elif case % 3 == 1:
+            joint = measure(grid, [rng.choice([0, 0, 1, 2, 6]) for _ in grid.labels])
+        else:
+            joint = measure(grid, [0] * len(grid))
+        sites = gibbs_site_kernels(joint, factors)
+        assert len(sites) == len(factors)
+        for i, site in enumerate(sites):
+            assert site == _gibbs_site_oracle(joint, factors, i), (case, i)
+            assert_reduced(site)
+
+
+def test_gibbs_over_a_factor_with_no_points_is_the_empty_chain():
+    for factors in ([X2, EMPTY], [EMPTY, X3], [X2, EMPTY, X3]):
+        grid = product_many(factors)
+        joint = measure(grid, [])
+        chain = gibbs(joint, factors)
+        assert chain == Kernel(grid, grid, []) and chain.dom == EMPTY
+        assert is_invariant(joint, chain)
+        assert gibbs_site_kernels(joint, factors) == [chain] * len(factors)
 
 
 # -- the sparse pair scans against the all-pairs definitions ------------------
