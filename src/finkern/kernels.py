@@ -510,7 +510,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
     done: dict[_Row, _Row] = {}  # earlier row -> its output row
-    # the index-map branches serve structural-build (build_mh_128, its p50 op)
+    # the index-map branches serve classical_mh and exchange
     if later._map is not None:  # columns of ``earlier``, moved
         targets = later._map
         if earlier._map is not None:
@@ -534,7 +534,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         cols, nums, den, infs = row
         if len(cols) == 1 and not infs:
             # one middle point: a scaled copy of that row of ``later``
-            # (structural-build, where ``earlier`` is an index map)
+            # (Gibbs rows with a single charged point)
             out.append(_scale(nums[0], den, later_rows[cols[0]]))
             continue
         new = done.get(row)
@@ -585,7 +585,6 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
     full = None  # the columns of a product of two full rows, built once
     rows = []
     for lcols, lnums, lden, linfs in left.int_rows:
-        unit_left = lden == 1 and lnums == _UNIT_NUM
         for rcols, rnums, rden, rinfs in right.int_rows:
             if len(lcols) * len(rcols) == size:  # both full: dense-algebra's tensor_8x8
                 if full is None:
@@ -599,13 +598,8 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
                 infs = tuple(sorted(
                     [i * width + j for i in linfs for j in rcols + rinfs]
                     + [i * width + j for i in lcols for j in rinfs]))
-            if unit_left:  # unit-factor rows: structural-build's identity (x) kernel
-                rows.append((cols, rnums, rden, infs))
-            elif rden == 1 and rnums == _UNIT_NUM:
-                rows.append((cols, lnums, lden, infs))
-            else:
-                rows.append(_reduced(cols, [a * b for a in lnums for b in rnums],
-                                     lden * rden, infs))
+            rows.append(_reduced(cols, [a * b for a in lnums for b in rnums],
+                                 lden * rden, infs))
     return Kernel._new(dom, cod, tuple(rows))
 
 

@@ -78,6 +78,11 @@ class ModelDocument(Record):
         self.balancing = {} if balancing is None else balancing
 
     def space_name(self, space: FinSpace) -> str:
+        """The name of ``space`` itself, or else of the first declared space
+        equal to it."""
+        for name, candidate in self.spaces.items():
+            if candidate is space:
+                return name
         for name, candidate in self.spaces.items():
             if candidate == space:
                 return name

@@ -36,7 +36,7 @@ import sys
 from itertools import accumulate, compress, islice
 
 from .spaces import format_label
-from .kernels import Kernel, pair_rows
+from .kernels import Kernel, normalized_violation, pair_rows
 from ._record import Record
 
 RNG_NAME = "python-mersenne-twister"
@@ -57,31 +57,16 @@ def to_float(kernel: Kernel) -> FloatMatrix:
 
     After rounding, each row's largest entry absorbs the residual so row
     sums are exactly 1.0. Equal rows share one pair map (see
-    ``pair_rows``), which is checked and converted once: they share one
-    float tuple.
+    ``pair_rows``), which is converted once: they share one float tuple.
     """
+    bad = normalized_violation(kernel)
+    if bad is not None:
+        raise ValueError(f"kernel is not normalized at row {format_label(bad)}")
     maps = pair_rows(kernel)
-    distinct = {}  # id of a pair map -> the map, in the order rows show them
-    for i, pairs in enumerate(maps):
-        if id(pairs) not in distinct:
-            if not _has_mass_one(pairs):
-                raise ValueError("kernel is not normalized at row "
-                                 f"{format_label(kernel.dom.labels[i])}")
-            distinct[id(pairs)] = pairs
+    distinct = {id(pairs): pairs for pairs in maps}
     width = len(kernel.cod)
     floats = {key: _float_row(pairs, width) for key, pairs in distinct.items()}
     return tuple([floats[id(pairs)] for pairs in maps])
-
-
-def _has_mass_one(pairs: dict[int, tuple[int, int]]) -> bool:
-    """Whether a row's pair map sums to exactly 1. Its finite entries share
-    the row denominator and oo's is 0, so it does when that is the one
-    denominator, it is not 0, and the numerators sum to it."""
-    dens = {d for _, d in pairs.values()}
-    if len(dens) != 1:
-        return False
-    den = dens.pop()
-    return den != 0 and sum(n for n, _ in pairs.values()) == den
 
 
 def _float_row(pairs: dict[int, tuple[int, int]], width: int) -> tuple[float, ...]:

@@ -65,14 +65,7 @@ class ExtNonneg:
         den = int(den) if slash else 1
         if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        num = int(num)
-        if num == 0:
-            return ZERO
-        g = gcd(num, den)
-        value = _new(cls)
-        value.num = num // g
-        value.den = den // g
-        return value
+        return fraction(int(num), den)
 
     @property
     def is_finite(self) -> bool:
@@ -92,153 +85,79 @@ class ExtNonneg:
             return ExtNonneg(other)
         return None
 
-    # The operators below test ``other.__class__ is ExtNonneg`` inline and
-    # lift only other operands, and build results with ``_new`` and two
-    # slot stores: a Python call per operation costs more than the integer
-    # arithmetic on small values.
-
     def __add__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
-        b = self.den
-        d = other.den
-        if b == 0 or d == 0:
+        other = ExtNonneg._lift(other)
+        if other is None:
+            return NotImplemented
+        if self.den == 0 or other.den == 0:
             return INF
-        a = self.num
-        c = other.num
-        if c == 0:
-            return self
-        if a == 0:
-            return other
-        if b == d:
-            n = a + c
-        else:
-            n = a * d + c * b
-            b *= d
-        g = gcd(n, b)
-        value = _new(ExtNonneg)
-        value.num = n // g
-        value.den = b // g
-        return value
+        return fraction(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
-        a = self.num
-        c = other.num
-        if a == 0 or c == 0:
+        other = ExtNonneg._lift(other)
+        if other is None:
+            return NotImplemented
+        if self.num == 0 or other.num == 0:
             return ZERO  # includes 0 * oo = 0
-        b = self.den
-        d = other.den
-        if b == 0 or d == 0:
+        if self.den == 0 or other.den == 0:
             return INF
-        if c == 1 and d == 1:
-            return self
-        if a == 1 and b == 1:
-            return other
-        # cross-cancel: a/b * c/d with gcd(a, d) and gcd(c, b) divided out
-        # is already coprime, since a/b and c/d are
-        g = gcd(a, d)
-        if g != 1:
-            a //= g
-            d //= g
-        g = gcd(c, b)
-        if g != 1:
-            c //= g
-            b //= g
-        value = _new(ExtNonneg)
-        value.num = a * c
-        value.den = b * d
-        return value
+        return fraction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
-        c = other.num
-        d = other.den
-        if c == 0:
+        other = ExtNonneg._lift(other)
+        if other is None:
+            return NotImplemented
+        if other.num == 0:
             raise SemiringDivisionError("division by zero")
-        b = self.den
-        if d == 0:
-            if b == 0:
+        if other.den == 0:
+            if self.den == 0:
                 raise SemiringDivisionError("oo/oo is undefined")
             return ZERO
-        if b == 0:
+        if self.den == 0:
             return INF
-        a = self.num
-        if a == 0:
-            return ZERO
-        # a/b / c/d = (a*d) / (b*c), cross-cancelled as in __mul__
-        g = gcd(a, c)
-        if g != 1:
-            a //= g
-            c //= g
-        g = gcd(d, b)
-        if g != 1:
-            d //= g
-            b //= g
-        value = _new(ExtNonneg)
-        value.num = a * d
-        value.den = b * c
-        return value
+        return fraction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = ExtNonneg._lift(other)
         return NotImplemented if other is None else other.__truediv__(self)
 
     def __eq__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
+        other = ExtNonneg._lift(other)
+        if other is None:
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __le__(self, other):
         # The canonical semiring order (exists c with a + c = b); on [0, oo]
         # this is the usual extended order.
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
+        other = ExtNonneg._lift(other)
+        if other is None:
+            return NotImplemented
         if other.den == 0:
             return True
         if self.den == 0:
             return False
         return self.num * other.den <= other.num * self.den
 
-    # The order is total, so the strict and reversed forms are negations
-    # and swaps of ``__le__`` on two values.
+    # The order is total, so the strict and reversed forms are swaps and
+    # negations of ``__le__`` on the lifted operand.
 
     def __lt__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
-        return not other.__le__(self)
+        other = ExtNonneg._lift(other)
+        return NotImplemented if other is None else not other.__le__(self)
 
     def __ge__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
-        return other.__le__(self)
+        other = ExtNonneg._lift(other)
+        return NotImplemented if other is None else other.__le__(self)
 
     def __gt__(self, other):
-        if other.__class__ is not ExtNonneg:
-            other = ExtNonneg._lift(other)
-            if other is None:
-                return NotImplemented
-        return not self.__le__(other)
+        other = ExtNonneg._lift(other)
+        return NotImplemented if other is None else not self.__le__(other)
 
     def __hash__(self):
         # Integers hash like the ints they equal, so mixed lookups behave.
@@ -274,7 +193,8 @@ ExtNonneg.INF = INF
 
 def fraction(num: int, den: int) -> ExtNonneg:
     """The reduced value ``num / den`` of ints ``num >= 0`` and ``den > 0``:
-    one gcd, and none of the constructor's checks."""
+    one gcd, and none of the constructor's checks. Every finite result of
+    the operators and of ``parse`` is built here."""
     g = gcd(num, den)
     value = _new(ExtNonneg)
     value.num = num // g

@@ -220,6 +220,19 @@ def test_gibbs_over_a_factor_with_no_points(capsys, tmp_path):
     assert len(chain.dom) == len(chain.cod) == 0
 
 
+def test_gibbs_names_the_joint_space_itself_before_an_equal_one(capsys, tmp_path):
+    """E is declared first and equals J (both empty), but the chain is on J."""
+    model = tmp_path / "empty.fk"
+    model.write_text("space X { a b }\nspace E { }\nspace J { }\n"
+                     "measure joint on J { }\n")
+    code, out, err = run(capsys, "gibbs", "--model", str(model),
+                         "--target", "joint", "--factors", "X,E")
+    assert (code, err) == (0, "")
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    assert body[0].startswith("space J {")
+    assert body[1] == "kernel gibbs_chain : J -> J {"
+
+
 def test_sample(capsys, tmp_path):
     merged = tmp_path / "chain.fk"
     base = Path(TWO_STATE).read_text()

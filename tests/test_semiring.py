@@ -243,7 +243,7 @@ def test_ext_sum():
     assert ext_sum([ONE, INF]) == INF
 
 
-# -- the inline fast paths against a Fraction oracle ---------------------------
+# -- the operators against a Fraction oracle -----------------------------------
 
 # finite operands: values, the shared zero, and plain nonnegative ints
 finite_operands = st.one_of(finite_values, st.just(ZERO), st.integers(0, 60))
