@@ -320,7 +320,11 @@ def _sample(doc, args):
         raise CliError(f"target {args.target!r} is not a probability measure "
                        f"(total mass {row_masses(target)[0]})")
     initial = chain.dom.index(parse_label(args.init))
-    run = run_chain(to_float(chain), initial, args.seed, args.steps)
+    matrix = to_float(chain)
+    try:  # the trace holds every step
+        run = run_chain(matrix, initial, args.seed, args.steps)
+    except MemoryError:
+        raise CliError(f"--steps {args.steps}: no memory for a trace that long") from None
     frequencies = empirical(run, args.burn)
     tv = tv_distance(frequencies, [v.to_float() for v in target.measure_values()])
     lines = [("kernel", args.kernel), ("target", args.target),

@@ -40,10 +40,11 @@ sweep's do, then builds each of them once. Only this module reads or
 writes stored rows: other code builds kernels with ``Kernel(dom, cod,
 dense)``, ``measure``, ``effect``, ``from_maps``, ``lazy_involution``,
 ``resample_within``, ``split_by_support`` and the structural
-constructors, and where it compares many entries it reads them as integer
-pairs (see ``semiring``) through ``pair_rows`` and ``effect_pairs``, and
-supports and infinite entries through ``row_support`` and
-``infinite_entry``, building no ``ExtNonneg``.
+constructors, and from integer pairs (see ``semiring``) with
+``from_pair_rows``. Where it compares many entries it reads them as
+pairs through ``pair_rows`` and ``effect_pairs``, and supports and
+infinite entries through ``row_support`` and ``infinite_entry``, building
+no ``ExtNonneg``.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
@@ -426,6 +427,21 @@ def effect(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]
         else _INF_POINT for v in col]))
 
 
+def _check_rows(dom: FinSpace, rows: Sequence) -> None:
+    if len(rows) != len(dom):
+        raise SpaceMismatchError(
+            f"expected {len(dom)} rows for {dom!r}, got {len(rows)}")
+
+
+def _columns(acc: Mapping[int, object], cod: FinSpace) -> tuple[int, ...]:
+    """The ascending columns of a nonempty row map, all inside ``cod``."""
+    cols = tuple(sorted(acc))
+    if cols[0] < 0 or cols[-1] >= len(cod):
+        raise SpaceMismatchError(
+            f"column index out of range 0..{len(cod) - 1} for {cod!r}")
+    return cols
+
+
 def from_maps(dom: FinSpace, cod: FinSpace,
               maps: Sequence[Mapping[int, ExtNonneg]]) -> Kernel:
     """The kernel whose row ``i`` is ``maps[i]``, a column index -> value map.
@@ -433,21 +449,45 @@ def from_maps(dom: FinSpace, cod: FinSpace,
     Absent columns and zero values are zero entries. A wrong number of maps
     or a column outside ``cod`` raises ``SpaceMismatchError``.
     """
-    if len(maps) != len(dom):
-        raise SpaceMismatchError(
-            f"expected {len(dom)} rows for {dom!r}, got {len(maps)}")
-    width = len(cod)
+    _check_rows(dom, maps)
     rows = []
     for acc in maps:
         if not acc:
             rows.append(_EMPTY_ROW)
             continue
-        cols = tuple(sorted(acc))
-        if cols[0] < 0 or cols[-1] >= width:
-            raise SpaceMismatchError(
-                f"column index out of range 0..{width - 1} for {cod!r}")
+        cols = _columns(acc, cod)
         rows.append(_value_row(cols, [acc[j] for j in cols]))
     return Kernel._new(dom, cod, tuple(rows))
+
+
+def from_pair_rows(dom: FinSpace, cod: FinSpace,
+                   rows: Sequence[Mapping[int, tuple[int, int]]]) -> Kernel:
+    """The kernel whose row ``i`` is ``rows[i]``, a column -> ``(num,
+    den)`` pair map as ``pair_rows`` gives: the writing twin of
+    ``pair_rows``, and otherwise as ``from_maps``. A pair with ``num ==
+    0`` is a zero entry and one with ``den == 0`` is oo. The finite pairs
+    of a row need not be reduced nor share a denominator: they go over the
+    lcm of theirs, and one gcd reduces the row."""
+    _check_rows(dom, rows)
+    width = len(cod)
+    out = []
+    for acc in rows:
+        if len(acc) == 1:  # an effect's row, say: no lcm
+            ((j, (n, d)),) = acc.items()
+            if 0 <= j < width:
+                g = gcd(n, d)
+                out.append(((j,), (n // g,), d // g, ()) if n and d
+                           else ((), (), 1, (j,)) if n else _EMPTY_ROW)
+                continue
+        if not acc:
+            out.append(_EMPTY_ROW)
+            continue
+        cols = [j for j in _columns(acc, cod) if acc[j][0]]
+        fin = [j for j in cols if acc[j][1]]
+        den = lcm(*[acc[j][1] for j in fin])
+        out.append(_reduced(tuple(fin), [acc[j][0] * (den // acc[j][1]) for j in fin],
+                            den, tuple([j for j in cols if not acc[j][1]])))
+    return Kernel._new(dom, cod, tuple(out))
 
 
 def uniform(space: FinSpace) -> Kernel:

@@ -5,27 +5,28 @@ image, otherwise stay), checks invariance, detailed balance, the skew
 variant, and the balancing condition that characterizes reversibility, and
 recovers the classical Metropolis-Hastings chain, the exchange algorithm for
 doubly-intractable targets, and the systematic-scan Gibbs sampler. Every
-check is an exact decidable equality.
+check is an exact decidable equality. Entries are read as integer pairs
+(``pair_rows``, ``effect_pairs``), compared by cross-multiplication and
+written as pairs (``from_pair_rows``); the balancing functions map pairs to
+pairs, so no ``ExtNonneg`` is made below the API.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .semiring import (
-    ExtNonneg, ONE, ZERO, ZERO_PAIR, ext_sum, pair_products_equal,
-    residual,
+    ExtNonneg, INF_PAIR, ONE_PAIR, ZERO_PAIR, fraction, pair_products_equal,
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, delete, effect,
-    from_maps, graph, identity, is_normalized, lazy_involution,
-    lift_involution, pushforward, resample_within, reweight, right_unitor,
-    effect_pairs, pair_rows, substochastic_violation, swap, tensor,
+    Involution, Kernel, SpaceMismatchError, compose, delete, effect_pairs,
+    from_pair_rows, graph, identity, is_normalized, lazy_involution,
+    lift_involution, pair_rows, resample_within, reweight, right_unitor,
+    substochastic_violation, swap, tensor,
 )
-from .enrichment import (
-    NotCancellative, _density_values, is_cancellative, lebesgue_decompose,
-)
+from .enrichment import NoExactDerivative, NotCancellative, is_cancellative
 from ._record import FrozenRecord
 
 
@@ -38,26 +39,25 @@ class InfiniteMassError(ValueError):
 
 
 class BalancingFunction(NamedTuple):
-    """A named map [0, oo] -> [0, 1] with a(0) = 0 and a(t) = t * a(1/t)."""
+    """A named map [0, oo] -> [0, 1] with a(0) = 0 and a(t) = t * a(1/t);
+    ``fn`` maps integer pairs to finite, not necessarily reduced, pairs."""
 
     name: str
-    fn: Callable[[ExtNonneg], ExtNonneg]
+    fn: Callable[[tuple[int, int]], tuple[int, int]]
 
     def __call__(self, ratio: ExtNonneg) -> ExtNonneg:
-        return self.fn(ratio)
+        return fraction(*self.fn((ratio.num, ratio.den)))
 
 
-def _metropolis(ratio: ExtNonneg) -> ExtNonneg:
+def _metropolis(ratio: tuple[int, int]) -> tuple[int, int]:
     # min(1, t): t >= 1 exactly when num >= den, which holds for oo = 1/0,
     # so the limit convention a(oo) = 1 needs no branch of its own.
-    return ONE if ratio.num >= ratio.den else ratio
+    return ONE_PAIR if ratio[0] >= ratio[1] else ratio
 
 
-def _barker(ratio: ExtNonneg) -> ExtNonneg:
+def _barker(ratio: tuple[int, int]) -> tuple[int, int]:
     # t / (1 + t); the limit convention gives a(oo) = 1.
-    if not ratio.is_finite:
-        return ONE
-    return ExtNonneg(ratio.num, ratio.num + ratio.den)
+    return (ratio[0], ratio[0] + ratio[1]) if ratio[1] else ONE_PAIR
 
 
 METROPOLIS = BalancingFunction("metropolis", _metropolis)
@@ -90,8 +90,8 @@ class MhProblem(FrozenRecord):
             raise NotCancellative("target must have finite atoms")
         bad = substochastic_violation(acceptance)
         if bad is not None:
-            value = acceptance.at(acceptance.dom.index(bad), 0)
-            raise ValueError(f"acceptance value {value} exceeds 1")
+            raise ValueError(f"acceptance value "
+                             f"{acceptance.at(acceptance.dom.index(bad), 0)} exceeds 1")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "acceptance", acceptance)
@@ -108,11 +108,6 @@ class TheoremFlags(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # invariance and reversibility
-#
-# The balance checks in this module read entries through ``pair_rows`` and
-# ``effect_pairs`` and compare them as integer pairs by cross-multiplication,
-# building no ``ExtNonneg``; the invariance check compares kernels with ``==``
-# and reads values only to name the witness of a failure.
 
 
 def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
@@ -121,9 +116,9 @@ def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
     after = compose(chain, target)
     if after == target:
         return None
-    moved = next(j for j, (a, b) in enumerate(zip(target.measure_values(),
-                                                  after.measure_values()))
-                 if a != b)
+    (old,), (new,) = pair_rows(target), pair_rows(after)
+    moved = min(j for j in old.keys() | new.keys() if not pair_products_equal(
+        old.get(j, ZERO_PAIR), ONE_PAIR, new.get(j, ZERO_PAIR), ONE_PAIR))
     return target.cod.labels[moved]
 
 
@@ -146,8 +141,7 @@ def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, La
     for i, j in pairs:
         if not pair_products_equal(masses.get(i, ZERO_PAIR), rows[i].get(j, ZERO_PAIR),
                                    masses.get(j, ZERO_PAIR), rows[j].get(i, ZERO_PAIR)):
-            labels = target.cod.labels
-            return labels[i], labels[j]
+            return target.cod.labels[i], target.cod.labels[j]
     return None
 
 
@@ -187,8 +181,7 @@ def _skew_pair_violation(target: Kernel, twist: Involution,
             if not pair_products_equal(masses.get(i, ZERO_PAIR), v,
                                        masses.get(j, ZERO_PAIR),
                                        rows[s[j]].get(s[i], ZERO_PAIR)):
-                labels = target.cod.labels
-                return labels[i], labels[j]
+                return target.cod.labels[i], target.cod.labels[j]
     return None
 
 
@@ -217,28 +210,30 @@ def bayesian_inverse(prior: Kernel, forward: Kernel) -> Kernel:
     if not prior.is_measure or prior.cod != forward.dom:
         raise SpaceMismatchError("prior must be a measure on the forward domain")
     # the joint measure's columns: joint_cols[j][i] = prior[i] * forward[i][j]
-    joint_cols: list[dict[int, ExtNonneg]] = [{} for _ in forward.cod.labels]
-    for i, mass in zip(*prior.rows[0]):
-        for j, w in zip(*forward.rows[i]):
-            joint_cols[j][i] = mass * w
+    joint_cols: list[dict[int, tuple[int, int]]] = [{} for _ in forward.cod.labels]
+    (masses,), rows = pair_rows(prior), pair_rows(forward)
+    for i, (mn, md) in masses.items():
+        for j, (wn, wd) in rows[i].items():
+            joint_cols[j][i] = (mn * wn, md * wd)
     return _normalized(forward.cod, forward.dom, joint_cols,
                        "bayesian_inverse needs finite joint masses")
 
 
-def _normalized(dom: FinSpace, cod: FinSpace, blocks: list[dict[int, ExtNonneg]],
+def _normalized(dom: FinSpace, cod: FinSpace, blocks: list[dict[int, tuple[int, int]]],
                 infinite: str) -> Kernel:
-    """Row ``i`` is ``blocks[i]`` over its mass, uniform when that is 0;
-    an infinite mass raises ``InfiniteMassError(infinite)``."""
-    maps = []
+    """Row ``i`` is ``blocks[i]``, a map of pairs, over its mass, uniform
+    when that is 0; an infinite mass raises ``InfiniteMassError(infinite)``."""
+    rows = []
     for block in blocks:
-        mass = ext_sum(block.values())
-        if not mass.is_finite:
+        dens = [d for _, d in block.values()]
+        if not all(dens):
             raise InfiniteMassError(infinite)
-        if mass.num == 0:
-            maps.append(dict.fromkeys(range(len(cod)), ExtNonneg(1, len(cod))))
-        else:
-            maps.append({j: v / mass for j, v in block.items()})
-    return from_maps(dom, cod, maps)
+        den = lcm(*dens)  # entry j is a_j / den, so over the mass a_j / sum(a)
+        nums = {j: n * (den // d) for j, (n, d) in block.items()}
+        mass = sum(nums.values())
+        rows.append({j: (a, mass) for j, a in nums.items()} if mass
+                    else dict.fromkeys(range(len(cod)), (1, len(cod))))
+    return from_pair_rows(dom, cod, rows)
 
 
 def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple[Kernel, Kernel]:
@@ -283,9 +278,8 @@ def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Lab
     # points, in order, are all there is to check.
     (masses,) = pair_rows(target)
     alpha = effect_pairs(accept)
-    perm = phi.perm
     for i, mass in masses.items():
-        j = perm[i]
+        j = phi.perm[i]
         if not pair_products_equal(alpha[i], mass, alpha[j], masses.get(j, ZERO_PAIR)):
             return target.cod.labels[i]
     return None
@@ -314,14 +308,29 @@ def balancing_alpha(balancing: BalancingFunction, target: Kernel,
     """Derive an acceptance effect from a balancing function.
 
     Applies the function to the density, against the target, of the part
-    of the pushforward target that the target dominates. Where phi moves a
-    charged point off the target's support that density is 0, so the
-    acceptance is ``balancing(0) = 0`` and the move is never taken. The
+    of the pushforward target that the target dominates: ``pi(phi x) /
+    pi(x)`` at a charged x, with ``rn_derivative``'s conventions. Where phi
+    moves a charged point off the target's support that density is 0, so
+    the acceptance is ``balancing(0) = 0`` and the move is never taken. The
     chain ``build_mh`` makes from the result is always reversible, and the
     problem satisfies the balancing condition on any support.
     """
-    dominated = lebesgue_decompose(pushforward(phi, target), target).ac
-    return effect(target.cod, list(map(balancing.fn, _density_values(dominated, target))))
+    if target.cod != phi.space:  # as the pushforward of the target reports it
+        raise SpaceMismatchError("cannot compose: middle spaces differ "
+                                 f"({target.cod!r} vs {phi.space!r})")
+    if not target.is_measure:
+        raise SpaceMismatchError("rn_derivative needs two measures")
+    (masses,) = pair_rows(target)  # its finite masses share one denominator
+    rows: list[dict[int, tuple[int, int]]] = [{}] * len(target.cod)
+    for i, (mn, md) in masses.items():
+        if (pushed := masses.get(phi.perm[i])) is None:
+            continue
+        if not md and pushed[1]:
+            raise NoExactDerivative(f"finite mass {target.at(0, phi.perm[i])} over "
+                                    f"an infinite atom at {target.cod.labels[i]!r}")
+        ratio = ONE_PAIR if not md else (pushed[0], mn) if pushed[1] else INF_PAIR
+        rows[i] = {0: balancing.fn(ratio)}
+    return from_pair_rows(target.cod, UNIT, rows)
 
 
 def verify_mh_theorem(problem: MhProblem) -> TheoremFlags:
@@ -330,10 +339,8 @@ def verify_mh_theorem(problem: MhProblem) -> TheoremFlags:
     The flags are provably equal; computing both exposes the equivalence as
     a checkable fact rather than an assumption.
     """
-    chain = build_mh(problem)
-    return TheoremFlags(
-        reversible=is_reversible(problem.target, chain),
-        balanced=check_balancing(problem))
+    return TheoremFlags(reversible=is_reversible(problem.target, build_mh(problem)),
+                        balanced=check_balancing(problem))
 
 
 def build_skew_mh(problem: MhProblem, twist: Involution) -> Kernel:
@@ -347,9 +354,8 @@ def build_skew_mh(problem: MhProblem, twist: Involution) -> Kernel:
 def verify_skew_theorem(problem: MhProblem, twist: Involution) -> TheoremFlags:
     """Skew reversibility of the twisted kernel vs the balancing condition."""
     chain = build_skew_mh(problem, twist)
-    return TheoremFlags(
-        reversible=_skew_pair_violation(problem.target, twist, chain) is None,
-        balanced=check_balancing(problem))
+    return TheoremFlags(reversible=_skew_pair_violation(problem.target, twist, chain) is None,
+                        balanced=check_balancing(problem))
 
 
 def first_summand_reversible(target: Kernel, phi: Involution,
@@ -360,22 +366,12 @@ def first_summand_reversible(target: Kernel, phi: Involution,
     still means the same exact detailed-balance identity.
     """
     summand = reweight(accept, lift_involution(phi))
-    return TheoremFlags(
-        reversible=is_reversible(target, summand),
-        balanced=_balancing_violation(target, phi, accept) is None)
+    return TheoremFlags(reversible=is_reversible(target, summand),
+                        balanced=_balancing_violation(target, phi, accept) is None)
 
 
 # ---------------------------------------------------------------------------
 # classical Metropolis-Hastings via augmentation
-
-
-def mh_acceptance_ratio(num: ExtNonneg, den: ExtNonneg) -> ExtNonneg:
-    """min(1, num/den) with the convention that a zero denominator gives 0.
-
-    A zero denominator means the proposal is never launched from that
-    configuration under the chain, so the value is free; 0 is canonical.
-    """
-    return ZERO if den.is_zero else METROPOLIS(num / den)
 
 
 def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
@@ -397,22 +393,21 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     # point (i, j) is state i with proposed point j, at target(i) * proposal(i, j)
     embed = graph(proposal)
     augmented = compose(embed, target)
-    swap_inv = Involution.from_function(augmented.cod, lambda p: (p[1], p[0]))
+    n = len(base)  # joint points are (i, j), at index i * n + j
+    swap_inv = Involution(augmented.cod, [j * n + i for i in range(n) for j in range(n)])
     accept = balancing_alpha(METROPOLIS, augmented, swap_inv)
     inner = build_mh(MhProblem(target=augmented, involution=swap_inv, acceptance=accept))
     via_involution = _marginal(inner, embed, base)
 
-    alpha = accept.effect_values()
-    n = len(base)  # joint points are (i, j) in lexicographic index order
+    alpha = effect_pairs(accept)
     rows = []
-    for i, (cols, vals) in enumerate(proposal.rows):
-        off = {j: w * alpha[i * n + j] for j, w in zip(cols, vals) if j != i}
-        stay = residual(ext_sum(off.values()), ONE)
-        if stay is None:
-            raise ValueError("proposal rows must be normalized")
-        off[i] = stay
-        rows.append(off)
-    return via_involution, from_maps(base, base, rows)
+    for i, props in enumerate(pair_rows(proposal)):
+        moves = [(j, w * alpha[i * n + j][0], d * alpha[i * n + j][1])
+                 for j, (w, d) in props.items() if j != i]
+        den = lcm(*[md for _, _, md in moves])
+        row = {j: (mn * (den // md), den) for j, mn, md in moves}
+        rows.append(row | {i: (den - sum([a for a, _ in row.values()]), den)})
+    return via_involution, from_pair_rows(base, base, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +430,8 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     """
     base = prior.cod
     data = likelihood.cod
+    if not prior.is_measure:
+        raise SpaceMismatchError("prior must be a measure on the parameters")
     if likelihood.dom != base:
         raise SpaceMismatchError("likelihood must map parameters to data")
     if proposal.dom != base or proposal.cod != base:
@@ -442,9 +439,11 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     if not is_cancellative(prior) or not is_cancellative(likelihood):
         raise InfiniteMassError("exchange_algorithm needs a finite prior and likelihood")
     obs_j = data.index(observed)
-    posterior_raw = {i: mass * likelihood.at(i, obs_j)
-                     for i, mass in zip(*prior.rows[0])}
-    if not any(v.num for v in posterior_raw.values()):
+    (masses,) = pair_rows(prior)
+    likes = [row.get(obs_j, ZERO_PAIR) for row in pair_rows(likelihood)]
+    posterior_raw = {i: (mn * likes[i][0], md * likes[i][1])
+                     for i, (mn, md) in masses.items() if likes[i][0]}
+    if not posterior_raw:
         raise ValueError("target has zero mass at the observed data")
     posterior = _normalized(UNIT, base, [posterior_raw],
                             "exchange_algorithm needs a finite prior and likelihood")
@@ -454,8 +453,9 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     attach = compose(swap(base, data), compose(graph(likelihood), proposal))
     augmented = compose(graph(attach), posterior)
 
-    phi = Involution.from_function(
-        augmented.cod, lambda p: (p[1][1], (p[1][0], p[0])))
+    nx, nz = len(base), len(data)  # (x, (z, y)), at (x * nz + z) * nx + y, to (y, (z, x))
+    phi = Involution(augmented.cod, [(y * nz + z) * nx + x for x in range(nx)
+                                     for z in range(nz) for y in range(nx)])
     return augmented, phi, balancing_alpha(METROPOLIS, augmented, phi)
 
 

@@ -18,12 +18,15 @@ Comments run from ``#`` to end of line; entries may be separated by commas
 or whitespace. Absent measure/effect/kernel entries are zero. Values are
 ``p/q``, integer strings, or ``inf``. Labels are atoms
 (``[A-Za-z0-9_.*]+``), tuples ``(a,b)`` (any arity >= 2, nested), or tagged
-coproduct points ``L:a`` / ``R:b``. Involutions list moved points as
+coproduct points ``L:a`` / ``R:b``, nested at most ``MAX_LABEL_DEPTH``
+levels (a tuple or a tag is one level). Involutions list moved points as
 ``source -> image`` pairs and must be self-inverse; omitted points are
 fixed. ``probability`` entries must lie in [0, 1].
 
 ``emit`` prints a canonical form; ``parse(emit(doc)) == doc`` for every
-document, and all semantic validation happens at parse with line numbers.
+document it accepts, and all semantic validation happens at parse with line
+numbers. A label nested deeper than the limit is a ``ModelError`` at parse
+and a ``ValueError`` at emit.
 
 ``parse`` streams: it tokenizes one line at a time and holds only that
 line's tokens. A measure, effect or kernel entry ``x = v`` or ``x -> y =
@@ -98,6 +101,11 @@ _ATOM_RE = re.compile(r"^[A-Za-z0-9_.*]+$")
 _TOKEN_RE = re.compile(r"->|[(){},=]|[A-Za-z0-9_.*/:]+|\S")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+#: How many levels of tuples and tags a label may nest. Parsing, printing,
+#: hashing and comparing a label each recurse once per level, so the limit
+#: keeps every one of them far from Python's recursion limit.
+MAX_LABEL_DEPTH = 100
+
 
 def parse_label(text: str) -> Label:
     """Parse a single label written in model-file syntax."""
@@ -165,34 +173,45 @@ class _Tokens:
         return self.take(expected)
 
 
-def _parse_label(tokens: _Tokens) -> Label:
+def _nested(depth: int, line: int) -> int:
+    """The depth of a part of a label ``depth`` levels deep; past the limit,
+    a ``ModelError`` on ``line``."""
+    if depth >= MAX_LABEL_DEPTH:
+        raise ModelError(line, f"label nested deeper than {MAX_LABEL_DEPTH} levels")
+    return depth + 1
+
+
+def _parse_label(tokens: _Tokens, depth: int = 0) -> Label:
+    """The next label, which sits ``depth`` levels inside another."""
     line = tokens.line
     tok = tokens.take("a label")
     if tok == "(":
-        parts = [_parse_label(tokens)]
+        inner = _nested(depth, line)
+        parts = [_parse_label(tokens, inner)]
         while tokens.peek() != ")":
-            parts.append(_parse_label(tokens))
+            parts.append(_parse_label(tokens, inner))
         tokens.next(")")
         if len(parts) < 2:
             raise ModelError(line, "tuple labels need at least two components")
         return tuple(parts)
     if ":" in tok:
-        return _parse_tagged(tok, line, tokens)
+        return _parse_tagged(tok, line, tokens, depth)
     if not _ATOM_RE.match(tok):
         raise ModelError(line, f"bad label {tok!r}")
     return tok
 
 
-def _parse_tagged(tok: str, line: int, tokens: _Tokens) -> Tagged:
+def _parse_tagged(tok: str, line: int, tokens: _Tokens, depth: int) -> Tagged:
     """A tagged label whose first token is ``tok``: ``L:a``, ``L:L:a``, or
     ``L:`` before a label's own tokens."""
+    inner = _nested(depth, line)
     side, _, rest = tok.partition(":")
     if side not in ("L", "R"):
         raise ModelError(line, f"tag must be L or R, got {side!r}")
     if not rest:
-        return Tagged(side, _parse_label(tokens))
+        return Tagged(side, _parse_label(tokens, inner))
     if ":" in rest:
-        return Tagged(side, _parse_tagged(rest, line, tokens))
+        return Tagged(side, _parse_tagged(rest, line, tokens, inner))
     if not _ATOM_RE.match(rest):
         raise ModelError(line, f"bad atom {rest!r}")
     return Tagged(side, rest)
@@ -400,10 +419,25 @@ def _entry_texts(pairs) -> list[tuple[int, str]]:
     return texts
 
 
+def _too_deep(labels) -> bool:
+    """Whether a label nests deeper than ``MAX_LABEL_DEPTH``, found level by
+    level without recursion: ``level`` holds the tuples and tagged labels
+    one level further in each round."""
+    level, depth = [x for x in labels if x.__class__ is not str], 0
+    while level and depth < MAX_LABEL_DEPTH:
+        level = [part for x in level for part in ((x.label,) if isinstance(x, Tagged) else x)
+                 if part.__class__ is not str]
+        depth += 1
+    return bool(level)
+
+
 def emit(doc: ModelDocument) -> str:
     """Print a document in canonical form (zero entries omitted)."""
     out: list[str] = []
     for name, space in doc.spaces.items():
+        if _too_deep(space.labels):
+            raise ValueError(f"space {name!r} has a label nested deeper than "
+                             f"{MAX_LABEL_DEPTH} levels")
         labels = " ".join(format_label(x) for x in space.labels)
         out.append(f"space {name} {{ {labels} }}")
     for keyword, store in (("measure", doc.measures),

@@ -207,11 +207,13 @@ def fraction(num: int, den: int) -> ExtNonneg:
 #
 # A pair ``(num, den)`` holds a value's two fields without the object: a
 # finite value is ``num / den`` with ``den > 0``, not necessarily reduced;
-# oo is ``(1, 0)`` and 0 is ``(0, 1)``. Code that reads many stored entries
-# (``kernels.pair_rows``) compares products of them as pairs, by
-# cross-multiplication, and builds no ``ExtNonneg``.
+# oo is ``(1, 0)``, 0 is ``(0, 1)`` and 1 is ``(1, 1)``. Code that reads
+# many stored entries (``kernels.pair_rows``) compares products of them as
+# pairs, by cross-multiplication, and builds no ``ExtNonneg``; code that
+# builds many (``kernels.from_pair_rows``) writes them as pairs.
 
 ZERO_PAIR = (0, 1)
+ONE_PAIR = (1, 1)
 INF_PAIR = (1, 0)
 
 
@@ -238,33 +240,3 @@ def residual(lower: ExtNonneg, upper: ExtNonneg) -> ExtNonneg | None:
     if n > d:
         return None
     return fraction(d - n, lower.den * upper.den)
-
-
-def ext_sum(values) -> ExtNonneg:
-    """Sum an iterable of values in [0, oo].
-
-    The finite terms are added into one integer numerator over a running
-    common denominator (grown by the lcm, so a row over one denominator
-    never grows it), with one gcd at the end; the first infinite term
-    returns oo.
-    """
-    num, den = 0, 1
-    for v in values:
-        if v.__class__ is not ExtNonneg:
-            lifted = ExtNonneg._lift(v)
-            if lifted is None:
-                raise TypeError(f"cannot add {v!r} in [0, oo]")
-            v = lifted
-        d = v.den
-        if d == den:
-            num += v.num
-        elif d == 0:
-            return INF
-        elif den % d == 0:
-            num += v.num * (den // d)
-        else:
-            g = gcd(den, d)
-            scale = d // g
-            num = num * scale + v.num * (den // g)
-            den *= scale
-    return fraction(num, den)

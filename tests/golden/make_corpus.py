@@ -1,16 +1,19 @@
 """Write the golden CLI corpus: one record per argv of ``finkern.cli.main``.
 
-Run from anywhere, with the package importable::
+Run from anywhere::
 
-    PYTHONPATH=src python3 tests/golden/make_corpus.py
+    python3 tests/golden/make_corpus.py           # write the corpus
+    python3 tests/golden/make_corpus.py --check   # replay it, write nothing
 
 The script first writes the extra model documents under
 ``tests/golden/models/`` (they are text built here from a fixed seed, not
 from the library), then runs every argv of ``argvs()`` in-process from the
 repository root and writes ``tests/golden/corpus.txt``. Each record holds
 the exit code, stdout, stderr and the text written to ``--out``.
-``tests/test_golden.py`` replays the corpus and names the first argv whose
-record differs.
+``--check`` instead replays the corpus against the models on disk and exits
+1, naming the first argv whose record differs; ``tests/test_golden.py``
+runs the same replay. Both modes use only the standard library and the
+package under ``src``.
 
 A deliberate change of the CLI's behaviour regenerates the corpus with this
 script; the argvs whose records changed are then listed with the change.
@@ -18,12 +21,15 @@ script; the argvs whose records changed are then listed with the change.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import os
 import random
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -542,8 +548,42 @@ def argvs() -> list[list[str]]:
     return out
 
 
-def main() -> None:
+# ---------------------------------------------------------------------------
+# writing and replaying
+
+
+def first_difference(out_path: Path) -> str | None:
+    """Replay every record of the corpus, writing ``--out`` files to
+    ``out_path``; a message naming the first argv whose record differs, or
+    saying that the corpus's argvs are not those of ``argvs()``, or None."""
+    records = read_corpus(CORPUS.read_text())
+    for words, expected in records:
+        got = run_argv(words, out_path)
+        if got != expected:
+            diff = "".join(difflib.unified_diff(
+                expected.splitlines(keepends=True), got.splitlines(keepends=True),
+                "corpus", "replay"))
+            return f"first differing argv: {shlex.join(words)}\n{diff}"
+    if [words for words, _ in records] != argvs():
+        return "the corpus's argvs are not those that argvs() lists"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden CLI corpus, "
+                                     "or replay it with --check.")
+    parser.add_argument("--check", action="store_true",
+                        help="replay the corpus and exit 1 at its first difference")
+    check = parser.parse_args(argv).check
     sys.path.insert(0, str(ROOT / "src"))
+    if check:
+        on_disk = {path.stem: path.read_text() for path in EXTRA.glob("*.fk")}
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = ("the model documents on disk are not the ones this script writes"
+                       if on_disk != extra_documents()
+                       else first_difference(Path(tmp) / "out.txt"))
+        print(problem or f"{CORPUS.relative_to(ROOT)} replays without a difference")
+        return 1 if problem else 0
     EXTRA.mkdir(exist_ok=True)
     for name, text in extra_documents().items():
         (EXTRA / f"{name}.fk").write_text(text)
@@ -554,7 +594,8 @@ def main() -> None:
     CORPUS.write_text("".join(records))
     print(f"{len(records)} records, {CORPUS.stat().st_size} bytes -> "
           f"{CORPUS.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,11 +5,11 @@ from math import gcd
 
 import hypothesis.strategies as st
 
-from finkern.semiring import INF, ExtNonneg
+from finkern.semiring import INF, ZERO, ExtNonneg, fraction
 from finkern.spaces import FinSpace, product_many
 from finkern.kernels import Kernel
 from finkern.generators import rand_probability_measure
-from finkern.mcmc import gibbs
+from finkern.mcmc import METROPOLIS, gibbs
 
 finite_values = st.builds(
     ExtNonneg, st.integers(0, 48), st.integers(1, 12))
@@ -94,3 +94,41 @@ def assert_reduced(k):
         assert len(nums) == len(cols)
         assert all(type(n) is int and n > 0 for n in nums)
         assert type(den) is int and den >= 1 and gcd(den, *nums) == 1
+
+
+def mh_acceptance_ratio(num, den):
+    """min(1, num/den) over ``ExtNonneg`` values, 0 over a zero denominator:
+    the textbook Metropolis-Hastings acceptance, the oracle for the pair
+    arithmetic of ``classical_mh`` and ``exchange_algorithm``.
+
+    A zero denominator means the proposal is never launched from that
+    configuration under the chain, so the value is free; 0 is canonical.
+    """
+    return ZERO if den.is_zero else METROPOLIS(num / den)
+
+
+def ext_sum(values):
+    """The sum of ``ExtNonneg`` values (ints are lifted), as the tests'
+    oracles add them: the finite terms go into one integer numerator over
+    a running common denominator, grown by the lcm, with one gcd at the
+    end; the first infinite term returns oo."""
+    num, den = 0, 1
+    for v in values:
+        if v.__class__ is not ExtNonneg:
+            lifted = ExtNonneg._lift(v)
+            if lifted is None:
+                raise TypeError(f"cannot add {v!r} in [0, oo]")
+            v = lifted
+        d = v.den
+        if d == den:
+            num += v.num
+        elif d == 0:
+            return INF
+        elif den % d == 0:
+            num += v.num * (den // d)
+        else:
+            g = gcd(den, d)
+            scale = d // g
+            num = num * scale + v.num * (den // g)
+            den *= scale
+    return fraction(num, den)

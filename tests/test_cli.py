@@ -7,7 +7,7 @@ import pytest
 
 from finkern import cli, mcmc
 from finkern.cli import main
-from finkern.semiring import ExtNonneg, ZERO, ext_sum
+from finkern.semiring import ExtNonneg, ZERO
 from finkern.kernels import (
     Involution, compose, dirac, is_copyable, is_normalized, is_substochastic,
     lift_involution, pushforward,
@@ -15,6 +15,7 @@ from finkern.kernels import (
 from finkern.enrichment import is_finite_morphism, rn_derivative
 from finkern.mcmc import MhProblem, build_skew_mh
 from finkern.modelfile import parse
+from strategies import ext_sum
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 TWO_STATE = str(MODELS / "two_state_mh.fk")
@@ -499,6 +500,20 @@ def test_sample_rejects_a_target_that_is_not_a_probability(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "probability" in err and "4" in err
+
+
+def test_sample_with_no_memory_for_the_trace_exits_2(capsys, monkeypatch):
+    # the allocation is replaced: no test asks for a trace that long
+    from finkern import sampler
+
+    def no_memory(initial, size):
+        assert size == 10**11 + 1
+        raise MemoryError
+    monkeypatch.setattr(sampler, "_trace_list", no_memory)
+    code, out, err = run(capsys, "sample", "--model", TWO_STATE, "--kernel", "walk",
+                         "--target", "mu", "--init", "a", "--steps", str(10**11))
+    assert (code, out) == (2, "")
+    assert err == "error: --steps 100000000000: no memory for a trace that long\n"
 
 
 def test_readme_lists_exactly_the_check_predicates():

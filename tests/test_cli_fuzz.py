@@ -4,7 +4,8 @@ Model documents are assembled from valid statements with random values,
 with now and then an invalid one (a value out of range, a broken
 involution, a stray token); each subcommand gets names drawn from those
 the document defines and some it does not, and sometimes a flag it does
-not take.
+not take. Labels nested up to a few thousand levels deep, in a document or
+an argument, exit 0 or 2.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from finkern.cli import CHECKS, main
+from finkern.modelfile import MAX_LABEL_DEPTH
 
 ATOMS = ("a", "b", "c", "d")
 NAMES = ("mu", "nu", "pi", "K", "P", "lik", "alpha", "flip", "met", "X",
@@ -140,9 +142,8 @@ def arguments(draw):
     return argv
 
 
-@settings(max_examples=50)
-@given(documents(), arguments())
-def test_cli_exits_0_1_or_2_and_never_raises(document, argv):
+def _run(document, argv):
+    """Exit code and stderr of ``main(argv)`` on ``document`` at ``MODEL``."""
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "m.fk"
         model.write_text(document)
@@ -154,5 +155,42 @@ def test_cli_exits_0_1_or_2_and_never_raises(document, argv):
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
-    assert code in (0, 1, 2), (argv, document, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=50)
+@given(documents(), arguments())
+def test_cli_exits_0_1_or_2_and_never_raises(document, argv):
+    code, err = _run(document, argv)
+    assert code in (0, 1, 2), (argv, document, err)
+    assert "Traceback" not in err
+
+
+def _deep_label(shape, depth):
+    return {"tag": "L:" * depth + "a", "split": "L: " * depth + "a",
+            "tuple": "(a," * depth + "b" + ")" * depth}[shape]
+
+
+depths = st.one_of(st.integers(1, 3000),
+                   st.integers(MAX_LABEL_DEPTH - 2, MAX_LABEL_DEPTH + 2))
+
+
+@settings(max_examples=40)
+@given(depths, st.sampled_from(("tag", "split", "tuple")), st.booleans())
+def test_deep_labels_exit_0_or_2_and_never_raise(depth, shape, in_argv):
+    # a label nested ``depth`` levels deep in a space, or in ``--init``
+    label = _deep_label(shape, depth)
+    if in_argv:
+        document = "space X { a b }\nmeasure m on X { a = 1 }\n" \
+                   "kernel K : X -> X { a -> a = 1  b -> b = 1 }\n"
+        argv = ["sample", "--model", "MODEL", "--kernel", "K", "--target", "m",
+                "--init", label, "--steps", "3"]
+    else:
+        document = f"space X {{ {label} c }}\nmeasure m on X {{ c = 1 }}\n"
+        argv = ["check", "--model", "MODEL", "normalized", "m"]
+    code, err = _run(document, argv)
+    deep = depth > MAX_LABEL_DEPTH
+    # a label within the limit is no point of X in ``--init``: a usage error
+    assert code == (2 if deep or in_argv else 0), (depth, shape, err)
+    assert "Traceback" not in err
+    assert ("nested deeper than" in err) == deep

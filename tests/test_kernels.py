@@ -12,7 +12,8 @@ from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import EMPTY, FinSpace, UNIT, product
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
-    deterministic, dirac, effect, effect_mul, from_maps, graph, identity,
+    deterministic, dirac, effect, effect_mul, from_maps, from_pair_rows, graph,
+    identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
     effect_pairs, pair_rows, resample_within, row_support, swap, tensor,
@@ -520,6 +521,34 @@ def test_from_maps_rejects_wrong_shapes():
         for value in (ONE, ZERO):
             with pytest.raises(SpaceMismatchError, match="out of range"):
                 from_maps(X2, X3, [{0: ONE}, {bad: value}])
+
+
+@given(kernels(), st.data())
+def test_from_pair_rows_rebuilds_every_kernel_from_its_pair_rows(k, data):
+    assert from_pair_rows(k.dom, k.cod, pair_rows(k)).int_rows == k.int_rows
+    # each pair scaled on its own, so that a row's pairs are unreduced and
+    # over different denominators, zero pairs added, and keys reversed
+    factors = st.integers(1, 6)
+    rows = []
+    for row in pair_rows(k):
+        scaled = {j: (n * f, d * f) for j, (n, d) in row.items() for f in [data.draw(factors)]}
+        zeros = {j: (0, data.draw(factors)) for j in range(len(k.cod)) if j not in row}
+        rows.append(dict(sorted((scaled | zeros).items(), reverse=True)))
+    assert from_pair_rows(k.dom, k.cod, rows).int_rows == k.int_rows
+
+
+def test_from_pair_rows_reduces_one_entry_rows():
+    assert from_pair_rows(X3, UNIT, [{0: (4, 6)}, {0: (3, 0)}, {0: (0, 5)}]) == effect(
+        X3, [q(2, 3), INF, ZERO])
+
+
+def test_from_pair_rows_rejects_wrong_shapes():
+    with pytest.raises(SpaceMismatchError, match="expected 2 rows for .*, got 1"):
+        from_pair_rows(X2, X3, [{}])
+    for bad in (3, -1):
+        for row in ({bad: (1, 2)}, {bad: (0, 1)}, {0: (1, 2), bad: (1, 0)}):
+            with pytest.raises(SpaceMismatchError, match="out of range"):
+                from_pair_rows(X2, X3, [{0: (1, 1)}, row])
 
 
 def test_lazy_involution_needs_an_effect_on_the_involutions_space():

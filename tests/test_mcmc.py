@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from finkern.semiring import (
-    ExtNonneg, INF, ONE, ZERO, ext_sum, pair_products_equal, residual,
+    ExtNonneg, INF, ONE, ZERO, pair_products_equal, residual,
 )
 from finkern.spaces import EMPTY, FinSpace, UNIT, product, product_many
 from finkern.kernels import (
@@ -15,7 +17,10 @@ from finkern.kernels import (
     lift_involution, measure, pair_rows, pushforward, reweight, right_unitor,
     row_support, swap, tensor, uniform, is_normalized,
 )
-from finkern.enrichment import NotAbsolutelyContinuous, leq_witness, rn_derivative
+from finkern.enrichment import (
+    NoExactDerivative, NotAbsolutelyContinuous, _density_values,
+    lebesgue_decompose, leq_witness, rn_derivative,
+)
 from finkern import mcmc
 from finkern.mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, MhProblem, augment_reversible,
@@ -23,14 +28,17 @@ from finkern.mcmc import (
     build_skew_mh, check_balancing, classical_mh, detailed_balance_violation,
     exchange_algorithm,
     first_summand_reversible, gibbs, gibbs_site_kernels, is_invariant,
-    is_reversible, is_skew_reversible, mh_acceptance_ratio,
+    is_reversible, is_skew_reversible,
     skew_balance_violation, verify_mh_theorem, verify_skew_theorem,
 )
 from finkern.generators import (
     rand_involution, rand_mh_problem, rand_normalized_kernel,
     rand_probability_measure, rand_reversible_kernel, rand_skew_instance,
 )
-from strategies import assert_reduced
+from strategies import (
+    assert_reduced, ext_sum, finite_values, mh_acceptance_ratio,
+    normalized_kernels, spaces, values,
+)
 
 
 def q(num, den=1):
@@ -529,6 +537,122 @@ def test_balancing_alpha_chain_is_reversible_on_any_support():
             assert is_reversible(target, build_mh(prob))
 
 
+# -- the pair arithmetic against its ExtNonneg definitions -------------------------------------------
+
+_TEXTBOOK_BALANCING = {"metropolis": lambda t: min(ONE, t),
+                       "barker": lambda t: ONE if t == INF else t / (ONE + t)}
+
+
+def _balancing_alpha_oracle(name, target, phi):
+    """``balancing_alpha`` by its definition, on ExtNonneg values: the
+    balancing function of the density, against the target, of the part of
+    the pushforward target that the target dominates."""
+    dominated = lebesgue_decompose(pushforward(phi, target), target).ac
+    return effect(target.cod, list(map(_TEXTBOOK_BALANCING[name],
+                                       _density_values(dominated, target))))
+
+
+@st.composite
+def involutions(draw, space):
+    """An involution of ``space`` that swaps some of a random pairing."""
+    order = draw(st.permutations(range(len(space))))
+    perm = list(range(len(space)))
+    for a, b in zip(order[::2], order[1::2]):
+        if draw(st.booleans()):
+            perm[a], perm[b] = b, a
+    return Involution(space, perm)
+
+
+@st.composite
+def masses_on(draw, space, entries):
+    return measure(space, draw(st.lists(entries | st.just(ZERO), min_size=len(space),
+                                        max_size=len(space))))
+
+
+@st.composite
+def balancing_problems(draw):
+    """A target with zero, finite and infinite masses, and an involution."""
+    space = draw(spaces(1, 6))
+    return draw(masses_on(space, values)), draw(involutions(space))
+
+
+@pytest.mark.parametrize("name", sorted(BALANCING_FUNCTIONS))
+@given(balancing_problems())
+def test_balancing_alpha_is_its_density_definition(name, problem):
+    target, phi = problem
+    try:
+        expected = _balancing_alpha_oracle(name, target, phi)
+    except NoExactDerivative as exc:
+        with pytest.raises(NoExactDerivative) as got:
+            balancing_alpha(BALANCING_FUNCTIONS[name], target, phi)
+        assert str(got.value) == str(exc)
+        return
+    alpha = balancing_alpha(BALANCING_FUNCTIONS[name], target, phi)
+    assert alpha.int_rows == expected.int_rows
+    assert_reduced(alpha)
+
+
+def test_balancing_alpha_rejects_what_its_definition_rejects():
+    # an involution of another space, and a target that is not a measure
+    for target, phi in ((measure(X2, [1, 1]), Involution.identity(X3)),
+                        (Kernel(X2, X2, [[1, 0], [0, 1]]), SWAP2)):
+        for name, fn in BALANCING_FUNCTIONS.items():
+            with pytest.raises(SpaceMismatchError) as expected:
+                _balancing_alpha_oracle(name, target, phi)
+            with pytest.raises(SpaceMismatchError) as got:
+                balancing_alpha(fn, target, phi)
+            assert str(got.value) == str(expected.value)
+
+
+def test_density_errors_name_the_mass_and_the_point():
+    with pytest.raises(NotAbsolutelyContinuous) as got:
+        rn_derivative(measure(X2, [0, q(1, 2)]), measure(X2, [1, 0]))
+    assert str(got.value) == "mass 1/2 at 'b' outside the base measure's support"
+    with pytest.raises(NoExactDerivative) as got:
+        rn_derivative(measure(X2, [q(1, 2), 0]), measure(X2, [INF, 0]))
+    assert str(got.value) == "finite mass 1/2 over an infinite atom at 'a'"
+    for fn in BALANCING_FUNCTIONS.values():
+        with pytest.raises(NoExactDerivative) as got:
+            balancing_alpha(fn, measure(X2, [INF, q(1, 2)]), SWAP2)
+        assert str(got.value) == "finite mass 1/2 over an infinite atom at 'a'"
+
+
+def _textbook_direct_route(target, proposal):
+    """``classical_mh``'s direct route on ExtNonneg values: q(i, j) times
+    min(1, pi(j) q(j, i) / (pi(i) q(i, j))) off the diagonal, and what is
+    left of 1 on it."""
+    pi, steps = target.measure_values(), proposal.entries
+    rows = []
+    for i, row in enumerate(steps):
+        off = {j: w * mh_acceptance_ratio(pi[j] * steps[j][i], pi[i] * w)
+               for j, w in enumerate(row) if j != i and w != ZERO}
+        off[i] = residual(ext_sum(off.values()), ONE)
+        rows.append(off)
+    return from_maps(target.cod, target.cod, rows)
+
+
+@given(normalized_kernels(), st.data())
+def test_classical_mh_direct_route_is_its_textbook_definition(proposal, data):
+    target = data.draw(masses_on(proposal.dom, finite_values))
+    via, direct = classical_mh(target, proposal)
+    assert direct.int_rows == _textbook_direct_route(target, proposal).int_rows
+    assert via == direct
+    assert_reduced(direct)
+
+
+def test_mcmc_reads_no_value_views():
+    """``mcmc`` reads entries as pairs: none of the ``ExtNonneg`` views,
+    and ``at`` only to print a value in an error message."""
+    tree = ast.parse(Path(mcmc.__file__).read_text())
+    in_raise = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
+                for node in ast.walk(stmt)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("rows", "entries", "measure_values",
+                                     "effect_values"), node.lineno
+            assert node.attr != "at" or id(node) in in_raise, node.lineno
+
+
 # -- the theorem checkers ---------------------------------------------------------------------------
 
 def test_verify_mh_metropolis_instance():
@@ -856,6 +980,13 @@ def test_exchange_matches_the_textbook_acceptance():
             assert value == _oracle_ratio(num, den)
         checked += 1
     assert checked > 100
+
+
+def test_exchange_rejects_a_prior_that_is_not_a_measure():
+    base = FinSpace.atoms("t0 t1")
+    lik = Kernel(base, FinSpace.atoms("z0 z1"), [[1, 0], [0, 1]])
+    with pytest.raises(SpaceMismatchError, match="prior must be a measure"):
+        exchange_algorithm(identity(base), lik, "z0", identity(base))
 
 
 def test_exchange_rejects_zero_mass_target():

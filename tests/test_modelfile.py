@@ -9,7 +9,8 @@ from finkern.semiring import INF, ZERO, ExtNonneg
 from finkern.spaces import FinSpace, Tagged
 from finkern.kernels import Involution, Kernel, effect, measure
 from finkern.modelfile import (
-    ModelDocument, ModelError, emit, format_label, parse, parse_label,
+    MAX_LABEL_DEPTH, ModelDocument, ModelError, emit, format_label, parse,
+    parse_label,
 )
 
 from strategies import finite_values
@@ -289,3 +290,28 @@ def test_nested_tags_parse_as_the_grammar_reads_them():
     assert parse_label("R:L:(a,b)") == Tagged("R", Tagged("L", ("a", "b")))
     with pytest.raises(ModelError, match="tag must be L or R, got 'X'"):
         parse_label("L:X:a")
+
+
+def _nest(depth, shape):
+    label = "a"
+    for _ in range(depth):
+        label = Tagged("L", label) if shape == "tag" else ("b", label)
+    return label
+
+
+@pytest.mark.parametrize("shape", ["tag", "tuple"])
+def test_labels_nest_at_most_the_limit_in_parse_and_emit(shape):
+    at_limit = _nest(MAX_LABEL_DEPTH, shape)
+    doc = ModelDocument(spaces={"X": FinSpace([at_limit, "c"])},
+                        measures={"mu": measure(FinSpace([at_limit, "c"]), [1, 0])})
+    assert parse(emit(doc)) == doc
+    assert parse_label(format_label(at_limit)) == at_limit
+    deeper = _nest(MAX_LABEL_DEPTH + 1, shape)
+    with pytest.raises(ValueError, match="space 'X' has a label nested deeper "
+                                         f"than {MAX_LABEL_DEPTH} levels"):
+        emit(ModelDocument(spaces={"X": FinSpace(["c", deeper])}))
+    text = "space X { c }\nspace Y {\n  c " + format_label(deeper) + " }\n"
+    with pytest.raises(ModelError) as err:
+        parse(text)
+    assert str(err.value) == f"line 3: label nested deeper than {MAX_LABEL_DEPTH} levels"
+

@@ -6,12 +6,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from finkern.mcmc import mh_acceptance_ratio
 from finkern.semiring import (
-    ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, ext_sum,
-    pair_products_equal, residual,
+    ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, pair_products_equal,
+    residual,
 )
-from strategies import finite_values, values
+from strategies import ext_sum, finite_values, mh_acceptance_ratio, values
 
 
 def q(num, den=1):

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from finkern.semiring import INF, ONE, ZERO, ext_sum
+from finkern.semiring import INF, ONE, ZERO
 from finkern.spaces import UNIT
 from finkern.kernels import (
     Involution, Kernel, compose, copyable_violation, lift_involution,
@@ -20,7 +20,7 @@ from finkern.enrichment import (
     finite_violation, leq_violation, singular_violation,
 )
 from finkern.mcmc import invariant_violation, skew_balance_violation
-from strategies import kernel_pairs, kernels_on, spaces, values
+from strategies import ext_sum, kernel_pairs, kernels_on, spaces, values
 
 # violation function -> whether a dense row satisfies the predicate
 ROW_DEFINITIONS = {
