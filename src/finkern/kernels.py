@@ -24,10 +24,11 @@ the |X|*|X| rows of the tensor that copy reads |X| of, and
 ``resample_within`` stores one row per block of a partition, which every
 point of the block shares (a Gibbs site is one). A deterministic kernel
 is a function, and is stored as its index map: identity, copy, swap, the
-unitors and associator, relabelings and involutions hold one entry
-``((j,), (1,), 1, ())`` per row, and keep their targets, so that running
-one after a kernel moves that kernel's columns instead of multiplying,
-and two index maps compose or tensor to an index map.
+unitors and associator, relabelings and involutions keep only their
+targets, so that running one after a kernel moves that kernel's columns
+instead of multiplying, and two index maps compose or tensor to an index
+map. Their rows, one entry ``((j,), (1,), 1, ())`` each, are built on the
+first read of ``int_rows``.
 
 ``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
 pair ``(cols, vals)`` of every nonzero entry's column and value),
@@ -51,7 +52,8 @@ monoidal product; ``P + Q`` is the entrywise sum.
 
 The row predicates (normalized, substochastic, copyable) are each decided
 by one ``*_violation`` function returning the first failing domain point or
-None; the boolean form is ``*_violation(...) is None``.
+None; the boolean form is ``*_violation(...) is None``. ``swap_asymmetry``
+decides detailed balance, in one pass over the stored entries.
 """
 
 from __future__ import annotations
@@ -220,7 +222,8 @@ class Kernel:
 
     # ``_map`` is the tuple of target columns of an index map (one unit
     # entry per row), kept so that running it after a kernel moves columns
-    # instead of multiplying, or None.
+    # instead of multiplying, or None. An index map stores only ``_map``:
+    # its ``int_rows`` slot is filled on first read, by ``__getattr__``.
     __slots__ = ("dom", "cod", "int_rows", "_map", "_view", "_dense")
 
     def __init__(self, dom: FinSpace, cod: FinSpace, entries: Iterable[Iterable[Entry]]):
@@ -245,18 +248,26 @@ class Kernel:
         self._dense = None
 
     @classmethod
-    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[_Row, ...],
+    def _new(cls, dom: FinSpace, cod: FinSpace, rows: tuple[_Row, ...] | None,
              targets: tuple[int, ...] | None = None) -> "Kernel":
-        # Internal constructor: rows are already canonical stored rows, and
-        # ``targets`` is given when they are the rows of that index map.
+        # Internal constructor: rows are already canonical stored rows, or
+        # None for the index map ``targets``, whose rows wait for a reader.
         k = object.__new__(cls)
         k.dom = dom
         k.cod = cod
-        k.int_rows = rows
+        if rows is not None:
+            k.int_rows = rows
         k._map = targets
         k._view = None
         k._dense = None
         return k
+
+    def __getattr__(self, name):
+        # only an unfilled slot gets here: an index map's rows, not yet read
+        if name == "int_rows" and self._map is not None:
+            self.int_rows = rows = tuple(map(_point_row, self._map))
+            return rows
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], tuple[ExtNonneg, ...]], ...]:
@@ -660,12 +671,11 @@ def graph(kernel: Kernel) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# structure morphisms: index maps, one unit entry per row
+# structure morphisms: index maps, which store only their targets
 
 
 def _index_map(dom: FinSpace, cod: FinSpace, targets: Iterable[int]) -> Kernel:
-    targets = tuple(targets)
-    return Kernel._new(dom, cod, tuple(map(_point_row, targets)), targets)
+    return Kernel._new(dom, cod, None, tuple(targets))
 
 
 def identity(space: FinSpace) -> Kernel:
@@ -750,10 +760,6 @@ class Involution(FrozenRecord):
         for src, dst in mapping.items():
             perm[space.index(src)] = space.index(dst)
         return cls(space, tuple(perm))
-
-    @classmethod
-    def from_function(cls, space: FinSpace, fn: Callable[[Label], Label]) -> "Involution":
-        return cls(space, tuple(space.index(fn(x)) for x in space.labels))
 
     def __call__(self, label: Label) -> Label:
         return self.space.labels[self.perm[self.space.index(label)]]
@@ -878,6 +884,48 @@ def copyable_violation(kernel: Kernel) -> Label | None:
 def is_copyable(kernel: Kernel) -> bool:
     """Whether the kernel commutes with copy."""
     return copyable_violation(kernel) is None
+
+
+def swap_asymmetry(mu: Kernel, kernel: Kernel) -> tuple[int, int] | None:
+    """The least index pair ``(i, j)``, ``i < j``, where the joint of the
+    measure ``mu`` and the endo-kernel ``kernel`` on its space differs from
+    its swap: ``mu[i] * kernel[i][j] != mu[j] * kernel[j][i]``, with ``0 *
+    oo = 0``; or None when the joint is symmetric.
+
+    Each stored entry is read once, and its transpose found by bisection in
+    the partner row; a pair with no stored entry holds. Values are pairs,
+    oo as ``(1, 0)``, and ``mu``'s one denominator cancels, so a pair costs
+    one cross-multiplication.
+    """
+    ((mcols, mnums, _, minfs),) = mu.int_rows
+    rows = kernel.int_rows
+    masses = dict(zip(mcols, zip(mnums, repeat(1)))) | dict.fromkeys(minfs, INF_PAIR)
+    masses = [masses.get(j, ZERO_PAIR) for j in range(len(rows))]
+    least = None
+    for i, (cols, nums, den, infs) in enumerate(rows):
+        m, md = masses[i]
+        if infs:  # an infinite entry is 1/0
+            cols, nums = cols + infs, nums + (1,) * len(infs)
+        for j, n in zip(cols, nums):
+            if j == i:
+                continue
+            pcols, pnums, pden, pinfs = rows[j]
+            k = bisect_left(pcols, i)
+            if k < len(pcols) and pcols[k] == i:
+                tn, td = pnums[k], pden
+            elif pinfs and i in pinfs:
+                tn, td = INF_PAIR
+            else:
+                tn = 0
+            if tn and j < i:
+                continue
+            mj, mjd = masses[j]
+            if (m * n * mjd * td != mj * tn * md * (0 if infs and j in infs else den)
+                    if m and mj and tn else m or (mj and tn)):
+                pair = (i, j) if i < j else (j, i)
+                if least is None or pair < least:
+                    least = pair
+    return least
 
 
 def effect_mul(left: Kernel, right: Kernel) -> Kernel:

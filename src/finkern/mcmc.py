@@ -24,7 +24,7 @@ from .kernels import (
     Involution, Kernel, SpaceMismatchError, compose, delete, effect_pairs,
     from_pair_rows, graph, identity, is_normalized, lazy_involution,
     lift_involution, pair_rows, resample_within, reweight, right_unitor,
-    substochastic_violation, swap, tensor,
+    substochastic_violation, swap, swap_asymmetry, tensor,
 )
 from .enrichment import NoExactDerivative, NotCancellative, is_cancellative
 from ._record import FrozenRecord
@@ -130,19 +130,13 @@ def is_invariant(target: Kernel, chain: Kernel) -> bool:
 def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, Label] | None:
     """The first (x, y) with target[x]*chain[x][y] != target[y]*chain[y][x].
 
-    Pairs are taken in index order with x before y. Only pairs where the
-    chain moves in at least one direction can fail.
+    Pairs are taken in index order with x before y: the least pair where
+    the joint ``(identity (x) chain) ∘ copy ∘ target`` differs from its
+    swap (``kernels.swap_asymmetry``).
     """
     _check_endo(target, chain)
-    (masses,) = pair_rows(target)
-    rows = pair_rows(chain)
-    pairs = sorted({(i, j) if i < j else (j, i)
-                    for i, row in enumerate(rows) for j in row if i != j})
-    for i, j in pairs:
-        if not pair_products_equal(masses.get(i, ZERO_PAIR), rows[i].get(j, ZERO_PAIR),
-                                   masses.get(j, ZERO_PAIR), rows[j].get(i, ZERO_PAIR)):
-            return target.cod.labels[i], target.cod.labels[j]
-    return None
+    pair = swap_asymmetry(target, chain)
+    return None if pair is None else tuple(target.cod.labels[i] for i in pair)
 
 
 def is_reversible(target: Kernel, chain: Kernel) -> bool:

@@ -5,11 +5,14 @@ with now and then an invalid one (a value out of range, a broken
 involution, a stray token); each subcommand gets names drawn from those
 the document defines and some it does not, and sometimes a flag it does
 not take. Labels nested up to a few thousand levels deep, in a document or
-an argument, exit 0 or 2.
+an argument, exit 0 or 2, and values whose numerator or denominator has
+about as many digits as Python's 4300-digit ``int(str)`` limit, on either
+side of it, exit 0, 1 or 2.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -194,3 +197,44 @@ def test_deep_labels_exit_0_or_2_and_never_raise(depth, shape, in_argv):
     assert code == (2 if deep or in_argv else 0), (depth, shape, err)
     assert "Traceback" not in err
     assert ("nested deeper than" in err) == deep
+
+
+def _digits(draw):
+    """A digit text of 4290-5000 digits, within the 4300-digit limit three
+    times in four."""
+    within = st.integers(4290, 4300)
+    count = draw(st.one_of(within, within, within, st.integers(4301, 5000)))
+    return draw(st.sampled_from("123456789")) + draw(st.sampled_from("0123456789")) * (count - 1)
+
+
+@st.composite
+def long_values(draw):
+    """A value text whose numerator, denominator or both are long."""
+    side = draw(st.sampled_from(("num", "den", "both")))
+    num = _digits(draw) if side != "den" else draw(st.sampled_from(("1", "3")))
+    return num + "/" + (_digits(draw) if side != "num" else draw(st.sampled_from(("1", "7"))))
+
+
+@st.composite
+def long_value_documents(draw):
+    """A fuzz document with about one in six measure and kernel entries
+    long, the first one always."""
+    first = [True]
+
+    def lengthen(entry):
+        if first.pop() if first else draw(st.integers(0, 5)) == 3:
+            return "= " + draw(long_values())
+        return entry.group(0)
+
+    lines = [re.sub(r"= (\S+)", lengthen, line)
+             if line.startswith(("measure", "kernel")) else line
+             for line in draw(documents()).splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_value_documents(), arguments())
+def test_long_values_exit_0_1_or_2_and_never_raise(document, argv):
+    code, err = _run(document, argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

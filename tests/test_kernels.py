@@ -1,4 +1,5 @@
 import ast
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations, product as iproduct
@@ -182,7 +183,7 @@ def test_lift_identity_involution():
 
 def test_lift_swap_involution_is_structure_swap():
     pairs = product(X2, X2)
-    inv = Involution.from_function(pairs, lambda p: (p[1], p[0]))
+    inv = Involution(pairs, [pairs.index((y, x)) for x, y in pairs.labels])
     assert lift_involution(inv) == swap(X2, X2)
 
 
@@ -725,6 +726,48 @@ def test_graph_of_an_index_map_is_an_index_map():
     built = graph(f)
     assert built == compose(tensor(identity(X3), f), copy(X3))
     assert built._map == deterministic(X3, product(X3, X2), lambda x: (x, fn(x)))._map
+
+
+def _index_maps():
+    """Each structural constructor's index map, as a builder of fresh ones,
+    with the columns its rows point at."""
+    flip = Involution.from_mapping(X3, {"a": "c", "c": "a"})
+    return [
+        (lambda: identity(X3), [0, 1, 2]),
+        (lambda: copy(X3), [0, 4, 8]),
+        (lambda: swap(X2, X3), [0, 2, 4, 1, 3, 5]),
+        (lambda: delete(X3), [0, 0, 0]),
+        (lambda: dirac(X3, "b"), [1]),
+        (lambda: left_unitor(X2), [0, 1]),
+        (lambda: right_unitor(X3), [0, 1, 2]),
+        (lambda: associator(X2, X2, X2), list(range(8))),
+        (lambda: lift_involution(flip), [2, 1, 0]),
+        (lambda: deterministic(X3, X2, lambda x: "a" if x == "c" else "b"), [1, 1, 0]),
+        (lambda: tensor(identity(X2), delete(X3)), [0, 0, 0, 1, 1, 1]),
+        (lambda: compose(swap(X3, X3), copy(X3)), [0, 4, 8]),
+        (lambda: graph(lift_involution(flip)), [2, 4, 6]),
+    ]
+
+
+@pytest.mark.parametrize("build, targets", _index_maps())
+def test_index_map_rows_are_built_on_first_read(build, targets):
+    """An index map stores its targets alone; its rows, read for the first
+    time, are the unit point rows it used to store, and it equals, and
+    hashes as, the dense 0/1 kernel, whichever side is read first."""
+    point_rows = tuple(((j,), (1,), 1, ()) for j in targets)
+    fresh = build()
+    with pytest.raises(AttributeError):  # nothing stored yet
+        Kernel.int_rows.__get__(fresh, Kernel)
+    assert fresh.int_rows == point_rows and fresh.int_rows is fresh.int_rows
+    width = len(fresh.cod)
+    dense = Kernel(fresh.dom, fresh.cod, [[int(j == t) for j in range(width)]
+                                          for t in targets])
+    assert build() == dense and dense == build()
+    assert hash(build()) == hash(dense)
+    assert pickle.loads(pickle.dumps(build())) == dense
+    assert build().entries == dense.entries
+    with pytest.raises(AttributeError):
+        build().no_such_attribute
 
 
 def _fraction_power_step(power, step):

@@ -8,14 +8,14 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from finkern.semiring import (
-    ExtNonneg, INF, ONE, ZERO, pair_products_equal, residual,
+    ExtNonneg, INF, ONE, ZERO, ZERO_PAIR, pair_products_equal, residual,
 )
 from finkern.spaces import EMPTY, FinSpace, UNIT, product, product_many
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, compose, copy, delete,
     deterministic, effect, effect_pairs, from_maps, graph, identity,
     lift_involution, measure, pair_rows, pushforward, reweight, right_unitor,
-    row_support, swap, tensor, uniform, is_normalized,
+    row_support, swap, swap_asymmetry, tensor, uniform, is_normalized,
 )
 from finkern.enrichment import (
     NoExactDerivative, NotAbsolutelyContinuous, _density_values,
@@ -1197,6 +1197,84 @@ def test_detailed_balance_witness_is_first_unbalanced_pair(pair):
                      for i in range(len(labels)) for j in range(i + 1, len(labels))
                      if masses[i] * rows[i][j] != masses[j] * rows[j][i]), None)
     assert detailed_balance_violation(target, chain) == expected
+
+
+def _sorted_pairs_violation(target, chain):
+    """Detailed balance as it was first decided, kept as the oracle: every
+    index pair where the chain moves in at least one direction, sorted, each
+    compared as pairs."""
+    (masses,) = pair_rows(target)
+    rows = pair_rows(chain)
+    pairs = sorted({(i, j) if i < j else (j, i)
+                    for i, row in enumerate(rows) for j in row if i != j})
+    for i, j in pairs:
+        if not pair_products_equal(masses.get(i, ZERO_PAIR), rows[i].get(j, ZERO_PAIR),
+                                   masses.get(j, ZERO_PAIR), rows[j].get(i, ZERO_PAIR)):
+            return i, j
+    return None
+
+
+@st.composite
+def _balanced_targets_and_chains(draw):
+    """A target and a chain in detailed balance with it, zero, finite and oo
+    masses and entries included; in about half of them one entry is then
+    redrawn. Returns the target, the chain and whether it was redrawn."""
+    target, chain = draw(_targets_and_chains())
+    masses, rows = target.measure_values(), [list(row) for row in chain.entries]
+    n = len(masses)
+    for i in range(n):
+        for j in range(i + 1, n):
+            joint = masses[i] * rows[i][j]
+            if not masses[j].num:  # the swapped side is 0
+                if joint.num:
+                    rows[i][j] = ZERO
+            elif masses[j].is_finite:
+                rows[j][i] = joint / masses[j]
+            elif joint.num:  # oo on the swapped side: make this side oo too
+                rows[i][j], rows[j][i] = INF, ONE
+            else:
+                rows[j][i] = ZERO
+    redrawn = draw(st.booleans())
+    if redrawn:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(sparse_values)
+    return target, Kernel(target.cod, target.cod, rows), redrawn
+
+
+def _assert_one_pass_matches_sorted_pairs(target, chain):
+    expected = _sorted_pairs_violation(target, chain)
+    assert swap_asymmetry(target, chain) == expected
+    labels = target.cod.labels
+    assert detailed_balance_violation(target, chain) == (
+        None if expected is None else (labels[expected[0]], labels[expected[1]]))
+    return expected
+
+
+@given(_balanced_targets_and_chains())
+def test_one_pass_detailed_balance_matches_sorted_pairs_when_balanced(case):
+    target, chain, redrawn = case
+    expected = _assert_one_pass_matches_sorted_pairs(target, chain)
+    assert redrawn or expected is None
+
+
+@given(_targets_and_chains())
+def test_one_pass_detailed_balance_matches_sorted_pairs_on_sparse_chains(pair):
+    _assert_one_pass_matches_sorted_pairs(*pair)
+
+
+@given(st.integers(1, 7), st.integers(0, 2 ** 32), st.data())
+def test_one_pass_detailed_balance_matches_sorted_pairs_on_random_chains(n, seed, data):
+    rng = random.Random(seed)
+    space = FinSpace(tuple(f"x{i}" for i in range(n)))
+    target = rand_probability_measure(rng, space)
+    reversible = rand_reversible_kernel(rng, target)
+    assert _assert_one_pass_matches_sorted_pairs(target, reversible) is None
+    problem = rand_mh_problem(rng, n, n)
+    _assert_one_pass_matches_sorted_pairs(problem.target, build_mh(problem))
+    dense = Kernel(space, space, data.draw(st.lists(
+        st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)))
+    masses = measure(space, data.draw(st.lists(values, min_size=n, max_size=n)))
+    for mu in (target, masses):
+        _assert_one_pass_matches_sorted_pairs(mu, dense)
 
 
 @given(st.integers(0, 2 ** 32))
