@@ -429,18 +429,29 @@ def main(argv=None) -> int:
         path = Path(args.model)
         if not path.exists():
             raise CliError(f"model file {path} does not exist")
-        ok, lines, doc = COMMANDS[args.subcommand][0](parse(path.read_text()), args)
-        report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
-                  for key, value in [("command", args.subcommand), *lines]]
-        # --out receives the document if there is one, else the report; a
-        # report that shares stdout with a document is "#"-commented
-        body, head = ("".join(report), []) if doc is None else (emit(doc), report)
-        if args.out:
-            Path(args.out).write_text(body)
-            sys.stdout.write("".join(head))
-        else:
-            sys.stdout.write("".join("# " + line for line in head) + body)
-        return 0 if ok else 1
+        model = parse(path.read_text())
+        # inputs are read under Python's limit on integer digits, but an
+        # exact result may be longer than any input, so it prints without
+        # one (Pythons before 3.10.7 have no limit)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            ok, lines, doc = COMMANDS[args.subcommand][0](model, args)
+            report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+                      for key, value in [("command", args.subcommand), *lines]]
+            # --out receives the document if there is one, else the report; a
+            # report that shares stdout with a document is "#"-commented
+            body, head = ("".join(report), []) if doc is None else (emit(doc), report)
+            if args.out:
+                Path(args.out).write_text(body)
+                sys.stdout.write("".join(head))
+            else:
+                sys.stdout.write("".join("# " + line for line in head) + body)
+            return 0 if ok else 1
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError,
             ArithmeticError, OSError) as exc:
         # str() of a KeyError quotes its message; that of an OSError or a

@@ -9,7 +9,7 @@ relabelings witness X (x) (Y (+) Z) ~ (X (x) Y) (+) (X (x) Z).
 from __future__ import annotations
 
 from .spaces import EMPTY, FinSpace, Tagged, product
-from .kernels import Kernel, SpaceMismatchError, deterministic, from_maps
+from .kernels import Kernel, SpaceMismatchError, deterministic, from_pair_rows, pair_rows
 
 
 def oplus(left: FinSpace, right: FinSpace) -> FinSpace:
@@ -37,8 +37,7 @@ def copair(f: Kernel, g: Kernel) -> Kernel:
     """
     if f.cod != g.cod:
         raise SpaceMismatchError("copair needs kernels into the same space")
-    return from_maps(oplus(f.dom, g.dom), f.cod,
-                     [dict(zip(*row)) for row in f.rows + g.rows])
+    return from_pair_rows(oplus(f.dom, g.dom), f.cod, pair_rows(f) + pair_rows(g))
 
 
 def distributivity_iso(x: FinSpace, y: FinSpace, z: FinSpace) -> tuple[Kernel, Kernel]:

@@ -12,17 +12,21 @@ Each predicate is decided by one ``*_violation`` function that returns its
 first witness or None: an entry ``(x, y)`` for the order relations and
 cancellativity, a domain point for finiteness and a.e. equality. The
 boolean form is ``*_violation(...) is None``.
+
+Entries are read as integer pairs (``kernels.pair_rows``), supports and
+infinite entries through ``row_support`` and ``infinite_entry``; an
+``ExtNonneg`` view is read only to print a value in an error message.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .semiring import ExtNonneg, INF, ONE, ZERO, fraction, residual
+from .semiring import ExtNonneg, INF, INF_PAIR, ONE, ZERO, ZERO_PAIR, fraction
 from .spaces import FinSpace, Label
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, effect, from_maps, pushforward,
-    infinite_entry, pair_rows, row_support, split_by_support,
+    Involution, Kernel, SpaceMismatchError, effect, from_maps, from_pair_rows,
+    infinite_entry, pair_rows, pushforward, row_support, split_by_support,
 )
 
 
@@ -54,11 +58,10 @@ def kernel_zero(dom: FinSpace, cod: FinSpace) -> Kernel:
 def leq_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
     """The first entry (x, y), in row-major order, where p[x][y] <= q[x][y] fails."""
     _check_same_type(p, q, "leq")
-    for x, (pcols, pvals), (qcols, qvals) in zip(p.dom.labels, p.rows, q.rows):
-        upper = dict(zip(qcols, qvals))
-        for j, a in zip(pcols, pvals):  # a zero entry of p is below anything
-            b = upper.get(j)
-            if b is None or not a <= b:
+    for x, lower, upper in zip(p.dom.labels, pair_rows(p), pair_rows(q)):
+        for j, (a, b) in lower.items():  # a zero entry of p is below anything
+            c, d = upper.get(j, ZERO_PAIR)
+            if a * d > c * b:  # a / b > c / d, with oo as (1, 0)
                 return x, p.cod.labels[j]
     return None
 
@@ -72,22 +75,27 @@ def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
     """A kernel R with p + R == q, or None when p <= q fails.
 
     Entrywise residuals assemble into a witness; this is the explicit
-    construction the entrywise test is validated against.
+    construction the entrywise test is validated against. Where q is finite
+    the residual is the least one, q - p; where q is oo it is 0 if p is oo
+    and oo otherwise.
     """
     _check_same_type(p, q, "leq")
     rows = []
-    for (pcols, pvals), (qcols, qvals) in zip(p.rows, q.rows):
-        lower = dict(zip(pcols, pvals))
-        gaps = {}
-        for j, b in zip(qcols, qvals):
-            c = residual(lower.pop(j, ZERO), b)
-            if c is None:
-                return None
-            gaps[j] = c
-        if lower:  # a nonzero entry of p over a zero entry of q
+    for lower, upper in zip(pair_rows(p), pair_rows(q)):
+        if not lower.keys() <= upper.keys():  # p nonzero over a zero of q
             return None
+        gaps = {}
+        for j, (c, d) in upper.items():
+            a, b = lower.get(j, ZERO_PAIR)
+            if not d:
+                if b:
+                    gaps[j] = INF_PAIR
+            elif not b or a * d > c * b:  # p is oo, or larger than q
+                return None
+            else:
+                gaps[j] = (c * b - a * d, b * d)
         rows.append(gaps)
-    return from_maps(p.dom, p.cod, rows)
+    return from_pair_rows(p.dom, p.cod, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import random
 
 from .semiring import ExtNonneg, INF, ZERO
 from .spaces import FinSpace
-from .kernels import Involution, Kernel, compose, effect, lift_involution, measure
+from .kernels import Involution, Kernel, effect, measure
 from .mcmc import (
     BALANCING_FUNCTIONS, MhProblem, balancing_alpha,
 )
@@ -163,22 +163,3 @@ def rand_reversible_kernel(rng: random.Random, target: Kernel,
     rows = [[v / masses[i] if v.num else ZERO for v in sym[i]] for i in range(n)]
     return Kernel(space, space, rows)
 
-
-def rand_skew_instance(rng: random.Random, min_size: int = 2, max_size: int = 6,
-                       ) -> tuple[Kernel, Involution, Kernel]:
-    """A target, a target-preserving twist involution, and a random chain."""
-    space = rand_space(rng, min_size, max_size)
-    twist = rand_involution(rng, space)
-    masses = [rand_value(rng, zero_weight=0.0) for _ in space.labels]
-    for i, j in enumerate(twist.perm):  # equal mass on each twist orbit
-        if i < j:
-            masses[j] = masses[i]
-    target = measure(space, masses)
-    if rng.random() < 0.5:
-        chain = rand_reversible_kernel(rng, target)
-        if rng.random() < 0.5:
-            # compose with the twist to land in the skew-reversible class
-            chain = compose(lift_involution(twist), chain)
-    else:
-        chain = rand_kernel(rng, space, space, max_den=16)
-    return target, twist, chain

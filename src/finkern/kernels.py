@@ -42,10 +42,10 @@ writes stored rows: other code builds kernels with ``Kernel(dom, cod,
 dense)``, ``measure``, ``effect``, ``from_maps``, ``lazy_involution``,
 ``resample_within``, ``split_by_support`` and the structural
 constructors, and from integer pairs (see ``semiring``) with
-``from_pair_rows``. Where it compares many entries it reads them as
-pairs through ``pair_rows`` and ``effect_pairs``, and supports and
-infinite entries through ``row_support`` and ``infinite_entry``, building
-no ``ExtNonneg``.
+``from_pair_rows``. Below the API it reads entries as pairs through
+``pair_rows`` and ``effect_pairs``, and supports and infinite entries
+through ``row_support`` and ``infinite_entry``, building no ``ExtNonneg``:
+the views serve the CLI, the random generators and library users.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.

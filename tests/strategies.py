@@ -7,8 +7,11 @@ import hypothesis.strategies as st
 
 from finkern.semiring import INF, ZERO, ExtNonneg, fraction
 from finkern.spaces import FinSpace, product_many
-from finkern.kernels import Kernel
-from finkern.generators import rand_probability_measure
+from finkern.kernels import Involution, Kernel, compose, lift_involution, measure
+from finkern.generators import (
+    rand_involution, rand_kernel, rand_probability_measure,
+    rand_reversible_kernel, rand_space, rand_value,
+)
 from finkern.mcmc import METROPOLIS, gibbs
 
 finite_values = st.builds(
@@ -81,6 +84,26 @@ def gibbs_3x3x3():
     factors = [FinSpace(tuple(f"c{i}_{j}" for j in range(3))) for i in range(3)]
     joint = rand_probability_measure(random.Random(21), product_many(factors))
     return gibbs(joint, factors)
+
+
+def rand_skew_instance(rng: random.Random, min_size: int = 2, max_size: int = 6,
+                       ) -> tuple[Kernel, Involution, Kernel]:
+    """A target, a target-preserving twist involution, and a random chain."""
+    space = rand_space(rng, min_size, max_size)
+    twist = rand_involution(rng, space)
+    masses = [rand_value(rng, zero_weight=0.0) for _ in space.labels]
+    for i, j in enumerate(twist.perm):  # equal mass on each twist orbit
+        if i < j:
+            masses[j] = masses[i]
+    target = measure(space, masses)
+    if rng.random() < 0.5:
+        chain = rand_reversible_kernel(rng, target)
+        if rng.random() < 0.5:
+            # compose with the twist to land in the skew-reversible class
+            chain = compose(lift_involution(twist), chain)
+    else:
+        chain = rand_kernel(rng, space, space, max_den=16)
+    return target, twist, chain
 
 
 def assert_reduced(k):

@@ -31,12 +31,12 @@ from finkern.mcmc import (
 )
 from finkern.generators import (
     rand_involution, rand_kernel, rand_measure, rand_mh_problem,
-    rand_normalized_kernel, rand_probability_measure, rand_skew_instance,
-    rand_value,
+    rand_normalized_kernel, rand_probability_measure, rand_value,
 )
 from finkern.modelfile import parse, emit
 from finkern.sampler import empirical, run_chain, to_float, tv_distance
 from finkern import cli
+from strategies import rand_skew_instance
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SEED = 20260808

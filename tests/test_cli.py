@@ -1,6 +1,8 @@
 import ast
 import importlib
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,30 @@ def test_check_failing_with_witness(capsys):
     report = report_dict(out)
     assert report["result"] == "false"
     assert report["witness_x"] == "a" and report["witness_y"] == "b"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on integer digits")
+def test_check_prints_results_longer_than_the_digit_limit(capsys, tmp_path):
+    """Inputs under Python's 4300-digit limit can have an exact result
+    above it: the check still reports it, in full, and leaves the limit as
+    it found it."""
+    sevens, threes = "7" * 4290, "3" * 4295
+    model = tmp_path / "long.fk"
+    model.write_text(f"space X {{ a b c }}\nmeasure mu on X {{ a = {sevens}/{threes}"
+                     f"  b = 1/{sevens}  c = {threes} }}\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "check", "--model", str(model), "normalized", "mu")
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 1
+    report = report_dict(out)
+    assert report["result"] == "false" and report["witness_row"] == "*"
+    sys.set_int_max_str_digits(0)
+    try:
+        mass = Fraction(int(sevens), int(threes)) + Fraction(1, int(sevens)) + int(threes)
+        assert Fraction(report["row_mass"]) == mass
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_check_unknown_predicate(capsys):

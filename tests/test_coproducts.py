@@ -2,17 +2,20 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
-from finkern.semiring import ExtNonneg
+from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import EMPTY, FinSpace, Tagged, product
 from finkern.kernels import (
-    Kernel, SpaceMismatchError, compose, deterministic, identity, is_copyable,
-    is_normalized, tensor,
+    Kernel, SpaceMismatchError, compose, deterministic, from_maps, identity,
+    is_copyable, is_normalized, tensor,
 )
 from finkern.coproducts import (
     copair, distributivity_iso, injection, nullary_distributivity_iso, oplus,
 )
 from finkern.generators import rand_kernel, rand_normalized_kernel
+from strategies import kernels_on, spaces
 
 
 def q(num, den=1):
@@ -48,6 +51,17 @@ def test_copair_restricts_to_components():
     assert compose(h, injection("L", X, Y)) == f
     assert compose(h, injection("R", X, Y)) == g
     assert is_normalized(h)
+
+
+@given(st.data())
+def test_copair_with_infinite_entries_restricts_to_components(data):
+    x, y, z = (data.draw(spaces(1, 3, prefix)) for prefix in "xyz")
+    f, g = data.draw(kernels_on(x, z)), data.draw(kernels_on(y, z))
+    f = f + from_maps(x, z, [{0: INF}] + [{}] * (len(x) - 1))  # at least one oo
+    h = copair(f, g)
+    assert h.int_rows == f.int_rows + g.int_rows
+    assert compose(h, injection("L", x, y)) == f
+    assert compose(h, injection("R", x, y)) == g
 
 
 def test_copair_needs_common_codomain():

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from finkern.semiring import ExtNonneg, INF, ONE, ZERO
+from finkern.semiring import ExtNonneg, INF, ONE, ZERO, residual
 from finkern.spaces import FinSpace, UNIT
 from finkern.kernels import (
-    Involution, Kernel, compose, dirac, effect, effect_mul, identity,
+    Involution, Kernel, compose, dirac, effect, effect_mul, from_maps, identity,
     lift_involution, measure, pushforward, tensor, uniform,
 )
 from finkern.enrichment import (
     NoExactDerivative, NotAbsolutelyContinuous, NotCancellative, abs_cont,
     ae_equal, cancellation_counterexample, equivalent,
     involutive_decompose, is_cancellative, is_finite_morphism, is_singular,
-    kernel_zero, lebesgue_decompose, leq_kernel, leq_witness,
+    kernel_zero, lebesgue_decompose, leq_kernel, leq_violation, leq_witness,
     meet, rn_derivative, support_labels,
 )
 from strategies import kernel_pairs, kernels, kernels_on, spaces, values
@@ -95,6 +95,55 @@ def test_leq_agrees_with_witness_construction(pq):
     assert leq_kernel(p, q_) == (w is not None)
     if w is not None:
         assert p + w == q_
+
+
+def leq_violation_oracle(p, q_):
+    """``leq_violation`` over the value views: ``<=`` entry by entry."""
+    for x, (pcols, pvals), (qcols, qvals) in zip(p.dom.labels, p.rows, q_.rows):
+        upper = dict(zip(qcols, qvals))
+        for j, a in zip(pcols, pvals):
+            b = upper.get(j)
+            if b is None or not a <= b:
+                return x, p.cod.labels[j]
+    return None
+
+
+def leq_witness_oracle(p, q_):
+    """``leq_witness`` over the value views: ``residual`` entry by entry."""
+    rows = []
+    for (pcols, pvals), (qcols, qvals) in zip(p.rows, q_.rows):
+        lower = dict(zip(pcols, pvals))
+        gaps = {}
+        for j, b in zip(qcols, qvals):
+            c = residual(lower.pop(j, ZERO), b)
+            if c is None:
+                return None
+            gaps[j] = c
+        if lower:
+            return None
+        rows.append(gaps)
+    return from_maps(p.dom, p.cod, rows)
+
+
+@st.composite
+def leq_candidates(draw):
+    """Kernel pairs with zero, finite and oo entries; half of them are
+    (p, p + r), so that p <= q holds and a witness exists."""
+    p, r = draw(kernel_pairs(max_size=3))
+    return (p, p + r) if draw(st.booleans()) else (p, r)
+
+
+@given(leq_candidates())
+def test_leq_on_pairs_agrees_with_value_oracles(pq):
+    """The additive order decided on integer pairs gives the witnesses the
+    value views give: the same first entry, and the same residual kernel,
+    0 where both entries are oo, or None from both."""
+    p, q_ = pq
+    assert leq_violation(p, q_) == leq_violation_oracle(p, q_)
+    w, expected = leq_witness(p, q_), leq_witness_oracle(p, q_)
+    assert (w is None) == (expected is None)
+    if w is not None:
+        assert w.int_rows == expected.int_rows
 
 
 @given(kernel_pairs(max_size=3))

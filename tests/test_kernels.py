@@ -592,6 +592,27 @@ def test_only_kernels_reads_stored_rows():
                 assert node.attr != "int_rows", path.name
 
 
+#: The modules that may read the ``ExtNonneg`` views: ``kernels`` defines
+#: them, ``cli`` formats witnesses and reads ``sample``'s float target with
+#: them, and ``generators`` builds random inputs through the public API.
+VIEW_READERS = ("kernels.py", "cli.py", "generators.py")
+VIEWS = ("rows", "entries", "row", "entry", "at", "measure_values", "effect_values")
+
+
+def test_only_the_api_reads_value_views():
+    """Below the API, modules read entries as pairs: no ``ExtNonneg`` view,
+    and ``at`` only to print a value in an error message."""
+    for path in SRC.glob("*.py"):
+        if path.name in VIEW_READERS:
+            continue
+        tree = ast.parse(path.read_text())
+        in_raise = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
+                    for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in VIEWS:
+                assert node.attr == "at" and id(node) in in_raise, (path.name, node.lineno)
+
+
 # -- the stored integer rows ---------------------------------------------------
 
 @given(kernels(entry_strategy=small_values | st.sampled_from([q(2, 3), q(5, 6)])))

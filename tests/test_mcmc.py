@@ -33,11 +33,11 @@ from finkern.mcmc import (
 )
 from finkern.generators import (
     rand_involution, rand_mh_problem, rand_normalized_kernel,
-    rand_probability_measure, rand_reversible_kernel, rand_skew_instance,
+    rand_probability_measure, rand_reversible_kernel,
 )
 from strategies import (
     assert_reduced, ext_sum, finite_values, mh_acceptance_ratio,
-    normalized_kernels, spaces, values,
+    normalized_kernels, rand_skew_instance, spaces, values,
 )
 
 
