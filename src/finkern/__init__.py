@@ -11,7 +11,7 @@ process that never touches them (the CLI, for most subcommands) never
 compiles them.
 """
 
-from .semiring import INF, ONE, ZERO, ExtNonneg, SemiringDivisionError, residual
+from .semiring import INF, ONE, ZERO, ExtNonneg, SemiringDivisionError
 from .spaces import EMPTY, UNIT, FinSpace, Tagged, product, product_many
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,

@@ -425,33 +425,31 @@ def main(argv=None) -> int:
         if not args.instances and not (args.target and args.involution):
             args.usage_error("verify-mh needs --target and --involution "
                              "(or --instances for batch mode)")
+    # a model's values are bounded by modelfile.MAX_VALUE_DIGITS, whatever
+    # the interpreter's limit on integer digits, and an exact result may be
+    # longer than any input, so model and output go without that limit
+    # (Pythons before 3.10.7 have none); argv and the environment are read
+    # under it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         path = Path(args.model)
         if not path.exists():
             raise CliError(f"model file {path} does not exist")
         model = parse(path.read_text())
-        # inputs are read under Python's limit on integer digits, but an
-        # exact result may be longer than any input, so it prints without
-        # one (Pythons before 3.10.7 have no limit)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            ok, lines, doc = COMMANDS[args.subcommand][0](model, args)
-            report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
-                      for key, value in [("command", args.subcommand), *lines]]
-            # --out receives the document if there is one, else the report; a
-            # report that shares stdout with a document is "#"-commented
-            body, head = ("".join(report), []) if doc is None else (emit(doc), report)
-            if args.out:
-                Path(args.out).write_text(body)
-                sys.stdout.write("".join(head))
-            else:
-                sys.stdout.write("".join("# " + line for line in head) + body)
-            return 0 if ok else 1
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+        ok, lines, doc = COMMANDS[args.subcommand][0](model, args)
+        report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+                  for key, value in [("command", args.subcommand), *lines]]
+        # --out receives the document if there is one, else the report; a
+        # report that shares stdout with a document is "#"-commented
+        body, head = ("".join(report), []) if doc is None else (emit(doc), report)
+        if args.out:
+            Path(args.out).write_text(body)
+            sys.stdout.write("".join(head))
+        else:
+            sys.stdout.write("".join("# " + line for line in head) + body)
+        return 0 if ok else 1
     except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError,
             ArithmeticError, OSError) as exc:
         # str() of a KeyError quotes its message; that of an OSError or a
@@ -459,6 +457,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

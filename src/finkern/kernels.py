@@ -17,8 +17,8 @@ on these integers alone: ``compose`` scales each middle row to the lcm of
 the middle denominators and takes integer dot products, so a row costs one
 gcd, not one per scalar product and sum, a row with one middle point is a
 scaled copy of that middle row, each distinct earlier row is worked out
-once, and a later row that middle points share as one stored object is
-multiplied once per output row. ``graph(k)``, the graph ``(identity (x)
+once, and a later row that a measure's middle points share as one stored
+object is multiplied once. ``graph(k)``, the graph ``(identity (x)
 k) ∘ copy`` of ``k``, moves ``k``'s rows into place instead of building
 the |X|*|X| rows of the tensor that copy reads |X| of, and
 ``resample_within`` stores one row per block of a partition, which every
@@ -228,9 +228,7 @@ class Kernel:
 
     def __init__(self, dom: FinSpace, cod: FinSpace, entries: Iterable[Iterable[Entry]]):
         dense = list(entries)
-        if len(dense) != len(dom):
-            raise SpaceMismatchError(
-                f"expected {len(dom)} rows for {dom!r}, got {len(dense)}")
+        _check_rows(dom, dense)
         width = len(cod)
         rows = []
         for row in dense:  # one row at a time: no second dense copy
@@ -284,10 +282,8 @@ class Kernel:
         share one tuple."""
         if self._dense is None:
             width = len(self.cod)
-            # the values of a kept ``rows`` view, or new ones kept here only
-            views = dict(zip(self.int_rows, self._view)) if self._view else {}
-            self._dense = tuple(_per_row(self, lambda row: _dense_row(
-                views.get(row) or _view_row(row), width)))
+            self._dense = tuple(_per_row(
+                self, lambda row: _dense_row(_view_row(row), width)))
         return self._dense
 
     def at(self, i: int, j: int) -> ExtNonneg:
@@ -410,28 +406,28 @@ def infinite_entry(kernel: Kernel) -> tuple[int, int] | None:
     return None
 
 
+def _point_values(space: FinSpace,
+                  values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> list:
+    """``values``, as ``measure`` and ``effect`` take them, in point order."""
+    if isinstance(values, Mapping):
+        return [values.get(x, ZERO) for x in space.labels]
+    return list(values)
+
+
 def measure(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> Kernel:
     """A measure on ``space``: a kernel out of the unit space.
 
     ``values`` is either a full sequence in point order or a mapping from
     labels to masses (absent labels get 0).
     """
-    if isinstance(values, Mapping):
-        row = [values.get(x, ZERO) for x in space.labels]
-    else:
-        row = list(values)
-    return Kernel(UNIT, space, (row,))
+    return Kernel(UNIT, space, (_point_values(space, values),))
 
 
 def effect(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> Kernel:
-    """An effect on ``space``: a kernel into the unit space."""
-    if isinstance(values, Mapping):
-        col = [values.get(x, ZERO) for x in space.labels]
-    else:
-        col = list(values)
-    if len(col) != len(space):
-        raise SpaceMismatchError(
-            f"expected {len(space)} rows for {space!r}, got {len(col)}")
+    """An effect on ``space``: a kernel into the unit space, with values
+    given as ``measure`` takes them."""
+    col = _point_values(space, values)
+    _check_rows(space, col)
     col = [v if v.__class__ is ExtNonneg else _coerce(v) for v in col]
     return Kernel._new(space, UNIT, tuple([
         _EMPTY_ROW if not v.num else ((0,), (v.num,), v.den, ()) if v.den
@@ -553,9 +549,12 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     the lcm ``L`` of the middle rows' denominators, weighted by the earlier
     row's numerator, and summed over ``den * L``; one gcd then reduces it.
     Equal earlier rows give equal output rows, so each distinct earlier row
-    is worked out once. Where middle points share one stored later row (a
-    Gibbs site's fibers do), the earlier row's numerators on them are added
-    up first, so each shared later row is multiplied once per output row.
+    is worked out once. Where ``earlier`` is a measure (an invariance
+    check's ``chain ∘ target``), its numerators on middle points that share
+    one stored later row (a Gibbs site's fibers do) are added up first, so
+    each shared later row is multiplied once. In a Gibbs sweep's own
+    composes no two middle points of a row share a later row, so a kernel
+    of many rows takes no merge.
     """
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
@@ -577,7 +576,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     later_rows = later.int_rows
     infinite = _has_inf(later) or _has_inf(earlier)
     first = None  # per middle point, the first one sharing its later row
-    if not infinite and len(set(map(id, later_rows))) < len(later_rows):
+    if not infinite and len(earlier.int_rows) == 1:
         seen: dict[int, int] = {}
         first = [seen.setdefault(id(r), k) for k, r in enumerate(later_rows)]
     out = []

@@ -16,7 +16,8 @@ A document is a sequence of declarations::
 
 Comments run from ``#`` to end of line; entries may be separated by commas
 or whitespace. Absent measure/effect/kernel entries are zero. Values are
-``p/q``, integer strings, or ``inf``. Labels are atoms
+``p/q``, integer strings, or ``inf``, with at most ``MAX_VALUE_DIGITS``
+digits in a numerator and in a denominator. Labels are atoms
 (``[A-Za-z0-9_.*]+``), tuples ``(a,b)`` (any arity >= 2, nested), or tagged
 coproduct points ``L:a`` / ``R:b``, nested at most ``MAX_LABEL_DEPTH``
 levels (a tuple or a tag is one level). Involutions list moved points as
@@ -25,8 +26,9 @@ fixed. ``probability`` entries must lie in [0, 1].
 
 ``emit`` prints a canonical form; ``parse(emit(doc)) == doc`` for every
 document it accepts, and all semantic validation happens at parse with line
-numbers. A label nested deeper than the limit is a ``ModelError`` at parse
-and a ``ValueError`` at emit.
+numbers. A label nested deeper than the limit, or a value longer than
+its bound, is a ``ModelError`` at parse and a ``ValueError`` at emit, so
+every document that ``emit`` prints is one that ``parse`` reads.
 
 ``parse`` streams: it tokenizes one line at a time and holds only that
 line's tokens. A measure, effect or kernel entry ``x = v`` or ``x -> y =
@@ -37,9 +39,8 @@ distinct value text is parsed once per call.
 from __future__ import annotations
 
 import re
-from math import gcd
 
-from .semiring import ExtNonneg, ONE, ZERO
+from .semiring import ExtNonneg, ONE, ZERO, pair_text
 from .spaces import UNIT, FinSpace, Label, Tagged, format_label
 from .kernels import Involution, Kernel, effect, from_maps, pair_rows
 from .mcmc import BALANCING_FUNCTIONS
@@ -105,6 +106,13 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 #: hashing and comparing a label each recurse once per level, so the limit
 #: keeps every one of them far from Python's recursion limit.
 MAX_LABEL_DEPTH = 100
+
+#: How many digits a value's numerator and its denominator may each have.
+#: The bound is checked on the text, before any conversion, so what a
+#: document may hold does not depend on the interpreter's own limit on
+#: integer digits (``sys.set_int_max_str_digits``), which is 4300 by
+#: default where it exists.
+MAX_VALUE_DIGITS = 4300
 
 
 def parse_label(text: str) -> Label:
@@ -224,6 +232,9 @@ def _parse_value(tokens: _Tokens, values: dict[str, ExtNonneg]) -> ExtNonneg:
     tok = tokens.take("a value")
     value = values.get(tok)
     if value is None:
+        if _too_long(tok):
+            raise ModelError(line, "a value's numerator and denominator have at "
+                             f"most {MAX_VALUE_DIGITS} digits each")
         try:
             value = values[tok] = ExtNonneg.parse(tok)
         except ValueError as exc:
@@ -406,17 +417,20 @@ def parse(text: str) -> ModelDocument:
     return doc
 
 
-def _entry_texts(pairs) -> list[tuple[int, str]]:
-    """A row's nonzero entries, from its ``pair_rows`` map, as (column,
-    value text), printed as ``str`` prints their values but building none."""
-    texts = []
-    for j, (n, d) in pairs.items():
-        if not d:
-            texts.append((j, "inf"))
-            continue
-        g = gcd(n, d)
-        texts.append((j, str(n // g) if g == d else f"{n // g}/{d // g}"))
-    return texts
+def _too_long(text: str) -> bool:
+    """Whether a value text has a part longer than ``MAX_VALUE_DIGITS``."""
+    return len(text) > MAX_VALUE_DIGITS \
+        and max(map(len, text.split("/"))) > MAX_VALUE_DIGITS
+
+
+def _value_text(pair: tuple[int, int], entity: str) -> str:
+    """The text of a value of ``entity``, which must fit the bound."""
+    text = pair_text(*pair)
+    # the length test first saves a call per value of a large document
+    if len(text) > MAX_VALUE_DIGITS and _too_long(text):
+        raise ValueError(f"{entity} has a value of more than "
+                         f"{MAX_VALUE_DIGITS} digits")
+    return text
 
 
 def _too_deep(labels) -> bool:
@@ -444,25 +458,27 @@ def emit(doc: ModelDocument) -> str:
                            ("effect", doc.effects),
                            ("probability", doc.probabilities)):
         for name, kernel in store.items():
+            entity = f"{keyword} {name!r}"
             if keyword == "measure":
                 space = kernel.cod
-                charged = _entry_texts(pair_rows(kernel)[0])
+                charged = pair_rows(kernel)[0].items()
             else:
                 space = kernel.dom
-                charged = [(i, text) for i, pairs in enumerate(pair_rows(kernel))
-                           for _, text in _entry_texts(pairs)]
-            body = "  ".join(f"{format_label(space.labels[i])} = {v}"
-                             for i, v in charged)
+                charged = [(i, pair) for i, pairs in enumerate(pair_rows(kernel))
+                           for pair in pairs.values()]
+            body = "  ".join(f"{format_label(space.labels[i])} = "
+                             f"{_value_text(pair, entity)}" for i, pair in charged)
             block = f"{{ {body} }}" if body else "{ }"
             out.append(f"{keyword} {name} on {doc.space_name(space)} {block}")
     for name, kernel in doc.kernels.items():
+        entity = f"kernel {name!r}"
         out.append(f"kernel {name} : {doc.space_name(kernel.dom)} -> "
                    f"{doc.space_name(kernel.cod)} {{")
         cod_labels = [format_label(y) for y in kernel.cod.labels]
         for x, pairs in zip(kernel.dom.labels, pair_rows(kernel)):
             src = format_label(x)
-            for j, v in _entry_texts(pairs):
-                out.append(f"  {src} -> {cod_labels[j]} = {v}")
+            for j, pair in pairs.items():
+                out.append(f"  {src} -> {cod_labels[j]} = {_value_text(pair, entity)}")
         out.append("}")
     for name, inv in doc.involutions.items():
         body = "  ".join(f"{format_label(a)} -> {format_label(b)}"

@@ -171,11 +171,7 @@ class ExtNonneg:
         return f"ExtNonneg({self.num}, {self.den})"
 
     def __str__(self):
-        if self.den == 0:
-            return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        return pair_text(self.num, self.den)
 
     def to_float(self) -> float:
         if self.den == 0:
@@ -210,7 +206,8 @@ def fraction(num: int, den: int) -> ExtNonneg:
 # oo is ``(1, 0)``, 0 is ``(0, 1)`` and 1 is ``(1, 1)``. Code that reads
 # many stored entries (``kernels.pair_rows``) compares products of them as
 # pairs, by cross-multiplication, and builds no ``ExtNonneg``; code that
-# builds many (``kernels.from_pair_rows``) writes them as pairs.
+# builds many (``kernels.from_pair_rows``) writes them as pairs, and
+# ``pair_text`` prints a pair as the text that ``ExtNonneg.parse`` reads.
 
 ZERO_PAIR = (0, 1)
 ONE_PAIR = (1, 1)
@@ -225,18 +222,10 @@ def pair_products_equal(a, b, c, d) -> bool:
     return a[0] * b[0] * c[1] * d[1] == c[0] * d[0] * a[1] * b[1]
 
 
-def residual(lower: ExtNonneg, upper: ExtNonneg) -> ExtNonneg | None:
-    """A witness ``c`` with ``lower + c == upper``, or None when none exists.
-
-    Returns the minimal witness for finite pairs; for ``upper == oo`` the
-    witness oo (or 0 when lower is already oo) is used.
-    """
-    if upper.den == 0:
-        return ZERO if lower.den == 0 else INF
-    if lower.den == 0:
-        return None
-    n = lower.num * upper.den
-    d = upper.num * lower.den
-    if n > d:
-        return None
-    return fraction(d - n, lower.den * upper.den)
+def pair_text(num: int, den: int) -> str:
+    """The text of the pair's value, as model files and reports print it:
+    ``inf``, an integer, or ``p/q`` in lowest terms."""
+    if not den:
+        return "inf"
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"

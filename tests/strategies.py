@@ -155,3 +155,22 @@ def ext_sum(values):
             num = num * scale + v.num * (den // g)
             den *= scale
     return fraction(num, den)
+
+
+def residual(lower, upper):
+    """A witness ``c`` with ``lower + c == upper`` over ``ExtNonneg``
+    values, or None when none exists: the oracle for the pair residuals of
+    ``enrichment.leq_witness``.
+
+    Returns the minimal witness for finite pairs; for ``upper == oo`` the
+    witness oo (or 0 when lower is already oo) is used.
+    """
+    if upper.den == 0:
+        return ZERO if lower.den == 0 else INF
+    if lower.den == 0:
+        return None
+    n = lower.num * upper.den
+    d = upper.num * lower.den
+    if n > d:
+        return None
+    return fraction(d - n, lower.den * upper.den)

@@ -82,6 +82,49 @@ def test_check_prints_results_longer_than_the_digit_limit(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+def test_a_value_past_the_digit_bound_is_refused_with_the_bound(capsys, tmp_path):
+    model = tmp_path / "long.fk"
+    model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {'7' * 4301}  b = 1 }}\n")
+    code, _, err = run(capsys, "check", "--model", str(model), "normalized", "mu")
+    assert code == 2
+    assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
+
+
+def test_build_mh_writes_no_document_it_could_not_read(capsys, tmp_path):
+    """Masses of 3000 digits a part give an acceptance of about 6000
+    digits: the build is refused, and no file is written."""
+    model = tmp_path / "long.fk"
+    model.write_text(
+        f"space X {{ a b }}\nmeasure mu on X {{ a = {'7' * 3000}/{'3' * 2999}1"
+        f"  b = 1{'0' * 2999}/{'9' * 3000} }}\n"
+        "involution flip on X { a -> b  b -> a }\nbalancing met = metropolis\n")
+    built = tmp_path / "built.fk"
+    code, _, err = run(capsys, "build-mh", "--model", str(model), "--target", "mu",
+                       "--involution", "flip", "--balancing", "met", "--out", str(built))
+    assert code == 2
+    assert "probability 'acceptance' has a value of more than 4300 digits" in err
+    assert not built.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on integer digits")
+def test_model_values_do_not_depend_on_the_interpreter_digit_limit(capsys, tmp_path):
+    """Under a limit of 640 digits, a model with 1000-digit values is read
+    as under any other, and the limit is left as it was."""
+    num, den = 3 * 10**999, 9 * 10**999 + 7
+    model = tmp_path / "long.fk"
+    model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {num}/{den}"
+                     f"  b = {den - num}/{den} }}\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run(capsys, "check", "--model", str(model), "normalized", "mu")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and report_dict(out)["result"] == "true"
+
+
 def test_check_unknown_predicate(capsys):
     code, _, err = run(capsys, "check", "--model", TWO_STATE, "bogus", "walk")
     assert code == 2

@@ -7,16 +7,19 @@ the document defines and some it does not, and sometimes a flag it does
 not take. Labels nested up to a few thousand levels deep, in a document or
 an argument, exit 0 or 2, and values whose numerator or denominator has
 about as many digits as Python's 4300-digit ``int(str)`` limit, on either
-side of it, exit 0, 1 or 2.
+side of it, exit 0, 1 or 2. So do the subcommands on spaces of thousands of
+points.
 """
 
 import contextlib
+import functools
 import io
 import re
 import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from finkern.cli import CHECKS, main
@@ -236,5 +239,54 @@ def long_value_documents(draw):
 @given(long_value_documents(), arguments())
 def test_long_values_exit_0_1_or_2_and_never_raise(document, argv):
     code, err = _run(document, argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+@functools.cache
+def _large_document(n):
+    """A document on ``n`` points (``n`` even): a measure that charges every
+    point, an involution that pairs the points and preserves it, a uniform
+    measure, a normalized kernel with three entries per row, and a
+    probability."""
+    points = [f"p{i}" for i in range(n)]
+    return "\n".join([
+        f"space X {{ {' '.join(points)} }}",
+        "measure mu on X { " + "  ".join(f"{x} = {i // 2 % 7 + 1}"
+                                         for i, x in enumerate(points)) + " }",
+        "measure pi on X { " + "  ".join(f"{x} = 1/{n}" for x in points) + " }",
+        "involution flip on X { " + "  ".join(f"{points[i]} -> {points[i ^ 1]}"
+                                              for i in range(n)) + " }",
+        "kernel K : X -> X {", *(f"  {x} -> {points[(i + k) % n]} = {v}"
+                                  for i, x in enumerate(points)
+                                  for k, v in ((0, "1/2"), (1, "1/4"), (2, "1/4"))),
+        "}",
+        "probability alpha on X { " + "  ".join(f"{x} = 1/{i % 5 + 1}"
+                                                for i, x in enumerate(points)) + " }",
+        "balancing met = metropolis", ""])
+
+
+_MH = ["--target", "mu", "--involution", "flip", "--balancing", "met"]
+
+
+@pytest.mark.parametrize("n, argv", [
+    (3000, ["check", "--model", "MODEL", "normalized", "K"]),
+    (3000, ["check", "--model", "MODEL", "reversible", "mu", "K"]),
+    (3000, ["check", "--model", "MODEL", "invariant", "mu", "K"]),
+    (3000, ["check", "--model", "MODEL", "skew-reversible", "mu", "flip", "K"]),
+    (3000, ["decompose", "--model", "MODEL", "mu", "flip"]),
+    (3000, ["build-mh", "--model", "MODEL", "--out", "OUT", *_MH]),
+    (3000, ["build-mh", "--model", "MODEL", "--target", "mu", "--involution", "flip",
+            "--acceptance", "alpha"]),
+    (3000, ["verify-mh", "--model", "MODEL", *_MH]),
+    (3000, ["verify-skew", "--model", "MODEL", *_MH, "--twist", "flip"]),
+    # classical-mh builds the augmented space X (x) X densely: its cost
+    # grows as the square of the points, so it runs on fewer of them
+    (250, ["classical-mh", "--model", "MODEL", "--target", "pi", "--proposal", "K"]),
+    (250, ["sample", "--model", "MODEL", "--kernel", "K", "--target", "pi",
+           "--init", "p0", "--steps", "1000", "--seed", "1"]),
+])
+def test_large_spaces_exit_0_1_or_2_and_never_raise(n, argv):
+    code, err = _run(_large_document(n), argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from finkern.semiring import ExtNonneg, INF, ONE, ZERO, residual
+from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import FinSpace, UNIT
 from finkern.kernels import (
     Involution, Kernel, compose, dirac, effect, effect_mul, from_maps, identity,
@@ -17,7 +17,7 @@ from finkern.enrichment import (
     kernel_zero, lebesgue_decompose, leq_kernel, leq_violation, leq_witness,
     meet, rn_derivative, support_labels,
 )
-from strategies import kernel_pairs, kernels, kernels_on, spaces, values
+from strategies import kernel_pairs, kernels, kernels_on, residual, spaces, values
 
 
 def q(num, den=1):

@@ -8,7 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from finkern.semiring import (
-    ExtNonneg, INF, ONE, ZERO, ZERO_PAIR, pair_products_equal, residual,
+    ExtNonneg, INF, ONE, ZERO, ZERO_PAIR, pair_products_equal,
 )
 from finkern.spaces import EMPTY, FinSpace, UNIT, product, product_many
 from finkern.kernels import (
@@ -37,7 +37,7 @@ from finkern.generators import (
 )
 from strategies import (
     assert_reduced, ext_sum, finite_values, mh_acceptance_ratio,
-    normalized_kernels, rand_skew_instance, spaces, values,
+    normalized_kernels, rand_skew_instance, residual, spaces, values,
 )
 
 

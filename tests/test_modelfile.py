@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -9,8 +11,8 @@ from finkern.semiring import INF, ZERO, ExtNonneg
 from finkern.spaces import FinSpace, Tagged
 from finkern.kernels import Involution, Kernel, effect, measure
 from finkern.modelfile import (
-    MAX_LABEL_DEPTH, ModelDocument, ModelError, emit, format_label, parse,
-    parse_label,
+    MAX_LABEL_DEPTH, MAX_VALUE_DIGITS, ModelDocument, ModelError, emit,
+    format_label, parse, parse_label,
 )
 
 from strategies import finite_values
@@ -315,3 +317,39 @@ def test_labels_nest_at_most_the_limit_in_parse_and_emit(shape):
         parse(text)
     assert str(err.value) == f"line 3: label nested deeper than {MAX_LABEL_DEPTH} levels"
 
+
+@contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's limit on integer digits, where it has one, so
+    that values past ``MAX_VALUE_DIGITS`` can be built and printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_values_have_at_most_the_bound_of_digits_in_parse_and_emit():
+    X = FinSpace.atoms("a b")
+    at_bound = int("7" * MAX_VALUE_DIGITS)
+    doc = ModelDocument(spaces={"X": X},
+                        measures={"mu": measure(X, [q(at_bound, at_bound + 1), 1])})
+    assert parse(emit(doc)) == doc
+    with _no_digit_limit():
+        longer = q(10 * at_bound + 1, 2)
+        for store, keyword, k in (
+                ("measures", "measure", measure(X, [longer, 1])),
+                ("effects", "effect", effect(X, [1, longer])),
+                ("probabilities", "probability", effect(X, [1, 1 / longer])),
+                ("kernels", "kernel", Kernel(X, X, [[0, 1], [longer, 0]]))):
+            with pytest.raises(ValueError, match=f"{keyword} 'mu' has a value of "
+                                                 f"more than {MAX_VALUE_DIGITS} digits"):
+                emit(ModelDocument(spaces={"X": X}, **{store: {"mu": k}}))
+        for value in (f"{longer.num}/2", f"1/{longer.num}", str(longer.num)):
+            with pytest.raises(ModelError) as err:
+                parse(f"space X {{ a b }}\nmeasure mu on X {{ b = 1\n a = {value} }}\n")
+            assert str(err.value) == ("line 3: a value's numerator and denominator "
+                                      f"have at most {MAX_VALUE_DIGITS} digits each")

@@ -8,9 +8,9 @@ from hypothesis import given
 
 from finkern.semiring import (
     ExtNonneg, INF, ONE, ZERO, SemiringDivisionError, pair_products_equal,
-    residual,
+    pair_text,
 )
-from strategies import ext_sum, finite_values, mh_acceptance_ratio, values
+from strategies import ext_sum, finite_values, mh_acceptance_ratio, residual, values
 
 
 def q(num, den=1):
@@ -229,6 +229,14 @@ def test_str_formats():
     assert str(q(5, 6)) == "5/6"
     assert str(q(3)) == "3"
     assert str(INF) == "inf"
+
+
+@given(st.integers(0, 48), st.integers(0, 12), st.integers(1, 6))
+def test_pair_text_prints_what_str_prints(num, den, scale):
+    """Zero, unreduced and oo pairs print as their reduced values do."""
+    if num == den == 0:
+        return
+    assert pair_text(num * scale, den * scale) == str(ExtNonneg(num, den))
 
 
 def test_hash_consistent_with_int_equality():
