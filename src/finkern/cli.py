@@ -42,6 +42,10 @@ from .modelfile import ModelDocument, ModelError, emit, parse, parse_label
 DEFAULT_INSTANCES = 1000
 INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
 
+#: The most steps ``sample`` runs: its trace holds every step at 8 bytes, so
+#: the longest run takes about 800 MB and, at ~5 million steps/s, ~20 s.
+MAX_STEPS = 10**8
+
 
 class CliError(Exception):
     """A user-facing problem: bad reference, bad flag combination."""
@@ -88,6 +92,14 @@ def _mh_problem(doc: ModelDocument, args, twist: str | None = None):
     echo = [("target", args.target), ("involution", args.involution),
             ("twist", twist), ("acceptance", accept_name)]
     return MhProblem(target, phi, accept), [(k, v) for k, v in echo if v is not None]
+
+
+def _flag_label(args, flag: str):
+    """The label ``--flag`` gives, or an error that names the flag."""
+    try:
+        return parse_label(getattr(args, flag))
+    except ModelError as exc:
+        raise CliError(f"--{flag}: {exc.message}") from None
 
 
 def _space_doc(doc: ModelDocument, *spaces: FinSpace, **stores) -> ModelDocument:
@@ -286,7 +298,7 @@ def _exchange(doc, args):
     likelihood = _lookup(doc, args.likelihood, ("kernel",))
     proposal = _lookup(doc, args.proposal, ("kernel",))
     problem = MhProblem(*exchange_algorithm(prior, likelihood,
-                                            parse_label(args.obs), proposal))
+                                            _flag_label(args, "obs"), proposal))
     point = balancing_violation(problem)
     lines = [("prior", args.prior), ("likelihood", args.likelihood),
              ("observed", args.obs), ("proposal", args.proposal),
@@ -319,7 +331,7 @@ def _sample(doc, args):
     if not is_normalized(target):
         raise CliError(f"target {args.target!r} is not a probability measure "
                        f"(total mass {row_masses(target)[0]})")
-    initial = chain.dom.index(parse_label(args.init))
+    initial = chain.dom.index(_flag_label(args, "init"))
     matrix = to_float(chain)
     try:  # the trace holds every step
         run = run_chain(matrix, initial, args.seed, args.steps)
@@ -387,7 +399,7 @@ COMMANDS = {
         ("--factors", {"required": True, "help": "comma-separated space names"})]),
     "sample": (_sample, "run a chain in floating point", [
         _SEED, ("--kernel", _REQUIRED), ("--target", _REQUIRED),
-        ("--init", _REQUIRED), ("--steps", {"type": int, "required": True}),
+        ("--init", _REQUIRED), ("--steps", {"type": _count, "required": True}),
         ("--burn", {"type": int, "default": 0})]),
 }
 
@@ -425,14 +437,11 @@ def main(argv=None) -> int:
         if not args.instances and not (args.target and args.involution):
             args.usage_error("verify-mh needs --target and --involution "
                              "(or --instances for batch mode)")
-    # a model's values are bounded by modelfile.MAX_VALUE_DIGITS, whatever
-    # the interpreter's limit on integer digits, and an exact result may be
-    # longer than any input, so model and output go without that limit
-    # (Pythons before 3.10.7 have none); argv and the environment are read
-    # under it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    if args.subcommand == "sample":
+        if args.steps > MAX_STEPS:
+            args.usage_error(f"--steps: at most {MAX_STEPS}, got {args.steps}")
+        if not 0 <= args.burn < args.steps:
+            args.usage_error(f"--burn: expected 0 <= burn < --steps, got {args.burn}")
     try:
         path = Path(args.model)
         if not path.exists():
@@ -457,9 +466,6 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

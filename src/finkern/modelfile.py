@@ -53,6 +53,7 @@ class ModelError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
 
 
 class ModelDocument(Record):
@@ -108,10 +109,9 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 MAX_LABEL_DEPTH = 100
 
 #: How many digits a value's numerator and its denominator may each have.
-#: The bound is checked on the text, before any conversion, so what a
-#: document may hold does not depend on the interpreter's own limit on
-#: integer digits (``sys.set_int_max_str_digits``), which is 4300 by
-#: default where it exists.
+#: The bound is checked on the text, before any conversion. ``semiring``
+#: reads and prints values under any limit of the interpreter on integer
+#: digits, so what a document may hold does not depend on that limit.
 MAX_VALUE_DIGITS = 4300
 
 

@@ -2,7 +2,8 @@
 
 Exact kernels are converted to double-precision stochastic matrices once,
 then chains run with a seeded Mersenne Twister. Runs are deterministic given
-(kernel, initial, seed, length) and record the generator identity.
+(kernel, initial, seed, length) and record the generator identity. Each
+run allocates its own trace; nothing is kept from one run to the next.
 
 Each step is inverse-CDF sampling on the row's float running sums
 (``_cumulative``) with a (g+53)-bit uniform ``u = (c + v) / 2**g``: the
@@ -14,25 +15,22 @@ reads cell ``c`` of the row's guide table (Chen & Asau 1974), which splits
 least 16 times the row's support size. A cell that no running sum falls
 strictly inside holds its successor, and that is the whole step (at least
 15 steps in 16); otherwise the step draws ``v = random()`` and compares it
-with the sums inside the cell. Seeded traces therefore differ from those of
-earlier versions, which drew one ``random()`` per step. Tables are built
-only for the rows the chain can reach from its initial state; a row's
-table does not depend on which others are built, so neither do the draws.
+with the sums inside the cell. Tables are built only for the rows the
+chain can reach from its initial state; a row's table does not depend on
+which others are built, so neither do the draws.
 
 Equal rows share one float row and one guide table: ``to_float`` converts
 each distinct row once, and ``run_chain`` builds one table per distinct
 reachable row, keyed on the row's value. A systematic-scan Gibbs chain
 on a 5 x 5 x 5 grid, whose row ignores the first coordinate it resamples,
 then converts 25 rows and builds 25 tables, not 125. A table depends on
-its row alone, so seeded traces are the same as when every row had its
-own.
+its row alone, so sharing it changes no seeded trace.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from itertools import accumulate, compress, islice
 
 from .spaces import format_label
@@ -46,10 +44,6 @@ FloatMatrix = tuple[tuple[float, ...], ...]
 #: Guide-table cells per positive entry of a row, before rounding up to a
 #: power of two: at most one step in 16 then needs a second draw.
 _CELLS_PER_ENTRY = 16
-
-#: The latest run's trace list, for the next run to fill again (see
-#: ``_trace_list``).
-_spare: list[list[int]] = []
 
 
 def to_float(kernel: Kernel) -> FloatMatrix:
@@ -118,7 +112,7 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
         raise IndexError(f"initial state {initial} out of range")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    trace = _trace_list(initial, length + 1)
+    trace = [initial] * (length + 1)
     offsets: list[float] = []  # the split cells, one after another
     picks: list[int] = []
     # guide tables for the rows reachable from ``initial`` only, found by a
@@ -153,31 +147,6 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
         bits, cells = tables[state]
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
-
-
-def _trace_list(initial: int, size: int) -> list[int]:
-    """A list of ``size`` states for a new trace, ``initial`` first.
-
-    The latest run's list is filled again when it has the same size and
-    nothing else refers to it any more: its ``ChainRun`` and every other
-    reference to it are gone. A 10**6-step trace is an 8 MB block. Were it
-    freed and allocated afresh by each run, the allocator could split the
-    freed block for smaller objects made in between, and the next trace
-    would then take another 8 MB of the heap, so that the peak memory of a
-    series of runs depended on where the allocator happened to place them.
-    The cost is that the last run's list stays allocated until the next run
-    or the end of the process.
-    """
-    spare = _spare.pop() if _spare else None
-    # the count of a list that one local name refers to: what the
-    # interpreter adds to a count depends on its version, not on the list
-    alone: list[int] = []
-    if (spare is None or len(spare) != size
-            or sys.getrefcount(spare) != sys.getrefcount(alone)):
-        spare = [initial] * size
-    spare[0] = initial
-    _spare[:] = [spare]
-    return spare
 
 
 def _cumulative(row: tuple[float, ...]) -> list[float]:

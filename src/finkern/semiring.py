@@ -62,10 +62,10 @@ class ExtNonneg:
         num, slash, den = text.partition("/")
         if not num.isdecimal() or not (den.isdecimal() or not slash):
             raise ValueError(f"not a value in [0, oo]: {text!r}")
-        den = int(den) if slash else 1
+        den = _text_int(den) if slash else 1
         if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return fraction(int(num), den)
+        return fraction(_text_int(num), den)
 
     @property
     def is_finite(self) -> bool:
@@ -168,7 +168,7 @@ class ExtNonneg:
     def __repr__(self):
         if self.den == 0:
             return "ExtNonneg.INF"
-        return f"ExtNonneg({self.num}, {self.den})"
+        return f"ExtNonneg({_int_text(self.num)}, {_int_text(self.den)})"
 
     def __str__(self):
         return pair_text(self.num, self.den)
@@ -208,6 +208,9 @@ def fraction(num: int, den: int) -> ExtNonneg:
 # pairs, by cross-multiplication, and builds no ``ExtNonneg``; code that
 # builds many (``kernels.from_pair_rows``) writes them as pairs, and
 # ``pair_text`` prints a pair as the text that ``ExtNonneg.parse`` reads.
+# Both convert ints of any length under any limit of the interpreter on
+# integer digits, and never change it: an int of more than 640 digits, the
+# least limit Python accepts, goes through ``decimal``, which no limit covers.
 
 ZERO_PAIR = (0, 1)
 ONE_PAIR = (1, 1)
@@ -228,4 +231,25 @@ def pair_text(num: int, den: int) -> str:
     if not den:
         return "inf"
     g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    text = _int_text(num // g)
+    return text if g == den else f"{text}/{_int_text(den // g)}"
+
+
+_SHORT_DIGITS = 640
+_SHORT = 10 ** _SHORT_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """The decimal text of an int ``n >= 0`` of any length."""
+    if n < _SHORT:
+        return str(n)
+    from decimal import Decimal
+    return str(Decimal(n))
+
+
+def _text_int(digits: str) -> int:
+    """The int that a string of decimal digits of any length spells."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    from decimal import Decimal
+    return int(Decimal(digits))

@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,6 +126,38 @@ def test_model_values_do_not_depend_on_the_interpreter_digit_limit(capsys, tmp_p
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 0 and report_dict(out)["result"] == "true"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on integer digits")
+def test_a_process_under_the_least_digit_limit_reads_long_values(tmp_path):
+    """A CLI process started with a digit limit of 640 reads and checks a
+    model of 1000-digit values."""
+    num, den = 3 * 10**999, 9 * 10**999 + 7
+    model = tmp_path / "long.fk"
+    model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {num}/{den}"
+                     f"  b = {den - num}/{den} }}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "finkern.cli",
+         "check", "--model", str(model), "normalized", "mu"],
+        env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert report_dict(done.stdout)["result"] == "true"
+
+
+#: What a library module would call to change, or to read, state that the
+#: whole process shares.
+PROCESS_WIDE = ("set_int_max_str_digits", "getrefcount")
+
+
+def test_no_module_touches_process_wide_state():
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in PROCESS_WIDE, (path.name, node.lineno)
+            if isinstance(node, ast.alias):
+                assert node.name not in PROCESS_WIDE, path.name
 
 
 def test_check_unknown_predicate(capsys):
@@ -572,17 +607,72 @@ def test_sample_rejects_a_target_that_is_not_a_probability(capsys, tmp_path):
 
 
 def test_sample_with_no_memory_for_the_trace_exits_2(capsys, monkeypatch):
-    # the allocation is replaced: no test asks for a trace that long
+    # the run is replaced: no test asks for a trace that long
     from finkern import sampler
 
-    def no_memory(initial, size):
-        assert size == 10**11 + 1
+    def no_memory(matrix, initial, seed, length):
+        assert length == cli.MAX_STEPS
         raise MemoryError
-    monkeypatch.setattr(sampler, "_trace_list", no_memory)
+    monkeypatch.setattr(sampler, "run_chain", no_memory)
     code, out, err = run(capsys, "sample", "--model", TWO_STATE, "--kernel", "walk",
-                         "--target", "mu", "--init", "a", "--steps", str(10**11))
+                         "--target", "mu", "--init", "a", "--steps", str(cli.MAX_STEPS))
     assert (code, out) == (2, "")
-    assert err == "error: --steps 100000000000: no memory for a trace that long\n"
+    assert err == f"error: --steps {cli.MAX_STEPS}: no memory for a trace that long\n"
+
+
+SAMPLE = ["sample", "--model", TWO_STATE, "--kernel", "walk", "--target", "mu",
+          "--init", "a"]
+
+
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_sample_steps_must_be_positive(capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        main([*SAMPLE, "--steps", steps])
+    assert exc.value.code == 2
+    assert f"argument --steps: expected a positive integer, got '{steps}'" \
+        in capsys.readouterr().err
+
+
+def test_sample_refuses_more_steps_than_the_bound_at_once(capsys, monkeypatch):
+    """A count past ``MAX_STEPS`` is refused before the model is read: no
+    matrix, no trace, nothing allocated in proportion to the count."""
+    from finkern import sampler
+
+    def never(*args):
+        raise AssertionError("sample ran")
+    monkeypatch.setattr(sampler, "to_float", never)
+    monkeypatch.setattr(sampler, "run_chain", never)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main([*SAMPLE, "--steps", str(10**12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert f"--steps: at most {cli.MAX_STEPS}, got {10**12}" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("burn", ["10", "11", "-1"])
+def test_sample_burn_must_lie_below_the_steps(capsys, burn):
+    with pytest.raises(SystemExit) as exc:
+        main([*SAMPLE, "--steps", "10", "--burn", burn])
+    assert exc.value.code == 2
+    assert f"--burn: expected 0 <= burn < --steps, got {burn}" in capsys.readouterr().err
+
+
+def test_a_malformed_init_label_names_its_flag(capsys):
+    code, out, err = run(capsys, *SAMPLE[:-1], "((", "--steps", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: --init: unexpected end of document, expected a label\n"
+
+
+def test_a_malformed_obs_label_names_its_flag(capsys):
+    code, out, err = run(capsys, "exchange", "--model", EXCHANGE, "--prior", "prior",
+                         "--likelihood", "lik", "--obs", "z1 z2", "--proposal", "q")
+    assert (code, out) == (2, "")
+    assert err == "error: --obs: trailing input after label: 'z2'\n"
 
 
 def test_readme_lists_exactly_the_check_predicates():

@@ -332,6 +332,21 @@ def _no_digit_limit():
             sys.set_int_max_str_digits(limit)
 
 
+def test_parse_and_emit_convert_long_values_under_the_least_digit_limit(
+        least_digit_limit):
+    """1000-digit values, inside ``MAX_VALUE_DIGITS`` but past a digit limit
+    of 640, read and print back in-process, and the limit is left as it
+    was. The text is built from strings: no int is printed under the limit."""
+    num, rest, den = ("3" + "0" * 999, "6" + "0" * 998 + "7", "9" + "0" * 998 + "7")
+    text = f"space X {{ a b }}\nmeasure mu on X {{ a = {num}/{den}  b = {rest}/{den} }}\n"
+    doc = parse(text)
+    assert doc.measures["mu"].measure_values() == (
+        ExtNonneg(3 * 10**999, 9 * 10**999 + 7), ExtNonneg(6 * 10**999 + 7, 9 * 10**999 + 7))
+    assert emit(doc) == text
+    assert parse(emit(doc)) == doc
+    assert sys.get_int_max_str_digits() == least_digit_limit
+
+
 def test_values_have_at_most_the_bound_of_digits_in_parse_and_emit():
     X = FinSpace.atoms("a b")
     at_bound = int("7" * MAX_VALUE_DIGITS)

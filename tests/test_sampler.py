@@ -156,16 +156,6 @@ def test_run_chain_trace_shape():
     assert all(0 <= s < 2 for s in run.trace)
 
 
-def test_run_chain_refills_a_dropped_trace_list():
-    matrix = to_float(two_state_chain()[0])
-    dropped = id(run_chain(matrix, 0, 1, 1000).trace)
-    again = run_chain(matrix, 1, 2, 1000)
-    assert id(again.trace) == dropped
-    fresh = run_chain(matrix, 1, 2, 1000)  # `again` still holds its list
-    assert fresh.trace is not again.trace
-    assert fresh.trace == again.trace
-
-
 def test_run_chain_never_refills_a_trace_still_referred_to():
     matrix = to_float(two_state_chain()[0])
     held_run = run_chain(matrix, 0, 1, 1000)

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -237,6 +238,21 @@ def test_pair_text_prints_what_str_prints(num, den, scale):
     if num == den == 0:
         return
     assert pair_text(num * scale, den * scale) == str(ExtNonneg(num, den))
+
+
+@pytest.mark.parametrize("digits", [640, 641, 1000, 4300])
+def test_long_values_read_print_and_repr_under_the_least_digit_limit(
+        least_digit_limit, digits):
+    """Parts at and past a limit of 640 integer digits read, print and repr
+    as any others, and the limit is left as it was."""
+    num_text, den_text = "7" * digits, "1" + "0" * (digits - 1)
+    value = ExtNonneg.parse(f"{num_text}/{den_text}")
+    assert (value.num, value.den) == (7 * (10**digits - 1) // 9, 10**(digits - 1))
+    assert str(value) == pair_text(value.num, value.den) == f"{num_text}/{den_text}"
+    assert repr(value) == f"ExtNonneg({num_text}, {den_text})"
+    assert ExtNonneg.parse(num_text) == value * ExtNonneg.parse(den_text)
+    assert str(ExtNonneg.parse(num_text)) == num_text
+    assert sys.get_int_max_str_digits() == least_digit_limit
 
 
 def test_hash_consistent_with_int_equality():
