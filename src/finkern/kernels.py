@@ -16,9 +16,10 @@ equal kernels have equal rows and hashes. Zeros are never stored, and
 on these integers alone: ``compose`` scales each middle row to the lcm of
 the middle denominators and takes integer dot products, so a row costs one
 gcd, not one per scalar product and sum, a row with one middle point is a
-scaled copy of that middle row, each distinct earlier row is worked out
-once, and a later row that a measure's middle points share as one stored
-object is multiplied once. ``graph(k)``, the graph ``(identity (x)
+scaled copy of that middle row, middle rows that share no column are
+concatenated without sums, each distinct earlier row is worked out once,
+and a later row that a measure's middle points share as one stored object
+is multiplied once. ``graph(k)``, the graph ``(identity (x)
 k) ∘ copy`` of ``k``, moves ``k``'s rows into place instead of building
 the |X|*|X| rows of the tensor that copy reads |X| of, and
 ``resample_within`` stores one row per block of a partition, which every
@@ -59,7 +60,7 @@ decides detailed balance, in one pass over the stored entries.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
@@ -79,6 +80,7 @@ _Row = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
 _EMPTY_ROW: _Row = ((), (), 1, ())
 _INF_POINT: _Row = ((), (), 1, (0,))  # an effect's row with value oo
 _UNIT_NUM = (1,)
+_COLS = itemgetter(0)
 
 
 class SpaceMismatchError(ValueError):
@@ -111,6 +113,38 @@ def _dict_row(acc: Mapping[int, int], den: int, infs: tuple[int, ...] = ()) -> _
     """The row of a column -> positive numerator mapping over ``den``."""
     cols = tuple(sorted(acc))
     return _reduced(cols, [acc[j] for j in cols], den, infs)
+
+
+def _joined_row(cols: list[int], weights: Sequence[int], rows: Sequence[_Row],
+                den: int) -> _Row | None:
+    """The sum over ``den`` of finite rows, each times its weight, whose
+    columns, concatenated in row order, are ``cols``: where no two rows
+    share a column, the concatenation of the scaled rows, put in column
+    order; otherwise None."""
+    ordered = sorted(cols)
+    if ordered == cols:
+        if len(set(cols)) < len(cols):
+            return None
+        nums = [w * n for w, (_, rnums, _, _) in zip(weights, rows) for n in rnums]
+    else:
+        at = dict(zip(cols, [w * n for w, (_, rnums, _, _) in zip(weights, rows)
+                             for n in rnums]))
+        if len(at) < len(cols):
+            return None
+        nums = list(map(at.__getitem__, ordered))
+    return _reduced(tuple(ordered), nums, den)
+
+
+def _dense_sum(weights: Sequence[int], rows: Sequence[_Row], width: int,
+               den: int) -> _Row:
+    """The sum over ``den`` of finite rows, each times its weight, added up
+    in a list of all ``width`` columns: for rows holding more entries in
+    all than there are columns, which a dict would cost more to hold."""
+    acc = [0] * width
+    for w, (cols, nums, _, _) in zip(weights, rows):
+        for j, n in zip(cols, nums):
+            acc[j] += w * n
+    return _reduced(tuple(compress(range(width), acc)), list(filter(None, acc)), den)
 
 
 def _value_row(cols: Sequence[int], vals: Sequence[ExtNonneg]) -> _Row:
@@ -474,7 +508,8 @@ def from_pair_rows(dom: FinSpace, cod: FinSpace,
     ``pair_rows``, and otherwise as ``from_maps``. A pair with ``num ==
     0`` is a zero entry and one with ``den == 0`` is oo. The finite pairs
     of a row need not be reduced nor share a denominator: they go over the
-    lcm of theirs, and one gcd reduces the row."""
+    lcm of theirs (a row whose pairs share one keeps its numerators), and
+    one gcd reduces the row."""
     _check_rows(dom, rows)
     width = len(cod)
     out = []
@@ -489,11 +524,17 @@ def from_pair_rows(dom: FinSpace, cod: FinSpace,
         if not acc:
             out.append(_EMPTY_ROW)
             continue
-        cols = [j for j in _columns(acc, cod) if acc[j][0]]
-        fin = [j for j in cols if acc[j][1]]
-        den = lcm(*[acc[j][1] for j in fin])
-        out.append(_reduced(tuple(fin), [acc[j][0] * (den // acc[j][1]) for j in fin],
-                            den, tuple([j for j in cols if not acc[j][1]])))
+        cols = _columns(acc, cod)
+        nums, dens = zip(*map(acc.__getitem__, cols))
+        infs = ()
+        if 0 in nums or 0 in dens:  # zeros dropped, oo apart
+            infs = tuple([j for j in cols if acc[j][0] and not acc[j][1]])
+            cols = tuple([j for j in cols if acc[j][0] and acc[j][1]])
+            nums, dens = [acc[j][0] for j in cols], [acc[j][1] for j in cols]
+        den = lcm(*dens)
+        if dens.count(den) < len(dens):  # not over one denominator yet
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        out.append(_reduced(cols, nums, den, infs))
     return Kernel._new(dom, cod, tuple(out))
 
 
@@ -555,6 +596,15 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     each shared later row is multiplied once. In a Gibbs sweep's own
     composes no two middle points of a row share a later row, so a kernel
     of many rows takes no merge.
+
+    Where the finite middle rows of an earlier row share no column, as in
+    each step of a Gibbs sweep and in classical MH's ``inner ∘ embed`` and
+    ``embed ∘ target``, every output column gets one product: the output
+    row is the concatenation of the scaled middle rows, sorted once into
+    column order where it is not ascending already, with no sums. Middle
+    rows holding more entries in all than ``later`` has columns must meet:
+    such a dense row skips the test and is added up in a list of all the
+    columns. Otherwise a hash of the concatenated columns decides.
     """
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
@@ -574,6 +624,7 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
             out.append(new)
         return Kernel._new(earlier.dom, later.cod, tuple(out))
     later_rows = later.int_rows
+    width = len(later.cod)
     infinite = _has_inf(later) or _has_inf(earlier)
     first = None  # per middle point, the first one sharing its later row
     if not infinite and len(earlier.int_rows) == 1:
@@ -599,10 +650,21 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
             cols, nums = merged, merged.values()
         mids = [later_rows[k] for k in cols]
         scale = lcm(*[ld for _, _, ld, _ in mids])
+        weights = [a * (scale // ld) for a, (_, _, ld, _) in zip(nums, mids)]
+        if not infinite:
+            # More entries than columns must meet somewhere; fewer may not.
+            if sum(map(len, map(_COLS, mids))) > width:
+                new = _dense_sum(weights, mids, width, den * scale)
+            else:
+                new = _joined_row(list(chain.from_iterable(map(_COLS, mids))),
+                                  weights, mids, den * scale)
+            if new is not None:
+                out.append(new)
+                done[row] = new
+                continue
         acc: dict[int, int] = {}
         get = acc.get
-        for a, (lcols, lnums, ld, _) in zip(nums, mids):
-            w = a * (scale // ld)
+        for w, (lcols, lnums, _, _) in zip(weights, mids):
             for j, n in zip(lcols, lnums):
                 acc[j] = get(j, 0) + w * n
         if not infinite:
@@ -739,12 +801,16 @@ class Involution(FrozenRecord):
 
     def __init__(self, space: FinSpace, perm: Sequence[int]):
         perm = tuple(perm)
-        if sorted(perm) != list(range(len(space))):
+        points = tuple(range(len(space)))
+        if tuple(sorted(perm)) != points:
             raise ValueError("not a permutation of the space's points")
-        for i, j in enumerate(perm):
-            if perm[j] != i:
-                raise ValueError(
-                    f"permutation is not self-inverse at index {i}")
+        # perm ∘ perm, built in C (a permutation of at most one point is
+        # the identity); the loop runs only to name the first bad index
+        if len(perm) > 1 and itemgetter(*perm)(perm) != points:
+            for i, j in enumerate(perm):
+                if perm[j] != i:
+                    raise ValueError(
+                        f"permutation is not self-inverse at index {i}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "perm", perm)
 

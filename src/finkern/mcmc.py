@@ -396,11 +396,16 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     alpha = effect_pairs(accept)
     rows = []
     for i, props in enumerate(pair_rows(proposal)):
-        moves = [(j, w * alpha[i * n + j][0], d * alpha[i * n + j][1])
-                 for j, (w, d) in props.items() if j != i]
-        den = lcm(*[md for _, _, md in moves])
-        row = {j: (mn * (den // md), den) for j, mn, md in moves}
-        rows.append(row | {i: (den - sum([a for a, _ in row.values()]), den)})
+        accepts = alpha[i * n:i * n + n]
+        # the accepted moves, as proposal numerator times acceptance pair
+        moves = [(j, w * accepts[j][0], accepts[j][1]) for j, (w, _) in props.items()
+                 if j != i and accepts[j][0]]
+        scale = lcm(*[ad for _, _, ad in moves])
+        # the row is normalized, so its numerators sum to its denominator
+        den = sum([w for w, _ in props.values()]) * scale
+        row = {j: (m * (scale // ad), den) for j, m, ad in moves}
+        row[i] = (den - sum([m for m, _ in row.values()]), den)
+        rows.append(row)
     return via_involution, from_pair_rows(base, base, rows)
 
 

@@ -117,7 +117,7 @@ MAX_VALUE_DIGITS = 4300
 
 def parse_label(text: str) -> Label:
     """Parse a single label written in model-file syntax."""
-    tokens = _Tokens(text)
+    tokens = _Tokens(text, "label")
     label = _parse_label(tokens)
     if tokens.peek() is not None:
         raise ModelError(tokens.line, f"trailing input after label: {tokens.peek()!r}")
@@ -137,13 +137,15 @@ class _Tokens:
     is held, so parsing a large kernel never holds a token list as big as
     the document. The entry loops of measures, effects and kernels read
     ``toks`` by index and move ``pos`` themselves; all else uses the
-    methods.
+    methods. ``source`` names the text in the message for its end:
+    ``"document"`` for a model file, ``"label"`` for one label.
     """
 
-    __slots__ = ("_lines", "toks", "pos", "line")
+    __slots__ = ("_lines", "_source", "toks", "pos", "line")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, source: str = "document"):
         self._lines = enumerate(text.splitlines(), start=1)
+        self._source = source
         self.line = 1
         self.next_line()
 
@@ -165,7 +167,8 @@ class _Tokens:
     def take(self, what: str) -> str:
         tok = self.toks[self.pos]
         if tok is None:
-            raise ModelError(self.line, f"unexpected end of document, expected {what}")
+            raise ModelError(self.line,
+                             f"unexpected end of {self._source}, expected {what}")
         self.pos += 1
         if self.pos == len(self.toks):
             self.next_line()
@@ -175,7 +178,7 @@ class _Tokens:
         tok = self.toks[self.pos]
         if tok is None:
             raise ModelError(self.line,
-                             f"unexpected end of document, expected {expected!r}")
+                             f"unexpected end of {self._source}, expected {expected!r}")
         if tok != expected:
             raise ModelError(self.line, f"expected {expected!r}, got {tok!r}")
         return self.take(expected)

@@ -52,15 +52,17 @@ class ExtNonneg:
     def parse(cls, text: str) -> "ExtNonneg":
         """Parse ``"p/q"``, an integer string, or ``"inf"``.
 
-        Rejects negative values and zero denominators.
+        Integers are ASCII digits. Rejects negative values, zero
+        denominators and digits outside ASCII.
         """
         text = text.strip()
         if text == "inf":
             return INF
-        # digits, optionally "/" and digits; isdecimal() accepts exactly
-        # the characters int() reads as digits
+        # ASCII digits, optionally "/" and ASCII digits: isdecimal() alone
+        # would take any Unicode decimal digit, as int() does
         num, slash, den = text.partition("/")
-        if not num.isdecimal() or not (den.isdecimal() or not slash):
+        if (not text.isascii() or not num.isdecimal()
+                or not (den.isdecimal() or not slash)):
             raise ValueError(f"not a value in [0, oo]: {text!r}")
         den = _text_int(den) if slash else 1
         if den == 0:

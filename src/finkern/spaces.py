@@ -34,17 +34,23 @@ Label = Union[str, tuple, Tagged]
 
 
 class FinSpace:
-    """An ordered finite set of distinct point labels."""
+    """An ordered finite set of distinct point labels.
+
+    ``index`` finds a label's position through a dict built in one pass at
+    C speed; a repeated label is refused, naming its first repeat.
+    """
 
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels: Iterable[Label]):
         labels = tuple(labels)
-        index: dict[Label, int] = {}
-        for i, label in enumerate(labels):
-            if label in index:
-                raise ValueError(f"duplicate label {label!r}")
-            index[label] = i
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) < len(labels):  # find the first repeat, for the message
+            seen = set()
+            for label in labels:
+                if label in seen:
+                    raise ValueError(f"duplicate label {label!r}")
+                seen.add(label)
         self.labels = labels
         self._index = index
 

@@ -93,6 +93,16 @@ def test_a_value_past_the_digit_bound_is_refused_with_the_bound(capsys, tmp_path
     assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11"])  # Arabic-Indic, fullwidth one
+def test_a_value_with_digits_outside_ascii_exits_2(capsys, tmp_path, digit):
+    model = tmp_path / "digits.fk"
+    model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {digit}  b = 0 }}\n",
+                     encoding="utf-8")
+    code, out, err = run(capsys, "check", "--model", str(model), "normalized", "mu")
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: not a value in [0, oo]: {digit!r}\n"
+
+
 def test_build_mh_writes_no_document_it_could_not_read(capsys, tmp_path):
     """Masses of 3000 digits a part give an acceptance of about 6000
     digits: the build is refused, and no file is written."""
@@ -665,7 +675,7 @@ def test_sample_burn_must_lie_below_the_steps(capsys, burn):
 def test_a_malformed_init_label_names_its_flag(capsys):
     code, out, err = run(capsys, *SAMPLE[:-1], "((", "--steps", "10")
     assert (code, out) == (2, "")
-    assert err == "error: --init: unexpected end of document, expected a label\n"
+    assert err == "error: --init: unexpected end of label, expected a label\n"
 
 
 def test_a_malformed_obs_label_names_its_flag(capsys):

@@ -1,12 +1,13 @@
 import ast
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from finkern.semiring import ExtNonneg, INF, ONE, ZERO
@@ -24,8 +25,8 @@ from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from finkern.generators import rand_normalized_kernel
 from strategies import (
-    assert_reduced, composable_pairs, gibbs_3x3x3, kernel_pairs, kernels,
-    kernels_on, spaces,
+    assert_reduced, composable_pairs, finite_values, gibbs_3x3x3, kernel_pairs,
+    kernels, kernels_on, spaces,
 )
 
 
@@ -42,6 +43,17 @@ X3 = FinSpace.atoms("a b c")
 def test_space_rejects_duplicates():
     with pytest.raises(ValueError):
         FinSpace(("a", "a"))
+
+
+@pytest.mark.parametrize("labels, first_repeat", [
+    (["a", "b", "b", "a"], "'b'"),
+    (["a", "b", "c", "d", "a", "b"], "'a'"),
+    ([("x", 1), ("x", 2), "y", ("x", 2)], "('x', 2)"),
+    ([f"p{i}" for i in range(50)] + ["p49"], "'p49'"),
+])
+def test_space_names_the_first_repeated_label(labels, first_repeat):
+    with pytest.raises(ValueError, match=rf"^duplicate label {re.escape(first_repeat)}$"):
+        FinSpace(labels)
 
 
 def test_product_label_order():
@@ -202,6 +214,21 @@ def test_involution_validation():
         Involution(X3, (1, 2, 0))  # a 3-cycle is not self-inverse
     with pytest.raises(ValueError):
         Involution(X2, (0, 0))
+
+
+@pytest.mark.parametrize("perm, first_bad", [
+    ((1, 0, 3, 2, 4, 6, 7, 5), 5),  # swaps, a fixed point, then a 3-cycle
+    ((0, 1, 2, 3, 4, 5, 7, 8, 6), 6),
+    ((1, 2, 0, 4, 3), 0),
+    (tuple(range(40)) + (41, 42, 40), 40),
+])
+def test_involution_names_the_first_index_that_is_not_self_inverse(perm, first_bad):
+    space = FinSpace(tuple(f"x{i}" for i in range(len(perm))))
+    with pytest.raises(ValueError,
+                       match=rf"^permutation is not self-inverse at index {first_bad}$"):
+        Involution(space, perm)
+    with pytest.raises(ValueError, match="^not a permutation of the space's points$"):
+        Involution(space, perm[:-1] + (perm[0],))
 
 
 # -- CD axioms, exhaustively on spaces of size <= 4 ----------------------------
@@ -398,6 +425,97 @@ small_values = st.sampled_from([ZERO, ONE, INF, q(1, 2), q(3)])
 def test_compose_matches_dense_oracle(pair):
     later, earlier = pair
     _matches(compose(later, earlier), _oracle_compose(later, earlier))
+
+
+positive_values = st.builds(ExtNonneg, st.integers(1, 48), st.integers(1, 12))
+
+
+@st.composite
+def disjoint_later_pairs(draw):
+    """(later, earlier) where no two rows of ``later`` share a column.
+
+    Each column of later's codomain belongs to at most one middle point, and
+    only its owner's row may charge it: contiguous owners give block-diagonal
+    rows, whose concatenation is ascending; shuffled owners give unordered
+    ones; a middle point that owns no column has an empty row; and when each
+    point owns one column, later is permutation-like with values other than 1.
+    """
+    a = draw(spaces(1, 3, "a"))
+    b = draw(spaces(1, 5, "b"))
+    c = draw(spaces(1, 8, "c"))
+    owners = draw(st.lists(st.integers(-1, len(b) - 1), min_size=len(c), max_size=len(c)))
+    if draw(st.booleans()):
+        owners.sort()
+    rows = [[draw(positive_values) if owner == k else ZERO for owner in owners]
+            for k in range(len(b))]
+    earlier = draw(kernels_on(a, b, finite_values))
+    return Kernel(b, c, rows), earlier
+
+
+def _compose_checked(later, earlier):
+    out = compose(later, earlier)
+    assert_reduced(out)
+    _matches(out, _oracle_compose(later, earlier))
+    return out
+
+
+@given(disjoint_later_pairs())
+def test_compose_concatenates_middle_rows_that_never_meet(pair):
+    _compose_checked(*pair)
+
+
+@given(disjoint_later_pairs(), st.data())
+def test_compose_adds_middle_rows_that_meet_in_one_column(pair, data):
+    """The near miss: two middle rows charged by one earlier row share one
+    column, so that column's products must be added."""
+    later, earlier = pair
+    assume(len(later.dom) >= 2)
+    k1, k2 = data.draw(st.lists(st.integers(0, len(later.dom) - 1),
+                                min_size=2, max_size=2, unique=True))
+    j = data.draw(st.integers(0, len(later.cod) - 1))
+    rows = [list(row) for row in later.entries]
+    rows[k1][j] = data.draw(positive_values)
+    rows[k2][j] = data.draw(positive_values)
+    for k in range(len(later.dom)):
+        if k not in (k1, k2):
+            rows[k][j] = ZERO
+    later = Kernel(later.dom, later.cod, rows)
+    first = [list(row) for row in earlier.entries]
+    first[0][k1], first[0][k2] = data.draw(positive_values), data.draw(positive_values)
+    out = _compose_checked(later, Kernel(earlier.dom, earlier.cod, first))
+    assert out.entries[0][j] == first[0][k1] * rows[k1][j] + first[0][k2] * rows[k2][j]
+
+
+def test_compose_concatenation_reorders_columns_and_drops_empty_rows():
+    # middle rows a: {2}, b: {0, 3}, c: {}, d: {1}, no column shared
+    mid, out = FinSpace.atoms("a b c d"), FinSpace.atoms("w x y z")
+    later = Kernel(mid, out, [[0, 0, q(2, 3), 0], [q(1, 5), 0, 0, q(4, 5)],
+                              [0, 0, 0, 0], [0, q(7, 2), 0, 0]])
+    earlier = measure(mid, [q(1, 2), q(1, 3), q(1, 7), q(1, 6)])
+    assert _compose_checked(later, earlier).rows == (
+        ((0, 1, 2, 3), (q(1, 15), q(7, 12), q(1, 3), q(4, 15))),)
+
+
+def test_compose_takes_no_concatenation_past_the_pigeonhole_bound(monkeypatch):
+    """A dense earlier row over dense middle rows holds more entries than the
+    output has columns, so they must meet: compose adds them up without
+    trying to concatenate. Exactly as many entries as columns may not meet."""
+    joined = []
+
+    def spy(*args):
+        joined.append(args[0])
+        return original(*args)
+    original = kernels_module._joined_row
+    monkeypatch.setattr(kernels_module, "_joined_row", spy)
+    dense = Kernel(X3, X3, [[q(1, 3)] * 3, [q(1, 2), q(1, 4), q(1, 4)], [q(1, 6), q(1, 2), q(1, 3)]])
+    start = measure(X3, [q(1, 2), q(1, 3), q(1, 6)])
+    _compose_checked(dense, start)
+    _compose_checked(dense, dense)
+    assert joined == []
+    # a permutation-like later kernel: three entries in three columns
+    moved = Kernel(X3, X3, [[0, 0, q(3)], [q(1, 2), 0, 0], [0, q(5), 0]])
+    assert _compose_checked(moved, start).rows == (((0, 1, 2), (q(1, 6), q(5, 6), q(3, 2))),)
+    assert joined == [[2, 0, 1]]
 
 
 @given(kernels(max_size=3), kernels(max_size=3))

@@ -131,6 +131,22 @@ def test_parse_label_forms():
         parse_label("(a)")
 
 
+def test_the_end_of_input_is_named_by_what_was_read():
+    """A document cut short says "document"; one label cut short, "label"."""
+    with pytest.raises(ModelError, match="unexpected end of document, expected a value"):
+        parse("space X { a }\nmeasure m on X { a = ")
+    for text in ("((", "(a, b", "L:"):
+        with pytest.raises(ModelError, match="unexpected end of label, expected a label"):
+            parse_label(text)
+
+
+@pytest.mark.parametrize("value", ["\u0661", "1/\u0662", "\uff11", "1/\uff12"])
+def test_a_value_with_digits_outside_ascii_is_a_model_error(value):
+    with pytest.raises(ModelError, match=r"line 2: not a value in \[0, oo\]") as err:
+        parse(f"space X {{ a b }}\nmeasure mu on X {{ a = {value}  b = 0 }}")
+    assert err.value.line == 2
+
+
 def test_format_label_inverts_parse_label():
     for text in ("a", "(a,b)", "(a,(u,v))", "L:a", "R:(a,b)", "(L:a,R:b)"):
         assert format_label(parse_label(text)) == text

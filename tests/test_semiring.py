@@ -194,12 +194,22 @@ def test_parse_rejects(text):
         ExtNonneg.parse(text)
 
 
+@pytest.mark.parametrize("text", [
+    "\u0661", "\u0661/2", "1/\u0662", "\u0661\u0660/\u0663",  # Arabic-Indic digits
+    "\uff11", "\uff11/2", "1/\uff12", "2\uff10/3",  # fullwidth digits
+])
+def test_parse_refuses_digits_outside_ascii(text):
+    """int() reads any Unicode decimal digit; a value takes ASCII digits only."""
+    with pytest.raises(ValueError, match=r"^not a value in \[0, oo\]: "):
+        ExtNonneg.parse(text)
+
+
 def _regex_parse(text):
     """The regex-based reading of a value's text: the oracle for parse."""
     text = text.strip()
     if text == "inf":
         return INF
-    m = re.match(r"^(\d+)(?:/(\d+))?$", text)
+    m = re.match(r"^([0-9]+)(?:/([0-9]+))?$", text)
     if m is None:
         raise ValueError(f"not a value in [0, oo]: {text!r}")
     den = int(m.group(2)) if m.group(2) is not None else 1
