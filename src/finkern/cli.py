@@ -23,7 +23,8 @@ from pathlib import Path
 from .spaces import FinSpace, format_label
 from .kernels import (
     Involution, SpaceMismatchError, compose, copyable_violation,
-    is_normalized, normalized_violation, row_masses, substochastic_violation,
+    is_normalized, lift_involution, normalized_violation, row_masses,
+    substochastic_violation,
 )
 from .enrichment import (
     abs_cont_violation, ae_violation, cancellative_violation,
@@ -32,10 +33,9 @@ from .enrichment import (
 )
 from .mcmc import (
     BALANCING_FUNCTIONS, MhProblem, balancing_alpha, balancing_violation,
-    build_mh, build_skew_mh, classical_mh, detailed_balance_violation,
+    build_mh, classical_mh, detailed_balance_violation,
     exchange_algorithm, gibbs, invariant_violation, is_invariant,
     is_reversible, skew_balance_violation, verify_mh_theorem,
-    _skew_pair_violation,
 )
 from .modelfile import ModelDocument, ModelError, emit, parse, parse_label
 
@@ -275,9 +275,9 @@ def _verify_batch(args):
 def _verify_skew(doc, args):
     problem, echo = _mh_problem(doc, args, twist=args.twist)
     twist = _lookup(doc, args.twist, _INVOLUTION)
-    chain = build_skew_mh(problem, twist)
+    chain = compose(lift_involution(twist), build_mh(problem))
     return _theorem_report(echo, "skew_reversible", (problem.target, twist, chain),
-                           _skew_pair_violation(problem.target, twist, chain),
+                           skew_balance_violation(problem.target, twist, chain),
                            balancing_violation(problem))
 
 

@@ -19,11 +19,13 @@ gcd, not one per scalar product and sum, a row with one middle point is a
 scaled copy of that middle row, middle rows that share no column are
 concatenated without sums, each distinct earlier row is worked out once,
 and a later row that a measure's middle points share as one stored object
-is multiplied once. ``graph(k)``, the graph ``(identity (x)
-k) ∘ copy`` of ``k``, moves ``k``'s rows into place instead of building
-the |X|*|X| rows of the tensor that copy reads |X| of, and
-``resample_within`` stores one row per block of a partition, which every
-point of the block shares (a Gibbs site is one). A deterministic kernel
+is multiplied once. Where columns meet, one summer adds up the numerators
+for ``compose``, the relabels of index maps and ``+`` alike, and an oo
+entry absorbs any finite mass that lands on its column. ``graph(k)``, the
+graph ``(identity (x) k) ∘ copy`` of ``k``, moves ``k``'s rows into place
+instead of building the |X|*|X| rows of the tensor that copy reads |X| of,
+and ``resample_within`` stores one row per block of a partition, which
+every point of the block shares (a Gibbs site is one). A deterministic kernel
 is a function, and is stored as its index map: identity, copy, swap, the
 unitors and associator, relabelings and involutions keep only their
 targets, so that running one after a kernel moves that kernel's columns
@@ -109,30 +111,36 @@ def _reduced(cols: tuple[int, ...], nums: Sequence[int], den: int,
     return cols, tuple([n // g for n in nums]), den // g, infs
 
 
-def _dict_row(acc: Mapping[int, int], den: int, infs: tuple[int, ...] = ()) -> _Row:
-    """The row of a column -> positive numerator mapping over ``den``."""
+def _summed_row(cols: Iterable[int], nums: Iterable[int], den: int,
+                infs: tuple[int, ...] = ()) -> _Row:
+    """The row over ``den`` with ``nums[k]`` at column ``cols[k]``, summed
+    where a column repeats, and oo at the ascending columns ``infs``, each
+    absorbing any finite mass that lands on it: how ``compose``, relabels
+    and ``+`` add up masses where columns meet."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for j, n in zip(cols, nums):
+        acc[j] = get(j, 0) + n
+    for j in infs:
+        acc.pop(j, None)
     cols = tuple(sorted(acc))
     return _reduced(cols, [acc[j] for j in cols], den, infs)
 
 
-def _joined_row(cols: list[int], weights: Sequence[int], rows: Sequence[_Row],
-                den: int) -> _Row | None:
-    """The sum over ``den`` of finite rows, each times its weight, whose
-    columns, concatenated in row order, are ``cols``: where no two rows
-    share a column, the concatenation of the scaled rows, put in column
-    order; otherwise None."""
+def _joined_row(cols: list[int], nums: list[int], den: int) -> _Row:
+    """The finite row over ``den`` with ``nums[k]`` at column ``cols[k]``:
+    where no column repeats, as when concatenated middle rows share no
+    column, the entries put in column order without sums; otherwise
+    ``_summed_row``'s."""
     ordered = sorted(cols)
     if ordered == cols:
-        if len(set(cols)) < len(cols):
-            return None
-        nums = [w * n for w, (_, rnums, _, _) in zip(weights, rows) for n in rnums]
+        if len(set(cols)) == len(cols):
+            return _reduced(tuple(cols), nums, den)
     else:
-        at = dict(zip(cols, [w * n for w, (_, rnums, _, _) in zip(weights, rows)
-                             for n in rnums]))
-        if len(at) < len(cols):
-            return None
-        nums = list(map(at.__getitem__, ordered))
-    return _reduced(tuple(ordered), nums, den)
+        at = dict(zip(cols, nums))
+        if len(at) == len(cols):
+            return _reduced(tuple(ordered), list(map(at.__getitem__, ordered)), den)
+    return _summed_row(cols, nums, den)
 
 
 def _dense_sum(weights: Sequence[int], rows: Sequence[_Row], width: int,
@@ -211,15 +219,8 @@ def _add_rows(r1: _Row, r2: _Row) -> _Row:
     s1, s2 = den // d1, den // d2
     if c1 == c2 and not i1 and not i2:  # same support: add entry by entry
         return _reduced(c1, [a * s1 + b * s2 for a, b in zip(n1, n2)], den)
-    acc = dict(zip(c1, [a * s1 for a in n1]))
-    for j, b in zip(c2, n2):
-        acc[j] = acc.get(j, 0) + b * s2
-    infs = ()
-    if i1 or i2:
-        infs = tuple(sorted(set(i1).union(i2)))
-        for j in infs:
-            acc.pop(j, None)
-    return _dict_row(acc, den, infs)
+    return _summed_row(c1 + c2, [a * s1 for a in n1] + [b * s2 for b in n2], den,
+                       i1 + i2 and tuple(sorted(set(i1 + i2))))
 
 
 def _has_inf(kernel: "Kernel") -> bool:
@@ -232,18 +233,8 @@ def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
     cols, nums, den, infs = row
     if len(cols) == 1 and not infs:  # one entry moves without a dict: theorem-batch
         return (targets[cols[0]],), nums, den, ()
-    acc: dict[int, int] = {}
-    for k, n in zip(cols, nums):
-        j = targets[k]
-        acc[j] = acc.get(j, 0) + n
-    if infs:
-        infs = tuple(sorted({targets[k] for k in infs}))
-        for j in infs:
-            acc.pop(j, None)
-    elif len(acc) == len(cols):  # no two columns met, so still reduced
-        cols = tuple(sorted(acc))
-        return cols, tuple([acc[j] for j in cols]), den, ()
-    return _dict_row(acc, den, infs)
+    return _summed_row(map(targets.__getitem__, cols), nums, den,
+                       infs and tuple(sorted({targets[k] for k in infs})))
 
 
 class Kernel:
@@ -604,7 +595,10 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     column order where it is not ascending already, with no sums. Middle
     rows holding more entries in all than ``later`` has columns must meet:
     such a dense row skips the test and is added up in a list of all the
-    columns. Otherwise a hash of the concatenated columns decides.
+    columns. Otherwise a hash of the concatenated columns decides. Where
+    columns repeat, or a row meets oo, the numerators are added up by the
+    one summer that relabels and ``+`` use, each oo absorbing any finite
+    mass on its column.
     """
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
@@ -651,34 +645,19 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         mids = [later_rows[k] for k in cols]
         scale = lcm(*[ld for _, _, ld, _ in mids])
         weights = [a * (scale // ld) for a, (_, _, ld, _) in zip(nums, mids)]
-        if not infinite:
-            # More entries than columns must meet somewhere; fewer may not.
-            if sum(map(len, map(_COLS, mids))) > width:
-                new = _dense_sum(weights, mids, width, den * scale)
-            else:
-                new = _joined_row(list(chain.from_iterable(map(_COLS, mids))),
-                                  weights, mids, den * scale)
-            if new is not None:
-                out.append(new)
-                done[row] = new
-                continue
-        acc: dict[int, int] = {}
-        get = acc.get
-        for w, (lcols, lnums, _, _) in zip(weights, mids):
-            for j, n in zip(lcols, lnums):
-                acc[j] = get(j, 0) + w * n
-        if not infinite:
-            new = _dict_row(acc, den * scale)
+        # More entries than columns must meet somewhere; fewer may not.
+        if not infinite and sum(map(len, map(_COLS, mids))) > width:
+            new = _dense_sum(weights, mids, width, den * scale)
         else:
-            # oo where a positive mass meets an infinite one on the way
-            inf = set()
-            for mid in mids:
-                inf.update(mid[3])
-            for k in infs:
-                inf.update(_support(later_rows[k]))
-            for j in inf:
-                acc.pop(j, None)
-            new = _dict_row(acc, den * scale, tuple(sorted(inf)))
+            joined = list(chain.from_iterable(map(_COLS, mids)))
+            scaled = [w * n for w, (_, lnums, _, _) in zip(weights, mids) for n in lnums]
+            if not infinite:
+                new = _joined_row(joined, scaled, den * scale)
+            else:
+                # oo where a positive mass meets an infinite one on the way
+                inf = set(chain.from_iterable([mid[3] for mid in mids]))
+                inf.update(*[_support(later_rows[k]) for k in infs])
+                new = _summed_row(joined, scaled, den * scale, tuple(sorted(inf)))
         out.append(new)
         done[row] = new
     return Kernel._new(earlier.dom, later.cod, tuple(out))

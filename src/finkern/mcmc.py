@@ -14,6 +14,7 @@ pairs, so no ``ExtNonneg`` is made below the API.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .semiring import (
@@ -21,10 +22,10 @@ from .semiring import (
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, delete, effect_pairs,
-    from_pair_rows, graph, identity, is_normalized, lazy_involution,
-    lift_involution, pair_rows, resample_within, reweight, right_unitor,
-    substochastic_violation, swap, swap_asymmetry, tensor,
+    Involution, Kernel, SpaceMismatchError, compose, deterministic,
+    effect_pairs, from_pair_rows, graph, identity, is_normalized,
+    lazy_involution, lift_involution, pair_rows, resample_within, reweight,
+    substochastic_violation, swap, swap_asymmetry,
 )
 from .enrichment import NoExactDerivative, NotCancellative, is_cancellative
 from ._record import FrozenRecord
@@ -247,14 +248,18 @@ def augment_reversible(target: Kernel, proposal: Kernel, inner: Kernel) -> tuple
     if inner.dom != joint or inner.cod != joint:
         raise SpaceMismatchError("inner chain must act on base (x) aux")
     embed = graph(proposal)
-    return _marginal(inner, embed, aux), compose(embed, target)
+    return _marginal(inner, embed), compose(embed, target)
 
 
-def _marginal(inner: Kernel, embed: Kernel, aux: FinSpace) -> Kernel:
-    """``inner`` run after ``embed: X -> X (x) aux``, then ``aux`` deleted."""
-    base = embed.dom
-    marginalize = compose(right_unitor(base), tensor(identity(base), delete(aux)))
-    return compose(marginalize, compose(inner, embed))
+def _marginal(inner: Kernel, embed: Kernel) -> Kernel:
+    """``inner`` run after ``embed: X -> X (x) aux``, then ``aux`` deleted.
+
+    The projection ``(x, z) -> x`` that deletes ``aux`` is the categorical
+    marginal ``right_unitor(X) ∘ (identity(X) (x) delete(aux))``: both are
+    the index map sending point ``(x, z)`` to ``x``.
+    """
+    project = deterministic(embed.cod, embed.dom, itemgetter(0))
+    return compose(project, compose(inner, embed))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +395,10 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     n = len(base)  # joint points are (i, j), at index i * n + j
     swap_inv = Involution(augmented.cod, [j * n + i for i in range(n) for j in range(n)])
     accept = balancing_alpha(METROPOLIS, augmented, swap_inv)
-    inner = build_mh(MhProblem(target=augmented, involution=swap_inv, acceptance=accept))
-    via_involution = _marginal(inner, embed, base)
+    # the target's masses were checked finite above, and a Metropolis
+    # acceptance is at most 1, so the chain needs none of MhProblem's checks
+    inner = lazy_involution(swap_inv, accept)
+    via_involution = _marginal(inner, embed)
 
     alpha = effect_pairs(accept)
     rows = []

@@ -170,6 +170,17 @@ def test_no_module_touches_process_wide_state():
                 assert node.name not in PROCESS_WIDE, path.name
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A module's underscore names are its own: library modules reach each
+    other through public names alone."""
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("finkern")):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, node.lineno, private)
+
+
 def test_check_unknown_predicate(capsys):
     code, _, err = run(capsys, "check", "--model", TWO_STATE, "bogus", "walk")
     assert code == 2

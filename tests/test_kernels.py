@@ -518,6 +518,39 @@ def test_compose_takes_no_concatenation_past_the_pigeonhole_bound(monkeypatch):
     assert joined == [[2, 0, 1]]
 
 
+#: X3 -> X2 sending b and c to one column: a relabel where columns meet.
+_MERGE_BC = deterministic(X3, X2, {"a": "a", "b": "b", "c": "b"}.__getitem__)
+
+
+@pytest.mark.parametrize("op, left, right, first_row", [
+    # one measure's oo lies over the other's finite 1/4 and absorbs it, so
+    # the 1/2 left over goes over denominator 2, not 4
+    ("+", measure(X3, [q(1, 2), q(1, 4), 0]), measure(X3, [0, INF, 0]),
+     ((0,), (1,), 2, (1,))),
+    ("+", Kernel(X2, X3, [[q(1, 3), INF, 0], [0, q(1, 2), q(1, 2)]]),
+     Kernel(X2, X3, [[q(1, 6), q(1, 6), 0], [INF, 0, q(1, 4)]]),
+     ((0,), (1,), 2, (1,))),
+    # {a: 1/2, b: 1/4, c: oo} with b and c sent to one column
+    ("∘", _MERGE_BC, measure(X3, [q(1, 2), q(1, 4), INF]), ((0,), (1,), 2, (1,))),
+    # two finite entries meet: 1/6 + 1/3
+    ("∘", _MERGE_BC, measure(X3, [q(1, 2), q(1, 6), q(1, 3)]), ((0, 1), (1, 1), 2, ())),
+    # oo on both sides: 1/2 * (1/2, oo, 0) + 1/2 * (1/4, 1/4, 1/2)
+    ("∘", Kernel(X2, X3, [[q(1, 2), INF, 0], [q(1, 4), q(1, 4), q(1, 2)]]),
+     Kernel(X2, X2, [[q(1, 2), q(1, 2)], [INF, q(1, 3)]]), ((0, 2), (3, 2), 8, (1,))),
+], ids=["sum-oo-over-finite", "sum-of-kernels", "relabel-oo-meets-finite",
+        "relabel-finite-entries-meet", "compose-oo-on-both-sides"])
+def test_meeting_columns_add_up_and_oo_absorbs_them(op, left, right, first_row):
+    """Compose, relabels and + add numerators where columns meet, and an
+    oo absorbs the finite mass on its column before the row is reduced."""
+    if op == "+":
+        out, dense = left + right, _oracle_sum(left, right)
+    else:
+        out, dense = compose(left, right), _oracle_compose(left, right)
+    assert_reduced(out)
+    _matches(out, dense)
+    assert out.int_rows[0] == first_row
+
+
 @given(kernels(max_size=3), kernels(max_size=3))
 def test_tensor_matches_dense_oracle(left, right):
     _matches(tensor(left, right), _oracle_tensor(left, right))
