@@ -19,19 +19,20 @@ gcd, not one per scalar product and sum, a row with one middle point is a
 scaled copy of that middle row, middle rows that share no column are
 concatenated without sums, each distinct earlier row is worked out once,
 and a later row that a measure's middle points share as one stored object
-is multiplied once. Where columns meet, one summer adds up the numerators
-for ``compose``, the relabels of index maps and ``+`` alike, and an oo
-entry absorbs any finite mass that lands on its column. ``graph(k)``, the
-graph ``(identity (x) k) ∘ copy`` of ``k``, moves ``k``'s rows into place
-instead of building the |X|*|X| rows of the tensor that copy reads |X| of,
-and ``resample_within`` stores one row per block of a partition, which
-every point of the block shares (a Gibbs site is one). A deterministic kernel
-is a function, and is stored as its index map: identity, copy, swap, the
-unitors and associator, relabelings and involutions keep only their
-targets, so that running one after a kernel moves that kernel's columns
-instead of multiplying, and two index maps compose or tensor to an index
-map. Their rows, one entry ``((j,), (1,), 1, ())`` each, are built on the
-first read of ``int_rows``.
+is multiplied once. One helper turns loose columns into a stored row for
+``compose``, the relabels of index maps and ``+`` alike: it adds up the
+numerators only where columns meet, and an oo entry absorbs any finite
+mass that lands on its column. ``graph(k)``, the graph ``(identity (x) k)
+∘ copy`` of ``k``, moves ``k``'s rows into place instead of building the
+|X|*|X| rows of the tensor that copy reads |X| of, and ``resample_within``
+stores one row per block of a partition, which every point of the block
+shares (a Gibbs site is one). A deterministic kernel is a function, and
+is stored as its index map: identity, copy, swap, the unitors and
+associator, relabelings and involutions keep only their targets, so that
+running one after a kernel moves that kernel's columns instead of
+multiplying, and two index maps compose or tensor to an index map. Their
+rows, one entry ``((j,), (1,), 1, ())`` each, are built on the first read
+of ``int_rows``.
 
 ``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
 pair ``(cols, vals)`` of every nonzero entry's column and value),
@@ -111,36 +112,31 @@ def _reduced(cols: tuple[int, ...], nums: Sequence[int], den: int,
     return cols, tuple([n // g for n in nums]), den // g, infs
 
 
-def _summed_row(cols: Iterable[int], nums: Iterable[int], den: int,
+def _joined_row(cols: list[int], nums: Sequence[int], den: int,
                 infs: tuple[int, ...] = ()) -> _Row:
-    """The row over ``den`` with ``nums[k]`` at column ``cols[k]``, summed
-    where a column repeats, and oo at the ascending columns ``infs``, each
-    absorbing any finite mass that lands on it: how ``compose``, relabels
-    and ``+`` add up masses where columns meet."""
+    """The reduced row over ``den`` with ``nums[k]`` at column ``cols[k]``
+    and oo at the ascending columns ``infs``: how ``compose``, relabels and
+    ``+`` turn loose columns into a stored row. With no oo and no repeated
+    column, as when concatenated middle rows share no column, the entries
+    are put in column order without sums; otherwise numerators add where a
+    column repeats, and each oo absorbs any finite mass on its column."""
+    if not infs:
+        ordered = sorted(cols)
+        if ordered == cols:
+            if len(set(cols)) == len(cols):
+                return _reduced(tuple(cols), nums, den)
+        else:
+            at = dict(zip(cols, nums))
+            if len(at) == len(cols):
+                return _reduced(tuple(ordered), list(map(at.__getitem__, ordered)), den)
     acc: dict[int, int] = {}
     get = acc.get
     for j, n in zip(cols, nums):
         acc[j] = get(j, 0) + n
     for j in infs:
         acc.pop(j, None)
-    cols = tuple(sorted(acc))
-    return _reduced(cols, [acc[j] for j in cols], den, infs)
-
-
-def _joined_row(cols: list[int], nums: list[int], den: int) -> _Row:
-    """The finite row over ``den`` with ``nums[k]`` at column ``cols[k]``:
-    where no column repeats, as when concatenated middle rows share no
-    column, the entries put in column order without sums; otherwise
-    ``_summed_row``'s."""
-    ordered = sorted(cols)
-    if ordered == cols:
-        if len(set(cols)) == len(cols):
-            return _reduced(tuple(cols), nums, den)
-    else:
-        at = dict(zip(cols, nums))
-        if len(at) == len(cols):
-            return _reduced(tuple(ordered), list(map(at.__getitem__, ordered)), den)
-    return _summed_row(cols, nums, den)
+    ordered = sorted(acc)
+    return _reduced(tuple(ordered), list(map(acc.__getitem__, ordered)), den, infs)
 
 
 def _dense_sum(weights: Sequence[int], rows: Sequence[_Row], width: int,
@@ -219,7 +215,7 @@ def _add_rows(r1: _Row, r2: _Row) -> _Row:
     s1, s2 = den // d1, den // d2
     if c1 == c2 and not i1 and not i2:  # same support: add entry by entry
         return _reduced(c1, [a * s1 + b * s2 for a, b in zip(n1, n2)], den)
-    return _summed_row(c1 + c2, [a * s1 for a in n1] + [b * s2 for b in n2], den,
+    return _joined_row([*c1, *c2], [a * s1 for a in n1] + [b * s2 for b in n2], den,
                        i1 + i2 and tuple(sorted(set(i1 + i2))))
 
 
@@ -231,9 +227,7 @@ def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
     """A row with each column ``k`` moved to ``targets[k]``, sums where
     columns meet, and oo where an infinite entry lands."""
     cols, nums, den, infs = row
-    if len(cols) == 1 and not infs:  # one entry moves without a dict: theorem-batch
-        return (targets[cols[0]],), nums, den, ()
-    return _summed_row(map(targets.__getitem__, cols), nums, den,
+    return _joined_row(list(map(targets.__getitem__, cols)), nums, den,
                        infs and tuple(sorted({targets[k] for k in infs})))
 
 
@@ -595,9 +589,10 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     column order where it is not ascending already, with no sums. Middle
     rows holding more entries in all than ``later`` has columns must meet:
     such a dense row skips the test and is added up in a list of all the
-    columns. Otherwise a hash of the concatenated columns decides. Where
-    columns repeat, or a row meets oo, the numerators are added up by the
-    one summer that relabels and ``+`` use, each oo absorbing any finite
+    columns. Otherwise the concatenation goes to the one row builder that
+    relabels and ``+`` use, for finite rows and rows that meet oo alike: a
+    hash of its columns decides whether they meet, and where they do, or a
+    row meets oo, it adds up the numerators, each oo absorbing any finite
     mass on its column.
     """
     if earlier.cod != later.dom:
@@ -624,6 +619,8 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     if not infinite and len(earlier.int_rows) == 1:
         seen: dict[int, int] = {}
         first = [seen.setdefault(id(r), k) for k, r in enumerate(later_rows)]
+        if len(seen) == len(later_rows):  # no later row shared
+            first = None
     out = []
     for row in earlier.int_rows:
         cols, nums, den, infs = row
@@ -636,12 +633,8 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         if new is not None:  # a repeated row: gibbs' sites ignore one coordinate
             out.append(new)
             continue
-        if first is not None:
-            merged: dict[int, int] = {}
-            for k, a in zip(cols, nums):
-                k = first[k]
-                merged[k] = merged.get(k, 0) + a
-            cols, nums = merged, merged.values()
+        if first is not None:  # over den 1, so the merged numerators stay
+            cols, nums, _, _ = _joined_row([first[k] for k in cols], nums, 1)
         mids = [later_rows[k] for k in cols]
         scale = lcm(*[ld for _, _, ld, _ in mids])
         weights = [a * (scale // ld) for a, (_, _, ld, _) in zip(nums, mids)]
@@ -649,15 +642,13 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         if not infinite and sum(map(len, map(_COLS, mids))) > width:
             new = _dense_sum(weights, mids, width, den * scale)
         else:
-            joined = list(chain.from_iterable(map(_COLS, mids)))
-            scaled = [w * n for w, (_, lnums, _, _) in zip(weights, mids) for n in lnums]
-            if not infinite:
-                new = _joined_row(joined, scaled, den * scale)
-            else:
-                # oo where a positive mass meets an infinite one on the way
-                inf = set(chain.from_iterable([mid[3] for mid in mids]))
-                inf.update(*[_support(later_rows[k]) for k in infs])
-                new = _summed_row(joined, scaled, den * scale, tuple(sorted(inf)))
+            inf = ()
+            if infinite:  # oo where a positive mass meets an infinite one on the way
+                hit = set(chain.from_iterable([mid[3] for mid in mids]))
+                inf = tuple(sorted(hit.union(*[_support(later_rows[k]) for k in infs])))
+            new = _joined_row(list(chain.from_iterable(map(_COLS, mids))),
+                              [w * n for w, (_, lnums, _, _) in zip(weights, mids)
+                               for n in lnums], den * scale, inf)
         out.append(new)
         done[row] = new
     return Kernel._new(earlier.dom, later.cod, tuple(out))

@@ -8,7 +8,7 @@ not take. Labels nested up to a few thousand levels deep, in a document or
 an argument, exit 0 or 2, and values whose numerator or denominator has
 about as many digits as Python's 4300-digit ``int(str)`` limit, on either
 side of it, exit 0, 1 or 2. So do the subcommands on spaces of thousands of
-points.
+points, and ``sample`` with step counts past its bound, up to 10**12.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from finkern.cli import CHECKS, main
+from finkern.cli import CHECKS, MAX_STEPS, main
 from finkern.modelfile import MAX_LABEL_DEPTH
 
 ATOMS = ("a", "b", "c", "d")
@@ -137,7 +137,10 @@ def arguments(draw):
         argv += ["--kernel", draw(name("P", "K")),
                  "--target", draw(name("pi", "mu")),
                  "--init", draw(st.one_of(st.just("a"), label)),
-                 "--steps", str(draw(st.integers(-1, 40))),
+                 # past the step bound, a usage error before the model is
+                 # read; no count in between, which would run a long chain
+                 "--steps", str(draw(st.one_of(
+                     st.integers(-1, 40), st.integers(MAX_STEPS + 1, 10**12)))),
                  "--burn", str(draw(st.integers(-1, 12))),
                  "--seed", str(draw(st.integers(-3, 3)))]
     if draw(st.integers(0, 9)) == 5:

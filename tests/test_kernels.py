@@ -551,6 +551,35 @@ def test_meeting_columns_add_up_and_oo_absorbs_them(op, left, right, first_row):
     assert out.int_rows[0] == first_row
 
 
+@given(kernel_pairs(max_size=5), st.data())
+def test_moves_and_sums_where_no_column_meets(pair, data):
+    """A relabel by a permutation moves every entry to a column of its own,
+    and a sum of kernels with disjoint supports meets in no column: the
+    results equal the dense oracle, and a permuted row keeps its
+    denominator and its numerators. Some rows are zero, some entries oo."""
+    k, other = pair
+    zero = data.draw(st.lists(st.booleans(), min_size=len(k.dom), max_size=len(k.dom)))
+    k = Kernel(k.dom, k.cod, [[ZERO] * len(k.cod) if z else row
+                              for z, row in zip(zero, k.entries)])
+    cod = k.cod
+    perm = data.draw(st.permutations(range(len(cod))))
+    move = deterministic(cod, cod, dict(zip(cod.labels, [cod.labels[j] for j in perm])).get)
+    moved = _compose_checked(move, k)
+    for (cols, nums, den, infs), (mcols, mnums, mden, minfs) in zip(k.int_rows, moved.int_rows):
+        assert mden == den
+        assert dict(zip(mcols, mnums)) == {perm[j]: n for j, n in zip(cols, nums)}
+        assert minfs == tuple(sorted(perm[j] for j in infs))
+    mine = [data.draw(st.lists(st.booleans(), min_size=len(cod), max_size=len(cod)))
+            for _ in k.dom.labels]
+    p = Kernel(k.dom, cod, [[v if m else ZERO for v, m in zip(row, mask)]
+                            for row, mask in zip(k.entries, mine)])
+    q_ = Kernel(k.dom, cod, [[ZERO if m else v for v, m in zip(row, mask)]
+                             for row, mask in zip(other.entries, mine)])
+    total = p + q_
+    assert_reduced(total)
+    _matches(total, _oracle_sum(p, q_))
+
+
 @given(kernels(max_size=3), kernels(max_size=3))
 def test_tensor_matches_dense_oracle(left, right):
     _matches(tensor(left, right), _oracle_tensor(left, right))
