@@ -25,6 +25,17 @@ reachable row, keyed on the row's value. A systematic-scan Gibbs chain
 on a 5 x 5 x 5 grid, whose row ignores the first coordinate it resamples,
 then converts 25 rows and builds 25 tables, not 125. A table depends on
 its row alone, so sharing it changes no seeded trace.
+
+A run then reads every table at one width ``W``, the widest table's
+``g``, each cell repeated ``2**(W - g)`` times, so that a step is one
+``getrandbits(W)`` and one lookup in the current state's table. For ``g
+<= W <= 32`` Python's ``getrandbits(g)`` is the top ``g`` bits of the one
+32-bit word whose top ``W`` bits ``getrandbits(W)`` returns, so the wide
+cell holds what the narrow one held and the seeded trace is unchanged.
+Widening never more than doubles the cells of the run's tables: a run
+for which it would (one row over many states among many rows of few
+entries, as in a hub chain) reads each table at its own width, with the
+same draws and the same trace.
 """
 
 from __future__ import annotations
@@ -106,7 +117,13 @@ class ChainRun(Record):
 
 
 def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> ChainRun:
-    """Simulate ``length`` steps from ``initial`` with a seeded generator."""
+    """Simulate ``length`` steps from ``initial`` with a seeded generator.
+
+    Steps read the reachable rows' guide tables at one width (see
+    ``_widened``) unless that would more than double their cells; the
+    per-row loop then reads each table at its own width. Both loops make
+    the same draws and give the same trace.
+    """
     n = len(kernel)
     if not 0 <= initial < n:
         raise IndexError(f"initial state {initial} out of range")
@@ -134,23 +151,38 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     getrandbits = rng.getrandbits
     rand = rng.random
     state = initial
-    bits, cells = tables[state]
-    for t in range(1, length + 1):
-        state = cells[getrandbits(bits)]
-        if state < 0:
-            i = ~state
-            v = rand()
-            while offsets[i] <= v:
-                i += 1
-            state = picks[i]
-        trace[t] = state
+    widened = _widened(tables, built)
+    if widened is not None:
+        bits, cells_of = widened
+        for t in range(1, length + 1):
+            state = cells_of[state][getrandbits(bits)]
+            if state < 0:
+                i = ~state
+                v = rand()
+                while offsets[i] <= v:
+                    i += 1
+                state = picks[i]
+            trace[t] = state
+    else:
+        # the per-row loop: the same draws, one table width per row
         bits, cells = tables[state]
+        for t in range(1, length + 1):
+            state = cells[getrandbits(bits)]
+            if state < 0:
+                i = ~state
+                v = rand()
+                while offsets[i] <= v:
+                    i += 1
+                state = picks[i]
+            trace[t] = state
+            bits, cells = tables[state]
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
 
 
-def _cumulative(row: tuple[float, ...]) -> list[float]:
-    """The running sums of a row, set to 1.0 from its last positive entry on.
+def _cumulative(row: tuple[float, ...], last: int) -> list[float]:
+    """The running sums of a row, set to 1.0 from ``last``, the index of its
+    last positive entry, on.
 
     The number of sums ``<= u`` for ``u`` in [0, 1) is then always the
     index of a positive entry: a zero entry repeats the sum before it, so
@@ -159,11 +191,38 @@ def _cumulative(row: tuple[float, ...]) -> list[float]:
     trailing zero.
     """
     cum = list(accumulate(row))
-    last = len(row) - 1
-    while last > 0 and row[last] <= 0.0:
-        last -= 1
     cum[last:] = [1.0] * (len(row) - last)
     return cum
+
+
+def _widened(tables: list, built: dict) -> tuple[int, list] | None:
+    """The run's guide tables at one width ``(W, cells_of)``, or None.
+
+    ``W`` is the widest table's ``g``, and ``cells_of[i]`` is state ``i``'s
+    table with each cell repeated ``2**(W - g)`` times. By the
+    ``getrandbits`` identity of the module docstring, wide cell
+    ``getrandbits(W)`` holds what narrow cell ``getrandbits(g)`` holds: the
+    same successor or the same split-cell marker. ``cells_of[i]`` is None
+    for a state the chain cannot reach, and equal rows share one list.
+    None when ``W > 32``, where the identity fails, or when the wide tables
+    would hold more than twice the cells of the narrow ones, which is
+    checked before any wide table is built.
+    """
+    width = max(bits for bits, _ in built.values())
+    narrow = sum(len(cells) for _, cells in built.values())
+    if width > 32 or len(built) << width > 2 * narrow:
+        return None
+    wide = {}
+    for table in built.values():
+        bits, cells = table
+        repeat = 1 << (width - bits)
+        if repeat > 1:
+            # narrow cell c fills wide cells c*repeat .. c*repeat+repeat-1
+            narrow_cells, cells = cells, [0] * (len(cells) * repeat)
+            for k in range(repeat):
+                cells[k::repeat] = narrow_cells
+        wide[id(table)] = cells
+    return width, [wide[id(table)] if table else None for table in tables]
 
 
 def _guide_table(row: tuple[float, ...], offsets: list[float],
@@ -185,10 +244,10 @@ def _guide_table(row: tuple[float, ...], offsets: list[float],
     The loop runs once per positive entry; the cells between two sums are
     filled by one list extension.
     """
-    cum = _cumulative(row)
     support = list(compress(range(len(row)), row))
     if not support:
         raise ValueError("a row has no positive entry")
+    cum = _cumulative(row, support[-1])
     bits = (_CELLS_PER_ENTRY * len(support) - 1).bit_length()
     m = 1 << bits
     cells: list[int] = []

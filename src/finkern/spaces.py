@@ -75,6 +75,8 @@ class FinSpace:
         return label in self._index
 
     def __eq__(self, other):
+        if self is other:  # most comparisons are of a space with itself
+            return True
         if not isinstance(other, FinSpace):
             return NotImplemented
         return self.labels == other.labels

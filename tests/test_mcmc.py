@@ -448,6 +448,18 @@ def test_balancing_alpha_constant_when_target_invariant():
     assert alpha.effect_values() == (BARKER(ONE), BARKER(ONE))
 
 
+def test_balancing_alpha_reduces_the_pairs_the_balancing_function_writes():
+    # at b the density pi(a)/pi(b) is the pair (2, 4), which Metropolis
+    # writes as it is: from_pair_rows' gcd is what stores it as 1/2
+    target = measure(X3, [q(2, 7), q(4, 7), q(1, 7)])
+    phi = Involution.from_mapping(X3, {"a": "b", "b": "a", "c": "c"})
+    assert METROPOLIS.fn((2, 4)) == (2, 4)
+    alpha = balancing_alpha(METROPOLIS, target, phi)
+    assert alpha.int_rows == (((0,), (1,), 1, ()), ((0,), (1,), 2, ()),
+                              ((0,), (1,), 1, ()))
+    assert_reduced(alpha)
+
+
 def test_balancing_propagates_absolute_continuity_failure():
     # phi sends the charged point a onto the null point b, so the density
     # d(phi_* pi)/d pi does not exist; the product form still decides the

@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import hypothesis
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from finkern.semiring import ExtNonneg, INF
 from finkern.spaces import FinSpace, product
 from finkern.kernels import (
-    Involution, Kernel, identity, measure, normalized_violation, pair_rows,
+    Involution, Kernel, from_pair_rows, identity, measure, normalized_violation,
+    pair_rows,
 )
 from finkern.generators import rand_mh_problem, rand_normalized_kernel
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
@@ -287,7 +291,20 @@ def _rows_with_zeros():
         weights[1] = weights[1] or 1
         total = sum(weights)
         rows.append([q(w, total) for w in weights])
+    # a wide row with a long tail of zeros, a split cell among its sums
+    rows.append([0, q(1, 3), q(1, 10**4), q(19997, 30000)] + [0] * 396)
     return rows
+
+
+def _running_sums(floats):
+    """The running sums of a float row, 1.0 from its last positive entry
+    on, found by a scan from the right."""
+    cum = list(itertools.accumulate(floats))
+    last = len(floats) - 1
+    while last > 0 and floats[last] <= 0.0:
+        last -= 1
+    cum[last:] = [1.0] * (len(floats) - last)
+    return cum
 
 
 @pytest.mark.parametrize("row", _rows_with_zeros())
@@ -297,7 +314,7 @@ def test_guide_table_is_exact_inverse_cdf(monkeypatch, row):
     floats = matrix[0]
     bits, cells = sampler._guide_table(floats, [], [])
     m = 2 ** bits
-    sums = [Fraction(b) for b in sampler._cumulative(floats)]
+    sums = [Fraction(b) for b in _running_sums(floats)]
     # every cell at the bottom, middle and top, and every running sum itself
     draws = [(c + Fraction(v)) / m for c in range(m) for v in IN_CELL]
     draws += [b for b in sums if b < 1]
@@ -414,3 +431,116 @@ def test_equal_rows_share_one_table(monkeypatch):
 
 def test_an_unreachable_row_without_mass_is_never_read():
     assert run_chain(((1.0, 0.0), (0.0, 0.0)), 0, 0, 3).trace == [0, 0, 0, 0]
+
+
+# -- one table width per run ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 - 1, 10**30])
+def test_getrandbits_takes_the_top_bits_of_one_32_bit_word(seed):
+    # the widened step reads getrandbits(W) where the per-row step read
+    # getrandbits(g) for g <= W <= 32: the same cell at every width
+    for k in range(1, 33):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert rng.getrandbits(k) == ref.getrandbits(32) >> (32 - k)
+
+
+def _per_row_trace(matrix, initial, seed, length):
+    """The trace by the loop that reads each row's guide table at its own
+    width, with a table for every row."""
+    offsets, picks = [], []
+    tables = [sampler._guide_table(row, offsets, picks) for row in matrix]
+    rng = random.Random(seed)
+    state = initial
+    trace = [state]
+    for _ in range(length):
+        bits, cells = tables[state]
+        state = cells[rng.getrandbits(bits)]
+        if state < 0:
+            i = ~state
+            v = rng.random()
+            while offsets[i] <= v:
+                i += 1
+            state = picks[i]
+        trace.append(state)
+    return trace
+
+
+_WIDENED = sampler._widened
+
+
+def _run_noting_width(monkeypatch, matrix, initial, seed, length):
+    """run_chain's trace, and the wide tables it stepped with (None for
+    the per-row loop); checks the 2x bound on the cells they hold."""
+    seen = []
+
+    def noting(tables, built):
+        widened = _WIDENED(tables, built)
+        if widened is not None:
+            narrow = sum(len(cells) for _, cells in built.values())
+            wide = {id(cells): len(cells) for cells in widened[1] if cells is not None}
+            assert sum(wide.values()) <= 2 * narrow
+        seen.append(widened)
+        return widened
+    monkeypatch.setattr(sampler, "_widened", noting)
+    trace = run_chain(matrix, initial, seed, length).trace
+    return trace, seen[0]
+
+
+@settings(max_examples=80)
+@given(normalized_kernels(max_size=10), st.integers(0, 2**32 - 1))
+def test_both_loops_step_as_the_per_row_oracle(kernel, seed):
+    # rows of 1 to 10 positive entries: tables 4 to 8 bits wide, most
+    # with split cells; each run steps once as run_chain chooses and once
+    # with the per-row loop forced
+    matrix = to_float(kernel)
+    initial = seed % len(matrix)
+    expected = _per_row_trace(matrix, initial, seed, 200)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        trace, widened = _run_noting_width(monkeypatch, matrix, initial, seed, 200)
+        hypothesis.event("widened" if widened else "per-row")
+        assert trace == expected
+        monkeypatch.setattr(sampler, "_widened", lambda tables, built: None)
+        assert run_chain(matrix, initial, seed, 200).trace == expected
+
+
+def _mixed_widths():
+    """Rows of 1, 2, 5 and 6 positive entries, all reachable from x1:
+    tables of 4, 5 and 7 bits, 560 cells, 768 at one width."""
+    weights = [[0, 1, 0, 0, 0, 0], [3, 0, 0, 5, 0, 0], [1, 1, 2, 0, 3, 5],
+               [7, 1, 2, 3, 3, 5], [1, 1, 2, 4, 3, 5], [1, 1, 1, 1, 1, 1]]
+    space = FinSpace(tuple(f"x{i}" for i in range(6)))
+    return Kernel(space, space, [[q(w, sum(row)) for w in row] for row in weights])
+
+
+def _hub(n):
+    """State 0 moves anywhere; every other state returns to 0 or stays."""
+    space = FinSpace(tuple(f"h{i}" for i in range(n)))
+    rows = [{j: (1, n) for j in range(n)}]
+    rows += [{0: (1, 2), i: (1, 2)} for i in range(1, n)]
+    return from_pair_rows(space, space, rows)
+
+
+def test_mixed_widths_step_with_one_width(monkeypatch):
+    matrix = to_float(_mixed_widths())
+    for seed in range(5):
+        trace, widened = _run_noting_width(monkeypatch, matrix, 1, seed, 3000)
+        assert widened[0] == 7
+        assert trace == _per_row_trace(matrix, 1, seed, 3000)
+
+
+def test_a_hub_chain_keeps_the_per_row_loop_in_bounded_memory(monkeypatch):
+    # one table of 2**13 cells among 299 of 2**5: one width would need
+    # 300 * 2**13 cells, 2.4 million, against 17 760
+    matrix = to_float(_hub(300))
+    trace, widened = _run_noting_width(monkeypatch, matrix, 0, 7, 3000)
+    assert widened is None
+    assert trace == _per_row_trace(matrix, 0, 7, 3000)
+    tracemalloc.start()
+    try:
+        run_chain(matrix, 0, 7, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
