@@ -23,8 +23,8 @@ from pathlib import Path
 from .spaces import FinSpace, format_label
 from .kernels import (
     Involution, SpaceMismatchError, compose, copyable_violation,
-    is_normalized, lift_involution, normalized_violation, row_masses,
-    substochastic_violation,
+    is_normalized, normalized_violation, row_masses, substochastic_violation,
+    swap_asymmetry,
 )
 from .enrichment import (
     abs_cont_violation, ae_violation, cancellative_violation,
@@ -33,7 +33,7 @@ from .enrichment import (
 )
 from .mcmc import (
     BALANCING_FUNCTIONS, MhProblem, balancing_alpha, balancing_violation,
-    build_mh, classical_mh, detailed_balance_violation,
+    build_mh, build_skew_mh, classical_mh, detailed_balance_violation,
     exchange_algorithm, gibbs, invariant_violation, is_invariant,
     is_reversible, skew_balance_violation, verify_mh_theorem,
 )
@@ -275,9 +275,11 @@ def _verify_batch(args):
 def _verify_skew(doc, args):
     problem, echo = _mh_problem(doc, args, twist=args.twist)
     twist = _lookup(doc, args.twist, _INVOLUTION)
-    chain = compose(lift_involution(twist), build_mh(problem))
+    chain = build_skew_mh(problem, twist)  # the one check of the twist
+    pair = swap_asymmetry(problem.target, chain, twist)
+    labels = problem.space.labels
     return _theorem_report(echo, "skew_reversible", (problem.target, twist, chain),
-                           skew_balance_violation(problem.target, twist, chain),
+                           pair and (labels[pair[0]], labels[pair[1]]),
                            balancing_violation(problem))
 
 

@@ -57,7 +57,7 @@ monoidal product; ``P + Q`` is the entrywise sum.
 The row predicates (normalized, substochastic, copyable) are each decided
 by one ``*_violation`` function returning the first failing domain point or
 None; the boolean form is ``*_violation(...) is None``. ``swap_asymmetry``
-decides detailed balance, in one pass over the stored entries.
+decides detailed and skew balance, in one pass over the stored entries.
 """
 
 from __future__ import annotations
@@ -599,10 +599,10 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
     done: dict[_Row, _Row] = {}  # earlier row -> its output row
-    # the index-map branches serve classical_mh and exchange
-    if later._map is not None:  # columns of ``earlier``, moved
+    # a later index map moves earlier's columns (classical MH, exchange, twists)
+    if later._map is not None:
         targets = later._map
-        if earlier._map is not None:
+        if earlier._map is not None:  # keeps composites of structure morphisms structural
             return _index_map(earlier.dom, later.cod,
                               [targets[k] for k in earlier._map])
         out = []
@@ -659,7 +659,7 @@ def tensor(left: Kernel, right: Kernel) -> Kernel:
     dom = product(left.dom, right.dom)
     cod = product(left.cod, right.cod)
     width = len(right.cod)
-    # two index maps: structural-build's copy and identity products
+    # two index maps: keeps products of structure morphisms structural
     if left._map is not None and right._map is not None:
         return _index_map(dom, cod, [i * width + j for i in left._map
                                      for j in right._map])
@@ -693,7 +693,7 @@ def graph(kernel: Kernel) -> Kernel:
     dom = kernel.dom
     width = len(kernel.cod)
     cod = product(dom, kernel.cod)
-    if kernel._map is not None:
+    if kernel._map is not None:  # the graph of a function is a function
         return _index_map(dom, cod, [i * width + j for i, j in enumerate(kernel._map)])
     return Kernel._new(dom, cod, tuple([
         (tuple([i * width + j for j in cols]), nums, den,
@@ -921,43 +921,50 @@ def is_copyable(kernel: Kernel) -> bool:
     return copyable_violation(kernel) is None
 
 
-def swap_asymmetry(mu: Kernel, kernel: Kernel) -> tuple[int, int] | None:
+def swap_asymmetry(mu: Kernel, kernel: Kernel,
+                   twist: Involution | None = None) -> tuple[int, int] | None:
     """The least index pair ``(i, j)``, ``i < j``, where the joint of the
     measure ``mu`` and the endo-kernel ``kernel`` on its space differs from
     its swap: ``mu[i] * kernel[i][j] != mu[j] * kernel[j][i]``, with ``0 *
-    oo = 0``; or None when the joint is symmetric.
+    oo = 0``; or None when the joint is symmetric. Under a ``twist`` s that
+    preserves ``mu`` the swap reads ``kernel[s(j)][s(i)]`` (skew balance),
+    and the witness is the least failing stored entry ``(i, j)``.
 
-    Each stored entry is read once, and its transpose found by bisection in
-    the partner row; a pair with no stored entry holds. Values are pairs,
-    oo as ``(1, 0)``, and ``mu``'s one denominator cancels, so a pair costs
-    one cross-multiplication.
+    Each stored entry is read once, and its partner ``(s(j), s(i))`` found
+    by bisection; an entry that is its own partner holds, and so does an
+    unstored one, which fails only with its stored partner. Values are
+    pairs, oo as ``(1, 0)``, and ``mu``'s one denominator cancels, so a pair
+    costs one cross-multiplication.
     """
     ((mcols, mnums, _, minfs),) = mu.int_rows
     rows = kernel.int_rows
     masses = dict(zip(mcols, zip(mnums, repeat(1)))) | dict.fromkeys(minfs, INF_PAIR)
     masses = [masses.get(j, ZERO_PAIR) for j in range(len(rows))]
+    s = tuple(range(len(rows))) if twist is None else twist.perm
     least = None
     for i, (cols, nums, den, infs) in enumerate(rows):
         m, md = masses[i]
+        si = s[i]
         if infs:  # an infinite entry is 1/0
             cols, nums = cols + infs, nums + (1,) * len(infs)
         for j, n in zip(cols, nums):
-            if j == i:
+            sj = s[j]
+            if sj == i:
                 continue
-            pcols, pnums, pden, pinfs = rows[j]
-            k = bisect_left(pcols, i)
-            if k < len(pcols) and pcols[k] == i:
+            pcols, pnums, pden, pinfs = rows[sj]
+            k = bisect_left(pcols, si)
+            if k < len(pcols) and pcols[k] == si:
                 tn, td = pnums[k], pden
-            elif pinfs and i in pinfs:
+            elif pinfs and si in pinfs:
                 tn, td = INF_PAIR
             else:
                 tn = 0
-            if tn and j < i:
+            if tn and sj < i:  # the partner was read, and held or counted
                 continue
             mj, mjd = masses[j]
             if (m * n * mjd * td != mj * tn * md * (0 if infs and j in infs else den)
                     if m and mj and tn else m or (mj and tn)):
-                pair = (i, j) if i < j else (j, i)
+                pair = (j, i) if twist is None and j < i else (i, j)
                 if least is None or pair < least:
                     least = pair
     return least

@@ -5,7 +5,8 @@ image, otherwise stay), checks invariance, detailed balance, the skew
 variant, and the balancing condition that characterizes reversibility, and
 recovers the classical Metropolis-Hastings chain, the exchange algorithm for
 doubly-intractable targets, and the systematic-scan Gibbs sampler. Every
-check is an exact decidable equality. Entries are read as integer pairs
+check is an exact decidable equality; detailed and skew balance are one
+scan, ``kernels.swap_asymmetry``. Entries are read as integer pairs
 (``pair_rows``, ``effect_pairs``), compared by cross-multiplication and
 written as pairs (``from_pair_rows``); the balancing functions map pairs to
 pairs, so no ``ExtNonneg`` is made below the API.
@@ -136,8 +137,7 @@ def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, La
     swap (``kernels.swap_asymmetry``).
     """
     _check_endo(target, chain)
-    pair = swap_asymmetry(target, chain)
-    return None if pair is None else tuple(target.cod.labels[i] for i in pair)
+    return _labels(target, swap_asymmetry(target, chain))
 
 
 def is_reversible(target: Kernel, chain: Kernel) -> bool:
@@ -149,35 +149,13 @@ def skew_balance_violation(target: Kernel, twist: Involution,
                            chain: Kernel) -> tuple[Label, Label] | None:
     """A pair (x, y) with target[x]*chain[x][y] != target[y]*(s∘chain∘s)[y][x].
 
-    s is the twist; (s∘chain∘s)[y][x] is chain[s(y)][s(x)]. Pairs are taken
-    in row-major order over the chain's nonzero entries. Raises if the
-    twist does not preserve the target (a precondition of the definition).
+    s is the twist; (s∘chain∘s)[y][x] is chain[s(y)][s(x)]. The pair is the
+    first failing entry in row-major order. Raises if the twist lives on
+    another space or does not preserve the target (a precondition).
     """
     _check_endo(target, chain)
-    if invariant_violation(target, lift_involution(twist)) is not None:
-        raise ValueError("twist involution does not preserve the target")
-    return _skew_pair_violation(target, twist, chain)
-
-
-def _skew_pair_violation(target: Kernel, twist: Involution,
-                         chain: Kernel) -> tuple[Label, Label] | None:
-    """``skew_balance_violation`` for a twist already known to preserve
-    the target (e.g. one ``build_skew_mh`` accepted)."""
-    (masses,) = pair_rows(target)
-    rows = pair_rows(chain)
-    s = twist.perm
-    # Only pairs on the chain's support need checking. A pair (x, y) with
-    # chain[x][y] == 0 fails only if target[y] * chain[s(y)][s(x)] != 0; the
-    # supported pair (s(y), s(x)) then fails as well, since its left side is
-    # target[s(y)] * chain[s(y)][s(x)] with target[s(y)] == target[y], and
-    # its right side is target[s(x)] * chain[x][y] == 0.
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if not pair_products_equal(masses.get(i, ZERO_PAIR), v,
-                                       masses.get(j, ZERO_PAIR),
-                                       rows[s[j]].get(s[i], ZERO_PAIR)):
-                return target.cod.labels[i], target.cod.labels[j]
-    return None
+    _checked_twist(target, twist)
+    return _labels(target, swap_asymmetry(target, chain, twist))
 
 
 def is_skew_reversible(target: Kernel, twist: Involution, chain: Kernel) -> bool:
@@ -190,6 +168,21 @@ def _check_endo(target: Kernel, chain: Kernel) -> None:
         raise SpaceMismatchError("target must be a measure")
     if chain.dom != target.cod or chain.cod != target.cod:
         raise SpaceMismatchError("chain must be an endomorphism on the target space")
+
+
+def _checked_twist(target: Kernel, twist: Involution) -> Kernel:
+    """The twist's kernel, once the twist is known to live on the target's
+    space and to preserve the target."""
+    if twist.space != target.cod:
+        raise SpaceMismatchError("twist involution lives on a different space")
+    lifted = lift_involution(twist)
+    if invariant_violation(target, lifted) is not None:
+        raise ValueError("twist involution does not preserve the target")
+    return lifted
+
+
+def _labels(target: Kernel, pair: tuple[int, int] | None) -> tuple[Label, Label] | None:
+    return None if pair is None else (target.cod.labels[pair[0]], target.cod.labels[pair[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +337,13 @@ def verify_mh_theorem(problem: MhProblem) -> TheoremFlags:
 
 def build_skew_mh(problem: MhProblem, twist: Involution) -> Kernel:
     """Post-compose the MH kernel with a target-preserving involution."""
-    lifted = lift_involution(twist)
-    if not is_invariant(problem.target, lifted):
-        raise ValueError("twist involution does not preserve the target")
-    return compose(lifted, build_mh(problem))
+    return compose(_checked_twist(problem.target, twist), build_mh(problem))
 
 
 def verify_skew_theorem(problem: MhProblem, twist: Involution) -> TheoremFlags:
     """Skew reversibility of the twisted kernel vs the balancing condition."""
     chain = build_skew_mh(problem, twist)
-    return TheoremFlags(reversible=_skew_pair_violation(problem.target, twist, chain) is None,
+    return TheoremFlags(reversible=swap_asymmetry(problem.target, chain, twist) is None,
                         balanced=check_balancing(problem))
 
 

@@ -270,6 +270,20 @@ def test_verify_skew_checks_the_twist_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_twist_on_another_space_is_named(capsys, tmp_path):
+    model = tmp_path / "twist_elsewhere.fk"
+    model.write_text(Path(SKEW).read_text() + "space Y { u v }\n"
+                     "involution flip on Y { u -> v  v -> u }\n"
+                     "kernel walk : X -> X { p0 -> p1 = 1  p1 -> p0 = 1 "
+                     " p2 -> p2 = 1  p3 -> p3 = 1 }\n")
+    for argv in (["check", "--model", str(model), "skew-reversible", "mu", "flip", "walk"],
+                 ["verify-skew", "--model", str(model), "--target", "mu",
+                  "--involution", "prop", "--acceptance", "alpha", "--twist", "flip"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: twist involution lives on a different space\n"
+
+
 def test_build_mh_emits_parseable_document(capsys, tmp_path):
     out_path = tmp_path / "built.fk"
     code, out, _ = run(capsys, "build-mh", "--model", TWO_STATE,

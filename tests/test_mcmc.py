@@ -805,6 +805,19 @@ def test_skew_twist_must_preserve_the_target():
             check()
 
 
+def test_a_twist_on_another_space_is_named():
+    prob, _ = _twisted_problem()
+    elsewhere = SWAP2
+    chain = build_mh(prob)
+    for check in (lambda: skew_balance_violation(prob.target, elsewhere, chain),
+                  lambda: is_skew_reversible(prob.target, elsewhere, chain),
+                  lambda: verify_skew_theorem(prob, elsewhere),
+                  lambda: build_skew_mh(prob, elsewhere)):
+        with pytest.raises(SpaceMismatchError,
+                           match="^twist involution lives on a different space$"):
+            check()
+
+
 def test_skew_theorem_flags_agree_randomized():
     rng, cases = _rng_cases(1015, 200)
     for _ in cases:
@@ -1226,12 +1239,10 @@ def _sorted_pairs_violation(target, chain):
     return None
 
 
-@st.composite
-def _balanced_targets_and_chains(draw):
-    """A target and a chain in detailed balance with it, zero, finite and oo
-    masses and entries included; in about half of them one entry is then
-    redrawn. Returns the target, the chain and whether it was redrawn."""
-    target, chain = draw(_targets_and_chains())
+def _in_detailed_balance(target, chain):
+    """The chain's rows with each entry below the diagonal set from the one
+    above it, so that they are in detailed balance with the target (zero
+    and oo masses and entries included)."""
     masses, rows = target.measure_values(), [list(row) for row in chain.entries]
     n = len(masses)
     for i in range(n):
@@ -1246,6 +1257,16 @@ def _balanced_targets_and_chains(draw):
                 rows[i][j], rows[j][i] = INF, ONE
             else:
                 rows[j][i] = ZERO
+    return rows
+
+
+@st.composite
+def _balanced_targets_and_chains(draw):
+    """A target and a chain in detailed balance with it, zero, finite and oo
+    masses and entries included; in about half of them one entry is then
+    redrawn. Returns the target, the chain and whether it was redrawn."""
+    target, chain = draw(_targets_and_chains())
+    rows, n = _in_detailed_balance(target, chain), len(target.cod)
     redrawn = draw(st.booleans())
     if redrawn:
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(sparse_values)
@@ -1313,21 +1334,45 @@ def test_invariance_witness_matches_the_value_oracle(pair):
     assert mcmc.invariant_violation(target, chain) == expected
 
 
-@given(_targets_and_chains(), st.data())
-def test_skew_witness_matches_the_value_oracle(pair, data):
-    target, chain = pair
+@st.composite
+def _twisted_targets_and_chains(draw):
+    """A target of zero, finite and oo masses, an involution that preserves
+    it, and a chain of zero, finite and oo entries; about half of the chains
+    are twisted detailed-balance chains, which are skew-balanced, some with
+    one entry redrawn."""
+    target, chain = draw(_targets_and_chains())
     n = len(target.cod)
     perm = list(range(n))
-    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
-        j = perm[i]
-        if j == i:  # pair i with the first fixed point after it
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        if perm[i] == i:  # pair i with the first fixed point after it
             k = next((k for k in range(i + 1, n) if perm[k] == k), None)
             if k is not None:
                 perm[i], perm[k] = k, i
+    masses = target.measure_values()
+    target = measure(target.cod, [masses[min(i, j)] for i, j in enumerate(perm)])
     twist = Involution(target.cod, perm)
-    masses, rows = target.measure_values(), chain.entries
-    expected = next(((target.cod.labels[i], target.cod.labels[j])
-                     for i in range(n) for j in range(n) if rows[i][j].num
-                     and masses[i] * rows[i][j]
-                     != masses[j] * rows[perm[j]][perm[i]]), None)
-    assert mcmc._skew_pair_violation(target, twist, chain) == expected
+    if draw(st.booleans()):
+        balanced = Kernel(target.cod, target.cod, _in_detailed_balance(target, chain))
+        rows = [list(row) for row in compose(lift_involution(twist), balanced).entries]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(sparse_values)
+        chain = Kernel(target.cod, target.cod, rows)
+    return target, twist, chain
+
+
+@given(_twisted_targets_and_chains())
+def test_skew_witness_matches_the_value_oracle(case):
+    """Under a target-preserving twist the witness is the first failing
+    entry in row-major order, by ExtNonneg arithmetic with zeros and oo
+    (0 * oo = 0); without a twist it is the least failing pair i < j."""
+    target, twist, chain = case
+    masses, rows, s = target.measure_values(), chain.entries, twist.perm
+    n, labels = len(masses), target.cod.labels
+    skew = next(((i, j) for i in range(n) for j in range(n) if rows[i][j].num
+                 and masses[i] * rows[i][j] != masses[j] * rows[s[j]][s[i]]), None)
+    assert swap_asymmetry(target, chain, twist) == skew
+    assert skew_balance_violation(target, twist, chain) == (
+        None if skew is None else (labels[skew[0]], labels[skew[1]]))
+    plain = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                  if masses[i] * rows[i][j] != masses[j] * rows[j][i]), None)
+    assert swap_asymmetry(target, chain) == plain
