@@ -275,7 +275,7 @@ def _verify_batch(args):
 def _verify_skew(doc, args):
     problem, echo = _mh_problem(doc, args, twist=args.twist)
     twist = _lookup(doc, args.twist, _INVOLUTION)
-    chain = build_skew_mh(problem, twist)  # the one check of the twist
+    chain = build_skew_mh(problem, twist)  # the twist's one check
     pair = swap_asymmetry(problem.target, chain, twist)
     labels = problem.space.labels
     return _theorem_report(echo, "skew_reversible", (problem.target, twist, chain),

@@ -36,6 +36,27 @@ from typing import Callable, Iterator
 ROOT = Path(__file__).resolve().parents[2]
 HASHES = Path(__file__).resolve().parent / "hashes.txt"
 
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+
+from finkern.generators import (
+    rand_involution, rand_mh_problem, rand_normalized_kernel,
+    rand_probability_measure, rand_reversible_kernel, rand_value,
+)
+from finkern.kernels import (
+    Involution, Kernel, compose, deterministic, graph, lift_involution,
+    measure, pushforward, resample_within, swap_asymmetry, tensor,
+)
+from finkern.mcmc import (
+    METROPOLIS, MhProblem, balancing_alpha, build_mh, build_skew_mh,
+    classical_mh, detailed_balance_violation, exchange_algorithm, gibbs,
+    is_skew_reversible, skew_balance_violation, verify_mh_theorem,
+    verify_skew_theorem,
+)
+from finkern.sampler import ChainRun, run_chain, to_float
+from finkern.semiring import INF, ONE, ZERO, ExtNonneg
+from finkern.spaces import UNIT, FinSpace, product_many
+
 SEEDS = (2026, 7)
 #: Instances per family and seed.
 INSTANCES = 250
@@ -51,39 +72,26 @@ STEPS = 400
 
 
 def _space(rng: random.Random, prefix: str, lo: int = 1, hi: int = 5):
-    from finkern.spaces import FinSpace
-
     return FinSpace(tuple(f"{prefix}{i}" for i in range(rng.randint(lo, hi))))
 
 
-def _value(rng: random.Random, zero_weight: float = 0.4,
-           inf_weight: float = INF_WEIGHT):
-    from finkern.generators import rand_value
-
-    return rand_value(rng, 12, zero_weight, inf_weight)
+def _value(rng: random.Random, zero_weight: float = 0.4):
+    return rand_value(rng, 12, zero_weight, INF_WEIGHT)
 
 
-def _kernel(rng: random.Random, dom, cod, zero_weight: float = 0.4,
-            inf_weight: float = INF_WEIGHT):
+def _kernel(rng: random.Random, dom, cod, zero_weight: float = 0.4):
     """A kernel of drawn entries, with a share of its rows forced to zero."""
-    from finkern.kernels import Kernel
-    from finkern.semiring import ZERO
-
     return Kernel(dom, cod, [
         [ZERO] * len(cod) if rng.random() < ZERO_ROW
-        else [_value(rng, zero_weight, inf_weight) for _ in cod.labels]
+        else [_value(rng, zero_weight) for _ in cod.labels]
         for _ in dom.labels])
 
 
-def _measure(rng: random.Random, space, inf_weight: float = INF_WEIGHT):
-    from finkern.spaces import UNIT
-
-    return _kernel(rng, UNIT, space, inf_weight=inf_weight)
+def _measure(rng: random.Random, space):
+    return _kernel(rng, UNIT, space)
 
 
 def _index_map(rng: random.Random, dom, cod, injective: bool = False):
-    from finkern.kernels import deterministic
-
     targets = (rng.sample(range(len(cod)), len(dom)) if injective
                else [rng.randrange(len(cod)) for _ in dom.labels])
     place = dict(zip(dom.labels, (cod.labels[t] for t in targets)))
@@ -92,8 +100,6 @@ def _index_map(rng: random.Random, dom, cod, injective: bool = False):
 
 def _preserved_twist(rng: random.Random, target):
     """An involution pairing points of equal target mass (zero and oo too)."""
-    from finkern.kernels import Involution
-
     masses = target.measure_values()
     order = list(range(len(masses)))
     rng.shuffle(order)
@@ -107,13 +113,10 @@ def _preserved_twist(rng: random.Random, target):
     return Involution(target.cod, tuple(perm))
 
 
-def _orbit_target(rng: random.Random, space, twist_first=None):
+def _orbit_target(rng: random.Random, space, twist=None):
     """A measure with zero, finite and oo masses, equal on the orbits of a
-    random involution; returns the measure and the involution."""
-    from finkern.generators import rand_involution
-    from finkern.kernels import measure
-
-    twist = twist_first or rand_involution(rng, space)
+    random involution or of ``twist``; returns both."""
+    twist = twist or rand_involution(rng, space)
     masses = [_value(rng, 0.2) for _ in space.labels]
     for i, j in enumerate(twist.perm):
         if i < j:
@@ -123,8 +126,6 @@ def _orbit_target(rng: random.Random, space, twist_first=None):
 
 def _perturbed(rng: random.Random, chain):
     """The chain with one entry redrawn, half of the time."""
-    from finkern.kernels import Kernel
-
     if rng.random() < 0.5:
         return chain
     rows = [list(row) for row in chain.entries]
@@ -135,9 +136,6 @@ def _perturbed(rng: random.Random, chain):
 def _balanced(rng: random.Random, target, chain):
     """The chain made to hold detailed balance against the target, zero and
     oo masses included: the rows below the diagonal follow those above."""
-    from finkern.kernels import Kernel
-    from finkern.semiring import INF, ONE, ZERO
-
     masses, rows = target.measure_values(), [list(row) for row in chain.entries]
     n = len(masses)
     for i in range(n):
@@ -160,9 +158,6 @@ def _balanced(rng: random.Random, target, chain):
 
 
 def compose_family(rng: random.Random) -> Iterator[object]:
-    from finkern.generators import rand_probability_measure
-    from finkern.kernels import compose, resample_within
-
     for _ in range(INSTANCES):
         a, b, c = _space(rng, "a"), _space(rng, "b"), _space(rng, "c")
         earlier, later = _kernel(rng, a, b), _kernel(rng, b, c)
@@ -180,9 +175,6 @@ def compose_family(rng: random.Random) -> Iterator[object]:
 
 
 def relabel_family(rng: random.Random) -> Iterator[object]:
-    from finkern.kernels import compose, pushforward, tensor
-    from finkern.generators import rand_involution
-
     for _ in range(INSTANCES):
         a, b, c = _space(rng, "a"), _space(rng, "b"), _space(rng, "c")
         k = _kernel(rng, a, b)
@@ -198,9 +190,6 @@ def relabel_family(rng: random.Random) -> Iterator[object]:
 
 
 def sum_family(rng: random.Random) -> Iterator[object]:
-    from finkern.kernels import Kernel
-    from finkern.semiring import ZERO
-
     for _ in range(INSTANCES):
         a, b = _space(rng, "a"), _space(rng, "b")
         yield _kernel(rng, a, b) + _kernel(rng, a, b)
@@ -216,8 +205,6 @@ def sum_family(rng: random.Random) -> Iterator[object]:
 
 
 def graph_family(rng: random.Random) -> Iterator[object]:
-    from finkern.kernels import compose, graph
-
     for _ in range(INSTANCES):
         a, b = _space(rng, "a"), _space(rng, "b")
         k = _kernel(rng, a, b)
@@ -227,9 +214,6 @@ def graph_family(rng: random.Random) -> Iterator[object]:
 
 
 def classical_mh_family(rng: random.Random) -> Iterator[object]:
-    from finkern.generators import rand_normalized_kernel, rand_probability_measure
-    from finkern.mcmc import classical_mh
-
     for _ in range(INSTANCES // 2):
         space = _space(rng, "x", 2, 6)
         target = rand_probability_measure(rng, space, zero_weight=0.2)
@@ -238,11 +222,6 @@ def classical_mh_family(rng: random.Random) -> Iterator[object]:
 
 
 def gibbs_family(rng: random.Random) -> Iterator[object]:
-    from finkern.generators import rand_probability_measure
-    from finkern.kernels import compose
-    from finkern.mcmc import gibbs
-    from finkern.spaces import product_many
-
     for _ in range(INSTANCES // 2):
         factors = [_space(rng, f"c{i}_", 1, 3) for i in range(rng.randint(2, 3))]
         joint = rand_probability_measure(rng, product_many(factors), zero_weight=0.3)
@@ -252,11 +231,6 @@ def gibbs_family(rng: random.Random) -> Iterator[object]:
 
 
 def exchange_family(rng: random.Random) -> Iterator[object]:
-    from finkern.generators import rand_normalized_kernel, rand_value
-    from finkern.kernels import Kernel, measure
-    from finkern.mcmc import exchange_algorithm
-    from finkern.semiring import ExtNonneg
-
     for _ in range(INSTANCES // 2):
         base, data = _space(rng, "t", 2, 4), _space(rng, "z", 2, 3)
         prior = measure(base, [rand_value(rng, 8, zero_weight=0.2) for _ in base.labels])
@@ -273,11 +247,6 @@ def exchange_family(rng: random.Random) -> Iterator[object]:
 
 
 def detailed_balance_family(rng: random.Random) -> Iterator[object]:
-    from finkern.generators import rand_mh_problem, rand_reversible_kernel
-    from finkern.generators import rand_probability_measure
-    from finkern.kernels import swap_asymmetry
-    from finkern.mcmc import build_mh, detailed_balance_violation, verify_mh_theorem
-
     def witnesses(target, chain):
         yield swap_asymmetry(target, chain)
         yield detailed_balance_violation(target, chain)
@@ -296,14 +265,6 @@ def detailed_balance_family(rng: random.Random) -> Iterator[object]:
 
 
 def skew_family(rng: random.Random) -> Iterator[object]:
-    from finkern.generators import rand_mh_problem, rand_reversible_kernel
-    from finkern.generators import rand_probability_measure
-    from finkern.kernels import compose, lift_involution
-    from finkern.mcmc import (
-        build_skew_mh, is_skew_reversible, skew_balance_violation,
-        verify_skew_theorem,
-    )
-
     for _ in range(INSTANCES):
         space = _space(rng, "x", 2, 6)
         target, twist = _orbit_target(rng, space)
@@ -321,22 +282,12 @@ def skew_family(rng: random.Random) -> Iterator[object]:
         yield built
         yield skew_balance_violation(problem.target, twist, _perturbed(rng, built))
         yield verify_skew_theorem(problem, twist)
-        measure = rand_probability_measure(rng, space)
-        yield skew_balance_violation(measure, _preserved_twist(rng, measure), chain)
+        positive = rand_probability_measure(rng, space)
+        yield skew_balance_violation(positive, _preserved_twist(rng, positive), chain)
 
 
 def run_chain_family(rng: random.Random) -> Iterator[object]:
     """Traces of the four chains of the ``simulate`` workload."""
-    from finkern.generators import (
-        rand_mh_problem, rand_normalized_kernel, rand_probability_measure,
-    )
-    from finkern.kernels import Involution, measure
-    from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh, classical_mh
-    from finkern.mcmc import gibbs
-    from finkern.sampler import run_chain, to_float
-    from finkern.semiring import ExtNonneg
-    from finkern.spaces import FinSpace, product_many
-
     two = measure(FinSpace.atoms("a b"), [ExtNonneg(1, 3), ExtNonneg(2, 3)])
     flip = Involution.from_mapping(two.cod, {"a": "b", "b": "a"})
     chains = [build_mh(MhProblem(two, flip, balancing_alpha(METROPOLIS, two, flip)))]
@@ -373,20 +324,16 @@ FAMILIES: dict[str, Callable[[random.Random], Iterator[object]]] = {
 
 def canonical(out: object) -> str:
     """The text an output is hashed as."""
-    from finkern.kernels import Involution, Kernel
-    from finkern.sampler import ChainRun
-
     if isinstance(out, Kernel):
         return repr((out.dom.labels, out.cod.labels,
-                     [tuple(map(tuple, (c, n))) + (d, tuple(f))
-                      for c, n, d, f in out.int_rows]))
+                     [(tuple(c), tuple(n), d, tuple(f)) for c, n, d, f in out.int_rows]))
     if isinstance(out, Involution):
         return repr((out.space.labels, tuple(out.perm)))
     if isinstance(out, ChainRun):
         return repr(tuple(out.trace))
     if isinstance(out, Exception):
         return f"{type(out).__name__}: {out}"
-    return repr(tuple(out) if isinstance(out, tuple) else out)
+    return repr(tuple(out) if isinstance(out, tuple) else out)  # flags as a plain tuple
 
 
 def family_line(name: str, seed: int) -> str:
@@ -418,7 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="recompute the hashes and exit 1 if any differs")
     check = parser.parse_args(argv).check
-    sys.path.insert(0, str(ROOT / "src"))
     if check:
         problems = differences()
         print("\n".join(problems) or f"{HASHES.relative_to(ROOT)} replays unchanged")

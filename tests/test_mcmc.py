@@ -807,7 +807,7 @@ def test_skew_twist_must_preserve_the_target():
 
 def test_a_twist_on_another_space_is_named():
     prob, _ = _twisted_problem()
-    elsewhere = SWAP2
+    elsewhere = SWAP2  # on a two-point space, not the problem's four points
     chain = build_mh(prob)
     for check in (lambda: skew_balance_violation(prob.target, elsewhere, chain),
                   lambda: is_skew_reversible(prob.target, elsewhere, chain),
