@@ -24,7 +24,6 @@ from .spaces import FinSpace, format_label
 from .kernels import (
     Involution, SpaceMismatchError, compose, copyable_violation,
     is_normalized, normalized_violation, row_masses, substochastic_violation,
-    swap_asymmetry,
 )
 from .enrichment import (
     abs_cont_violation, ae_violation, cancellative_violation,
@@ -275,11 +274,9 @@ def _verify_batch(args):
 def _verify_skew(doc, args):
     problem, echo = _mh_problem(doc, args, twist=args.twist)
     twist = _lookup(doc, args.twist, _INVOLUTION)
-    chain = build_skew_mh(problem, twist)  # the twist's one check
-    pair = swap_asymmetry(problem.target, chain, twist)
-    labels = problem.space.labels
+    chain = build_skew_mh(problem, twist)
     return _theorem_report(echo, "skew_reversible", (problem.target, twist, chain),
-                           pair and (labels[pair[0]], labels[pair[1]]),
+                           skew_balance_violation(problem.target, twist, chain),
                            balancing_violation(problem))
 
 

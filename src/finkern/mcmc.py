@@ -114,7 +114,10 @@ class TheoremFlags(NamedTuple):
 
 def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
     """The first point where chain ∘ target and target differ."""
-    _check_endo(target, chain)
+    if not target.is_measure:
+        raise SpaceMismatchError("target must be a measure")
+    if chain.dom != target.cod or chain.cod != target.cod:
+        raise SpaceMismatchError("chain must be an endomorphism on the target space")
     after = compose(chain, target)
     if after == target:
         return None
@@ -134,9 +137,8 @@ def detailed_balance_violation(target: Kernel, chain: Kernel) -> tuple[Label, La
 
     Pairs are taken in index order with x before y: the least pair where
     the joint ``(identity (x) chain) ∘ copy ∘ target`` differs from its
-    swap (``kernels.swap_asymmetry``).
+    swap (``kernels.swap_asymmetry``, which checks the inputs).
     """
-    _check_endo(target, chain)
     return _labels(target, swap_asymmetry(target, chain))
 
 
@@ -153,32 +155,12 @@ def skew_balance_violation(target: Kernel, twist: Involution,
     first failing entry in row-major order. Raises if the twist lives on
     another space or does not preserve the target (a precondition).
     """
-    _check_endo(target, chain)
-    _checked_twist(target, twist)
     return _labels(target, swap_asymmetry(target, chain, twist))
 
 
 def is_skew_reversible(target: Kernel, twist: Involution, chain: Kernel) -> bool:
     """Detailed balance twisted by a target-invariant involution."""
     return skew_balance_violation(target, twist, chain) is None
-
-
-def _check_endo(target: Kernel, chain: Kernel) -> None:
-    if not target.is_measure:
-        raise SpaceMismatchError("target must be a measure")
-    if chain.dom != target.cod or chain.cod != target.cod:
-        raise SpaceMismatchError("chain must be an endomorphism on the target space")
-
-
-def _checked_twist(target: Kernel, twist: Involution) -> Kernel:
-    """The twist's kernel, once the twist is known to live on the target's
-    space and to preserve the target."""
-    if twist.space != target.cod:
-        raise SpaceMismatchError("twist involution lives on a different space")
-    lifted = lift_involution(twist)
-    if invariant_violation(target, lifted) is not None:
-        raise ValueError("twist involution does not preserve the target")
-    return lifted
 
 
 def _labels(target: Kernel, pair: tuple[int, int] | None) -> tuple[Label, Label] | None:
@@ -337,13 +319,18 @@ def verify_mh_theorem(problem: MhProblem) -> TheoremFlags:
 
 def build_skew_mh(problem: MhProblem, twist: Involution) -> Kernel:
     """Post-compose the MH kernel with a target-preserving involution."""
-    return compose(_checked_twist(problem.target, twist), build_mh(problem))
+    if twist.space != problem.space:
+        raise SpaceMismatchError("twist involution lives on a different space")
+    lifted = lift_involution(twist)
+    if invariant_violation(problem.target, lifted) is not None:
+        raise ValueError("twist involution does not preserve the target")
+    return compose(lifted, build_mh(problem))
 
 
 def verify_skew_theorem(problem: MhProblem, twist: Involution) -> TheoremFlags:
     """Skew reversibility of the twisted kernel vs the balancing condition."""
     chain = build_skew_mh(problem, twist)
-    return TheoremFlags(reversible=swap_asymmetry(problem.target, chain, twist) is None,
+    return TheoremFlags(reversible=is_skew_reversible(problem.target, twist, chain),
                         balanced=check_balancing(problem))
 
 

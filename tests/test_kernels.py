@@ -18,8 +18,8 @@ from finkern.kernels import (
     identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
-    effect_pairs, pair_rows, resample_within, row_support, swap, tensor,
-    uniform,
+    effect_pairs, pair_rows, resample_within, row_support, split_by_support,
+    swap, tensor, uniform,
 )
 from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
@@ -738,6 +738,14 @@ def test_lazy_involution_needs_an_effect_on_the_involutions_space():
         lazy_involution(phi, effect(X3, [ONE, ONE, ONE]))
     with pytest.raises(SpaceMismatchError):
         lazy_involution(phi, identity(X2))
+
+
+def test_split_by_support_needs_kernels_between_the_same_spaces():
+    q_ = Kernel(X2, X2, [[ONE, ZERO], [ZERO, ONE]])
+    for p in (Kernel(X3, X2, [[ONE, ONE]] * 3), Kernel(X2, X3, [[ONE, ZERO, ONE]] * 2)):
+        with pytest.raises(SpaceMismatchError, match="^split_by_support needs kernels "
+                                                     "with equal dom and cod$"):
+            split_by_support(p, q_)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finkern"
