@@ -44,8 +44,9 @@ from finkern.generators import (
     rand_probability_measure, rand_reversible_kernel, rand_value,
 )
 from finkern.kernels import (
-    Involution, Kernel, compose, deterministic, graph, lift_involution,
-    measure, pushforward, resample_within, swap_asymmetry, tensor,
+    Involution, Kernel, compose, deterministic, from_pair_rows, graph,
+    lift_involution, measure, pushforward, resample_within, swap_asymmetry,
+    tensor,
 )
 from finkern.mcmc import (
     METROPOLIS, MhProblem, balancing_alpha, build_mh, build_skew_mh,
@@ -53,7 +54,7 @@ from finkern.mcmc import (
     is_skew_reversible, skew_balance_violation, verify_mh_theorem,
     verify_skew_theorem,
 )
-from finkern.sampler import ChainRun, run_chain, to_float
+from finkern.sampler import ChainRun, empirical, run_chain, to_float
 from finkern.semiring import INF, ONE, ZERO, ExtNonneg
 from finkern.spaces import UNIT, FinSpace, product_many
 
@@ -286,8 +287,9 @@ def skew_family(rng: random.Random) -> Iterator[object]:
         yield skew_balance_violation(positive, _preserved_twist(rng, positive), chain)
 
 
-def run_chain_family(rng: random.Random) -> Iterator[object]:
-    """Traces of the four chains of the ``simulate`` workload."""
+def _simulate_chains(rng: random.Random) -> list[Kernel]:
+    """The four chains of the ``simulate`` workload: two states, a 5 x 5 x 5
+    Gibbs grid, a 256-point involutive chain and a 16-point classical one."""
     two = measure(FinSpace.atoms("a b"), [ExtNonneg(1, 3), ExtNonneg(2, 3)])
     flip = Involution.from_mapping(two.cod, {"a": "b", "b": "a"})
     chains = [build_mh(MhProblem(two, flip, balancing_alpha(METROPOLIS, two, flip)))]
@@ -297,11 +299,78 @@ def run_chain_family(rng: random.Random) -> Iterator[object]:
     space = _space(rng, "x", 16, 16)
     chains.append(classical_mh(rand_probability_measure(rng, space),
                                rand_normalized_kernel(rng, space, space))[1])
-    for chain in chains:
+    return chains
+
+
+def run_chain_family(rng: random.Random) -> Iterator[object]:
+    """Traces of the four chains of the ``simulate`` workload."""
+    for chain in _simulate_chains(rng):
         matrix = to_float(chain)
         for _ in range(3):
             yield run_chain(matrix, rng.randrange(len(matrix)),
                             rng.randrange(2 ** 32), STEPS)
+
+
+def _closed_class(rng: random.Random, n: int, reach: int):
+    """A float chain on ``n`` states whose first ``reach`` form a closed
+    class that state 0 reaches in full: state ``i`` of the class moves to
+    ``i + 1`` (mod ``reach``) and to up to two more states of the class,
+    and every other state to up to three states anywhere."""
+    space = _space(rng, "s", n, n)
+    rows = []
+    for i in range(n):
+        succ = ({(i + 1) % reach} | {rng.randrange(reach) for _ in range(2)}
+                if i < reach else {rng.randrange(n) for _ in range(3)})
+        rows.append({j: (rng.randint(1, 9), 1) for j in succ})
+    for row in rows:
+        total = sum(num for num, _ in row.values())
+        for j, (num, _) in row.items():
+            row[j] = (num, total)
+    return to_float(from_pair_rows(space, space, rows))
+
+
+def _frequencies(run: ChainRun, burn_ins) -> Iterator[object]:
+    for burn_in in burn_ins:
+        try:
+            yield empirical(run, burn_in)
+        except (IndexError, ValueError) as exc:
+            yield exc
+
+
+def empirical_family(rng: random.Random) -> Iterator[object]:
+    """Visit frequencies of the ``simulate`` workload's four chains, of
+    chains on more than 256 states, of chains reaching more than a few of
+    at most 256 states, and of hand-built runs whose traces leave the
+    reachable set, each at several burn-ins."""
+    steps = 4 * STEPS
+    ends = (0, 1, steps // 3, steps - 1, steps)
+    for chain in _simulate_chains(rng):
+        matrix = to_float(chain)
+        for _ in range(3):
+            run = run_chain(matrix, rng.randrange(len(matrix)),
+                            rng.randrange(2 ** 32), steps)
+            yield from _frequencies(run, ends + (rng.randrange(steps),))
+    for n, reach in ((300, 300), (300, 12), (257, 20), (256, 256), (256, 200),
+                     (256, 48), (256, 32), (255, 25), (256, 24), (40, 23),
+                     (24, 24), (2, 1)):
+        matrix = _closed_class(rng, n, reach)
+        run = run_chain(matrix, 0, rng.randrange(2 ** 32), steps)
+        yield from _frequencies(run, ends)
+        # hand-built runs: states outside the class (in range or not, and
+        # negative) after the burn-in or only before it, and a trace that
+        # starts at a state the class cannot reach
+        for bad in (reach if reach < n else None, n, n + 7, -1):
+            if bad is None:
+                continue
+            trace = list(run.trace)
+            at = rng.randrange(steps // 3, steps + 1)
+            trace[at] = bad
+            hand = ChainRun(matrix, run.initial, run.seed, steps, trace)
+            yield from _frequencies(hand, (0, at, at + 1 if at < steps else 1))
+        if reach < n:
+            trace = [rng.randrange(n) for _ in range(steps + 1)]
+            yield from _frequencies(ChainRun(matrix, 0, 0, steps, trace), (0, steps // 2))
+            yield from _frequencies(ChainRun(matrix, reach, 0, steps, trace), (0,))
 
 
 FAMILIES: dict[str, Callable[[random.Random], Iterator[object]]] = {
@@ -315,6 +384,7 @@ FAMILIES: dict[str, Callable[[random.Random], Iterator[object]]] = {
     "detailed_balance": detailed_balance_family,
     "skew_balance": skew_family,
     "run_chain": run_chain_family,
+    "empirical": empirical_family,
 }
 
 
