@@ -277,6 +277,9 @@ def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:
     """Visit frequencies over the trace after discarding ``burn_in`` steps."""
     if not 0 <= burn_in < run.length:
         raise ValueError("burn_in must satisfy 0 <= burn_in < length")
+    if len(run.trace) != run.length + 1:
+        raise ValueError(f"trace holds {len(run.trace)} states, "
+                         f"not length + 1 = {run.length + 1}")
     counts = [0] * len(run.kernel)
     for state in islice(run.trace, burn_in, None):
         counts[state] += 1

@@ -19,7 +19,7 @@ from finkern.generators import rand_mh_problem, rand_normalized_kernel
 from finkern.mcmc import METROPOLIS, MhProblem, balancing_alpha, build_mh
 from finkern import sampler
 from finkern.sampler import (
-    RNG_NAME, empirical, run_chain, to_float, tv_distance,
+    RNG_NAME, ChainRun, empirical, run_chain, to_float, tv_distance,
 )
 from strategies import gibbs_3x3x3, normalized_kernels
 
@@ -184,6 +184,14 @@ def test_run_chain_index_errors():
     run = run_chain(matrix, 0, 0, 10)
     with pytest.raises(ValueError):
         empirical(run, 10)
+
+
+def test_empirical_refuses_a_trace_that_is_not_length_plus_one_states():
+    matrix = ((0.5, 0.5), (0.5, 0.5))
+    for trace in ([0] * 5, [0] * 12, []):
+        with pytest.raises(ValueError, match=r"not length \+ 1 = 11$"):
+            empirical(ChainRun(matrix, 0, 0, 10, trace), 7)
+    assert empirical(ChainRun(matrix, 0, 0, 10, [0, 1] * 5 + [1]), 7) == (0.25, 0.75)
 
 
 def test_tv_distance_examples():
