@@ -36,12 +36,24 @@ Widening never more than doubles the cells of the run's tables: a run
 for which it would (one row over many states among many rows of few
 entries, as in a hub chain) reads each table at its own width, with the
 same draws and the same trace.
+
+``empirical`` counts the visits after the burn-in by one of two paths,
+chosen from the run. For a chain on at most 256 states, so that each
+state is one byte, of which at most ``_BYTE_COUNT_STATES`` are reachable
+from the initial state, it copies the trace into a ``bytearray``
+``_COUNT_CHUNK`` steps at a time and adds up one ``bytearray.count`` per
+reachable state and chunk: C-speed passes, with never more than one chunk
+copied. Every other chain is counted by a loop over the trace, which is
+faster once a chain reaches more states than the threshold. A
+hand-built run whose trace leaves the reachable set is counted by the
+loop too, so both paths give the same counts and raise the same errors.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from itertools import accumulate, compress, islice
 
 from .spaces import format_label
@@ -55,6 +67,14 @@ FloatMatrix = tuple[tuple[float, ...], ...]
 #: Guide-table cells per positive entry of a row, before rounding up to a
 #: power of two: at most one step in 16 then needs a second draw.
 _CELLS_PER_ENTRY = 16
+
+#: Most reachable states for which ``empirical`` counts with one
+#: ``bytearray.count`` pass each: near the break-even with the counting
+#: loop, which is about 28 to 32 states on 10**6-step traces.
+_BYTE_COUNT_STATES = 24
+
+#: Trace steps copied into one ``bytearray`` at a time for the byte count.
+_COUNT_CHUNK = 1 << 16
 
 
 def to_float(kernel: Kernel) -> FloatMatrix:
@@ -132,21 +152,15 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     trace = [initial] * (length + 1)
     offsets: list[float] = []  # the split cells, one after another
     picks: list[int] = []
-    # guide tables for the rows reachable from ``initial`` only, found by a
-    # walk over the positive support of each row it reaches; equal rows
-    # share one table, and only the first of them pushes its successors
+    # guide tables for the rows reachable from ``initial`` only; equal rows
+    # share one table
     tables: list = [None] * n
     built: dict[tuple[float, ...], tuple[int, list[int]]] = {}  # row -> table
-    todo = [initial]
-    while todo:
-        i = todo.pop()
-        if tables[i] is None:
-            row = kernel[i]
-            table = built.get(row)
-            if table is None:
-                table = built[row] = _guide_table(row, offsets, picks)
-                todo.extend(compress(range(n), row))
-            tables[i] = table
+    for i, row in _reachable(kernel, initial):
+        table = built.get(row)
+        if table is None:
+            table = built[row] = _guide_table(row, offsets, picks)
+        tables[i] = table
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     rand = rng.random
@@ -178,6 +192,29 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
             bits, cells = tables[state]
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
+
+
+def _reachable(kernel: FloatMatrix,
+               initial: int) -> Iterator[tuple[int, tuple[float, ...]]]:
+    """The states a chain can reach from ``initial``, each with its row, in
+    the order of a walk over the positive support of each row it reaches.
+
+    Equal rows have equal successors, so only the first state of a row
+    pushes them. The walk goes only as far as its caller reads.
+    """
+    n = len(kernel)
+    seen = [False] * n
+    rows = set()
+    todo = [initial]
+    while todo:
+        i = todo.pop()
+        if not seen[i]:
+            seen[i] = True
+            row = kernel[i]
+            yield i, row
+            if row not in rows:
+                rows.add(row)
+                todo.extend(compress(range(n), row))
 
 
 def _cumulative(row: tuple[float, ...], last: int) -> list[float]:
@@ -274,17 +311,54 @@ def _guide_table(row: tuple[float, ...], offsets: list[float],
 
 
 def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:
-    """Visit frequencies over the trace after discarding ``burn_in`` steps."""
+    """Visit frequencies over the trace after discarding ``burn_in`` steps.
+
+    The counts are those of a loop over the trace, found by
+    ``_byte_counts`` instead for a chain that reaches few states.
+    """
     if not 0 <= burn_in < run.length:
         raise ValueError("burn_in must satisfy 0 <= burn_in < length")
     if len(run.trace) != run.length + 1:
         raise ValueError(f"trace holds {len(run.trace)} states, "
                          f"not length + 1 = {run.length + 1}")
-    counts = [0] * len(run.kernel)
-    for state in islice(run.trace, burn_in, None):
-        counts[state] += 1
     total = len(run.trace) - burn_in
+    counts = _byte_counts(run, burn_in, total)
+    if counts is None:
+        counts = [0] * len(run.kernel)
+        for state in islice(run.trace, burn_in, None):
+            counts[state] += 1
     return tuple(c / total for c in counts)
+
+
+def _byte_counts(run: ChainRun, burn_in: int, total: int) -> list[int] | None:
+    """The visits to each state after ``burn_in``, counted with one
+    ``bytearray.count`` pass per reachable state, or None.
+
+    None unless the kernel has at most 256 states, so each is one byte,
+    and at most ``_BYTE_COUNT_STATES`` of them are reachable from the
+    run's initial state. The trace is copied ``_COUNT_CHUNK`` steps at a
+    time, so the copy never holds more than one chunk. None too when a
+    state in the trace is no byte or the counts miss some of the
+    ``total`` counted steps: a hand-built run whose trace leaves the
+    reachable set, which the loop then counts or refuses.
+    """
+    n = len(run.kernel)
+    if n > 256 or not 0 <= run.initial < n:
+        return None
+    walk = islice(_reachable(run.kernel, run.initial), _BYTE_COUNT_STATES + 1)
+    states = [i for i, _ in walk]
+    if len(states) > _BYTE_COUNT_STATES:
+        return None
+    counts = [0] * n
+    trace = run.trace
+    for start in range(burn_in, len(trace), _COUNT_CHUNK):
+        try:
+            chunk = bytearray(trace[start:start + _COUNT_CHUNK])
+        except (TypeError, ValueError):  # a state that is no byte
+            return None
+        for i in states:
+            counts[i] += chunk.count(i)
+    return counts if sum(counts) == total else None
 
 
 def tv_distance(p, q) -> float:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -552,3 +553,125 @@ def test_a_hub_chain_keeps_the_per_row_loop_in_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+# -- counting visits -------------------------------------------------------------
+
+K = sampler._BYTE_COUNT_STATES
+
+
+def _loop_frequencies(run, burn_in):
+    """empirical's frequencies by the loop over the trace, as it counted
+    every chain before the byte count."""
+    if not 0 <= burn_in < run.length:
+        raise ValueError("burn_in must satisfy 0 <= burn_in < length")
+    counts = [0] * len(run.kernel)
+    for state in itertools.islice(run.trace, burn_in, None):
+        counts[state] += 1
+    total = len(run.trace) - burn_in
+    return tuple(c / total for c in counts)
+
+
+def _outcome(count, run, burn_in):
+    try:
+        return count(run, burn_in)
+    except Exception as exc:  # the oracle's exception is the expected outcome
+        return type(exc), str(exc)
+
+
+@functools.cache
+def _class_chain(n, reach):
+    """A float chain on ``n`` states whose first ``reach`` form a closed
+    class that state 0 reaches in full: state ``i`` of the class stays or
+    moves to ``i + 1`` (mod ``reach``), and every other state stays or
+    moves to 0."""
+    rows = []
+    for i in range(n):
+        row = [0.0] * n
+        row[i] += 0.5
+        row[(i + 1) % reach if i < reach else 0] += 0.5
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def _runs(draw):
+    """A run of a chain on both sides of both selection bounds (at most
+    256 states, at most K of them reachable), often a hand-built one
+    whose trace leaves the reachable set, with a burn-in and a chunk
+    size."""
+    n = draw(st.sampled_from([K - 1, K, K + 1, 255, 256, 257]))
+    reach = draw(st.sampled_from([r for r in (1, 2, K - 1, K, K + 1) if r <= n]))
+    matrix = _class_chain(n, reach)
+    length = draw(st.integers(0, 120))
+    initial = draw(st.one_of(st.integers(0, reach - 1), st.integers(0, n - 1),
+                             st.sampled_from([-1, n])))
+    outside = st.one_of(st.integers(-2, n + 2), st.sampled_from([255, 256, 0.5]))
+    if 0 <= initial < n:
+        seed = draw(st.integers(0, 2**32 - 1))
+        trace = run_chain(matrix, initial, seed, length).trace
+    else:
+        trace = draw(st.lists(st.integers(0, reach - 1), min_size=length + 1,
+                              max_size=length + 1))
+    for _ in range(draw(st.integers(0, 2))):
+        trace[draw(st.integers(0, length))] = draw(outside)
+    burn_in = draw(st.one_of(st.just(0), st.just(length - 1),
+                             st.integers(-1, length + 1)))
+    chunk = draw(st.sampled_from([1, 3, 64, sampler._COUNT_CHUNK]))
+    return ChainRun(matrix, initial, 0, length, trace), burn_in, chunk
+
+
+@settings(max_examples=300)
+@given(_runs())
+def test_empirical_counts_as_the_loop_does(case):
+    run, burn_in, chunk = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sampler, "_COUNT_CHUNK", chunk)
+        got = _outcome(empirical, run, burn_in)
+        if isinstance(got, tuple):
+            total = len(run.trace) - burn_in
+            hypothesis.event("byte count" if sampler._byte_counts(run, burn_in, total)
+                             else "loop")
+    assert got == _outcome(_loop_frequencies, run, burn_in)
+
+
+@pytest.mark.parametrize("initial", [0, 1, 4, -1])
+@pytest.mark.parametrize("bad", [2, 3, 4, 255, 256, -1, -300, 0.5, True])
+def test_a_trace_that_leaves_the_reachable_set_is_counted_as_the_loop_counts(
+        initial, bad):
+    # states 0 and 1 are a closed class; state 3 is also state -1 to the loop
+    matrix = _class_chain(4, 2)
+    trace = run_chain(matrix, 0, 8, 20).trace
+    trace[5] = bad
+    run = ChainRun(matrix, initial, 0, 20, trace)
+    for burn_in in (0, 5, 6):
+        expected = _outcome(_loop_frequencies, run, burn_in)
+        assert _outcome(empirical, run, burn_in) == expected
+
+
+@pytest.mark.parametrize("n, reach, byte_count", [
+    (2, 2, True), (255, K, True), (256, K, True), (256, 1, True),
+    (256, K + 1, False), (K + 1, K + 1, False), (257, 1, False), (257, K, False),
+])
+def test_the_byte_count_serves_chains_reaching_few_of_at_most_256_states(
+        n, reach, byte_count):
+    run = run_chain(_class_chain(n, reach), 0, 3, 500)
+    counts = sampler._byte_counts(run, 10, 491)
+    assert (counts is not None) == byte_count
+    if byte_count:
+        assert tuple(c / 491 for c in counts) == _loop_frequencies(run, 10)
+
+
+def test_the_byte_count_copies_one_chunk_at_a_time():
+    # 300 001 states over several chunks: a copy of the whole trace would
+    # hold a list slice of 2.4 MB, one chunk holds 0.5 MB
+    run = run_chain(to_float(two_state_chain()[0]), 0, 5, 300_000)
+    assert sampler._byte_counts(run, 17, 300_001 - 17) is not None
+    tracemalloc.start()
+    try:
+        frequencies = empirical(run, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frequencies == _loop_frequencies(run, 17)
+    assert peak < 2**20
