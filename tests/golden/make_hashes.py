@@ -8,14 +8,14 @@ Run from anywhere::
 Each family draws seeded instances of one group of library operations and
 hashes their exact outputs in order: a kernel as its spaces' labels and its
 stored integer rows, an involution as its permutation, a sampler run as its
-trace, and a witness, a flag or an error as its repr. ``tests/golden/
-hashes.txt`` holds one line per family and seed: the family, the seed, the
-number of outputs and their SHA-256. Each family and seed draws from its
-own ``random.Random(f"{family}/{seed}")``, so adding a family leaves the
-other lines as they are. ``--check`` recomputes every line and
-exits 1, naming each family whose line differs; ``tests/test_golden.py``
-runs the same check. Both modes use only the standard library and the
-package under ``src``.
+trace, and a witness, a flag, visit frequencies or an error as its repr.
+``tests/golden/hashes.txt`` holds one line per family and seed: the
+family, the seed, the number of outputs and their SHA-256. Each family
+and seed draws from its own ``random.Random(f"{family}/{seed}")``, so
+adding a family leaves the other lines as they are. ``--check``
+recomputes every line and exits 1, naming each family whose line
+differs; ``tests/test_golden.py`` runs the same check. Both modes use
+only the standard library and the package under ``src``.
 
 Instances draw ``oo`` entries at a fixed weight and force zero rows, so the
 paths that absorb finite mass into ``oo`` and skip empty rows are covered.
@@ -356,12 +356,11 @@ def empirical_family(rng: random.Random) -> Iterator[object]:
         matrix = _closed_class(rng, n, reach)
         run = run_chain(matrix, 0, rng.randrange(2 ** 32), steps)
         yield from _frequencies(run, ends)
-        # hand-built runs: states outside the class (in range or not, and
-        # negative) after the burn-in or only before it, and a trace that
-        # starts at a state the class cannot reach
-        for bad in (reach if reach < n else None, n, n + 7, -1):
-            if bad is None:
-                continue
+        # hand-built runs: a state outside the class (in range or not, or
+        # negative) after the burn-in or only before it, and traces over
+        # every state from state 0 and from a state outside the class
+        outside = (n, n + 7, -1) if reach == n else (reach, n, n + 7, -1)
+        for bad in outside:
             trace = list(run.trace)
             at = rng.randrange(steps // 3, steps + 1)
             trace[at] = bad
@@ -369,7 +368,8 @@ def empirical_family(rng: random.Random) -> Iterator[object]:
             yield from _frequencies(hand, (0, at, at + 1 if at < steps else 1))
         if reach < n:
             trace = [rng.randrange(n) for _ in range(steps + 1)]
-            yield from _frequencies(ChainRun(matrix, 0, 0, steps, trace), (0, steps // 2))
+            yield from _frequencies(ChainRun(matrix, 0, 0, steps, trace),
+                                    (0, steps // 2))
             yield from _frequencies(ChainRun(matrix, reach, 0, steps, trace), (0,))
 
 
