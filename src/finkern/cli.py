@@ -41,8 +41,10 @@ from .modelfile import ModelDocument, ModelError, emit, parse, parse_label
 DEFAULT_INSTANCES = 1000
 INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
 
-#: The most steps ``sample`` runs: its trace holds every step at 8 bytes, so
-#: the longest run takes about 800 MB and, at ~5 million steps/s, ~20 s.
+#: The most steps ``sample`` runs: its trace, grown by one append per step,
+#: holds every step at 8 bytes, so the longest run takes about 800 MB and,
+#: at 4.6 to 8.3 million steps/s, 12 to 22 s. A trace that outgrows memory
+#: raises ``MemoryError`` during the run.
 MAX_STEPS = 10**8
 
 

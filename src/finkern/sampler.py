@@ -3,7 +3,12 @@
 Exact kernels are converted to double-precision stochastic matrices once,
 then chains run with a seeded Mersenne Twister. Runs are deterministic given
 (kernel, initial, seed, length) and record the generator identity. Each
-run allocates its own trace; nothing is kept from one run to the next.
+run grows its own trace from ``[initial]`` by one append per step, so the
+step loop keeps no step counter (an int past 256 is a new object each
+time); nothing is kept from one run to the next. Every row the
+chain can reach is checked once, before the first draw: a row of the
+wrong length, with a negative, NaN or infinite entry, or not summing to
+1.0 is a ``ValueError`` that names its state.
 
 Each step is inverse-CDF sampling on the row's float running sums
 (``_cumulative``) with a (g+53)-bit uniform ``u = (c + v) / 2**g``: the
@@ -44,9 +49,13 @@ from the initial state, it copies the trace into a ``bytearray``
 ``_COUNT_CHUNK`` steps at a time and adds up one ``bytearray.count`` per
 reachable state and chunk: C-speed passes, with never more than one chunk
 copied. Every other chain is counted by a loop over the trace, which is
-faster once a chain reaches more states than the threshold. A
-hand-built run whose trace leaves the reachable set is counted by the
-loop too, so both paths give the same counts and raise the same errors.
+faster once a chain reaches more states than the threshold. The loop
+counts in floats: they are exact below 2**53, far past any trace that
+fits in memory, so each frequency is the same correctly rounded double
+as with int counts, and adding 1.0 makes no new int per visit as an int
+count past 256 does. A hand-built run whose trace leaves the reachable
+set is counted by the loop too, so both paths give the same frequencies
+and raise the same errors.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 
 from .spaces import format_label
 from .kernels import Kernel, normalized_violation, pair_rows
@@ -69,9 +78,9 @@ FloatMatrix = tuple[tuple[float, ...], ...]
 _CELLS_PER_ENTRY = 16
 
 #: Most reachable states for which ``empirical`` counts with one
-#: ``bytearray.count`` pass each: near the break-even with the counting
-#: loop, which is about 28 to 32 states on 10**6-step traces.
-_BYTE_COUNT_STATES = 24
+#: ``bytearray.count`` pass each: below the break-even with the float
+#: counting loop, which is about 20 states on 10**6-step traces.
+_BYTE_COUNT_STATES = 16
 
 #: Trace steps copied into one ``bytearray`` at a time for the byte count.
 _COUNT_CHUNK = 1 << 16
@@ -139,36 +148,46 @@ class ChainRun(Record):
 def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> ChainRun:
     """Simulate ``length`` steps from ``initial`` with a seeded generator.
 
+    Every row the chain can reach must be a probability row over the
+    matrix's states (see ``_row_fault``); the first that is not raises a
+    ``ValueError`` naming its state before any draw. Rows the chain cannot
+    reach are never read.
+
     Steps read the reachable rows' guide tables at one width (see
     ``_widened``) unless that would more than double their cells; the
     per-row loop then reads each table at its own width. Both loops make
-    the same draws and give the same trace.
+    the same draws and give the same trace, which grows by one append per
+    step.
     """
     n = len(kernel)
     if not 0 <= initial < n:
         raise IndexError(f"initial state {initial} out of range")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    trace = [initial] * (length + 1)
     offsets: list[float] = []  # the split cells, one after another
     picks: list[int] = []
     # guide tables for the rows reachable from ``initial`` only; equal rows
-    # share one table
+    # share one table. The walk pushes a row's successors only after the
+    # row is checked here, so it never reads past a row that is too long.
     tables: list = [None] * n
     built: dict[tuple[float, ...], tuple[int, list[int]]] = {}  # row -> table
     for i, row in _reachable(kernel, initial):
         table = built.get(row)
         if table is None:
+            fault = _row_fault(row, n)
+            if fault is not None:
+                raise ValueError(f"row of state {i} {fault}")
             table = built[row] = _guide_table(row, offsets, picks)
         tables[i] = table
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     rand = rng.random
     state = initial
+    trace = [initial]
     widened = _widened(tables, built)
     if widened is not None:
         bits, cells_of = widened
-        for t in range(1, length + 1):
+        for _ in repeat(None, length):
             state = cells_of[state][getrandbits(bits)]
             if state < 0:
                 i = ~state
@@ -176,11 +195,11 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
                 while offsets[i] <= v:
                     i += 1
                 state = picks[i]
-            trace[t] = state
+            trace.append(state)
     else:
         # the per-row loop: the same draws, one table width per row
         bits, cells = tables[state]
-        for t in range(1, length + 1):
+        for _ in repeat(None, length):
             state = cells[getrandbits(bits)]
             if state < 0:
                 i = ~state
@@ -188,10 +207,27 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
                 while offsets[i] <= v:
                     i += 1
                 state = picks[i]
-            trace[t] = state
+            trace.append(state)
             bits, cells = tables[state]
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
+
+
+def _row_fault(row: tuple[float, ...], n: int) -> str | None:
+    """Why ``run_chain`` cannot sample ``row`` of an ``n``-state matrix, or
+    None: it must have ``n`` entries, none negative, NaN or infinite, whose
+    ``math.fsum`` is 1.0 to within ``n * 2**-53``. ``to_float``'s rows sum
+    to exactly 1.0.
+    """
+    if len(row) != n:
+        return f"has {len(row)} entries, not {n}"
+    if not all(map(math.isfinite, row)) or min(row) < 0.0:
+        j = next(j for j, x in enumerate(row) if not 0.0 <= x < math.inf)
+        return f"has entry {row[j]!r} at column {j}"
+    total = math.fsum(row)
+    if abs(total - 1.0) > n * 2**-53:
+        return f"sums to {total!r}, not 1.0"
+    return None
 
 
 def _reachable(kernel: FloatMatrix,
@@ -252,12 +288,12 @@ def _widened(tables: list, built: dict) -> tuple[int, list] | None:
     wide = {}
     for table in built.values():
         bits, cells = table
-        repeat = 1 << (width - bits)
-        if repeat > 1:
-            # narrow cell c fills wide cells c*repeat .. c*repeat+repeat-1
-            narrow_cells, cells = cells, [0] * (len(cells) * repeat)
-            for k in range(repeat):
-                cells[k::repeat] = narrow_cells
+        copies = 1 << (width - bits)
+        if copies > 1:
+            # narrow cell c fills wide cells c*copies .. c*copies+copies-1
+            narrow_cells, cells = cells, [0] * (len(cells) * copies)
+            for k in range(copies):
+                cells[k::copies] = narrow_cells
         wide[id(table)] = cells
     return width, [wide[id(table)] if table else None for table in tables]
 
@@ -279,11 +315,10 @@ def _guide_table(row: tuple[float, ...], offsets: list[float],
     up to ``m`` in the last cell.
 
     The loop runs once per positive entry; the cells between two sums are
-    filled by one list extension.
+    filled by one list extension. The row is one ``_row_fault`` passes, so
+    it has a positive entry.
     """
     support = list(compress(range(len(row)), row))
-    if not support:
-        raise ValueError("a row has no positive entry")
     cum = _cumulative(row, support[-1])
     bits = (_CELLS_PER_ENTRY * len(support) - 1).bit_length()
     m = 1 << bits
@@ -324,9 +359,11 @@ def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:
     total = len(run.trace) - burn_in
     counts = _byte_counts(run, burn_in, total)
     if counts is None:
-        counts = [0] * len(run.kernel)
+        # float counts are exact below 2**53 steps and, unlike ints past
+        # 256, need no new object per visit
+        counts = [0.0] * len(run.kernel)
         for state in islice(run.trace, burn_in, None):
-            counts[state] += 1
+            counts[state] += 1.0
     return tuple(c / total for c in counts)
 
 

@@ -442,6 +442,73 @@ def test_an_unreachable_row_without_mass_is_never_read():
     assert run_chain(((1.0, 0.0), (0.0, 0.0)), 0, 0, 3).trace == [0, 0, 0, 0]
 
 
+# -- rows run_chain refuses ------------------------------------------------------
+
+
+def _refused(matrix, match, initial=0):
+    """run_chain refuses ``matrix`` with a ValueError matching ``match``,
+    before it makes a generator."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sampler.random, "Random", None)  # no draw is made
+        with pytest.raises(ValueError, match=match):
+            run_chain(matrix, initial, 0, 10)
+
+
+def test_run_chain_refuses_a_row_shorter_than_the_matrix():
+    _refused(((0.5, 0.5), (1.0,)), r"^row of state 1 has 1 entries, not 2$")
+
+
+def test_run_chain_refuses_a_row_naming_a_state_outside_the_matrix():
+    _refused(((0.5, 0.25, 0.25), (0.5, 0.5)), r"^row of state 0 has 3 entries, not 2$")
+
+
+def test_run_chain_refuses_a_negative_entry():
+    matrix = ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.5, -0.5, 1.0))
+    _refused(matrix, r"^row of state 2 has entry -0\.5 at column 1$")
+
+
+def test_run_chain_refuses_a_nan_entry():
+    _refused(((0.5, math.nan), (0.5, 0.5)), r"^row of state 0 has entry nan at column 1$")
+
+
+def test_run_chain_refuses_an_infinite_entry():
+    _refused(((0.5, 0.5), (math.inf, 0.0)), r"^row of state 1 has entry inf at column 0$")
+
+
+def test_run_chain_refuses_a_row_that_does_not_sum_to_one():
+    _refused(((0.9, 0.9), (0.5, 0.5)), r"^row of state 0 sums to 1\.8, not 1\.0$")
+    # the bound is one unit of 2**-53 per entry: here 2**-52
+    assert len(run_chain(((0.5, 0.5 - 2**-52), (0.5, 0.5)), 0, 0, 10).trace) == 11
+    _refused(((0.5, 0.5 - 2**-51), (0.5, 0.5)), r"^row of state 0 sums to 0\.99")
+
+
+_ROW_FAULT = sampler._row_fault
+
+
+def test_run_chain_checks_each_distinct_reachable_row_once(monkeypatch):
+    checked = []
+
+    def fault(row, n):
+        checked.append(row)
+        return _ROW_FAULT(row, n)
+    monkeypatch.setattr(sampler, "_row_fault", fault)
+    matrix = to_float(gibbs_3x3x3())
+    run_chain(matrix, 7, 0, 1000)
+    assert sorted(checked) == sorted(set(matrix)) and len(checked) == 9
+    # a bad row the chain cannot reach is never read
+    checked.clear()
+    assert run_chain(((1.0, 0.0), (0.9, math.nan)), 0, 0, 3).trace == [0, 0, 0, 0]
+    assert checked == [(1.0, 0.0)]
+
+
+@settings(max_examples=80)
+@given(normalized_kernels(max_size=8), st.data())
+def test_run_chain_accepts_every_normalized_kernel_as_floats(kernel, data):
+    matrix = to_float(kernel)
+    initial = data.draw(st.integers(0, len(matrix) - 1))
+    assert len(run_chain(matrix, initial, 0, 5).trace) == 6
+
+
 # -- one table width per run ---------------------------------------------------
 
 
