@@ -716,17 +716,31 @@ def test_a_trace_that_leaves_the_reachable_set_is_counted_as_the_loop_counts(
         assert _outcome(empirical, run, burn_in) == expected
 
 
-@pytest.mark.parametrize("n, reach, byte_count", [
-    (2, 2, True), (255, K, True), (256, K, True), (256, 1, True),
-    (256, K + 1, False), (K + 1, K + 1, False), (257, 1, False), (257, K, False),
-])
-def test_the_byte_count_serves_chains_reaching_few_of_at_most_256_states(
-        n, reach, byte_count):
+def _check_byte_count(n, reach, byte_count):
     run = run_chain(_class_chain(n, reach), 0, 3, 500)
     counts = sampler._byte_counts(run, 10, 491)
     assert (counts is not None) == byte_count
     if byte_count:
         assert tuple(c / 491 for c in counts) == _loop_frequencies(run, 10)
+
+
+@pytest.mark.parametrize("n, reach, byte_count", [
+    (2, 2, True), (255, 24, True), (256, 24, True), (256, 1, True),
+    (256, 25, False), (25, 25, False), (257, 1, False), (257, 24, False),
+])
+def test_the_byte_count_serves_chains_reaching_few_of_at_most_256_states(
+        monkeypatch, n, reach, byte_count):
+    # the gate reads its reach limit at each call; hold it at 24 here
+    monkeypatch.setattr(sampler, "_BYTE_COUNT_STATES", 24)
+    _check_byte_count(n, reach, byte_count)
+
+
+@pytest.mark.parametrize("n, reach, byte_count", [
+    (255, K, True), (256, K, True), (256, K + 1, False), (K + 1, K + 1, False),
+    (257, K, False),
+])
+def test_the_byte_count_stops_at_its_reach_limit(n, reach, byte_count):
+    _check_byte_count(n, reach, byte_count)
 
 
 def test_the_byte_count_copies_one_chunk_at_a_time():
