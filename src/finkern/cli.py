@@ -41,10 +41,11 @@ from .modelfile import ModelDocument, ModelError, emit, parse, parse_label
 DEFAULT_INSTANCES = 1000
 INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
 
-#: The most steps ``sample`` runs: its trace, grown by one append per step,
-#: holds every step at 8 bytes, so the longest run takes about 800 MB and,
-#: at 4.6 to 8.3 million steps/s, 12 to 22 s. A trace that outgrows memory
-#: raises ``MemoryError`` during the run.
+#: The most steps ``sample`` runs. Its trace holds one byte per step for a
+#: chain on at most 256 states, so the longest run takes about 100 MB, and
+#: 8 bytes per step for a larger chain, about 800 MB; at about 9 million
+#: steps/s it takes about 11 s. A trace that outgrows memory raises
+#: ``MemoryError`` during the run.
 MAX_STEPS = 10**8
 
 

@@ -112,10 +112,22 @@ class TheoremFlags(NamedTuple):
 # invariance and reversibility
 
 
-def invariant_violation(target: Kernel, chain: Kernel) -> Label | None:
-    """The first point where chain ∘ target and target differ."""
+def invariant_violation(target: Kernel, chain: Kernel | Involution) -> Label | None:
+    """The first point where chain ∘ target and target differ.
+
+    An involution stands for its deterministic kernel. It moves the target
+    at the first point whose mass is not its image's, read from the
+    target's one pair row, with no composition.
+    """
     if not target.is_measure:
         raise SpaceMismatchError("target must be a measure")
+    if isinstance(chain, Involution):
+        if chain.space != target.cod:
+            raise SpaceMismatchError("involution lives on a different space")
+        (pairs,) = pair_rows(target)  # equal pairs are equal masses
+        masses = [pairs.get(j) for j in range(len(target.cod))]
+        moved = next((j for j, t in enumerate(chain.perm) if masses[t] != masses[j]), None)
+        return None if moved is None else target.cod.labels[moved]
     if chain.dom != target.cod or chain.cod != target.cod:
         raise SpaceMismatchError("chain must be an endomorphism on the target space")
     after = compose(chain, target)
@@ -321,10 +333,9 @@ def build_skew_mh(problem: MhProblem, twist: Involution) -> Kernel:
     """Post-compose the MH kernel with a target-preserving involution."""
     if twist.space != problem.space:
         raise SpaceMismatchError("twist involution lives on a different space")
-    lifted = lift_involution(twist)
-    if invariant_violation(problem.target, lifted) is not None:
+    if invariant_violation(problem.target, twist) is not None:
         raise ValueError("twist involution does not preserve the target")
-    return compose(lifted, build_mh(problem))
+    return compose(lift_involution(twist), build_mh(problem))
 
 
 def verify_skew_theorem(problem: MhProblem, twist: Involution) -> TheoremFlags:

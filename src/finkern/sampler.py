@@ -3,9 +3,12 @@
 Exact kernels are converted to double-precision stochastic matrices once,
 then chains run with a seeded Mersenne Twister. Runs are deterministic given
 (kernel, initial, seed, length) and record the generator identity. Each
-run grows its own trace from ``[initial]`` by one append per step, so the
-step loop keeps no step counter (an int past 256 is a new object each
-time); nothing is kept from one run to the next. Every row the
+run's step loop appends each state to a list, so it keeps no step counter
+(an int past 256 is a new object each time); nothing is kept from one run
+to the next. A chain on at most 256 states, each then one byte, appends
+``_PACK_STEPS`` steps at a time to one reused list and packs each chunk
+into a ``bytearray`` trace, one byte per step; a larger chain's trace is
+that list, grown from ``[initial]``, at 8 bytes per step. Every row the
 chain can reach is checked once, before the first draw: a row of the
 wrong length, with a negative, NaN or infinite entry, or not summing to
 1.0 is a ``ValueError`` that names its state.
@@ -43,19 +46,18 @@ entries, as in a hub chain) reads each table at its own width, with the
 same draws and the same trace.
 
 ``empirical`` counts the visits after the burn-in by one of two paths,
-chosen from the run. For a chain on at most 256 states, so that each
-state is one byte, of which at most ``_BYTE_COUNT_STATES`` are reachable
-from the initial state, it copies the trace into a ``bytearray``
-``_COUNT_CHUNK`` steps at a time and adds up one ``bytearray.count`` per
-reachable state and chunk: C-speed passes, with never more than one chunk
-copied. Every other chain is counted by a loop over the trace, which is
-faster once a chain reaches more states than the threshold. The loop
+chosen from the run. For a byte trace of a chain of which at most
+``_BYTE_COUNT_STATES`` states are reachable from the initial state, it
+counts each reachable state with one ``bytearray.count`` pass over the
+trace itself: C-speed passes that copy nothing. Every other chain is
+counted by a loop over the trace, which is faster once a chain reaches
+more states than the threshold. The loop
 counts in floats: they are exact below 2**53, far past any trace that
 fits in memory, so each frequency is the same correctly rounded double
 as with int counts, and adding 1.0 makes no new int per visit as an int
 count past 256 does. A hand-built run whose trace leaves the reachable
-set is counted by the loop too, so both paths give the same frequencies
-and raise the same errors.
+set, or whose trace is a list, is counted by the loop too, so both paths
+give the same frequencies and raise the same errors.
 """
 
 from __future__ import annotations
@@ -79,11 +81,13 @@ _CELLS_PER_ENTRY = 16
 
 #: Most reachable states for which ``empirical`` counts with one
 #: ``bytearray.count`` pass each: below the break-even with the float
-#: counting loop, which is about 20 states on 10**6-step traces.
-_BYTE_COUNT_STATES = 16
+#: counting loop, which is about 32 to 44 states on 10**6-step byte traces
+#: of uniform visits, and about 48 to 64 when visits are skewed.
+_BYTE_COUNT_STATES = 24
 
-#: Trace steps copied into one ``bytearray`` at a time for the byte count.
-_COUNT_CHUNK = 1 << 16
+#: Steps a run on at most 256 states appends to a list before packing them
+#: into its ``bytearray`` trace: the list never holds more.
+_PACK_STEPS = 1 << 14
 
 
 def to_float(kernel: Kernel) -> FloatMatrix:
@@ -129,14 +133,17 @@ def _float_row(pairs: dict[int, tuple[int, int]], width: int) -> tuple[float, ..
 class ChainRun(Record):
     """A finished simulation: the matrix, the configuration, and the trace.
 
-    The trace, ``length + 1`` states, is left out of the repr.
+    The trace, ``length + 1`` states, is left out of the repr. ``run_chain``
+    makes it a ``bytearray``, one byte per state, for a chain on at most
+    256 states, and a list of ints for a larger one.
     """
 
     __slots__ = ("kernel", "initial", "seed", "length", "trace", "rng_name")
     _hidden = ("trace",)
 
     def __init__(self, kernel: FloatMatrix, initial: int, seed: int,
-                 length: int, trace: list[int], rng_name: str = RNG_NAME):
+                 length: int, trace: bytearray | list[int],
+                 rng_name: str = RNG_NAME):
         self.kernel = kernel
         self.initial = initial
         self.seed = seed
@@ -156,8 +163,10 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     Steps read the reachable rows' guide tables at one width (see
     ``_widened``) unless that would more than double their cells; the
     per-row loop then reads each table at its own width. Both loops make
-    the same draws and give the same trace, which grows by one append per
-    step.
+    the same draws and give the same trace. Each step appends its state to
+    a list: for a chain on at most 256 states, a list of at most
+    ``_PACK_STEPS`` steps that is packed into the ``bytearray`` trace and
+    cleared when full, and otherwise the trace itself.
     """
     n = len(kernel)
     if not 0 <= initial < n:
@@ -184,31 +193,45 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     rand = rng.random
     state = initial
     trace = [initial]
+    steps = trace  # where the loops append
+    chunks = [length]
+    if n <= 256:  # one byte per state: pack each chunk of steps
+        trace = bytearray(trace)
+        steps = []
+        chunks = [_PACK_STEPS] * (length // _PACK_STEPS) + [length % _PACK_STEPS]
     widened = _widened(tables, built)
     if widened is not None:
         bits, cells_of = widened
-        for _ in repeat(None, length):
-            state = cells_of[state][getrandbits(bits)]
-            if state < 0:
-                i = ~state
-                v = rand()
-                while offsets[i] <= v:
-                    i += 1
-                state = picks[i]
-            trace.append(state)
+        for chunk in chunks:
+            for _ in repeat(None, chunk):
+                state = cells_of[state][getrandbits(bits)]
+                if state < 0:
+                    i = ~state
+                    v = rand()
+                    while offsets[i] <= v:
+                        i += 1
+                    state = picks[i]
+                steps.append(state)
+            if steps is not trace:
+                trace += bytearray(steps)
+                steps.clear()
     else:
         # the per-row loop: the same draws, one table width per row
         bits, cells = tables[state]
-        for _ in repeat(None, length):
-            state = cells[getrandbits(bits)]
-            if state < 0:
-                i = ~state
-                v = rand()
-                while offsets[i] <= v:
-                    i += 1
-                state = picks[i]
-            trace.append(state)
-            bits, cells = tables[state]
+        for chunk in chunks:
+            for _ in repeat(None, chunk):
+                state = cells[getrandbits(bits)]
+                if state < 0:
+                    i = ~state
+                    v = rand()
+                    while offsets[i] <= v:
+                        i += 1
+                    state = picks[i]
+                steps.append(state)
+                bits, cells = tables[state]
+            if steps is not trace:
+                trace += bytearray(steps)
+                steps.clear()
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
 
@@ -349,7 +372,8 @@ def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:
     """Visit frequencies over the trace after discarding ``burn_in`` steps.
 
     The counts are those of a loop over the trace, found by
-    ``_byte_counts`` instead for a chain that reaches few states.
+    ``_byte_counts`` instead for a byte trace of a chain that reaches few
+    states.
     """
     if not 0 <= burn_in < run.length:
         raise ValueError("burn_in must satisfy 0 <= burn_in < length")
@@ -369,32 +393,26 @@ def empirical(run: ChainRun, burn_in: int) -> tuple[float, ...]:
 
 def _byte_counts(run: ChainRun, burn_in: int, total: int) -> list[int] | None:
     """The visits to each state after ``burn_in``, counted with one
-    ``bytearray.count`` pass per reachable state, or None.
+    ``bytearray.count`` pass over the trace per reachable state, or None.
 
-    None unless the kernel has at most 256 states, so each is one byte,
-    and at most ``_BYTE_COUNT_STATES`` of them are reachable from the
-    run's initial state. The trace is copied ``_COUNT_CHUNK`` steps at a
-    time, so the copy never holds more than one chunk. None too when a
-    state in the trace is no byte or the counts miss some of the
-    ``total`` counted steps: a hand-built run whose trace leaves the
-    reachable set, which the loop then counts or refuses.
+    None unless the trace is a ``bytearray``, as ``run_chain`` makes for a
+    chain on at most 256 states, the chain has at most 256 states, and at
+    most ``_BYTE_COUNT_STATES`` of them are reachable from the run's
+    initial state. None too when the counts miss some of the ``total``
+    counted steps: a hand-built run whose trace leaves the reachable set,
+    which the loop then counts or refuses.
     """
+    trace = run.trace
     n = len(run.kernel)
-    if n > 256 or not 0 <= run.initial < n:
+    if not isinstance(trace, bytearray) or n > 256 or not 0 <= run.initial < n:
         return None
     walk = islice(_reachable(run.kernel, run.initial), _BYTE_COUNT_STATES + 1)
     states = [i for i, _ in walk]
     if len(states) > _BYTE_COUNT_STATES:
         return None
     counts = [0] * n
-    trace = run.trace
-    for start in range(burn_in, len(trace), _COUNT_CHUNK):
-        try:
-            chunk = bytearray(trace[start:start + _COUNT_CHUNK])
-        except (TypeError, ValueError):  # a state that is no byte
-            return None
-        for i in states:
-            counts[i] += chunk.count(i)
+    for i in states:
+        counts[i] = trace.count(i, burn_in)
     return counts if sum(counts) == total else None
 
 

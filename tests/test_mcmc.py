@@ -27,7 +27,8 @@ from finkern.mcmc import (
     balancing_alpha, balancing_violation, bayesian_inverse, build_mh,
     build_skew_mh, check_balancing, classical_mh, detailed_balance_violation,
     exchange_algorithm,
-    first_summand_reversible, gibbs, gibbs_site_kernels, is_invariant,
+    first_summand_reversible, gibbs, gibbs_site_kernels, invariant_violation,
+    is_invariant,
     is_reversible, is_skew_reversible,
     skew_balance_violation, verify_mh_theorem, verify_skew_theorem,
 )
@@ -881,6 +882,15 @@ def test_the_scan_and_build_skew_mh_refuse_the_same_twists(case, data):
             ValueError, "twist involution does not preserve the target")
         scan = _refusal(lambda: swap_asymmetry(target, identity(target.cod), twist))
         assert built == scan
+
+
+@given(_targets_and_twists())
+def test_an_involution_moves_the_target_where_its_kernel_does(case):
+    # zero, finite and oo masses: the pair-row comparison against the
+    # composition, witness included
+    target, twist = case
+    assert (invariant_violation(target, twist)
+            == invariant_violation(target, lift_involution(twist)))
 
 
 def test_skew_theorem_flags_agree_randomized():

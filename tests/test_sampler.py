@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -168,7 +169,7 @@ def test_run_chain_never_refills_a_trace_still_referred_to():
     before = (list(held_run.trace), list(held_list))
     for seed in range(3, 6):
         run_chain(matrix, 1, seed, 1000)
-    assert (held_run.trace, held_list) == before
+    assert (list(held_run.trace), list(held_list)) == before
 
 
 def test_identity_kernel_gives_constant_trace():
@@ -273,7 +274,7 @@ def test_trailing_zero_entry_is_never_taken(monkeypatch, row):
 def test_leading_zero_entry_is_never_taken(monkeypatch):
     row = [0, q(1, 2), 0, q(1, 2), 0]
     trace = _steps(monkeypatch, row, [0.0, 0.5, LAST_BELOW_ONE])
-    assert trace == [1, 3, 3]
+    assert list(trace) == [1, 3, 3]
 
 
 # -- the guide-table step ------------------------------------------------------
@@ -329,7 +330,7 @@ def test_guide_table_is_exact_inverse_cdf(monkeypatch, row):
     draws += [b for b in sums if b < 1]
     monkeypatch.setattr(sampler.random, "Random", _FixedDraws(draws))
     picks = run_chain(matrix, 0, 0, len(draws)).trace[1:]
-    assert picks == [sum(b <= u for b in sums) for u in draws]
+    assert list(picks) == [sum(b <= u for b in sums) for u in draws]
     assert all(row[j] != 0 for j in picks)
 
 
@@ -401,7 +402,7 @@ def _traces():
                          ids=["involutive", "sparse", "closed-block", "leaky-block",
                               "gibbs"])
 def test_seeded_traces_are_those_of_tables_for_every_row(kernel, initial, seed, expected):
-    assert run_chain(to_float(kernel), initial, seed, 30).trace == expected
+    assert list(run_chain(to_float(kernel), initial, seed, 30).trace) == expected
 
 
 _GUIDE_TABLE = sampler._guide_table
@@ -439,7 +440,7 @@ def test_equal_rows_share_one_table(monkeypatch):
 
 
 def test_an_unreachable_row_without_mass_is_never_read():
-    assert run_chain(((1.0, 0.0), (0.0, 0.0)), 0, 0, 3).trace == [0, 0, 0, 0]
+    assert list(run_chain(((1.0, 0.0), (0.0, 0.0)), 0, 0, 3).trace) == [0, 0, 0, 0]
 
 
 # -- rows run_chain refuses ------------------------------------------------------
@@ -497,7 +498,7 @@ def test_run_chain_checks_each_distinct_reachable_row_once(monkeypatch):
     assert sorted(checked) == sorted(set(matrix)) and len(checked) == 9
     # a bad row the chain cannot reach is never read
     checked.clear()
-    assert run_chain(((1.0, 0.0), (0.9, math.nan)), 0, 0, 3).trace == [0, 0, 0, 0]
+    assert list(run_chain(((1.0, 0.0), (0.9, math.nan)), 0, 0, 3).trace) == [0, 0, 0, 0]
     assert checked == [(1.0, 0.0)]
 
 
@@ -576,9 +577,9 @@ def test_both_loops_step_as_the_per_row_oracle(kernel, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         trace, widened = _run_noting_width(monkeypatch, matrix, initial, seed, 200)
         hypothesis.event("widened" if widened else "per-row")
-        assert trace == expected
+        assert list(trace) == expected
         monkeypatch.setattr(sampler, "_widened", lambda tables, built: None)
-        assert run_chain(matrix, initial, seed, 200).trace == expected
+        assert list(run_chain(matrix, initial, seed, 200).trace) == expected
 
 
 def _mixed_widths():
@@ -603,7 +604,7 @@ def test_mixed_widths_step_with_one_width(monkeypatch):
     for seed in range(5):
         trace, widened = _run_noting_width(monkeypatch, matrix, 1, seed, 3000)
         assert widened[0] == 7
-        assert trace == _per_row_trace(matrix, 1, seed, 3000)
+        assert list(trace) == _per_row_trace(matrix, 1, seed, 3000)
 
 
 def test_a_hub_chain_keeps_the_per_row_loop_in_bounded_memory(monkeypatch):
@@ -665,8 +666,8 @@ def _class_chain(n, reach):
 def _runs(draw):
     """A run of a chain on both sides of both selection bounds (at most
     256 states, at most K of them reachable), often a hand-built one
-    whose trace leaves the reachable set, with a burn-in and a chunk
-    size."""
+    whose trace leaves the reachable set, with a burn-in. A state that is
+    no byte turns a byte trace into a list."""
     n = draw(st.sampled_from([K - 1, K, K + 1, 255, 256, 257]))
     reach = draw(st.sampled_from([r for r in (1, 2, K - 1, K, K + 1) if r <= n]))
     matrix = _class_chain(n, reach)
@@ -681,24 +682,28 @@ def _runs(draw):
         trace = draw(st.lists(st.integers(0, reach - 1), min_size=length + 1,
                               max_size=length + 1))
     for _ in range(draw(st.integers(0, 2))):
-        trace[draw(st.integers(0, length))] = draw(outside)
+        state = draw(outside)
+        if not _is_byte(state):
+            trace = list(trace)
+        trace[draw(st.integers(0, length))] = state
     burn_in = draw(st.one_of(st.just(0), st.just(length - 1),
                              st.integers(-1, length + 1)))
-    chunk = draw(st.sampled_from([1, 3, 64, sampler._COUNT_CHUNK]))
-    return ChainRun(matrix, initial, 0, length, trace), burn_in, chunk
+    return ChainRun(matrix, initial, 0, length, trace), burn_in
+
+
+def _is_byte(state):
+    return isinstance(state, int) and 0 <= state < 256
 
 
 @settings(max_examples=300)
 @given(_runs())
 def test_empirical_counts_as_the_loop_does(case):
-    run, burn_in, chunk = case
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(sampler, "_COUNT_CHUNK", chunk)
-        got = _outcome(empirical, run, burn_in)
-        if isinstance(got, tuple):
-            total = len(run.trace) - burn_in
-            counts = sampler._byte_counts(run, burn_in, total)
-            hypothesis.event("loop" if counts is None else "byte count")
+    run, burn_in = case
+    got = _outcome(empirical, run, burn_in)
+    if isinstance(got, tuple):
+        total = len(run.trace) - burn_in
+        counts = sampler._byte_counts(run, burn_in, total)
+        hypothesis.event("loop" if counts is None else "byte count")
     assert got == _outcome(_loop_frequencies, run, burn_in)
 
 
@@ -709,6 +714,8 @@ def test_a_trace_that_leaves_the_reachable_set_is_counted_as_the_loop_counts(
     # states 0 and 1 are a closed class; state 3 is also state -1 to the loop
     matrix = _class_chain(4, 2)
     trace = run_chain(matrix, 0, 8, 20).trace
+    if not _is_byte(bad):  # a byte trace cannot hold it
+        trace = list(trace)
     trace[5] = bad
     run = ChainRun(matrix, initial, 0, 20, trace)
     for burn_in in (0, 5, 6):
@@ -744,8 +751,8 @@ def test_the_byte_count_stops_at_its_reach_limit(n, reach, byte_count):
 
 
 def test_the_byte_count_copies_one_chunk_at_a_time():
-    # 300 001 states over several chunks: a copy of the whole trace would
-    # hold a list slice of 2.4 MB, one chunk holds 0.5 MB
+    # 300 001 states: the byte count copies none of them, where a list
+    # slice of the whole trace would hold 2.4 MB
     run = run_chain(to_float(two_state_chain()[0]), 0, 5, 300_000)
     assert sampler._byte_counts(run, 17, 300_001 - 17) is not None
     tracemalloc.start()
@@ -756,3 +763,35 @@ def test_the_byte_count_copies_one_chunk_at_a_time():
         tracemalloc.stop()
     assert frequencies == _loop_frequencies(run, 17)
     assert peak < 2**20
+
+
+# -- one byte per step -----------------------------------------------------------
+
+P = sampler._PACK_STEPS
+
+
+@pytest.mark.parametrize("length", [0, 1, P - 1, P, P + 1, 2 * P + 3])
+def test_both_loops_pack_each_chunk_of_steps_as_the_oracle_steps(monkeypatch, length):
+    matrix = to_float(_mixed_widths())
+    expected = _per_row_trace(matrix, 1, 11, length)
+    trace, widened = _run_noting_width(monkeypatch, matrix, 1, 11, length)
+    assert widened is not None
+    assert type(trace) is bytearray and list(trace) == expected
+    monkeypatch.setattr(sampler, "_widened", lambda tables, built: None)
+    trace = run_chain(matrix, 1, 11, length).trace
+    assert type(trace) is bytearray and list(trace) == expected
+
+
+@pytest.mark.parametrize("n, kind", [(256, bytearray), (257, list)])
+def test_a_trace_is_a_bytearray_up_to_256_states(n, kind):
+    # from state n - 1, which leaves for the class {0, 1, 2}: 4 states
+    # reachable, so the byte count serves the 256-state chain
+    run = run_chain(_class_chain(n, 3), n - 1, 4, 5000)
+    assert type(run.trace) is kind
+    assert run.trace[0] == n - 1 and set(run.trace) == {n - 1, 0, 1, 2}
+    assert empirical(run, 2) == _loop_frequencies(run, 2)
+
+
+def test_a_byte_trace_holds_about_one_byte_per_step():
+    run = run_chain(to_float(two_state_chain()[0]), 0, 9, 10**5)
+    assert sys.getsizeof(run.trace) < 2 * (10**5 + 1) + 4096
