@@ -743,10 +743,22 @@ def test_the_byte_count_serves_chains_reaching_few_of_at_most_256_states(
 
 
 @pytest.mark.parametrize("n, reach, byte_count", [
+    (255, 16, True), (256, 16, True), (256, 17, False), (17, 17, False),
+    (257, 16, False),
+])
+def test_the_byte_count_stops_at_its_reach_limit(monkeypatch, n, reach, byte_count):
+    # the same boundary one limit lower: hold the reach limit at 16 here
+    monkeypatch.setattr(sampler, "_BYTE_COUNT_STATES", 16)
+    _check_byte_count(n, reach, byte_count)
+
+
+@pytest.mark.parametrize("n, reach, byte_count", [
     (255, K, True), (256, K, True), (256, K + 1, False), (K + 1, K + 1, False),
     (257, K, False),
-])
-def test_the_byte_count_stops_at_its_reach_limit(n, reach, byte_count):
+], ids=["255-K-True", "256-K-True", "256-K+1-False", "K+1-K+1-False",
+        "257-K-False"])
+def test_the_byte_count_stops_at_the_shipped_reach_limit(n, reach, byte_count):
+    # ids name the limit K, not its value, so a retuned limit keeps them
     _check_byte_count(n, reach, byte_count)
 
 
