@@ -66,6 +66,9 @@ INF_WEIGHT = 0.15
 ZERO_ROW = 0.15
 #: Steps of each sampler run.
 STEPS = 400
+#: Steps of the long sampler runs: two full chunks of ``run_chain``'s
+#: ``2**14`` packed steps, and 3 steps more.
+LONG_STEPS = 2 * 2**14 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +306,17 @@ def _simulate_chains(rng: random.Random) -> list[Kernel]:
 
 
 def run_chain_family(rng: random.Random) -> Iterator[object]:
-    """Traces of the four chains of the ``simulate`` workload."""
-    for chain in _simulate_chains(rng):
-        matrix = to_float(chain)
+    """Traces of the four chains of the ``simulate`` workload, then two
+    runs that cross chunks of packed steps: one of the 256-point chain, a
+    byte trace, and one of a 300-state chain, a list trace."""
+    matrices = [to_float(chain) for chain in _simulate_chains(rng)]
+    for matrix in matrices:
         for _ in range(3):
             yield run_chain(matrix, rng.randrange(len(matrix)),
                             rng.randrange(2 ** 32), STEPS)
+    for matrix in (matrices[2], _closed_class(rng, 300, 300)):
+        yield run_chain(matrix, rng.randrange(len(matrix)),
+                        rng.randrange(2 ** 32), LONG_STEPS)
 
 
 def _closed_class(rng: random.Random, n: int, reach: int):
