@@ -346,7 +346,9 @@ def _sample(doc, args):
              ("steps", args.steps), ("burn", args.burn)]
     lines += [(f"freq_{format_label(x)}", f"{f:.6f}")
               for x, f in zip(chain.dom.labels, frequencies)]
-    # not a check, so exit 0 either way; tv_to_target means nothing if false
+    # not a check, so exit 0 either way. tv_to_target compares with the
+    # whole target: it misleads when invariant is false, and also when the
+    # closed class that the start reaches carries only part of the target
     lines += [("tv_to_target", f"{tv:.6f}"),
               ("invariant", is_invariant(target, chain))]
     return True, lines, None

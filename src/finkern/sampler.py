@@ -2,13 +2,13 @@
 
 Exact kernels are converted to double-precision stochastic matrices once,
 then chains run with a seeded Mersenne Twister. Runs are deterministic given
-(kernel, initial, seed, length) and record the generator identity. Each
-run's step loop appends each state to a list, so it keeps no step counter
-(an int past 256 is a new object each time); nothing is kept from one run
-to the next. A chain on at most 256 states, each then one byte, appends
-``_PACK_STEPS`` steps at a time to one reused list and packs each chunk
-into a ``bytearray`` trace, one byte per step; a larger chain's trace is
-that list, grown from ``[initial]``, at 8 bytes per step. Every row the
+(kernel, initial, seed, length) and record the generator identity. Every
+run steps in chunks of ``_PACK_STEPS`` steps and appends each state to a
+list, so it keeps no step counter (an int past 256 is a new object each
+time); nothing is kept from one run to the next. A chain on at most 256
+states, each then one byte, packs each chunk's list into a ``bytearray``
+trace, one byte per step, and reuses the list; a larger chain's trace is
+the list, grown from ``[initial]``, at 8 bytes per step. Every row the
 chain can reach is checked once, before the first draw: a row of the
 wrong length, with a negative, NaN or infinite entry, or not summing to
 1.0 is a ``ValueError`` that names its state.
@@ -85,8 +85,8 @@ _CELLS_PER_ENTRY = 16
 #: of uniform visits, and about 48 to 64 when visits are skewed.
 _BYTE_COUNT_STATES = 24
 
-#: Steps a run on at most 256 states appends to a list before packing them
-#: into its ``bytearray`` trace: the list never holds more.
+#: Steps in each chunk of a run: the most a run on at most 256 states
+#: appends to its list before packing them into its ``bytearray`` trace.
 _PACK_STEPS = 1 << 14
 
 
@@ -134,8 +134,8 @@ class ChainRun(Record):
     """A finished simulation: the matrix, the configuration, and the trace.
 
     The trace, ``length + 1`` states, is left out of the repr. ``run_chain``
-    makes it a ``bytearray``, one byte per state, for a chain on at most
-    256 states, and a list of ints for a larger one.
+    fills it by chunks of steps: a ``bytearray``, one byte per state, for a
+    chain on at most 256 states, and a list of ints for a larger one.
     """
 
     __slots__ = ("kernel", "initial", "seed", "length", "trace", "rng_name")
@@ -163,10 +163,10 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     Steps read the reachable rows' guide tables at one width (see
     ``_widened``) unless that would more than double their cells; the
     per-row loop then reads each table at its own width. Both loops make
-    the same draws and give the same trace. Each step appends its state to
-    a list: for a chain on at most 256 states, a list of at most
-    ``_PACK_STEPS`` steps that is packed into the ``bytearray`` trace and
-    cleared when full, and otherwise the trace itself.
+    the same draws and give the same trace, in one loop over chunks of
+    ``_PACK_STEPS`` steps. Each step appends its state to a list: for a
+    chain on at most 256 states, one packed into the ``bytearray`` trace
+    and cleared after each chunk, and otherwise the trace itself.
     """
     n = len(kernel)
     if not 0 <= initial < n:
@@ -194,15 +194,13 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
     state = initial
     trace = [initial]
     steps = trace  # where the loops append
-    chunks = [length]
     if n <= 256:  # one byte per state: pack each chunk of steps
         trace = bytearray(trace)
         steps = []
-        chunks = [_PACK_STEPS] * (length // _PACK_STEPS) + [length % _PACK_STEPS]
     widened = _widened(tables, built)
-    if widened is not None:
-        bits, cells_of = widened
-        for chunk in chunks:
+    for chunk in [_PACK_STEPS] * (length // _PACK_STEPS) + [length % _PACK_STEPS]:
+        if widened is not None:
+            bits, cells_of = widened
             for _ in repeat(None, chunk):
                 state = cells_of[state][getrandbits(bits)]
                 if state < 0:
@@ -212,13 +210,9 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
                         i += 1
                     state = picks[i]
                 steps.append(state)
-            if steps is not trace:
-                trace += bytearray(steps)
-                steps.clear()
-    else:
-        # the per-row loop: the same draws, one table width per row
-        bits, cells = tables[state]
-        for chunk in chunks:
+        else:
+            # the per-row loop: the same draws, one table width per row
+            bits, cells = tables[state]
             for _ in repeat(None, chunk):
                 state = cells[getrandbits(bits)]
                 if state < 0:
@@ -229,9 +223,9 @@ def run_chain(kernel: FloatMatrix, initial: int, seed: int, length: int) -> Chai
                     state = picks[i]
                 steps.append(state)
                 bits, cells = tables[state]
-            if steps is not trace:
-                trace += bytearray(steps)
-                steps.clear()
+        if steps is not trace:
+            trace += bytearray(steps)
+            steps.clear()
     return ChainRun(kernel=kernel, initial=initial, seed=seed,
                     length=length, trace=trace)
 

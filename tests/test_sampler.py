@@ -784,14 +784,17 @@ P = sampler._PACK_STEPS
 
 @pytest.mark.parametrize("length", [0, 1, P - 1, P, P + 1, 2 * P + 3])
 def test_both_loops_pack_each_chunk_of_steps_as_the_oracle_steps(monkeypatch, length):
-    matrix = to_float(_mixed_widths())
-    expected = _per_row_trace(matrix, 1, 11, length)
-    trace, widened = _run_noting_width(monkeypatch, matrix, 1, 11, length)
-    assert widened is not None
-    assert type(trace) is bytearray and list(trace) == expected
-    monkeypatch.setattr(sampler, "_widened", lambda tables, built: None)
-    trace = run_chain(matrix, 1, 11, length).trace
-    assert type(trace) is bytearray and list(trace) == expected
+    # a byte trace of 6 states, and a list trace of 300 states, which the
+    # same chunk loop appends to in place
+    for matrix, kind in ((to_float(_mixed_widths()), bytearray),
+                         (_class_chain(300, 300), list)):
+        expected = _per_row_trace(matrix, 1, 11, length)
+        trace, widened = _run_noting_width(monkeypatch, matrix, 1, 11, length)
+        assert widened is not None
+        assert type(trace) is kind and list(trace) == expected
+        monkeypatch.setattr(sampler, "_widened", lambda tables, built: None)
+        trace = run_chain(matrix, 1, 11, length).trace
+        assert type(trace) is kind and list(trace) == expected
 
 
 @pytest.mark.parametrize("n, kind", [(256, bytearray), (257, list)])
