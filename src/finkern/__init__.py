@@ -6,9 +6,11 @@ copy/delete structure of finite probability, order-theoretic tooling
 derivatives), and constructions with decidable correctness checks for
 Metropolis-Hastings-type Markov chains.
 
-The names of ``coproducts`` and ``sampler`` load on first use, so a
-process that never touches them (the CLI, for most subcommands) never
-compiles them.
+The names of ``coproducts``, ``sampler`` and ``modelfile`` load on first
+use, so a process that never touches them never compiles them. Those of
+``modelfile`` are ``ModelDocument``, ``ModelError``, ``emit`` and
+``parse``. The CLI imports ``modelfile`` itself, and ``coproducts`` and
+``sampler`` only in the subcommands that use them.
 """
 
 from .semiring import INF, ONE, ZERO, ExtNonneg, SemiringDivisionError
@@ -35,12 +37,12 @@ from .mcmc import (
     is_invariant, is_reversible, is_skew_reversible, verify_mh_theorem,
     verify_skew_theorem,
 )
-from .modelfile import ModelDocument, ModelError, emit, parse
 
 __version__ = "0.1.0"
 
 _COPRODUCTS = ("copair", "distributivity_iso", "injection", "oplus")
 _SAMPLER = ("ChainRun", "empirical", "run_chain", "to_float", "tv_distance")
+_MODELFILE = ("ModelDocument", "ModelError", "emit", "parse")
 
 
 def __getattr__(name: str):
@@ -48,10 +50,12 @@ def __getattr__(name: str):
         from .coproducts import copair, distributivity_iso, injection, oplus
     elif name in _SAMPLER:
         from .sampler import ChainRun, empirical, run_chain, to_float, tv_distance
+    elif name in _MODELFILE:
+        from .modelfile import ModelDocument, ModelError, emit, parse
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return locals()[name]
 
 
 def __dir__():
-    return sorted(globals().keys() | {*_COPRODUCTS, *_SAMPLER})
+    return sorted(globals().keys() | {*_COPRODUCTS, *_SAMPLER, *_MODELFILE})

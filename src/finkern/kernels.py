@@ -5,29 +5,18 @@ out of the unit space (one row) and effects are kernels into it (one
 column). Composition is the Chapman-Kolmogorov sum, the monoidal product is
 the Kronecker product, and each space carries copy/delete/swap structure.
 
-Every kernel has one canonical sparse form over the integers.
-``kernel.int_rows[i]`` is the row ``(cols, nums, den, infs)``: the
-ascending columns of row i's finite nonzero entries, their positive integer
-numerators over the one row denominator ``den``, and the ascending columns
-of its infinite entries, disjoint from ``cols``. Each row is reduced
-(``gcd(den, *nums) == 1``, and an empty finite part has ``den == 1``), so
-equal kernels have equal rows and hashes. Zeros are never stored, and
-``0 * oo = 0`` keeps them out of every product. The kernel operations work
+Every kernel has one canonical sparse form over the integers, its stored
+rows ``kernel.int_rows`` (see ``_kernel_rows``). The kernel operations work
 on these integers alone: ``compose`` scales each middle row to the lcm of
 the middle denominators and takes integer dot products, so a row costs one
 gcd, not one per scalar product and sum, a row with one middle point is a
 scaled copy of that middle row, middle rows that share no column are
 concatenated without sums, each distinct earlier row is worked out once,
 and a later row that a measure's middle points share as one stored object
-is multiplied once. One helper turns loose columns into a stored row for
-``compose``, the relabels of index maps and ``+`` alike: it adds up the
-numerators only where columns meet, and an oo entry absorbs any finite
-mass that lands on its column. ``graph(k)``, the graph ``(identity (x) k)
-∘ copy`` of ``k``, moves ``k``'s rows into place instead of building the
-|X|*|X| rows of the tensor that copy reads |X| of, and ``resample_within``
-stores one row per block of a partition, which every point of the block
-shares (a Gibbs site is one). A deterministic kernel is a function, and
-is stored as its index map: identity, copy, swap, the unitors and
+is multiplied once. ``graph(k)``, the graph ``(identity (x) k) ∘ copy`` of
+``k``, moves ``k``'s rows into place instead of building the |X|*|X| rows
+of the tensor that copy reads |X| of. A deterministic kernel is a function,
+and is stored as its index map: identity, copy, swap, the unitors and
 associator, relabelings and involutions keep only their targets, so that
 running one after a kernel moves that kernel's columns instead of
 multiplying, and two index maps compose or tensor to an index map. Their
@@ -38,51 +27,35 @@ of ``int_rows``.
 pair ``(cols, vals)`` of every nonzero entry's column and value),
 ``entries`` (the dense matrix), ``at``, ``entry``, ``measure_values`` and
 ``effect_values`` read views that are built from the integer rows on first
-access and kept. ``pair_rows`` and these views are worked out once per
-distinct stored row, and equal rows share one map, one view and one dense
-row, so all of them are read-only. A chain whose rows repeat, as a Gibbs
-sweep's do, then builds each of them once. Only this module reads or
-writes stored rows: other code builds kernels with ``Kernel(dom, cod,
-dense)``, ``measure``, ``effect``, ``from_maps``, ``lazy_involution``,
-``resample_within``, ``split_by_support`` and the structural
-constructors, and from integer pairs (see ``semiring``) with
-``from_pair_rows``. Below the API it reads entries as pairs through
-``pair_rows`` and ``effect_pairs``, and supports and infinite entries
-through ``row_support`` and ``infinite_entry``, building no ``ExtNonneg``:
-the views serve the CLI, the random generators and library users.
+access and kept. The views are worked out once per distinct stored row,
+and equal rows share one view and one dense row, so all of them are
+read-only. A chain whose rows repeat, as a Gibbs sweep's do, then builds
+each of them once. Only the kernel layer reads or writes stored rows: this
+module, ``_kernel_rows`` (the row format) and ``_kernel_functions`` (the
+other constructors, the pair readers and the predicates), whose public
+names this module exports.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
-
-The row predicates (normalized, substochastic, copyable) are each decided
-by one ``*_violation`` function returning the first failing domain point or
-None; the boolean form is ``*_violation(...) is None``. ``swap_asymmetry``
-decides detailed and skew balance, in one pass over the stored entries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, repeat
-from math import gcd, lcm
+from itertools import chain
+from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .semiring import ExtNonneg, INF, INF_PAIR, ZERO, ZERO_PAIR, fraction
+from .semiring import ExtNonneg, ZERO
 from .spaces import FinSpace, Label, UNIT, product
 from ._record import FrozenRecord
+from ._kernel_rows import (
+    Entry, _EMPTY_ROW, _Row, _add_rows, _coerce, _dense_row, _dense_sum, _joined_row,
+    _point_row, _reduced, _relabel, _scale, _support, _value_row, _view_row,
+)
 
-Entry = Union[ExtNonneg, int]
 _T = TypeVar("_T")
-
-#: A stored row: the ascending columns of the finite nonzero entries, their
-#: positive numerators over one denominator, and the ascending columns of
-#: the infinite entries.
-_Row = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
-
-_EMPTY_ROW: _Row = ((), (), 1, ())
-_INF_POINT: _Row = ((), (), 1, (0,))  # an effect's row with value oo
-_UNIT_NUM = (1,)
 _COLS = itemgetter(0)
 
 
@@ -90,146 +63,14 @@ class SpaceMismatchError(ValueError):
     """Raised when an operation is applied to incompatible spaces."""
 
 
-def _coerce(value: Entry) -> ExtNonneg:
-    if isinstance(value, ExtNonneg):
-        return value
-    if isinstance(value, int):
-        return ExtNonneg(value)
-    raise TypeError(f"kernel entries must be ExtNonneg or int, got {value!r}")
-
-
-def _point_row(j: int) -> _Row:
-    """The row with unit mass at column ``j``: one step of an index map."""
-    return ((j,), _UNIT_NUM, 1, ())
-
-
-def _reduced(cols: tuple[int, ...], nums: Sequence[int], den: int,
-             infs: tuple[int, ...] = ()) -> _Row:
-    """The row with the common factor of ``den`` and ``nums`` divided out."""
-    g = gcd(den, *nums)
-    if g == 1:
-        return cols, tuple(nums), den, infs
-    return cols, tuple([n // g for n in nums]), den // g, infs
-
-
-def _joined_row(cols: list[int], nums: Sequence[int], den: int,
-                infs: tuple[int, ...] = ()) -> _Row:
-    """The reduced row over ``den`` with ``nums[k]`` at column ``cols[k]``
-    and oo at the ascending columns ``infs``: how ``compose``, relabels and
-    ``+`` turn loose columns into a stored row. With no oo and no repeated
-    column, as when concatenated middle rows share no column, the entries
-    are put in column order without sums; otherwise numerators add where a
-    column repeats, and each oo absorbs any finite mass on its column."""
-    if not infs:
-        ordered = sorted(cols)
-        if ordered == cols:
-            if len(set(cols)) == len(cols):
-                return _reduced(tuple(cols), nums, den)
-        else:
-            at = dict(zip(cols, nums))
-            if len(at) == len(cols):
-                return _reduced(tuple(ordered), list(map(at.__getitem__, ordered)), den)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for j, n in zip(cols, nums):
-        acc[j] = get(j, 0) + n
-    for j in infs:
-        acc.pop(j, None)
-    ordered = sorted(acc)
-    return _reduced(tuple(ordered), list(map(acc.__getitem__, ordered)), den, infs)
-
-
-def _dense_sum(weights: Sequence[int], rows: Sequence[_Row], width: int,
-               den: int) -> _Row:
-    """The sum over ``den`` of finite rows, each times its weight, added up
-    in a list of all ``width`` columns: for rows holding more entries in
-    all than there are columns, which a dict would cost more to hold."""
-    acc = [0] * width
-    for w, (cols, nums, _, _) in zip(weights, rows):
-        for j, n in zip(cols, nums):
-            acc[j] += w * n
-    return _reduced(tuple(compress(range(width), acc)), list(filter(None, acc)), den)
-
-
-def _value_row(cols: Sequence[int], vals: Sequence[ExtNonneg]) -> _Row:
-    """The row of parallel ascending columns and values, zeros dropped.
-
-    The finite values go over the lcm of their denominators. Each value is
-    a reduced fraction, so that row is reduced already: a prime dividing
-    the lcm divides the numerator of no value whose denominator holds its
-    highest power.
-    """
-    fcols, nums, dens, infs = [], [], [], []
-    for j, v in zip(cols, vals):
-        if v.num:
-            if v.den:
-                fcols.append(j)
-                nums.append(v.num)
-                dens.append(v.den)
-            else:
-                infs.append(j)
-    den = lcm(*dens)
-    return (tuple(fcols), tuple([n * (den // d) for n, d in zip(nums, dens)]),
-            den, tuple(infs))
-
-
-def _view_row(row: _Row) -> tuple[tuple[int, ...], tuple[ExtNonneg, ...]]:
-    """The ``(cols, vals)`` pair of a row's nonzero entries, oo included."""
-    cols, nums, den, infs = row
-    vals = [fraction(n, den) for n in nums]
-    if not infs:
-        return cols, tuple(vals)
-    merged = sorted(list(zip(cols, vals)) + [(j, INF) for j in infs])
-    return tuple([j for j, _ in merged]), tuple([v for _, v in merged])
-
-
-def _dense_row(row, width: int) -> tuple[ExtNonneg, ...]:
-    out = [ZERO] * width
-    for j, v in zip(*row):
-        out[j] = v
-    return tuple(out)
-
-
-def _scale(n: int, d: int, row: _Row) -> _Row:
-    """The finite positive weight ``n / d`` times every entry of a row."""
-    if n == d:  # reduced, so the weight is 1
-        return row
-    cols, nums, den, infs = row
-    return _reduced(cols, [n * x for x in nums], d * den, infs)
-
-
-def _support(row: _Row) -> tuple[int, ...]:
-    cols, _, _, infs = row
-    return tuple(sorted(cols + infs)) if infs else cols
-
-
-def _add_rows(r1: _Row, r2: _Row) -> _Row:
-    c1, n1, d1, i1 = r1
-    c2, n2, d2, i2 = r2
-    # tools/line_traffic.py, seed 1: 363 and 326 of theorem-batch's 1000 sums
-    # have an empty left or right row, and all 64 of dense-algebra's share a support
-    if not c1 and not i1:
-        return r2
-    if not c2 and not i2:
-        return r1
-    den = d1 if d1 == d2 else lcm(d1, d2)
-    s1, s2 = den // d1, den // d2
-    if c1 == c2 and not i1 and not i2:  # same support: add entry by entry
-        return _reduced(c1, [a * s1 + b * s2 for a, b in zip(n1, n2)], den)
-    return _joined_row([*c1, *c2], [a * s1 for a in n1] + [b * s2 for b in n2], den,
-                       i1 + i2 and tuple(sorted(set(i1 + i2))))
+def _check_rows(dom: FinSpace, rows: Sequence) -> None:
+    if len(rows) != len(dom):
+        raise SpaceMismatchError(
+            f"expected {len(dom)} rows for {dom!r}, got {len(rows)}")
 
 
 def _has_inf(kernel: "Kernel") -> bool:
     return any(map(itemgetter(3), kernel.int_rows))
-
-
-def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
-    """A row with each column ``k`` moved to ``targets[k]``, sums where
-    columns meet, and oo where an infinite entry lands."""
-    cols, nums, den, infs = row
-    return _joined_row(list(map(targets.__getitem__, cols)), nums, den,
-                       infs and tuple(sorted({targets[k] for k in infs})))
 
 
 class Kernel:
@@ -385,186 +226,6 @@ def _per_row(kernel: Kernel, fn: Callable[[_Row], _T]) -> list[_T]:
     return list(map(done.__getitem__, rows))
 
 
-def _pair_map(row: _Row) -> dict[int, tuple[int, int]]:
-    cols, nums, den, infs = row
-    pairs = dict(zip(cols, zip(nums, repeat(den))))
-    if infs:
-        pairs.update(dict.fromkeys(infs, INF_PAIR))
-        pairs = dict(sorted(pairs.items()))
-    return pairs
-
-
-def pair_rows(kernel: Kernel) -> list[dict[int, tuple[int, int]]]:
-    """Per row, its nonzero entries as column -> ``(num, den)`` pair, in
-    column order: a finite entry is its numerator over the row's
-    denominator, and oo is ``(1, 0)``. Rows are canonical, so two rows
-    are equal exactly when their maps are. Equal rows share one map, so
-    the maps are read-only: a caller that changes one changes every row
-    equal to it."""
-    return _per_row(kernel, _pair_map)
-
-
-def effect_pairs(kernel: Kernel) -> list[tuple[int, int]]:
-    """An effect's values as pairs, in point order, 0 as ``(0, 1)``."""
-    if not kernel.is_effect:
-        raise SpaceMismatchError("not an effect (codomain is not the unit space)")
-    return [(nums[0], den) if nums else INF_PAIR if infs else ZERO_PAIR
-            for _, nums, den, infs in kernel.int_rows]
-
-
-def row_support(kernel: Kernel, i: int) -> tuple[int, ...]:
-    """The ascending columns of row ``i``'s nonzero entries, oo included."""
-    return _support(kernel.int_rows[i])
-
-
-def infinite_entry(kernel: Kernel) -> tuple[int, int] | None:
-    """The row and column index of the first infinite entry, in row-major
-    order, or None."""
-    for i, (_, _, _, infs) in enumerate(kernel.int_rows):
-        if infs:
-            return i, infs[0]
-    return None
-
-
-def _point_values(space: FinSpace,
-                  values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> list:
-    """``values``, as ``measure`` and ``effect`` take them, in point order."""
-    if isinstance(values, Mapping):
-        return [values.get(x, ZERO) for x in space.labels]
-    return list(values)
-
-
-def measure(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> Kernel:
-    """A measure on ``space``: a kernel out of the unit space.
-
-    ``values`` is either a full sequence in point order or a mapping from
-    labels to masses (absent labels get 0).
-    """
-    return Kernel(UNIT, space, (_point_values(space, values),))
-
-
-def effect(space: FinSpace, values: Union[Sequence[Entry], Mapping[Label, Entry]]) -> Kernel:
-    """An effect on ``space``: a kernel into the unit space, with values
-    given as ``measure`` takes them."""
-    col = _point_values(space, values)
-    _check_rows(space, col)
-    col = [v if v.__class__ is ExtNonneg else _coerce(v) for v in col]
-    return Kernel._new(space, UNIT, tuple([
-        _EMPTY_ROW if not v.num else ((0,), (v.num,), v.den, ()) if v.den
-        else _INF_POINT for v in col]))
-
-
-def _check_rows(dom: FinSpace, rows: Sequence) -> None:
-    if len(rows) != len(dom):
-        raise SpaceMismatchError(
-            f"expected {len(dom)} rows for {dom!r}, got {len(rows)}")
-
-
-def _columns(acc: Mapping[int, object], cod: FinSpace) -> tuple[int, ...]:
-    """The ascending columns of a nonempty row map, all inside ``cod``."""
-    cols = tuple(sorted(acc))
-    if cols[0] < 0 or cols[-1] >= len(cod):
-        raise SpaceMismatchError(
-            f"column index out of range 0..{len(cod) - 1} for {cod!r}")
-    return cols
-
-
-def from_maps(dom: FinSpace, cod: FinSpace,
-              maps: Sequence[Mapping[int, ExtNonneg]]) -> Kernel:
-    """The kernel whose row ``i`` is ``maps[i]``, a column index -> value map.
-
-    Absent columns and zero values are zero entries. A wrong number of maps
-    or a column outside ``cod`` raises ``SpaceMismatchError``.
-    """
-    _check_rows(dom, maps)
-    rows = []
-    for acc in maps:
-        if not acc:
-            rows.append(_EMPTY_ROW)
-            continue
-        cols = _columns(acc, cod)
-        rows.append(_value_row(cols, [acc[j] for j in cols]))
-    return Kernel._new(dom, cod, tuple(rows))
-
-
-def from_pair_rows(dom: FinSpace, cod: FinSpace,
-                   rows: Sequence[Mapping[int, tuple[int, int]]]) -> Kernel:
-    """The kernel whose row ``i`` is ``rows[i]``, a column -> ``(num,
-    den)`` pair map as ``pair_rows`` gives: the writing twin of
-    ``pair_rows``, and otherwise as ``from_maps``. A pair with ``num ==
-    0`` is a zero entry and one with ``den == 0`` is oo. The finite pairs
-    of a row need not be reduced nor share a denominator: they go over the
-    lcm of theirs (a row whose pairs share one keeps its numerators), and
-    one gcd reduces the row."""
-    _check_rows(dom, rows)
-    width = len(cod)
-    out = []
-    for acc in rows:
-        if len(acc) == 1:  # an effect's row, say: no lcm
-            ((j, (n, d)),) = acc.items()
-            if 0 <= j < width:
-                g = gcd(n, d)
-                out.append(((j,), (n // g,), d // g, ()) if n and d
-                           else ((), (), 1, (j,)) if n else _EMPTY_ROW)
-                continue
-        if not acc:
-            out.append(_EMPTY_ROW)
-            continue
-        cols = _columns(acc, cod)
-        nums, dens = zip(*map(acc.__getitem__, cols))
-        infs = ()
-        if 0 in nums or 0 in dens:  # zeros dropped, oo apart
-            infs = tuple([j for j in cols if acc[j][0] and not acc[j][1]])
-            cols = tuple([j for j in cols if acc[j][0] and acc[j][1]])
-            nums, dens = [acc[j][0] for j in cols], [acc[j][1] for j in cols]
-        den = lcm(*dens)
-        if dens.count(den) < len(dens):  # not over one denominator yet
-            nums = [n * (den // d) for n, d in zip(nums, dens)]
-        out.append(_reduced(cols, nums, den, infs))
-    return Kernel._new(dom, cod, tuple(out))
-
-
-def uniform(space: FinSpace) -> Kernel:
-    """The uniform probability measure on a nonempty space."""
-    n = len(space)
-    if n == 0:
-        raise SpaceMismatchError("no uniform measure on the empty space")
-    return measure(space, [ExtNonneg(1, n)] * n)
-
-
-def resample_within(mu: Kernel, blocks: Iterable[Iterable[int]]) -> Kernel:
-    """The kernel X -> X that redraws a point of the finite measure ``mu``
-    on X from ``mu`` within the point's block.
-
-    ``blocks`` partitions X's point indices. Every point of a block gets
-    the same row, stored once: ``mu`` on the block over the block's mass,
-    or uniform over the block where that mass is 0. The row is ``mu``'s
-    numerators on the block over their sum, so it costs one gcd.
-    """
-    if not mu.is_measure:
-        raise SpaceMismatchError("resample_within needs a measure")
-    ((cols, nums, _, infs),) = mu.int_rows
-    if infs:
-        raise ValueError("resample_within needs a finite measure")
-    mass = dict(zip(cols, nums))
-    rows: list = [None] * len(mu.cod)
-    placed = 0
-    for block in blocks:
-        block = sorted(block)
-        charged = [j for j in block if j in mass]
-        if charged:
-            weights = [mass[j] for j in charged]
-            row = _reduced(tuple(charged), weights, sum(weights))
-        else:
-            row = (tuple(block), (1,) * len(block), len(block), ())
-        for j in block:
-            rows[j] = row
-        placed += len(block)
-    if placed != len(rows) or None in rows:
-        raise ValueError("blocks must partition the measure's points")
-    return Kernel._new(mu.cod, mu.cod, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # composition and monoidal product
 
@@ -702,6 +363,23 @@ def graph(kernel: Kernel) -> Kernel:
         for i, (cols, nums, den, infs) in enumerate(kernel.int_rows)]))
 
 
+def reweight(weight: Kernel, kernel: Kernel) -> Kernel:
+    """Scale each row of ``kernel`` by the effect ``weight`` at that point."""
+    if not weight.is_effect:
+        raise SpaceMismatchError("reweight needs an effect")
+    if weight.dom != kernel.dom:
+        raise SpaceMismatchError("reweight needs an effect on the kernel's domain")
+    rows = []
+    for (_, w, d, inf), row in zip(weight.int_rows, kernel.int_rows):
+        if inf:  # oo times every nonzero entry
+            rows.append(((), (), 1, _support(row)))
+        elif w:
+            rows.append(_scale(w[0], d, row))
+        else:
+            rows.append(_EMPTY_ROW)
+    return Kernel._new(kernel.dom, kernel.cod, tuple(rows))
+
+
 # ---------------------------------------------------------------------------
 # structure morphisms: index maps, which store only their targets
 
@@ -812,200 +490,10 @@ def lift_involution(phi: Involution) -> Kernel:
     return _index_map(phi.space, phi.space, phi.perm)
 
 
-def lazy_involution(phi: Involution, accept: Kernel) -> Kernel:
-    """``accept * lift_involution(phi) + (1 - accept) * identity``.
-
-    ``accept`` is an effect on phi's space with values at most 1; row ``i``
-    is ``{phi(i): a_i, i: 1 - a_i}``, built directly.
-    """
-    if not accept.is_effect or accept.dom != phi.space:
-        raise SpaceMismatchError(
-            "lazy_involution needs an effect on the involution's space")
-    rows = []
-    for i, (j, (_, nums, den, infs)) in enumerate(zip(phi.perm, accept.int_rows)):
-        a = nums[0] if nums else 0
-        if infs or a > den:
-            value = INF if infs else ExtNonneg(a, den)
-            raise ValueError(f"acceptance value {value} exceeds 1")
-        if j == i or not a:
-            rows.append(_point_row(i))
-        elif a == den:
-            rows.append(_point_row(j))
-        else:  # a / den and the reject mass (den - a) / den share den
-            rows.append(((i, j), (den - a, a), den, ()) if i < j
-                        else ((j, i), (a, den - a), den, ()))
-    return Kernel._new(phi.space, phi.space, tuple(rows))
-
-
-def split_by_support(p: Kernel, q: Kernel) -> tuple[Kernel, Kernel]:
-    """``p``'s entries where ``q`` is nonzero, and its other entries.
-
-    ``p`` and ``q`` must have equal dom and cod; the two parts sum to ``p``.
-    """
-    if p.dom != q.dom or p.cod != q.cod:
-        raise SpaceMismatchError("split_by_support needs kernels with equal dom and cod")
-    inside, outside = [], []
-    for row, (qcols, _, _, qinfs) in zip(p.int_rows, q.int_rows):
-        charged = set(qcols + qinfs)
-        keep = [j in charged for j in row[0]]
-        keep_inf = [j in charged for j in row[3]]
-        inside.append(_restrict(row, keep, keep_inf))
-        outside.append(_restrict(row, [not k for k in keep], [not k for k in keep_inf]))
-    return (Kernel._new(p.dom, p.cod, tuple(inside)),
-            Kernel._new(p.dom, p.cod, tuple(outside)))
-
-
-def _restrict(row: _Row, keep: list[bool], keep_inf: list[bool]) -> _Row:
-    """The entries of a row where the masks over its finite and its
-    infinite columns hold."""
-    if all(keep) and all(keep_inf):
-        return row
-    cols, nums, den, infs = row
-    return _reduced(tuple(compress(cols, keep)), list(compress(nums, keep)), den,
-                    tuple(compress(infs, keep_inf)))
-
-
-def pushforward(phi: Involution, mu: Kernel) -> Kernel:
-    """The pushforward of a measure under an involution."""
-    return compose(lift_involution(phi), mu)
-
-
-# ---------------------------------------------------------------------------
-# structural predicates and the effect algebra
-
-
-def row_masses(kernel: Kernel) -> tuple[ExtNonneg, ...]:
-    return tuple([INF if infs else fraction(sum(nums), den)
-                  for _, nums, den, infs in kernel.int_rows])
-
-
-def row_mass(kernel: Kernel) -> Kernel:
-    """The effect sending each input point to its total output mass."""
-    return effect(kernel.dom, row_masses(kernel))
-
-
-def normalized_violation(kernel: Kernel) -> Label | None:
-    """The first domain point whose row mass is not exactly 1."""
-    return next(compress(kernel.dom.labels, [
-        infs or sum(nums) != den for _, nums, den, infs in kernel.int_rows]), None)
-
-
-def is_normalized(kernel: Kernel) -> bool:
-    """Every row carries total mass exactly 1."""
-    return normalized_violation(kernel) is None
-
-
-def substochastic_violation(kernel: Kernel) -> Label | None:
-    """The first domain point whose row mass exceeds 1."""
-    return next(compress(kernel.dom.labels, [
-        infs or sum(nums) > den for _, nums, den, infs in kernel.int_rows]), None)
-
-
-def is_substochastic(kernel: Kernel) -> bool:
-    """Every row carries total mass at most 1."""
-    return substochastic_violation(kernel) is None
-
-
-def copyable_violation(kernel: Kernel) -> Label | None:
-    """The first domain point whose row does not commute with copy.
-
-    On finite spaces a kernel commutes with copy exactly when each row has
-    at most one nonzero entry and that entry is idempotent under
-    multiplication (1 or oo); see the copy-equation oracle in the test
-    suite.
-    """
-    return next(compress(kernel.dom.labels, [
-        len(cols) + len(infs) > 1 or (cols and (den != 1 or nums != _UNIT_NUM))
-        for cols, nums, den, infs in kernel.int_rows]), None)
-
-
-def is_copyable(kernel: Kernel) -> bool:
-    """Whether the kernel commutes with copy."""
-    return copyable_violation(kernel) is None
-
-
-def swap_asymmetry(mu: Kernel, kernel: Kernel,
-                   twist: Involution | None = None) -> tuple[int, int] | None:
-    """The least index pair ``(i, j)``, ``i < j``, where the joint of the
-    measure ``mu`` and the endo-kernel ``kernel`` on its space differs from
-    its swap: ``mu[i] * kernel[i][j] != mu[j] * kernel[j][i]``, with ``0 *
-    oo = 0``; or None when the joint is symmetric. Under a ``twist`` s that
-    preserves ``mu`` the swap reads ``kernel[s(j)][s(i)]`` (skew balance),
-    and the witness is the least failing stored entry ``(i, j)``.
-
-    The scan first checks its inputs: it raises ``SpaceMismatchError`` if
-    ``mu`` is not a measure, ``kernel`` not an endo-kernel on its space or
-    the twist on another space, and ``ValueError`` if the twist moves ``mu``.
-
-    Each stored entry is read once, and its partner ``(s(j), s(i))`` found
-    by bisection; an entry that is its own partner holds, and so does an
-    unstored one, which fails only with its stored partner. Values are
-    pairs, oo as ``(1, 0)``, and ``mu``'s one denominator cancels, so a pair
-    costs one cross-multiplication, and equal pairs are equal masses.
-    """
-    if not mu.is_measure:
-        raise SpaceMismatchError("target must be a measure")
-    if kernel.dom != mu.cod or kernel.cod != mu.cod:
-        raise SpaceMismatchError("chain must be an endomorphism on the target space")
-    if twist is not None and twist.space != mu.cod:
-        raise SpaceMismatchError("twist involution lives on a different space")
-    ((mcols, mnums, _, minfs),) = mu.int_rows
-    rows = kernel.int_rows
-    masses = dict(zip(mcols, zip(mnums, repeat(1)))) | dict.fromkeys(minfs, INF_PAIR)
-    masses = [masses.get(j, ZERO_PAIR) for j in range(len(rows))]
-    s = tuple(range(len(rows))) if twist is None else twist.perm
-    if twist is not None and [masses[t] for t in s] != masses:
-        raise ValueError("twist involution does not preserve the target")
-    least = None
-    for i, (cols, nums, den, infs) in enumerate(rows):
-        m, md = masses[i]
-        si = s[i]
-        if infs:  # an infinite entry is 1/0
-            cols, nums = cols + infs, nums + (1,) * len(infs)
-        for j, n in zip(cols, nums):
-            sj = s[j]
-            if sj == i:
-                continue
-            pcols, pnums, pden, pinfs = rows[sj]
-            k = bisect_left(pcols, si)
-            if k < len(pcols) and pcols[k] == si:
-                tn, td = pnums[k], pden
-            elif pinfs and si in pinfs:
-                tn, td = INF_PAIR
-            else:
-                tn = 0
-            if tn and sj < i:  # the partner was read, and held or counted
-                continue
-            mj, mjd = masses[j]
-            if (m * n * mjd * td != mj * tn * md * (0 if infs and j in infs else den)
-                    if m and mj and tn else m or (mj and tn)):
-                pair = (j, i) if twist is None and j < i else (i, j)
-                if least is None or pair < least:
-                    least = pair
-    return least
-
-
-def effect_mul(left: Kernel, right: Kernel) -> Kernel:
-    """Pointwise product of two effects on the same space; unit is delete."""
-    if not left.is_effect or not right.is_effect:
-        raise SpaceMismatchError("effect_mul needs two effects")
-    if left.dom != right.dom:
-        raise SpaceMismatchError("effect_mul needs effects on the same space")
-    return reweight(left, right)
-
-
-def reweight(weight: Kernel, kernel: Kernel) -> Kernel:
-    """Scale each row of ``kernel`` by the effect ``weight`` at that point."""
-    if not weight.is_effect:
-        raise SpaceMismatchError("reweight needs an effect")
-    if weight.dom != kernel.dom:
-        raise SpaceMismatchError("reweight needs an effect on the kernel's domain")
-    rows = []
-    for (_, w, d, inf), row in zip(weight.int_rows, kernel.int_rows):
-        if inf:  # oo times every nonzero entry
-            rows.append(((), (), 1, _support(row)))
-        elif w:
-            rows.append(_scale(w[0], d, row))
-        else:
-            rows.append(_EMPTY_ROW)
-    return Kernel._new(kernel.dom, kernel.cod, tuple(rows))
+# imported last: ``_kernel_functions`` imports ``Kernel`` and the operations from here
+from ._kernel_functions import (
+    copyable_violation, effect, effect_mul, effect_pairs, from_maps, from_pair_rows,
+    infinite_entry, is_copyable, is_normalized, is_substochastic, lazy_involution, measure,
+    normalized_violation, pair_rows, pushforward, resample_within, row_mass, row_masses,
+    row_support, split_by_support, substochastic_violation, swap_asymmetry, uniform,
+)

@@ -106,6 +106,17 @@ def rand_skew_instance(rng: random.Random, min_size: int = 2, max_size: int = 6,
     return target, twist, chain
 
 
+#: The kernel layer's source files in ``src/finkern``: only they call
+#: ``Kernel._new``, read stored rows and import each other's private names.
+KERNEL_LAYER = ("kernels.py", "_kernel_functions.py", "_kernel_rows.py")
+
+
+def kernel_layer_module(name):
+    """Whether an import's module name, relative or absolute, is one of the
+    kernel layer's."""
+    return f"{(name or '').removeprefix('finkern.')}.py" in KERNEL_LAYER
+
+
 def assert_reduced(k):
     """Each stored row is ascending, positive, reduced, and keeps its oo
     columns apart from its finite ones."""

@@ -21,12 +21,13 @@ from finkern.kernels import (
     effect_pairs, pair_rows, resample_within, row_support, split_by_support,
     swap, tensor, uniform,
 )
+import finkern
 from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from finkern.generators import rand_normalized_kernel
 from strategies import (
-    assert_reduced, composable_pairs, finite_values, gibbs_3x3x3, kernel_pairs,
-    kernels, kernels_on, spaces,
+    KERNEL_LAYER, assert_reduced, composable_pairs, finite_values, gibbs_3x3x3,
+    kernel_layer_module, kernel_pairs, kernels, kernels_on, spaces,
 )
 
 
@@ -751,18 +752,51 @@ def test_split_by_support_needs_kernels_between_the_same_spaces():
 SRC = Path(__file__).resolve().parent.parent / "src" / "finkern"
 
 
+#: The public names ``finkern.kernels`` defines, wherever in the kernel
+#: layer each is written.
+KERNELS_PUBLIC = [
+    "Involution", "Kernel", "SpaceMismatchError", "associator", "compose",
+    "copy", "copyable_violation", "delete", "deterministic", "dirac", "effect",
+    "effect_mul", "effect_pairs", "from_maps", "from_pair_rows", "graph",
+    "identity", "infinite_entry", "is_copyable", "is_normalized",
+    "is_substochastic", "lazy_involution", "left_unitor", "lift_involution",
+    "measure", "normalized_violation", "pair_rows", "pushforward",
+    "resample_within", "reweight", "right_unitor", "row_mass", "row_masses",
+    "row_support", "split_by_support", "substochastic_violation", "swap",
+    "swap_asymmetry", "tensor", "uniform",
+]
+
+
+def test_kernels_keeps_its_public_names():
+    assert len(KERNELS_PUBLIC) == 40
+    for name in KERNELS_PUBLIC:
+        obj = getattr(kernels_module, name)
+        if hasattr(finkern, name):
+            assert getattr(finkern, name) is obj, name
+    for cls in (Kernel, Involution, SpaceMismatchError):
+        assert cls.__module__ == "finkern.kernels"
+
+
+def test_the_kernel_layer_lists_its_files():
+    """``KERNEL_LAYER`` is ``kernels.py`` and every ``_kernel*.py`` file, so
+    no kernel-layer file is left out of the guards below."""
+    assert sorted(KERNEL_LAYER) == sorted(
+        ["kernels.py", *(path.name for path in SRC.glob("_kernel*.py"))])
+
+
 def test_only_kernels_builds_rows():
-    """No module but ``kernels`` calls ``Kernel._new`` or reaches a private
-    name of ``kernels``, so the row format is decided in one place."""
+    """No module outside the kernel layer calls ``Kernel._new`` or reaches a
+    private name of a kernel-layer module, so the row format is decided in
+    one place."""
     for path in SRC.glob("*.py"):
-        if path.name == "kernels.py":
+        if path.name in KERNEL_LAYER:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert not (node.value.id == "Kernel" and node.attr == "_new"), path.name
-                assert not (node.value.id == "kernels"
+                assert not (kernel_layer_module(node.value.id)
                             and node.attr.startswith("_")), path.name
-            if isinstance(node, ast.ImportFrom) and node.module in ("kernels", "finkern.kernels"):
+            if isinstance(node, ast.ImportFrom) and kernel_layer_module(node.module):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, private)
     for name in ("Row", "EMPTY_ROW", "point_row", "value_row", "dict_row"):
@@ -773,7 +807,7 @@ def test_only_kernels_reads_stored_rows():
     """Other modules read entries through ``pair_rows``, ``effect_pairs``,
     ``row_support`` or the value views, never the stored ``int_rows``."""
     for path in SRC.glob("*.py"):
-        if path.name == "kernels.py":
+        if path.name in KERNEL_LAYER:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):

@@ -3,7 +3,7 @@
 With no bytecode cache, a process compiles every module it imports, so the
 CLI imports only what each subcommand runs: ``generators`` and ``sampler``
 are imported by the subcommands that use them, and the package's
-``coproducts`` and ``sampler`` names load on first use.
+``coproducts``, ``sampler`` and ``modelfile`` names load on first use.
 """
 
 import ast
@@ -61,3 +61,23 @@ def test_lazy_names_resolve_and_list():
     assert {"oplus", "ChainRun", "run_chain", "Kernel"} <= set(dir(finkern))
     with pytest.raises(AttributeError, match="no_such_name"):
         finkern.no_such_name
+
+
+def test_import_leaves_modelfile_to_its_names():
+    unloaded, same, listed, public = _python(
+        "import finkern, sys; print('finkern.modelfile' not in sys.modules); "
+        "names = ('ModelDocument', 'ModelError', 'emit', 'parse'); "
+        "from finkern import modelfile; "
+        "print(all(getattr(finkern, n) is getattr(modelfile, n) for n in names)); "
+        "print(set(names) <= set(dir(finkern))); "
+        "print(len([n for n in dir(finkern) if not n.startswith('_')]))")
+    assert (unloaded, same, listed, public) == ("True", "True", "True", "98")
+
+
+def test_no_module_exceeds_24_kib():
+    """Without a bytecode cache a process compiles each module it imports
+    from source, and compiling the largest one takes more memory, for a
+    moment, than anything else at start-up: that transient is the peak RSS
+    of a process that imports the package and does little else."""
+    for path in (SRC / "finkern").glob("*.py"):
+        assert path.stat().st_size <= 24 * 1024, path.name
