@@ -40,22 +40,21 @@ from .mcmc import (
 
 __version__ = "0.1.0"
 
-_COPRODUCTS = ("copair", "distributivity_iso", "injection", "oplus")
-_SAMPLER = ("ChainRun", "empirical", "run_chain", "to_float", "tv_distance")
-_MODELFILE = ("ModelDocument", "ModelError", "emit", "parse")
+#: the names that load on first use, each with its module
+_LAZY = {
+    **dict.fromkeys(("copair", "distributivity_iso", "injection", "oplus"), "coproducts"),
+    **dict.fromkeys(("ChainRun", "empirical", "run_chain", "to_float", "tv_distance"),
+                    "sampler"),
+    **dict.fromkeys(("ModelDocument", "ModelError", "emit", "parse"), "modelfile"),
+}
 
 
 def __getattr__(name: str):
-    if name in _COPRODUCTS:
-        from .coproducts import copair, distributivity_iso, injection, oplus
-    elif name in _SAMPLER:
-        from .sampler import ChainRun, empirical, run_chain, to_float, tv_distance
-    elif name in _MODELFILE:
-        from .modelfile import ModelDocument, ModelError, emit, parse
-    else:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return locals()[name]
+    import importlib  # here, so that dir(finkern) does not list it
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
 
 
 def __dir__():
-    return sorted(globals().keys() | {*_COPRODUCTS, *_SAMPLER, *_MODELFILE})
+    return sorted(globals().keys() | _LAZY.keys())

@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .spaces import FinSpace, format_label
 from .kernels import (
-    Involution, SpaceMismatchError, compose, copyable_violation,
-    is_normalized, normalized_violation, row_masses, substochastic_violation,
+    Involution, compose, copyable_violation, is_normalized, normalized_violation,
+    row_masses, substochastic_violation,
 )
 from .enrichment import (
     abs_cont_violation, ae_violation, cancellative_violation,
@@ -49,10 +49,6 @@ INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
 MAX_STEPS = 10**8
 
 
-class CliError(Exception):
-    """A user-facing problem: bad reference, bad flag combination."""
-
-
 # ---------------------------------------------------------------------------
 # model lookups
 
@@ -69,9 +65,9 @@ _INVOLUTION = ("involution",)
 def _lookup(doc: ModelDocument, name: str, kinds: tuple[str, ...]):
     hits = [kind for kind in kinds if name in getattr(doc, _STORES[kind])]
     if not hits:
-        raise CliError(f"no {'/'.join(kinds)} named {name!r} in the model")
+        raise ValueError(f"no {'/'.join(kinds)} named {name!r} in the model")
     if len(hits) > 1:
-        raise CliError(f"name {name!r} is ambiguous across kinds " + "/".join(hits))
+        raise ValueError(f"name {name!r} is ambiguous across kinds " + "/".join(hits))
     return getattr(doc, _STORES[hits[0]])[name]
 
 
@@ -81,16 +77,16 @@ def _mh_problem(doc: ModelDocument, args, twist: str | None = None):
     target = _lookup(doc, args.target, _MEASURE)
     phi = _lookup(doc, args.involution, _INVOLUTION)
     if args.acceptance and args.balancing:
-        raise CliError("pass either --acceptance or --balancing, not both")
+        raise ValueError("pass either --acceptance or --balancing, not both")
     if args.acceptance:
         accept, accept_name = _lookup(doc, args.acceptance, _EFFECT), args.acceptance
     elif args.balancing:
         accept_name = doc.balancing.get(args.balancing, args.balancing)
         if accept_name not in BALANCING_FUNCTIONS:
-            raise CliError(f"unknown balancing function {accept_name!r}")
+            raise ValueError(f"unknown balancing function {accept_name!r}")
         accept = balancing_alpha(BALANCING_FUNCTIONS[accept_name], target, phi)
     else:
-        raise CliError("an acceptance is required: --acceptance or --balancing")
+        raise ValueError("an acceptance is required: --acceptance or --balancing")
     echo = [("target", args.target), ("involution", args.involution),
             ("twist", twist), ("acceptance", accept_name)]
     return MhProblem(target, phi, accept), [(k, v) for k, v in echo if v is not None]
@@ -101,7 +97,7 @@ def _flag_label(args, flag: str):
     try:
         return parse_label(getattr(args, flag))
     except ModelError as exc:
-        raise CliError(f"--{flag}: {exc.message}") from None
+        raise ValueError(f"--{flag}: {exc.message}") from None
 
 
 def _space_doc(doc: ModelDocument, *spaces: FinSpace, **stores) -> ModelDocument:
@@ -190,11 +186,11 @@ CHECKS = {
 
 def _check(doc, args):
     if args.predicate not in CHECKS:
-        raise CliError(f"unknown predicate {args.predicate!r}; choose from "
-                       + ", ".join(sorted(CHECKS)))
+        raise ValueError(f"unknown predicate {args.predicate!r}; choose from "
+                         + ", ".join(sorted(CHECKS)))
     kinds, violation, witness_lines = CHECKS[args.predicate]
     if len(args.names) != len(kinds):
-        raise CliError(f"predicate {args.predicate!r} takes {len(kinds)} name(s)")
+        raise ValueError(f"predicate {args.predicate!r} takes {len(kinds)} name(s)")
     names = [_lookup(doc, name, k) for k, name in zip(kinds, args.names)]
     witness = violation(*names)
     lines = [("predicate", args.predicate), ("args", " ".join(args.names)),
@@ -315,7 +311,7 @@ def _gibbs(doc, args):
     names = [name.strip() for name in args.factors.split(",")]
     unknown = [name for name in names if name not in doc.spaces]
     if unknown:
-        raise CliError(f"unknown space {unknown[0]!r} in --factors")
+        raise ValueError(f"unknown space {unknown[0]!r} in --factors")
     chain = gibbs(joint, [doc.spaces[name] for name in names])
     invariant = is_invariant(joint, chain)
     out = _space_doc(doc, joint.cod, kernels={"gibbs_chain": chain})
@@ -329,16 +325,16 @@ def _sample(doc, args):
     chain = _lookup(doc, args.kernel, ("kernel",))
     target = _lookup(doc, args.target, _MEASURE)
     if not target.cod == chain.dom == chain.cod:
-        raise CliError("target and kernel live on different spaces")
+        raise ValueError("target and kernel live on different spaces")
     if not is_normalized(target):
-        raise CliError(f"target {args.target!r} is not a probability measure "
-                       f"(total mass {row_masses(target)[0]})")
+        raise ValueError(f"target {args.target!r} is not a probability measure "
+                         f"(total mass {row_masses(target)[0]})")
     initial = chain.dom.index(_flag_label(args, "init"))
     matrix = to_float(chain)
     try:  # the trace holds every step
         run = run_chain(matrix, initial, args.seed, args.steps)
     except MemoryError:
-        raise CliError(f"--steps {args.steps}: no memory for a trace that long") from None
+        raise ValueError(f"--steps {args.steps}: no memory for a trace that long") from None
     frequencies = empirical(run, args.burn)
     tv = tv_distance(frequencies, [v.to_float() for v in target.measure_values()])
     lines = [("kernel", args.kernel), ("target", args.target),
@@ -449,7 +445,7 @@ def main(argv=None) -> int:
     try:
         path = Path(args.model)
         if not path.exists():
-            raise CliError(f"model file {path} does not exist")
+            raise ValueError(f"model file {path} does not exist")
         model = parse(path.read_text())
         ok, lines, doc = COMMANDS[args.subcommand][0](model, args)
         report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
@@ -463,8 +459,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write("".join("# " + line for line in head) + body)
         return 0 if ok else 1
-    except (CliError, ModelError, SpaceMismatchError, ValueError, KeyError,
-            ArithmeticError, OSError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         # str() of a KeyError quotes its message; that of an OSError or a
         # UnicodeDecodeError joins its several args into one sentence
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)

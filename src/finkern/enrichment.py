@@ -39,7 +39,9 @@ class NoExactDerivative(ValueError):
 
 
 class NotCancellative(ValueError):
-    """An operation required a cancellative (all-finite) measure."""
+    """An operation required a cancellative (all-finite) measure or kernel:
+    the one refusal of an infinite mass, by ``ae_equal`` and
+    ``involutive_decompose`` here and by ``mcmc``'s constructions."""
 
 
 def _check_same_type(p: Kernel, q: Kernel, what: str) -> None:

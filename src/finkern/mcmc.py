@@ -32,10 +32,6 @@ from .enrichment import NoExactDerivative, NotCancellative, is_cancellative
 from ._record import FrozenRecord
 
 
-class InfiniteMassError(ValueError):
-    """An exact ratio was requested over an infinite mass."""
-
-
 # ---------------------------------------------------------------------------
 # balancing functions
 
@@ -196,21 +192,20 @@ def bayesian_inverse(prior: Kernel, forward: Kernel) -> Kernel:
     (masses,), rows = pair_rows(prior), pair_rows(forward)
     for i, (mn, md) in masses.items():
         for j, (wn, wd) in rows[i].items():
+            if not md * wd:
+                raise NotCancellative("bayesian_inverse needs finite joint masses")
             joint_cols[j][i] = (mn * wn, md * wd)
-    return _normalized(forward.cod, forward.dom, joint_cols,
-                       "bayesian_inverse needs finite joint masses")
+    return _normalized(forward.cod, forward.dom, joint_cols)
 
 
-def _normalized(dom: FinSpace, cod: FinSpace, blocks: list[dict[int, tuple[int, int]]],
-                infinite: str) -> Kernel:
-    """Row ``i`` is ``blocks[i]``, a map of pairs, over its mass, uniform
-    when that is 0; an infinite mass raises ``InfiniteMassError(infinite)``."""
+def _normalized(dom: FinSpace, cod: FinSpace,
+                blocks: list[dict[int, tuple[int, int]]]) -> Kernel:
+    """Row ``i`` is ``blocks[i]``, a map of finite pairs, over its mass,
+    uniform when that is 0. Each caller refuses an infinite mass first."""
     rows = []
     for block in blocks:
-        dens = [d for _, d in block.values()]
-        if not all(dens):
-            raise InfiniteMassError(infinite)
-        den = lcm(*dens)  # entry j is a_j / den, so over the mass a_j / sum(a)
+        # entry j is a_j / den, so over the mass a_j / sum(a)
+        den = lcm(*[d for _, d in block.values()])
         nums = {j: n * (den // d) for j, (n, d) in block.items()}
         mass = sum(nums.values())
         rows.append({j: (a, mass) for j, a in nums.items()} if mass
@@ -376,7 +371,7 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     if not is_normalized(proposal):
         raise ValueError("proposal rows must be normalized")
     if not is_cancellative(target):
-        raise InfiniteMassError("classical_mh needs finite target masses")
+        raise NotCancellative("classical_mh needs finite target masses")
     # point (i, j) is state i with proposed point j, at target(i) * proposal(i, j)
     embed = graph(proposal)
     augmented = compose(embed, target)
@@ -431,7 +426,7 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
     if proposal.dom != base or proposal.cod != base:
         raise SpaceMismatchError("proposal must be an endomorphism on parameters")
     if not is_cancellative(prior) or not is_cancellative(likelihood):
-        raise InfiniteMassError("exchange_algorithm needs a finite prior and likelihood")
+        raise NotCancellative("exchange_algorithm needs a finite prior and likelihood")
     obs_j = data.index(observed)
     (masses,) = pair_rows(prior)
     likes = [row.get(obs_j, ZERO_PAIR) for row in pair_rows(likelihood)]
@@ -439,8 +434,7 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
                      for i, (mn, md) in masses.items() if likes[i][0]}
     if not posterior_raw:
         raise ValueError("target has zero mass at the observed data")
-    posterior = _normalized(UNIT, base, [posterior_raw],
-                            "exchange_algorithm needs a finite prior and likelihood")
+    posterior = _normalized(UNIT, base, [posterior_raw])
 
     # X -> Z (x) X: propose a parameter, then draw synthetic data from it
     # (keeping the proposed parameter alongside the data).

@@ -184,6 +184,23 @@ def test_no_module_imports_a_private_name_of_another():
                 assert not private, (path.name, node.lineno, private)
 
 
+def test_every_exception_class_of_the_package_exits_2():
+    """``main`` reports a ValueError, KeyError, ArithmeticError or OSError
+    as ``error: ...`` with exit 2, so each exception class the package
+    defines subclasses one of them."""
+    defined = {}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        names = [node.name for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.ClassDef)]
+        if names:
+            module = importlib.import_module(f"finkern.{path.stem}")
+            defined.update((name, getattr(module, name)) for name in names)
+    errors = {name: cls for name, cls in defined.items() if issubclass(cls, BaseException)}
+    assert {"ModelError", "NotCancellative", "SemiringDivisionError"} <= errors.keys()
+    for name, cls in errors.items():
+        assert issubclass(cls, (ValueError, KeyError, ArithmeticError, OSError)), name
+
+
 def test_check_unknown_predicate(capsys):
     code, _, err = run(capsys, "check", "--model", TWO_STATE, "bogus", "walk")
     assert code == 2
@@ -758,6 +775,34 @@ def test_exchange_with_infinite_prior_is_a_model_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+INFINITE_MASS_MODEL = """\
+space X { a b }
+space Z { z }
+measure mu on X { a = inf  b = 1 }
+kernel q : X -> X {
+  a -> b = 1
+  b -> a = 1
+}
+kernel lik : X -> Z {
+  a -> z = 1
+  b -> z = 1
+}
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classical-mh", "--target", "mu", "--proposal", "q"],
+     "classical_mh needs finite target masses"),
+    (["exchange", "--prior", "mu", "--likelihood", "lik", "--obs", "z", "--proposal", "q"],
+     "exchange_algorithm needs a finite prior and likelihood"),
+], ids=["classical-mh", "exchange"])
+def test_an_infinite_mass_exits_2_with_one_error_line(capsys, tmp_path, argv, message):
+    model = tmp_path / "infinite_mass.fk"
+    model.write_text(INFINITE_MASS_MODEL)
+    code, out, err = run(capsys, argv[0], "--model", str(model), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_arithmetic_error_exits_2(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from finkern.kernels import (
     row_support, swap, swap_asymmetry, tensor, uniform, is_normalized,
 )
 from finkern.enrichment import (
-    NoExactDerivative, NotAbsolutelyContinuous, _density_values,
+    NoExactDerivative, NotAbsolutelyContinuous, NotCancellative, _density_values,
     is_cancellative, lebesgue_decompose, leq_witness, rn_derivative,
 )
 from finkern import mcmc
@@ -1097,6 +1097,31 @@ def test_exchange_rejects_zero_mass_target():
     proposal = Kernel(base, base, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         exchange_algorithm(prior, lik, "z0", proposal)
+
+
+DATA1 = FinSpace.atoms("z")
+INFINITE_MASS_CASES = {
+    "classical_mh": (lambda: classical_mh(measure(X2, [INF, 1]), lift_involution(SWAP2)),
+                     "classical_mh needs finite target masses"),
+    "exchange_prior": (lambda: exchange_algorithm(
+        measure(X2, [INF, 1]), Kernel(X2, DATA1, [[1], [1]]), "z", identity(X2)),
+        "exchange_algorithm needs a finite prior and likelihood"),
+    "exchange_likelihood": (lambda: exchange_algorithm(
+        measure(X2, [1, 1]), Kernel(X2, DATA1, [[INF], [1]]), "z", identity(X2)),
+        "exchange_algorithm needs a finite prior and likelihood"),
+    "bayesian_inverse": (lambda: bayesian_inverse(measure(X2, [INF, 1]), identity(X2)),
+                         "bayesian_inverse needs finite joint masses"),
+    "gibbs": (lambda: gibbs(measure(product_many([X2, X2]), [INF, 1, 1, 1]), [X2, X2]),
+              "gibbs needs a finite joint measure"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_MASS_CASES))
+def test_an_infinite_mass_is_refused_as_not_cancellative(case):
+    build, message = INFINITE_MASS_CASES[case]
+    with pytest.raises(NotCancellative) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 # -- conditionals and Gibbs ----------------------------------------------------------------------------------
