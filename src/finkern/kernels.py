@@ -27,13 +27,13 @@ of ``int_rows``.
 pair ``(cols, vals)`` of every nonzero entry's column and value),
 ``entries`` (the dense matrix), ``at``, ``entry``, ``measure_values`` and
 ``effect_values`` read views that are built from the integer rows on first
-access and kept. The views are worked out once per distinct stored row,
-and equal rows share one view and one dense row, so all of them are
-read-only. A chain whose rows repeat, as a Gibbs sweep's do, then builds
-each of them once. Only the kernel layer reads or writes stored rows: this
-module, ``_kernel_rows`` (the row format) and ``_kernel_functions`` (the
-other constructors, the pair readers and the predicates), whose public
-names this module exports.
+access and kept. ``_per_row`` works the views, the pair maps and
+``compose``'s output rows out once per distinct stored row, and equal rows
+share one result, so all of them are read-only. A chain whose rows repeat,
+as a Gibbs sweep's do, then builds each of them once. Only the kernel
+layer reads or writes stored rows: this module, ``_kernel_rows`` (the row
+format) and ``_kernel_functions`` (the other constructors, the pair
+readers and the predicates), whose public names this module exports.
 
 ``P >> Q`` runs P then Q (i.e. ``compose(Q, P)``); ``P @ Q`` is the
 monoidal product; ``P + Q`` is the entrywise sum.
@@ -216,11 +216,11 @@ class Kernel:
 
 def _per_row(kernel: Kernel, fn: Callable[[_Row], _T]) -> list[_T]:
     """``fn`` of each distinct stored row, worked out once, as one result
-    per row in row order: equal rows get the same object."""
+    per row in row order: equal rows get the same object. The views, the
+    pair maps and ``compose`` build their rows with it."""
     rows = kernel.int_rows
-    done = dict.fromkeys(rows)
-    if len(done) == len(rows):  # no two rows equal: no lookups needed
-        return list(map(fn, rows))
+    if len(rows) < 2 or len(done := dict.fromkeys(rows)) == len(rows):
+        return list(map(fn, rows))  # a measure, or no two rows equal: no lookups
     for row in done:
         done[row] = fn(row)
     return list(map(done.__getitem__, rows))
@@ -236,13 +236,14 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     An output row is an integer dot product: each middle row is scaled to
     the lcm ``L`` of the middle rows' denominators, weighted by the earlier
     row's numerator, and summed over ``den * L``; one gcd then reduces it.
-    Equal earlier rows give equal output rows, so each distinct earlier row
-    is worked out once. Where ``earlier`` is a measure (an invariance
-    check's ``chain ∘ target``), its numerators on middle points that share
-    one stored later row (a Gibbs site's fibers do) are added up first, so
-    each shared later row is multiplied once. In a Gibbs sweep's own
-    composes no two middle points of a row share a later row, so a kernel
-    of many rows takes no merge.
+    Equal earlier rows give equal output rows: ``_per_row`` works each
+    distinct one out once, whatever its shape, and they share the result.
+    Where ``earlier`` is a measure (an invariance check's ``chain ∘
+    target``), its numerators on middle points that share one stored later
+    row (a Gibbs site's fibers do) are added up first, so each shared later
+    row is multiplied once. In a Gibbs sweep's own composes no two middle
+    points of a row share a later row, so a kernel of many rows takes no
+    merge.
 
     Where the finite middle rows of an earlier row share no column, as in
     each step of a Gibbs sweep and in classical MH's ``inner ∘ embed`` and
@@ -260,20 +261,14 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     if earlier.cod != later.dom:
         raise SpaceMismatchError(
             f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
-    done: dict[_Row, _Row] = {}  # earlier row -> its output row
     # a later index map moves earlier's columns (classical MH, exchange, twists)
     if later._map is not None:
         targets = later._map
         if earlier._map is not None:  # keeps composites of structure morphisms structural
             return _index_map(earlier.dom, later.cod,
                               [targets[k] for k in earlier._map])
-        out = []
-        for row in earlier.int_rows:
-            new = done.get(row)
-            if new is None:
-                new = done[row] = _relabel(row, targets)
-            out.append(new)
-        return Kernel._new(earlier.dom, later.cod, tuple(out))
+        return Kernel._new(earlier.dom, later.cod, tuple(
+            _per_row(earlier, lambda row: _relabel(row, targets))))
     later_rows = later.int_rows
     width = len(later.cod)
     infinite = _has_inf(later) or _has_inf(earlier)
@@ -283,18 +278,13 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         first = [seen.setdefault(id(r), k) for k, r in enumerate(later_rows)]
         if len(seen) == len(later_rows):  # no later row shared
             first = None
-    out = []
-    for row in earlier.int_rows:
+
+    def output_row(row: _Row) -> _Row:
         cols, nums, den, infs = row
         if len(cols) == 1 and not infs:
-            # one middle point: a scaled copy of that row of ``later``
-            # (Gibbs rows with a single charged point)
-            out.append(_scale(nums[0], den, later_rows[cols[0]]))
-            continue
-        new = done.get(row)
-        if new is not None:  # a repeated row: gibbs' sites ignore one coordinate
-            out.append(new)
-            continue
+            # one middle point: a scaled copy of that row of ``later``, at
+            # weight 1 the row itself (Gibbs rows with a single charged point)
+            return _scale(nums[0], den, later_rows[cols[0]])
         if first is not None:  # over den 1, so the merged numerators stay
             cols, nums, _, _ = _joined_row([first[k] for k in cols], nums, 1)
         mids = [later_rows[k] for k in cols]
@@ -302,18 +292,16 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         weights = [a * (scale // ld) for a, (_, _, ld, _) in zip(nums, mids)]
         # More entries than columns must meet somewhere; fewer may not.
         if not infinite and sum(map(len, map(_COLS, mids))) > width:
-            new = _dense_sum(weights, mids, width, den * scale)
-        else:
-            inf = ()
-            if infinite:  # oo where a positive mass meets an infinite one on the way
-                hit = set(chain.from_iterable([mid[3] for mid in mids]))
-                inf = tuple(sorted(hit.union(*[_support(later_rows[k]) for k in infs])))
-            new = _joined_row(list(chain.from_iterable(map(_COLS, mids))),
-                              [w * n for w, (_, lnums, _, _) in zip(weights, mids)
-                               for n in lnums], den * scale, inf)
-        out.append(new)
-        done[row] = new
-    return Kernel._new(earlier.dom, later.cod, tuple(out))
+            return _dense_sum(weights, mids, width, den * scale)
+        inf = ()
+        if infinite:  # oo where a positive mass meets an infinite one on the way
+            hit = set(chain.from_iterable([mid[3] for mid in mids]))
+            inf = tuple(sorted(hit.union(*[_support(later_rows[k]) for k in infs])))
+        return _joined_row(list(chain.from_iterable(map(_COLS, mids))),
+                           [w * n for w, (_, lnums, _, _) in zip(weights, mids)
+                            for n in lnums], den * scale, inf)
+
+    return Kernel._new(earlier.dom, later.cod, tuple(_per_row(earlier, output_row)))
 
 
 def tensor(left: Kernel, right: Kernel) -> Kernel:

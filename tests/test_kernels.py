@@ -930,6 +930,35 @@ def test_compose_over_shared_later_rows_matches_dense_oracle(data):
         assert_reduced(out)
 
 
+@pytest.mark.parametrize("later, row, helper", [
+    pytest.param(Kernel(X2, X3, [[q(1, 2), q(1, 2), 0], [0, 0, 1]]), [q(2, 3), 0],
+                 "_scale", id="one-middle-point"),
+    pytest.param(Kernel(X2, X3, [[q(1, 3), 0, 0], [0, q(1, 2), q(1, 2)]]), [q(1, 2), q(1, 4)],
+                 "_joined_row", id="concatenated"),
+    pytest.param(Kernel(X2, X3, [[q(1, 2), q(1, 2), 0], [0, q(1, 2), q(1, 2)]]),
+                 [q(1, 2), q(1, 2)], "_dense_sum", id="pigeonhole-dense"),
+    pytest.param(Kernel(X2, X3, [[INF, 0, 0], [0, 1, 0]]), [q(1, 2), q(1, 2)],
+                 "_joined_row", id="meets-oo"),
+    pytest.param(deterministic(X2, X3, lambda x: "c"), [q(1, 2), q(1, 3)],
+                 "_relabel", id="index-map-relabel"),
+])
+def test_compose_gives_equal_earlier_rows_one_output_row(monkeypatch, later, row, helper):
+    """Two equal (but separately stored) earlier rows are worked out once,
+    by the row builder of their shape, and share one output row."""
+    calls = []
+    original = getattr(kernels_module, helper)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(kernels_module, helper, spy)
+    earlier = Kernel(X2, X2, [row, list(row)])
+    assert earlier.int_rows[0] is not earlier.int_rows[1]
+    out = _compose_checked(later, earlier)
+    assert out.int_rows[0] is out.int_rows[1]
+    assert len(calls) == 1
+
+
 def test_resample_within_shares_one_reduced_row_per_block():
     space = FinSpace(tuple("abcdef"))
     mu = measure(space, [q(1, 6), q(1, 3), 0, 0, q(1, 4), 0])
@@ -1069,3 +1098,50 @@ def test_index_map_shortcuts_match_the_general_products(k, data):
     assert k >> g == k >> plain(g)
     assert copy(k.cod) >> (g @ identity(k.cod)) >> swap_g == (
         plain(copy(k.cod)) >> (plain(g) @ plain(identity(k.cod))) >> plain(swap_g))
+
+
+# -- refusals -------------------------------------------------------------------
+
+@pytest.mark.parametrize("refuse, cls, text", [
+    pytest.param(lambda: compose(identity(X2), identity(X3)), SpaceMismatchError,
+                 "cannot compose: middle spaces differ (FinSpace(a b c) vs FinSpace(a b))",
+                 id="compose"),
+    pytest.param(lambda: identity(X2) + identity(X3), SpaceMismatchError,
+                 "kernel sum needs equal dom and cod", id="sum"),
+    pytest.param(lambda: reweight(identity(X2), identity(X2)), SpaceMismatchError,
+                 "reweight needs an effect", id="reweight-not-an-effect"),
+    pytest.param(lambda: reweight(effect(X3, [1, 1, 1]), identity(X2)), SpaceMismatchError,
+                 "reweight needs an effect on the kernel's domain", id="reweight-domain"),
+    pytest.param(lambda: Kernel(X2, X3, [[1, 0], [0, 1]]), SpaceMismatchError,
+                 "expected 3 columns for FinSpace(a b c), got 2", id="columns"),
+    pytest.param(lambda: identity(X2).measure_values(), SpaceMismatchError,
+                 "not a measure (domain is not the unit space)", id="measure-view"),
+    pytest.param(lambda: identity(X2).effect_values(), SpaceMismatchError,
+                 "not an effect (codomain is not the unit space)", id="effect-view"),
+    pytest.param(lambda: effect_pairs(identity(X2)), SpaceMismatchError,
+                 "not an effect (codomain is not the unit space)", id="effect-pairs"),
+    pytest.param(lambda: from_maps(X2, X3, [{3: ONE}, {}]), SpaceMismatchError,
+                 "column index out of range 0..2 for FinSpace(a b c)", id="column-index"),
+    pytest.param(lambda: uniform(EMPTY), SpaceMismatchError,
+                 "no uniform measure on the empty space", id="uniform"),
+    pytest.param(lambda: resample_within(identity(X2), [[0, 1]]), SpaceMismatchError,
+                 "resample_within needs a measure", id="resample-not-a-measure"),
+    pytest.param(lambda: resample_within(measure(X2, [INF, 0]), [[0, 1]]), ValueError,
+                 "resample_within needs a finite measure", id="resample-infinite"),
+    pytest.param(lambda: resample_within(measure(X2, [1, 0]), [[0]]), ValueError,
+                 "blocks must partition the measure's points", id="resample-blocks"),
+    pytest.param(lambda: lazy_involution(Involution.identity(X2), effect(X3, [0, 0, 0])),
+                 SpaceMismatchError, "lazy_involution needs an effect on the involution's space",
+                 id="lazy-involution"),
+    pytest.param(lambda: effect_mul(identity(X2), effect(X2, [1, 1])), SpaceMismatchError,
+                 "effect_mul needs two effects", id="effect-mul-not-effects"),
+    pytest.param(lambda: effect_mul(effect(X2, [1, 1]), effect(X3, [1, 1, 1])),
+                 SpaceMismatchError, "effect_mul needs effects on the same space",
+                 id="effect-mul-spaces"),
+    pytest.param(lambda: Kernel(X2, X2, [[1, 0.5], [0, 1]]), TypeError,
+                 "kernel entries must be ExtNonneg or int, got 0.5", id="entry-type"),
+])
+def test_kernel_layer_refusals_keep_their_class_and_text(refuse, cls, text):
+    with pytest.raises(cls) as info:
+        refuse()
+    assert type(info.value) is cls and str(info.value) == text
