@@ -5,7 +5,8 @@ Reports are ``key = value`` lines with a stable schema. Built artifacts
 (kernels, measures, decompositions) are emitted in the model file format;
 when they share stdout with a report, the report lines are ``#``-prefixed so
 the output stays parseable. Exit status is 0 on pass or successful build,
-1 on a failed check (with a witness section), 2 on usage or model errors.
+1 on a failed check (with a witness section), 2 on usage or model errors
+and on a run that finds no memory for its work.
 
 Adding a subcommand means adding one handler and one ``COMMANDS`` record.
 A handler maps the loaded model and the parsed arguments to ``(ok, report
@@ -464,6 +465,10 @@ def main(argv=None) -> int:
         # UnicodeDecodeError joins its several args into one sentence
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        exc.__traceback__ = None  # let go of the frames that hold what filled memory
+        print(f"error: {args.subcommand}: out of memory", file=sys.stderr)
         return 2
 
 

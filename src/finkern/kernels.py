@@ -21,7 +21,9 @@ associator, relabelings and involutions keep only their targets, so that
 running one after a kernel moves that kernel's columns instead of
 multiplying, and two index maps compose or tensor to an index map. Their
 rows, one entry ``((j,), (1,), 1, ())`` each, are built on the first read
-of ``int_rows``.
+of ``int_rows``. So are those of a ``composite``, such as a Gibbs sweep,
+which keeps its factors: until then a measure composed with it is pushed
+through them one at a time, and never builds the sweep.
 
 ``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
 pair ``(cols, vals)`` of every nonzero entry's column and value),
@@ -42,6 +44,7 @@ monoidal product; ``P + Q`` is the entrywise sum.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import chain
 from math import lcm
 from operator import itemgetter
@@ -69,6 +72,12 @@ def _check_rows(dom: FinSpace, rows: Sequence) -> None:
             f"expected {len(dom)} rows for {dom!r}, got {len(rows)}")
 
 
+def _check_middle(earlier: FinSpace, later: FinSpace) -> None:
+    if earlier != later:
+        raise SpaceMismatchError(
+            f"cannot compose: middle spaces differ ({earlier!r} vs {later!r})")
+
+
 def _has_inf(kernel: "Kernel") -> bool:
     return any(map(itemgetter(3), kernel.int_rows))
 
@@ -83,9 +92,11 @@ class Kernel:
 
     # ``_map`` is the tuple of target columns of an index map (one unit
     # entry per row), kept so that running it after a kernel moves columns
-    # instead of multiplying, or None. An index map stores only ``_map``:
-    # its ``int_rows`` slot is filled on first read, by ``__getattr__``.
-    __slots__ = ("dom", "cod", "int_rows", "_map", "_view", "_dense")
+    # instead of multiplying, or None. ``_factors`` is the tuple of kernels
+    # a ``composite`` runs in order, or None. An index map stores only
+    # ``_map`` and a composite only ``_factors``: the ``int_rows`` slot is
+    # filled on first read, by ``__getattr__``, which then drops the factors.
+    __slots__ = ("dom", "cod", "int_rows", "_map", "_factors", "_view", "_dense")
 
     def __init__(self, dom: FinSpace, cod: FinSpace, entries: Iterable[Iterable[Entry]]):
         dense = list(entries)
@@ -103,6 +114,7 @@ class Kernel:
         self.cod = cod
         self.int_rows = tuple(rows)
         self._map = None
+        self._factors = None
         self._view = None
         self._dense = None
 
@@ -117,14 +129,20 @@ class Kernel:
         if rows is not None:
             k.int_rows = rows
         k._map = targets
+        k._factors = None
         k._view = None
         k._dense = None
         return k
 
     def __getattr__(self, name):
-        # only an unfilled slot gets here: an index map's rows, not yet read
+        # only an unfilled slot gets here: the rows of an index map or of a
+        # composite, not yet read
         if name == "int_rows" and self._map is not None:
             self.int_rows = rows = tuple(map(_point_row, self._map))
+            return rows
+        if name == "int_rows" and self._factors is not None:
+            self.int_rows = rows = _fold(self._factors).int_rows
+            self._factors = None
             return rows
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -258,9 +276,13 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     row meets oo, it adds up the numerators, each oo absorbing any finite
     mass on its column.
     """
-    if earlier.cod != later.dom:
-        raise SpaceMismatchError(
-            f"cannot compose: middle spaces differ ({earlier.cod!r} vs {later.dom!r})")
+    _check_middle(earlier.cod, later.dom)
+    # a composite not yet built takes earlier through its factors in turn
+    # (by associativity the same kernel): a measure costs one compose per site
+    if later._factors is not None:
+        for factor in later._factors:
+            earlier = compose(factor, earlier)
+        return earlier
     # a later index map moves earlier's columns (classical MH, exchange, twists)
     if later._map is not None:
         targets = later._map
@@ -302,6 +324,30 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
                             for n in lnums], den * scale, inf)
 
     return Kernel._new(earlier.dom, later.cod, tuple(_per_row(earlier, output_row)))
+
+
+def _fold(kernels: Sequence[Kernel]) -> Kernel:
+    return reduce(lambda built, factor: compose(factor, built), kernels)
+
+
+def composite(kernels: Sequence[Kernel]) -> Kernel:
+    """The kernel that runs ``kernels`` in order, first to last: the left
+    fold ``compose(k_n, ... compose(k_2, k_1))``, kept as its factors.
+
+    Its rows are built by that fold on their first read, and the factors
+    are then dropped. Until then ``compose(composite, earlier)`` runs
+    ``earlier`` through each factor in turn, which by associativity gives
+    the same kernel: pushing a measure through a Gibbs sweep costs one
+    compose per site and never builds the sweep.
+    """
+    kernels = tuple(kernels)
+    if not kernels:
+        raise ValueError("composite needs at least one kernel")
+    for earlier, later in zip(kernels, kernels[1:]):
+        _check_middle(earlier.cod, later.dom)
+    k = Kernel._new(kernels[0].dom, kernels[-1].cod, None)
+    k._factors = kernels
+    return k
 
 
 def tensor(left: Kernel, right: Kernel) -> Kernel:

@@ -23,7 +23,7 @@ from .semiring import (
 )
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, compose, deterministic,
+    Involution, Kernel, SpaceMismatchError, compose, composite, deterministic,
     effect_pairs, from_pair_rows, graph, identity, is_normalized,
     lazy_involution, lift_involution, pair_rows, resample_within, reweight,
     substochastic_violation, swap, swap_asymmetry,
@@ -111,9 +111,12 @@ class TheoremFlags(NamedTuple):
 def invariant_violation(target: Kernel, chain: Kernel | Involution) -> Label | None:
     """The first point where chain ∘ target and target differ.
 
-    An involution stands for its deterministic kernel. It moves the target
-    at the first point whose mass is not its image's, read from the
-    target's one pair row, with no composition.
+    A composite chain whose rows are not built, such as a Gibbs sweep, has
+    the target pushed through its factors one at a time (``compose``); the
+    image and so the witness are those of the built chain. An involution
+    stands for its deterministic kernel. It moves the target at the first
+    point whose mass is not its image's, read from the target's one pair
+    row, with no composition.
     """
     if not target.is_measure:
         raise SpaceMismatchError("target must be a measure")
@@ -488,10 +491,10 @@ def gibbs_site_kernels(joint: Kernel, factors: Sequence[FinSpace]) -> list[Kerne
 def gibbs(joint: Kernel, factors: Sequence[FinSpace]) -> Kernel:
     """The systematic-scan Gibbs sampler: site updates composed in order.
 
-    The result preserves the joint measure exactly.
+    The result preserves the joint measure exactly. It is the deferred
+    ``kernels.composite`` of the sites: the sweep's rows are built on their
+    first read (by ``to_float``, ``emit`` or an entry), and until then a
+    measure composed with it is pushed through the sites one at a time, so
+    ``is_invariant`` never builds them.
     """
-    sites = gibbs_site_kernels(joint, factors)
-    chain = sites[0]
-    for site in sites[1:]:
-        chain = compose(site, chain)
-    return chain
+    return composite(gibbs_site_kernels(joint, factors))

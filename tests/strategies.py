@@ -130,6 +130,25 @@ def assert_reduced(k):
         assert type(den) is int and den >= 1 and gcd(den, *nums) == 1
 
 
+def eager_fold(factors):
+    """``compose`` folded over ``factors`` in order: what a composite's rows
+    must equal."""
+    built = factors[0]
+    for factor in factors[1:]:
+        built = compose(factor, built)
+    return built
+
+
+def rows_built(k):
+    """Whether ``k`` stores its rows: an index map or a composite does not
+    until they are first read."""
+    try:
+        Kernel.int_rows.__get__(k, Kernel)
+    except AttributeError:
+        return False
+    return True
+
+
 def mh_acceptance_ratio(num, den):
     """min(1, num/den) over ``ExtNonneg`` values, 0 over a zero denominator:
     the textbook Metropolis-Hastings acceptance, the oracle for the pair

@@ -675,6 +675,60 @@ def test_sample_with_no_memory_for_the_trace_exits_2(capsys, monkeypatch):
     assert err == f"error: --steps {cli.MAX_STEPS}: no memory for a trace that long\n"
 
 
+def _no_memory(*args):
+    raise MemoryError
+
+
+# per case, an argv and where the construction it runs is looked up: a
+# module attribute (a module only ``sample`` imports is named by a string),
+# or a CHECKS entry whose violation function is replaced
+OUT_OF_MEMORY = {
+    "parse": (["check", "--model", TWO_STATE, "normalized", "walk"], cli, "parse"),
+    "check": (["check", "--model", TWO_STATE, "normalized", "walk"],
+              cli.CHECKS, "normalized"),
+    "decompose": (["decompose", "--model", DECOMPOSE, "mu", "swap_ab"],
+                  cli, "involutive_decompose"),
+    "build-mh": (["build-mh", "--model", TWO_STATE, "--target", "mu",
+                  "--involution", "flip", "--balancing", "met"], cli, "build_mh"),
+    "verify-mh": (["verify-mh", "--model", TWO_STATE, "--target", "mu",
+                   "--involution", "flip", "--acceptance", "alpha"], cli, "build_mh"),
+    "verify-mh-batch": (["verify-mh", "--model", TWO_STATE, "--instances", "5"],
+                        cli, "verify_mh_theorem"),
+    "verify-skew": (["verify-skew", "--model", SKEW, "--target", "mu", "--involution",
+                     "prop", "--balancing", "bk", "--twist", "twist"],
+                    cli, "build_skew_mh"),
+    "classical-mh": (["classical-mh", "--model", CLASSICAL, "--target", "pi",
+                      "--proposal", "q"], cli, "classical_mh"),
+    "exchange": (["exchange", "--model", EXCHANGE, "--prior", "prior", "--likelihood",
+                  "lik", "--obs", "z1", "--proposal", "q"], cli, "exchange_algorithm"),
+    "gibbs": (["gibbs", "--model", GIBBS, "--target", "joint", "--factors", "X,Y"],
+              cli, "gibbs"),
+    "gibbs-emit": (["gibbs", "--model", GIBBS, "--target", "joint", "--factors", "X,Y"],
+                   cli, "emit"),
+    "sample": (["sample", "--model", TWO_STATE, "--kernel", "walk", "--target", "mu",
+                "--init", "a", "--steps", "100"], "finkern.sampler", "to_float"),
+}
+
+
+def test_every_subcommand_has_an_out_of_memory_case():
+    assert {argv[0] for argv, _, _ in OUT_OF_MEMORY.values()} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("case", OUT_OF_MEMORY)
+def test_no_memory_in_any_subcommand_exits_2_with_one_error_line(capsys, monkeypatch,
+                                                                 case):
+    argv, owner, name = OUT_OF_MEMORY[case]
+    if owner is cli.CHECKS:
+        kinds, _, witness_lines = owner[name]
+        monkeypatch.setitem(owner, name, (kinds, _no_memory, witness_lines))
+    else:
+        owner = importlib.import_module(owner) if isinstance(owner, str) else owner
+        monkeypatch.setattr(owner, name, _no_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]}: out of memory\n" and "Traceback" not in err
+
+
 SAMPLE = ["sample", "--model", TWO_STATE, "--kernel", "walk", "--target", "mu",
           "--init", "a"]
 

@@ -13,9 +13,9 @@ import hypothesis.strategies as st
 from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import EMPTY, FinSpace, UNIT, product
 from finkern.kernels import (
-    Involution, Kernel, SpaceMismatchError, associator, compose, copy, delete,
-    deterministic, dirac, effect, effect_mul, from_maps, from_pair_rows, graph,
-    identity,
+    Involution, Kernel, SpaceMismatchError, associator, compose, composite,
+    copy, delete, deterministic, dirac, effect, effect_mul, from_maps,
+    from_pair_rows, graph, identity,
     is_copyable, is_normalized, is_substochastic, lazy_involution,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
     effect_pairs, pair_rows, resample_within, row_support, split_by_support,
@@ -26,8 +26,9 @@ from finkern import kernels as kernels_module
 from finkern.enrichment import kernel_zero
 from finkern.generators import rand_normalized_kernel
 from strategies import (
-    KERNEL_LAYER, assert_reduced, composable_pairs, finite_values, gibbs_3x3x3,
-    kernel_layer_module, kernel_pairs, kernels, kernels_on, spaces,
+    KERNEL_LAYER, assert_reduced, composable_pairs, eager_fold, finite_values,
+    gibbs_3x3x3, kernel_layer_module, kernel_pairs, kernels, kernels_on,
+    rows_built, spaces, values,
 )
 
 
@@ -756,19 +757,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "finkern"
 #: layer each is written.
 KERNELS_PUBLIC = [
     "Involution", "Kernel", "SpaceMismatchError", "associator", "compose",
-    "copy", "copyable_violation", "delete", "deterministic", "dirac", "effect",
-    "effect_mul", "effect_pairs", "from_maps", "from_pair_rows", "graph",
-    "identity", "infinite_entry", "is_copyable", "is_normalized",
-    "is_substochastic", "lazy_involution", "left_unitor", "lift_involution",
-    "measure", "normalized_violation", "pair_rows", "pushforward",
-    "resample_within", "reweight", "right_unitor", "row_mass", "row_masses",
-    "row_support", "split_by_support", "substochastic_violation", "swap",
-    "swap_asymmetry", "tensor", "uniform",
+    "composite", "copy", "copyable_violation", "delete", "deterministic",
+    "dirac", "effect", "effect_mul", "effect_pairs", "from_maps",
+    "from_pair_rows", "graph", "identity", "infinite_entry", "is_copyable",
+    "is_normalized", "is_substochastic", "lazy_involution", "left_unitor",
+    "lift_involution", "measure", "normalized_violation", "pair_rows",
+    "pushforward", "resample_within", "reweight", "right_unitor", "row_mass",
+    "row_masses", "row_support", "split_by_support", "substochastic_violation",
+    "swap", "swap_asymmetry", "tensor", "uniform",
 ]
 
 
 def test_kernels_keeps_its_public_names():
-    assert len(KERNELS_PUBLIC) == 40
+    assert len(KERNELS_PUBLIC) == 41
     for name in KERNELS_PUBLIC:
         obj = getattr(kernels_module, name)
         if hasattr(finkern, name):
@@ -1040,6 +1041,75 @@ def test_index_map_rows_are_built_on_first_read(build, targets):
     assert build().entries == dense.entries
     with pytest.raises(AttributeError):
         build().no_such_attribute
+
+
+# -- composites: rows built on first read ------------------------------------
+
+# zero entries half the time, so whole rows and whole measures are zero often
+_ZERO_HEAVY = st.one_of(st.just(ZERO), values)
+
+
+@st.composite
+def _factor(draw, dom, cod):
+    """A kernel dom -> cod: an index map now and then, else dense entries
+    with zeros and oo."""
+    if len(cod) and draw(st.booleans()):
+        targets = draw(st.lists(st.sampled_from(cod.labels),
+                                min_size=len(dom), max_size=len(dom)))
+        return deterministic(dom, cod, lambda x: targets[dom.index(x)])
+    return draw(kernels_on(dom, cod, _ZERO_HEAVY))
+
+
+@st.composite
+def _chains(draw):
+    """2-4 composable kernels over spaces of 0-3 points, first to last."""
+    stops = [draw(spaces(0, 3, f"s{i}_")) for i in range(draw(st.integers(3, 5)))]
+    return [draw(_factor(dom, cod)) for dom, cod in zip(stops, stops[1:])]
+
+
+@given(_chains())
+def test_composite_rows_are_the_eager_fold(factors):
+    lazy, eager = composite(factors), eager_fold(factors)
+    assert (lazy.dom, lazy.cod) == (factors[0].dom, factors[-1].cod)
+    assert lazy.int_rows == eager.int_rows and lazy.int_rows is lazy.int_rows
+    assert_reduced(lazy)
+    assert lazy._factors is None  # dropped once the rows are built
+
+
+@given(_chains(), st.data())
+def test_compose_after_a_composite_is_compose_after_the_eager_fold(factors, data):
+    """A measure and a kernel of 0-4 rows, pushed through the factors, give
+    the eager sweep's kernel and leave the composite's rows unbuilt."""
+    dom = factors[0].dom
+    for source in (UNIT, data.draw(spaces(0, 4, "e"))):
+        earlier = data.draw(kernels_on(source, dom, _ZERO_HEAVY))
+        lazy = composite(factors)
+        pushed = compose(lazy, earlier)
+        assert pushed.int_rows == compose(eager_fold(factors), earlier).int_rows
+        assert_reduced(pushed)
+        assert not rows_built(lazy)
+
+
+@given(_chains(), st.data())
+def test_a_composite_reads_as_its_eager_fold_everywhere_else(factors, data):
+    eager = eager_fold(factors)
+    later = data.draw(kernels_on(factors[-1].cod, data.draw(spaces(0, 3, "l")),
+                                 _ZERO_HEAVY))
+    assert compose(later, composite(factors)) == compose(later, eager)
+    other = data.draw(kernels(0, 2, _ZERO_HEAVY))
+    assert tensor(composite(factors), other) == tensor(eager, other)
+    assert tensor(other, composite(factors)) == tensor(other, eager)
+    assert composite(factors) == eager and eager == composite(factors)
+    assert hash(composite(factors)) == hash(eager)
+    assert composite(factors).entries == eager.entries
+
+
+def test_composite_refuses_what_compose_refuses():
+    with pytest.raises(SpaceMismatchError,
+                       match=re.escape("cannot compose: middle spaces differ")):
+        composite([identity(X2), Kernel(X3, X3, [[1, 0, 0]] * 3)])
+    with pytest.raises(ValueError, match="^composite needs at least one kernel$"):
+        composite([])
 
 
 def _fraction_power_step(power, step):

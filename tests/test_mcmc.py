@@ -4,7 +4,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from finkern.semiring import (
@@ -37,8 +37,9 @@ from finkern.generators import (
     rand_probability_measure, rand_reversible_kernel,
 )
 from strategies import (
-    assert_reduced, ext_sum, finite_values, mh_acceptance_ratio,
-    normalized_kernels, rand_skew_instance, residual, spaces, values,
+    assert_reduced, eager_fold, ext_sum, finite_values, mh_acceptance_ratio,
+    kernels_on, normalized_kernels, rand_skew_instance, residual, rows_built,
+    spaces, values,
 )
 
 
@@ -1294,6 +1295,49 @@ def test_gibbs_over_a_factor_with_no_points_is_the_empty_chain():
         assert chain == Kernel(grid, grid, []) and chain.dom == EMPTY
         assert is_invariant(joint, chain)
         assert gibbs_site_kernels(joint, factors) == [chain] * len(factors)
+
+
+def _grid(sizes):
+    return [FinSpace(tuple(f"c{i}_{j}" for j in range(n))) for i, n in enumerate(sizes)]
+
+
+@given(st.data())
+def test_a_moved_measure_gets_the_eager_sweeps_witness(data):
+    """The measure is pushed through the sites, zeros and oo included, and
+    the first moved point is the one the built sweep gives."""
+    factors = _grid(data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    grid = product_many(factors)
+    joint = data.draw(kernels_on(UNIT, grid, st.one_of(st.just(ZERO), finite_values)))
+    nu = data.draw(kernels_on(UNIT, grid, st.one_of(st.just(ZERO), values)))
+    witness = invariant_violation(nu, eager_fold(gibbs_site_kernels(joint, factors)))
+    assume(witness is not None)
+    chain = gibbs(joint, factors)
+    assert invariant_violation(nu, chain) == witness
+    assert not rows_built(chain)
+
+
+def test_checking_a_gibbs_sweep_never_builds_its_rows(monkeypatch):
+    """Every composition the check makes, ``compose``'s own calls to itself
+    included, takes a measure first: no site is ever composed with another."""
+    from finkern import kernels
+
+    earlier_doms = []
+    real = kernels.compose
+
+    def counted(later, earlier):
+        earlier_doms.append(earlier.dom)
+        return real(later, earlier)
+    monkeypatch.setattr(kernels, "compose", counted)
+    monkeypatch.setattr(mcmc, "compose", counted)
+    factors = _grid([5, 5, 5])
+    joint = rand_probability_measure(random.Random(36), product_many(factors),
+                                     zero_weight=0.3)
+    chain = gibbs(joint, factors)
+    assert is_invariant(joint, chain)
+    assert not rows_built(chain)
+    assert earlier_doms == [UNIT] * 4  # chain ∘ joint, then one per site
+    monkeypatch.undo()
+    assert chain.int_rows == eager_fold(gibbs_site_kernels(joint, factors)).int_rows
 
 
 # -- the sparse pair scans against the all-pairs definitions ------------------
