@@ -1,9 +1,10 @@
 """Constructors, pair readers and predicates of kernels.
 
 Other code builds kernels with ``Kernel(dom, cod, dense)``, ``measure``,
-``effect``, ``from_maps``, ``lazy_involution``, ``resample_within``,
-``split_by_support`` and the structural constructors, and from integer
-pairs (see ``semiring``) with ``from_pair_rows``. Below the API it reads
+``effect``, ``from_maps``, ``lazy_involution``, ``lazy_proposal``,
+``resample_within``, ``split_by_support`` and the structural constructors,
+and from integer pairs (see ``semiring``) with ``from_pair_rows`` and, one
+pair per point, ``from_effect_pairs``. Below the API it reads
 entries as pairs through ``pair_rows`` and ``effect_pairs``, and supports
 and infinite entries through ``row_support`` and ``infinite_entry``,
 building no ``ExtNonneg``: the views serve the CLI, the random generators
@@ -19,14 +20,14 @@ decides detailed and skew balance, in one pass over the stored entries.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .semiring import ExtNonneg, INF, INF_PAIR, ZERO, ZERO_PAIR, fraction
 from .spaces import FinSpace, Label, UNIT
-from ._kernel_rows import (Entry, _EMPTY_ROW, _INF_POINT, _Row, _UNIT_NUM, _coerce,
-                           _point_row, _reduced, _support, _value_row)
+from ._kernel_rows import (Entry, _COL0, _EMPTY_ROW, _INF_POINT, _Row, _UNIT_NUM, _coerce,
+                           _reduced, _support, _value_row)
 from .kernels import (Involution, Kernel, SpaceMismatchError, _check_rows, _per_row,
                       compose, lift_involution, reweight)
 
@@ -56,6 +57,18 @@ def effect_pairs(kernel: Kernel) -> list[tuple[int, int]]:
         raise SpaceMismatchError("not an effect (codomain is not the unit space)")
     return [(nums[0], den) if nums else INF_PAIR if infs else ZERO_PAIR
             for _, nums, den, infs in kernel.int_rows]
+
+
+def from_effect_pairs(space: FinSpace, pairs: Sequence[tuple[int, int]]) -> Kernel:
+    """The effect on ``space`` with the pair ``pairs[i]`` at point ``i``:
+    the writing twin of ``effect_pairs``. A pair with ``num == 0`` is 0,
+    one with ``den == 0`` is oo, and a finite one need not be reduced: one
+    gcd reduces it. Every finite row shares one column tuple."""
+    _check_rows(space, pairs)
+    return Kernel._new(space, UNIT, tuple([
+        _EMPTY_ROW if not n else _INF_POINT if not d
+        else (_COL0, (n,), d, ()) if (g := gcd(n, d)) == 1
+        else (_COL0, (n // g,), d // g, ()) for n, d in pairs]))
 
 
 def row_support(kernel: Kernel, i: int) -> tuple[int, ...]:
@@ -215,19 +228,64 @@ def lazy_involution(phi: Involution, accept: Kernel) -> Kernel:
         raise SpaceMismatchError(
             "lazy_involution needs an effect on the involution's space")
     rows = []
-    for i, (j, (_, nums, den, infs)) in enumerate(zip(phi.perm, accept.int_rows)):
+    append = rows.append
+    for i, j, (_, nums, den, infs) in zip(count(), phi.perm, accept.int_rows):
         a = nums[0] if nums else 0
         if infs or a > den:
             value = INF if infs else ExtNonneg(a, den)
             raise ValueError(f"acceptance value {value} exceeds 1")
         if j == i or not a:
-            rows.append(_point_row(i))
+            append(((i,), _UNIT_NUM, 1, ()))
         elif a == den:
-            rows.append(_point_row(j))
+            append(((j,), _UNIT_NUM, 1, ()))
         else:  # a / den and the reject mass (den - a) / den share den
-            rows.append(((i, j), (den - a, a), den, ()) if i < j
-                        else ((j, i), (a, den - a), den, ()))
+            append(((i, j), (den - a, a), den, ()) if i < j
+                   else ((j, i), (a, den - a), den, ()))
     return Kernel._new(phi.space, phi.space, tuple(rows))
+
+
+def lazy_proposal(proposal: Kernel, accept: Kernel) -> Kernel:
+    """The chain that draws a move from ``proposal`` and takes it with the
+    probability ``accept`` gives it, and otherwise stays: ``q(x, y) * a(x,
+    y)`` off the diagonal, and the rest of the row's mass on it. The
+    sibling of ``lazy_involution``, and classical MH's direct route.
+
+    ``proposal`` is a normalized endo-kernel on X and ``accept`` an effect
+    on a space of |X|^2 points, such as X (x) X, with ``a(x, y)`` at point
+    ``x * |X| + y`` and at most 1 where the proposal moves. A row goes over
+    its proposal denominator times the lcm of its accepted moves', and
+    costs one gcd.
+    """
+    n = len(proposal.dom)
+    if proposal.cod != proposal.dom or not accept.is_effect or len(accept.dom) != n * n:
+        raise SpaceMismatchError("lazy_proposal needs an endo-kernel on X and an "
+                                 "effect on X (x) X")
+    alpha = accept.int_rows
+    rows = []
+    for i, (cols, nums, den, infs) in enumerate(proposal.int_rows):
+        if infs or sum(nums) != den:
+            raise ValueError("proposal rows must be normalized")
+        at = i * n
+        out, weights, dens = [], [], []  # the accepted moves, as q numerator times a
+        for j, w in zip(cols, nums):
+            if j != i:
+                _, anums, aden, ainfs = alpha[at + j]
+                if ainfs or anums and anums[0] > aden:
+                    raise ValueError("acceptance value exceeds 1")
+                if anums:
+                    out.append(j)
+                    weights.append(w * anums[0])
+                    dens.append(aden)
+        scale = lcm(*dens)
+        if scale != 1:
+            weights = [m * (scale // d) for m, d in zip(weights, dens)]
+        stay = den * scale - sum(weights)
+        if stay:  # the rejected mass, with q(x, x), stays at x
+            k = bisect_left(out, i)
+            out.insert(k, i)
+            weights.insert(k, stay)
+        rows.append(_reduced(tuple(out), weights, den * scale))
+    return Kernel._new(proposal.dom, proposal.dom, tuple(rows))
 
 
 def split_by_support(p: Kernel, q: Kernel) -> tuple[Kernel, Kernel]:

@@ -7,9 +7,10 @@ of its infinite entries, disjoint from ``cols``. Each row is reduced
 (``gcd(den, *nums) == 1``, and an empty finite part has ``den == 1``), so
 equal kernels have equal rows and hashes. Zeros are never stored, and
 ``0 * oo = 0`` keeps them out of every product. One helper turns loose
-columns into a stored row for ``compose``, the relabels of index maps and
-``+`` alike: it adds up the numerators only where columns meet, and an oo
-entry absorbs any finite mass that lands on its column.
+columns into a stored row for ``compose``, ``+`` and the relabels of index
+maps that may meet alike: it adds up the numerators only where columns
+meet, and an oo entry absorbs any finite mass that lands on its column. A
+finite row whose relabelled columns are distinct is only put in order.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _Row = tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]
 
 _EMPTY_ROW: _Row = ((), (), 1, ())
 _INF_POINT: _Row = ((), (), 1, (0,))  # an effect's row with value oo
+_COL0 = (0,)  # the column of an effect's finite row
 _UNIT_NUM = (1,)
 
 
@@ -82,14 +84,20 @@ def _joined_row(cols: list[int], nums: Sequence[int], den: int,
 
 
 def _dense_sum(weights: Sequence[int], rows: Sequence[_Row], width: int,
-               den: int) -> _Row:
+               den: int, targets: tuple[int, ...] | None = None) -> _Row:
     """The sum over ``den`` of finite rows, each times its weight, added up
-    in a list of all ``width`` columns: for rows holding more entries in
-    all than there are columns, which a dict would cost more to hold."""
+    in a list of all ``width`` columns, each column ``k`` at ``targets[k]``
+    where targets are given: for rows holding more entries in all than
+    there are columns, which a dict would cost more to hold."""
     acc = [0] * width
-    for w, (cols, nums, _, _) in zip(weights, rows):
-        for j, n in zip(cols, nums):
-            acc[j] += w * n
+    if targets is None:
+        for w, (cols, nums, _, _) in zip(weights, rows):
+            for j, n in zip(cols, nums):
+                acc[j] += w * n
+    else:  # indexed in the loop: a map per row costs more over rows of few entries
+        for w, (cols, nums, _, _) in zip(weights, rows):
+            for j, n in zip(cols, nums):
+                acc[targets[j]] += w * n
     return _reduced(tuple(compress(range(width), acc)), list(filter(None, acc)), den)
 
 
@@ -164,7 +172,19 @@ def _add_rows(r1: _Row, r2: _Row) -> _Row:
 
 def _relabel(row: _Row, targets: tuple[int, ...]) -> _Row:
     """A row with each column ``k`` moved to ``targets[k]``, sums where
-    columns meet, and oo where an infinite entry lands."""
+    columns meet, and oo where an infinite entry lands. A finite row whose
+    moved columns are distinct keeps its numerators and denominator, so it
+    stays reduced and costs no gcd: one entry is only moved, more are put
+    in column order."""
     cols, nums, den, infs = row
-    return _joined_row(list(map(targets.__getitem__, cols)), nums, den,
-                       infs and tuple(sorted({targets[k] for k in infs})))
+    moved = list(map(targets.__getitem__, cols))
+    if not infs:
+        if len(moved) < 2:
+            return (tuple(moved), nums, den, ()) if moved else row
+        ordered = sorted(moved)
+        if ordered == moved:
+            if len(set(moved)) == len(moved):
+                return tuple(moved), nums, den, ()
+        elif len(at := dict(zip(moved, nums))) == len(moved):
+            return tuple(ordered), tuple(map(at.__getitem__, ordered)), den, ()
+    return _joined_row(moved, nums, den, infs and tuple(sorted({targets[k] for k in infs})))

@@ -23,7 +23,10 @@ multiplying, and two index maps compose or tensor to an index map. Their
 rows, one entry ``((j,), (1,), 1, ())`` each, are built on the first read
 of ``int_rows``. So are those of a ``composite``, such as a Gibbs sweep,
 which keeps its factors: until then a measure composed with it is pushed
-through them one at a time, and never builds the sweep.
+through them one at a time, and never builds the sweep, and an index map
+composed after it, as classical MH's projection after ``inner ∘ embed``,
+folds all factors but the last, whose compose writes its columns through
+the map's targets: the composite's rows are never built.
 
 ``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
 pair ``(cols, vals)`` of every nonzero entry's column and value),
@@ -259,22 +262,24 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
     Where ``earlier`` is a measure (an invariance check's ``chain ∘
     target``), its numerators on middle points that share one stored later
     row (a Gibbs site's fibers do) are added up first, so each shared later
-    row is multiplied once. In a Gibbs sweep's own composes no two middle
-    points of a row share a later row, so a kernel of many rows takes no
-    merge.
+    row is multiplied once.
 
     Where the finite middle rows of an earlier row share no column, as in
-    each step of a Gibbs sweep and in classical MH's ``inner ∘ embed`` and
-    ``embed ∘ target``, every output column gets one product: the output
-    row is the concatenation of the scaled middle rows, sorted once into
-    column order where it is not ascending already, with no sums. Middle
-    rows holding more entries in all than ``later`` has columns must meet:
-    such a dense row skips the test and is added up in a list of all the
-    columns. Otherwise the concatenation goes to the one row builder that
-    relabels and ``+`` use, for finite rows and rows that meet oo alike: a
-    hash of its columns decides whether they meet, and where they do, or a
-    row meets oo, it adds up the numerators, each oo absorbing any finite
-    mass on its column.
+    each step of a Gibbs sweep and in classical MH's ``embed ∘ target``,
+    the output row is their concatenation, sorted once into column order
+    where it is not ascending already, with no sums. Middle rows holding
+    more entries in all than there are output columns must meet: such a
+    row skips the test and is added up in a list of all the columns.
+    Otherwise the concatenation goes to the row builder that relabels and
+    ``+`` use, for finite rows and rows that meet oo alike: a hash of its
+    columns decides whether they meet, and where they do, or a row meets
+    oo, it adds up the numerators, each oo absorbing any finite mass.
+
+    A later index map moves earlier's columns, with no products. After an
+    unbuilt ``composite`` it folds all of its factors but the last, and
+    the last compose writes each output column straight through the map's
+    targets, by associativity the same kernel: the list of sums runs over
+    the targets, and every other row goes to that row builder.
     """
     _check_middle(earlier.cod, later.dom)
     # a composite not yet built takes earlier through its factors in turn
@@ -283,16 +288,20 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         for factor in later._factors:
             earlier = compose(factor, earlier)
         return earlier
+    cod = later.cod
+    targets = later._map
     # a later index map moves earlier's columns (classical MH, exchange, twists)
-    if later._map is not None:
-        targets = later._map
+    if targets is not None:
         if earlier._map is not None:  # keeps composites of structure morphisms structural
-            return _index_map(earlier.dom, later.cod,
-                              [targets[k] for k in earlier._map])
-        return Kernel._new(earlier.dom, later.cod, tuple(
-            _per_row(earlier, lambda row: _relabel(row, targets))))
+            return _index_map(earlier.dom, cod, [targets[k] for k in earlier._map])
+        factors = earlier._factors
+        if factors is None or len(factors) < 2:
+            return Kernel._new(earlier.dom, cod, tuple(
+                _per_row(earlier, lambda row: _relabel(row, targets))))
+        # an unbuilt composite: its last compose writes through the targets
+        earlier, later = _fold(factors[:-1]), factors[-1]
     later_rows = later.int_rows
-    width = len(later.cod)
+    width = len(cod)
     infinite = _has_inf(later) or _has_inf(earlier)
     first = None  # per middle point, the first one sharing its later row
     if not infinite and len(earlier.int_rows) == 1:
@@ -306,7 +315,8 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         if len(cols) == 1 and not infs:
             # one middle point: a scaled copy of that row of ``later``, at
             # weight 1 the row itself (Gibbs rows with a single charged point)
-            return _scale(nums[0], den, later_rows[cols[0]])
+            out = _scale(nums[0], den, later_rows[cols[0]])
+            return out if targets is None else _relabel(out, targets)
         if first is not None:  # over den 1, so the merged numerators stay
             cols, nums, _, _ = _joined_row([first[k] for k in cols], nums, 1)
         mids = [later_rows[k] for k in cols]
@@ -314,16 +324,19 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
         weights = [a * (scale // ld) for a, (_, _, ld, _) in zip(nums, mids)]
         # More entries than columns must meet somewhere; fewer may not.
         if not infinite and sum(map(len, map(_COLS, mids))) > width:
-            return _dense_sum(weights, mids, width, den * scale)
+            return _dense_sum(weights, mids, width, den * scale, targets)
+        out = list(chain.from_iterable(map(_COLS, mids)))
         inf = ()
         if infinite:  # oo where a positive mass meets an infinite one on the way
-            hit = set(chain.from_iterable([mid[3] for mid in mids]))
-            inf = tuple(sorted(hit.union(*[_support(later_rows[k]) for k in infs])))
-        return _joined_row(list(chain.from_iterable(map(_COLS, mids))),
-                           [w * n for w, (_, lnums, _, _) in zip(weights, mids)
-                            for n in lnums], den * scale, inf)
+            hit = set(chain.from_iterable([mid[3] for mid in mids])).union(
+                *[_support(later_rows[k]) for k in infs])
+            inf = tuple(sorted(hit if targets is None else {targets[j] for j in hit}))
+        if targets is not None:
+            out = list(map(targets.__getitem__, out))
+        return _joined_row(out, [w * n for w, (_, lnums, _, _) in zip(weights, mids)
+                                 for n in lnums], den * scale, inf)
 
-    return Kernel._new(earlier.dom, later.cod, tuple(_per_row(earlier, output_row)))
+    return Kernel._new(earlier.dom, cod, tuple(_per_row(earlier, output_row)))
 
 
 def _fold(kernels: Sequence[Kernel]) -> Kernel:
@@ -428,7 +441,10 @@ def identity(space: FinSpace) -> Kernel:
 
 def deterministic(dom: FinSpace, cod: FinSpace, fn: Callable[[Label], Label]) -> Kernel:
     """The kernel of a function: unit mass at ``fn(x)`` in each row."""
-    return _index_map(dom, cod, (cod.index(fn(x)) for x in dom.labels))
+    try:  # the labels' indices, found at C speed
+        return _index_map(dom, cod, map(cod._index.__getitem__, map(fn, dom.labels)))
+    except KeyError:  # the slow way names the label that is not a point
+        return _index_map(dom, cod, (cod.index(fn(x)) for x in dom.labels))
 
 
 def copy(space: FinSpace) -> Kernel:
@@ -526,8 +542,9 @@ def lift_involution(phi: Involution) -> Kernel:
 
 # imported last: ``_kernel_functions`` imports ``Kernel`` and the operations from here
 from ._kernel_functions import (
-    copyable_violation, effect, effect_mul, effect_pairs, from_maps, from_pair_rows,
-    infinite_entry, is_copyable, is_normalized, is_substochastic, lazy_involution, measure,
-    normalized_violation, pair_rows, pushforward, resample_within, row_mass, row_masses,
-    row_support, split_by_support, substochastic_violation, swap_asymmetry, uniform,
+    copyable_violation, effect, effect_mul, effect_pairs, from_effect_pairs, from_maps,
+    from_pair_rows, infinite_entry, is_copyable, is_normalized, is_substochastic,
+    lazy_involution, lazy_proposal, measure, normalized_violation, pair_rows, pushforward,
+    resample_within, row_mass, row_masses, row_support, split_by_support,
+    substochastic_violation, swap_asymmetry, uniform,
 )

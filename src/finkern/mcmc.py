@@ -8,8 +8,8 @@ doubly-intractable targets, and the systematic-scan Gibbs sampler. Every
 check is an exact decidable equality; detailed and skew balance are one
 scan, ``kernels.swap_asymmetry``. Entries are read as integer pairs
 (``pair_rows``, ``effect_pairs``), compared by cross-multiplication and
-written as pairs (``from_pair_rows``); the balancing functions map pairs to
-pairs, so no ``ExtNonneg`` is made below the API.
+written as pairs (``from_pair_rows``, ``from_effect_pairs``); the balancing
+functions map pairs to pairs, so no ``ExtNonneg`` is made below the API.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .semiring import (
 from .spaces import FinSpace, Label, UNIT, product, product_many
 from .kernels import (
     Involution, Kernel, SpaceMismatchError, compose, composite, deterministic,
-    effect_pairs, from_pair_rows, graph, identity, is_normalized,
-    lazy_involution, lift_involution, pair_rows, resample_within, reweight,
-    substochastic_violation, swap, swap_asymmetry,
+    effect_pairs, from_effect_pairs, from_pair_rows, graph, identity, is_normalized,
+    lazy_involution, lazy_proposal, lift_involution, pair_rows, resample_within,
+    reweight, substochastic_violation, swap, swap_asymmetry,
 )
 from .enrichment import NoExactDerivative, NotCancellative, is_cancellative
 from ._record import FrozenRecord
@@ -241,10 +241,13 @@ def _marginal(inner: Kernel, embed: Kernel) -> Kernel:
 
     The projection ``(x, z) -> x`` that deletes ``aux`` is the categorical
     marginal ``right_unitor(X) ∘ (identity(X) (x) delete(aux))``: both are
-    the index map sending point ``(x, z)`` to ``x``.
+    the index map sending point ``(x, z)`` to ``x``. It runs after the
+    unbuilt ``composite`` of ``embed`` and ``inner``, so ``compose`` writes
+    each row of ``inner``, as ``embed`` weighs it, straight into the
+    projected columns, and ``inner ∘ embed`` is never built.
     """
     project = deterministic(embed.cod, embed.dom, itemgetter(0))
-    return compose(project, compose(inner, embed))
+    return compose(project, composite((embed, inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +265,13 @@ def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Lab
     # points, in order, are all there is to check.
     (masses,) = pair_rows(target)
     alpha = effect_pairs(accept)
-    for i, mass in masses.items():
-        j = phi.perm[i]
-        if not pair_products_equal(alpha[i], mass, alpha[j], masses.get(j, ZERO_PAIR)):
+    perm = phi.perm
+    for i, (mn, md) in masses.items():
+        j = perm[i]
+        (an, ad), (bn, bd) = alpha[i], alpha[j]
+        cn, cd = masses.get(j, ZERO_PAIR)
+        if (an * mn * bd * cd != bn * cn * ad * md if md and ad and bd and cd
+                else not pair_products_equal((an, ad), (mn, md), (bn, bd), (cn, cd))):
             return target.cod.labels[i]
     return None
 
@@ -297,7 +304,8 @@ def balancing_alpha(balancing: BalancingFunction, target: Kernel,
     moves a charged point off the target's support that density is 0, so
     the acceptance is ``balancing(0) = 0`` and the move is never taken. The
     chain ``build_mh`` makes from the result is always reversible, and the
-    problem satisfies the balancing condition on any support.
+    problem satisfies the balancing condition on any support. The value
+    pairs, one per point, are written by ``from_effect_pairs``.
     """
     if target.cod != phi.space:  # as the pushforward of the target reports it
         raise SpaceMismatchError("cannot compose: middle spaces differ "
@@ -305,7 +313,7 @@ def balancing_alpha(balancing: BalancingFunction, target: Kernel,
     if not target.is_measure:
         raise SpaceMismatchError("rn_derivative needs two measures")
     (masses,) = pair_rows(target)  # its finite masses share one denominator
-    rows: list[dict[int, tuple[int, int]]] = [{}] * len(target.cod)
+    pairs = [ZERO_PAIR] * len(target.cod)
     for i, (mn, md) in masses.items():
         if (pushed := masses.get(phi.perm[i])) is None:
             continue
@@ -313,8 +321,8 @@ def balancing_alpha(balancing: BalancingFunction, target: Kernel,
             raise NoExactDerivative(f"finite mass {target.at(0, phi.perm[i])} over "
                                     f"an infinite atom at {target.cod.labels[i]!r}")
         ratio = ONE_PAIR if not md else (pushed[0], mn) if pushed[1] else INF_PAIR
-        rows[i] = {0: balancing.fn(ratio)}
-    return from_pair_rows(target.cod, UNIT, rows)
+        pairs[i] = balancing.fn(ratio)
+    return from_effect_pairs(target.cod, pairs)
 
 
 def verify_mh_theorem(problem: MhProblem) -> TheoremFlags:
@@ -364,8 +372,10 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
 
     ``viaInvolution`` augments the state with the proposed point, applies
     the involutive MH kernel for the swap involution, and marginalizes
-    back; ``direct`` fills in the familiar matrix (off-diagonal
-    proposal*acceptance, diagonal residual). The two are equal and both
+    back (``_marginal``); ``direct`` fills in the familiar matrix
+    (off-diagonal proposal*acceptance, diagonal residual) from the
+    proposal and the same acceptance effect, with ``lazy_proposal``, and
+    reads no row of the augmented chain. The two are equal and both
     reversible for the target.
     """
     base = target.cod
@@ -384,22 +394,7 @@ def classical_mh(target: Kernel, proposal: Kernel) -> tuple[Kernel, Kernel]:
     # the target's masses were checked finite above, and a Metropolis
     # acceptance is at most 1, so the chain needs none of MhProblem's checks
     inner = lazy_involution(swap_inv, accept)
-    via_involution = _marginal(inner, embed)
-
-    alpha = effect_pairs(accept)
-    rows = []
-    for i, props in enumerate(pair_rows(proposal)):
-        accepts = alpha[i * n:i * n + n]
-        # the accepted moves, as proposal numerator times acceptance pair
-        moves = [(j, w * accepts[j][0], accepts[j][1]) for j, (w, _) in props.items()
-                 if j != i and accepts[j][0]]
-        scale = lcm(*[ad for _, _, ad in moves])
-        # the row is normalized, so its numerators sum to its denominator
-        den = sum([w for w, _ in props.values()]) * scale
-        row = {j: (m * (scale // ad), den) for j, m, ad in moves}
-        row[i] = (den - sum([m for m, _ in row.values()]), den)
-        rows.append(row)
-    return via_involution, from_pair_rows(base, base, rows)
+    return _marginal(inner, embed), lazy_proposal(proposal, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +436,7 @@ def exchange_algorithm(prior: Kernel, likelihood: Kernel, observed: Label,
 
     # X -> Z (x) X: propose a parameter, then draw synthetic data from it
     # (keeping the proposed parameter alongside the data).
-    attach = compose(swap(base, data), compose(graph(likelihood), proposal))
+    attach = compose(swap(base, data), composite((proposal, graph(likelihood))))
     augmented = compose(graph(attach), posterior)
 
     nx, nz = len(base), len(data)  # (x, (z, y)), at (x * nz + z) * nx + y, to (y, (z, x))

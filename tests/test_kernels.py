@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import permutations, product as iproduct
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,9 @@ from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import EMPTY, FinSpace, UNIT, product
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, composite,
-    copy, delete, deterministic, dirac, effect, effect_mul, from_maps,
-    from_pair_rows, graph, identity,
-    is_copyable, is_normalized, is_substochastic, lazy_involution,
+    copy, delete, deterministic, dirac, effect, effect_mul, from_effect_pairs,
+    from_maps, from_pair_rows, graph, identity,
+    is_copyable, is_normalized, is_substochastic, lazy_involution, lazy_proposal,
     left_unitor, lift_involution, measure, reweight, right_unitor, row_mass,
     effect_pairs, pair_rows, resample_within, row_support, split_by_support,
     swap, tensor, uniform,
@@ -758,9 +759,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "finkern"
 KERNELS_PUBLIC = [
     "Involution", "Kernel", "SpaceMismatchError", "associator", "compose",
     "composite", "copy", "copyable_violation", "delete", "deterministic",
-    "dirac", "effect", "effect_mul", "effect_pairs", "from_maps",
-    "from_pair_rows", "graph", "identity", "infinite_entry", "is_copyable",
-    "is_normalized", "is_substochastic", "lazy_involution", "left_unitor",
+    "dirac", "effect", "effect_mul", "effect_pairs", "from_effect_pairs",
+    "from_maps", "from_pair_rows", "graph", "identity", "infinite_entry",
+    "is_copyable", "is_normalized", "is_substochastic", "lazy_involution",
+    "lazy_proposal", "left_unitor",
     "lift_involution", "measure", "normalized_violation", "pair_rows",
     "pushforward", "resample_within", "reweight", "right_unitor", "row_mass",
     "row_masses", "row_support", "split_by_support", "substochastic_violation",
@@ -769,7 +771,7 @@ KERNELS_PUBLIC = [
 
 
 def test_kernels_keeps_its_public_names():
-    assert len(KERNELS_PUBLIC) == 41
+    assert len(KERNELS_PUBLIC) == 43
     for name in KERNELS_PUBLIC:
         obj = getattr(kernels_module, name)
         if hasattr(finkern, name):
@@ -1104,6 +1106,55 @@ def test_a_composite_reads_as_its_eager_fold_everywhere_else(factors, data):
     assert composite(factors).entries == eager.entries
 
 
+@st.composite
+def _trailing_maps(draw, dom):
+    """An index map out of ``dom``: an injection, under which no two columns
+    meet, or any map onto 1-3 points, under which they may."""
+    if draw(st.booleans()):
+        cod = draw(spaces(len(dom), len(dom) + 1, "t"))
+        targets = draw(st.permutations(range(len(cod))))[:len(dom)]
+    else:
+        cod = draw(spaces(1 if len(dom) else 0, 3, "t"))
+        targets = draw(st.lists(st.integers(0, max(len(cod) - 1, 0)),
+                                min_size=len(dom), max_size=len(dom)))
+    return deterministic(dom, cod, lambda x: cod.labels[targets[dom.index(x)]])
+
+
+@given(st.data())
+def test_an_index_map_after_a_composite_is_the_eager_fold_moved(data):
+    """``compose(index_map, composite(factors))`` for 1-3 factors over spaces
+    of 0-3 points, with zero rows, oo entries and index maps among the
+    factors, is the eager fold with its columns moved, and equals the dense
+    oracle; from two factors on, the composite's rows stay unbuilt."""
+    stops = [data.draw(spaces(0, 3, f"s{i}_")) for i in range(data.draw(st.integers(2, 4)))]
+    factors = [data.draw(_factor(dom, cod)) for dom, cod in zip(stops, stops[1:])]
+    move = data.draw(_trailing_maps(stops[-1]))
+    lazy = composite(factors)
+    out = compose(move, lazy)
+    eager = eager_fold(factors)
+    assert out.int_rows == compose(move, eager).int_rows
+    assert (out.dom, out.cod) == (stops[0], move.cod)
+    assert_reduced(out)
+    _matches(out, _oracle_compose(move, eager))
+    if len(factors) > 1:
+        assert not rows_built(lazy)
+
+
+@given(st.data())
+def test_equal_earlier_rows_share_one_row_after_a_folded_index_map(data):
+    """Where the factors before the last give two equal rows, the folded
+    compose writes one output row object for both, as ``compose`` does."""
+    mid = data.draw(spaces(1, 3, "m"))
+    row = data.draw(st.lists(_ZERO_HEAVY, min_size=len(mid), max_size=len(mid)))
+    factors = [Kernel(X2, mid, [row, list(row)])]
+    for i in range(data.draw(st.integers(1, 2))):
+        factors.append(data.draw(_factor(factors[-1].cod, data.draw(spaces(1, 3, f"n{i}_")))))
+    out = compose(data.draw(_trailing_maps(factors[-1].cod)), composite(factors))
+    first, second = out.int_rows
+    assert first is second
+    assert_reduced(out)
+
+
 def test_composite_refuses_what_compose_refuses():
     with pytest.raises(SpaceMismatchError,
                        match=re.escape("cannot compose: middle spaces differ")):
@@ -1149,6 +1200,24 @@ def test_pair_readers_give_each_entry_and_tell_rows_apart(pair):
             for n, d in effect_pairs(weight)] == list(weight.effect_values())
     with pytest.raises(SpaceMismatchError):
         effect_pairs(identity(p.cod) @ identity(p.cod))
+
+
+_PAIRS = st.tuples(st.integers(0, 12), st.integers(0, 12))  # zeros, oo, unreduced
+
+
+@given(st.data())
+def test_from_effect_pairs_is_the_one_entry_pair_map_build(data):
+    """``from_effect_pairs`` writes what ``from_pair_rows`` writes from one
+    ``{0: pair}`` map per point, reads back through ``effect_pairs`` as the
+    reduced pairs, and keeps one column tuple for every finite row."""
+    space = data.draw(spaces(0, 6))
+    pairs = data.draw(st.lists(_PAIRS, min_size=len(space), max_size=len(space)))
+    k = from_effect_pairs(space, pairs)
+    assert k.int_rows == from_pair_rows(space, UNIT, [{0: pair} for pair in pairs]).int_rows
+    assert_reduced(k)
+    assert effect_pairs(k) == [(0, 1) if not n else (1, 0) if not d
+                               else (n // gcd(n, d), d // gcd(n, d)) for n, d in pairs]
+    assert len({id(cols) for cols, _, _, _ in k.int_rows if cols}) <= 1
 
 
 @given(kernels(entry_strategy=small_values), st.data())
@@ -1203,6 +1272,21 @@ def test_index_map_shortcuts_match_the_general_products(k, data):
     pytest.param(lambda: lazy_involution(Involution.identity(X2), effect(X3, [0, 0, 0])),
                  SpaceMismatchError, "lazy_involution needs an effect on the involution's space",
                  id="lazy-involution"),
+    pytest.param(lambda: from_effect_pairs(X2, [(1, 2)]), SpaceMismatchError,
+                 "expected 2 rows for FinSpace(a b), got 1", id="effect-pairs-rows"),
+    pytest.param(lambda: lazy_proposal(identity(X2), effect(X3, [0, 0, 0])),
+                 SpaceMismatchError,
+                 "lazy_proposal needs an endo-kernel on X and an effect on X (x) X",
+                 id="lazy-proposal-spaces"),
+    pytest.param(lambda: lazy_proposal(Kernel(X2, X2, [[1, 1], [0, 1]]),
+                                       effect(product(X2, X2), [0] * 4)),
+                 ValueError, "proposal rows must be normalized", id="lazy-proposal-rows"),
+    pytest.param(lambda: lazy_proposal(Kernel(X2, X2, [[0, 1], [0, 1]]),
+                                       effect(product(X2, X2), [0, 2, 0, 0])),
+                 ValueError, "acceptance value exceeds 1", id="lazy-proposal-above-1"),
+    pytest.param(lambda: lazy_proposal(Kernel(X2, X2, [[0, 1], [0, 1]]),
+                                       effect(product(X2, X2), [0, INF, 0, 0])),
+                 ValueError, "acceptance value exceeds 1", id="lazy-proposal-oo"),
     pytest.param(lambda: effect_mul(identity(X2), effect(X2, [1, 1])), SpaceMismatchError,
                  "effect_mul needs two effects", id="effect-mul-not-effects"),
     pytest.param(lambda: effect_mul(effect(X2, [1, 1]), effect(X3, [1, 1, 1])),

@@ -1,5 +1,6 @@
 import ast
 import random
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,15 +14,15 @@ from finkern.semiring import (
 from finkern.spaces import EMPTY, FinSpace, UNIT, product, product_many
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, compose, copy, delete,
-    deterministic, effect, effect_pairs, from_maps, graph, identity,
-    lift_involution, measure, pair_rows, pushforward, reweight, right_unitor,
+    deterministic, effect, effect_pairs, from_maps, from_pair_rows, graph, identity,
+    lazy_proposal, lift_involution, measure, pair_rows, pushforward, reweight, right_unitor,
     row_support, swap, swap_asymmetry, tensor, uniform, is_normalized,
 )
 from finkern.enrichment import (
     NoExactDerivative, NotAbsolutelyContinuous, NotCancellative, _density_values,
     is_cancellative, lebesgue_decompose, leq_witness, rn_derivative,
 )
-from finkern import mcmc
+from finkern import kernels as kernels_module, mcmc
 from finkern.mcmc import (
     BALANCING_FUNCTIONS, BARKER, METROPOLIS, MhProblem, augment_reversible,
     balancing_alpha, balancing_violation, bayesian_inverse, build_mh,
@@ -652,6 +653,136 @@ def test_classical_mh_direct_route_is_its_textbook_definition(proposal, data):
     assert direct.int_rows == _textbook_direct_route(target, proposal).int_rows
     assert via == direct
     assert_reduced(direct)
+
+
+# -- the MH row writers against the pair-map builds they replace -----------------------------------
+
+def _pair_map_direct_route(proposal, accept):
+    """``classical_mh``'s direct route as it was built before
+    ``lazy_proposal``, with one pair map per proposal row and one per output
+    row through ``from_pair_rows``: its oracle."""
+    n = len(proposal.dom)
+    alpha = effect_pairs(accept)
+    rows = []
+    for i, props in enumerate(pair_rows(proposal)):
+        accepts = alpha[i * n:i * n + n]
+        moves = [(j, w * accepts[j][0], accepts[j][1]) for j, (w, _) in props.items()
+                 if j != i and accepts[j][0]]
+        scale = lcm(*[ad for _, _, ad in moves])
+        den = sum([w for w, _ in props.values()]) * scale
+        row = {j: (m * (scale // ad), den) for j, m, ad in moves}
+        row[i] = (den - sum([m for m, _ in row.values()]), den)
+        rows.append(row)
+    return from_pair_rows(proposal.dom, proposal.cod, rows)
+
+
+def _dict_row_balancing_alpha(balancing, target, phi):
+    """``balancing_alpha`` as it was built before ``from_effect_pairs``, with
+    one ``{0: pair}`` map per charged point through ``from_pair_rows``: its
+    oracle."""
+    (masses,) = pair_rows(target)
+    rows = [{}] * len(target.cod)
+    for i, (mn, md) in masses.items():
+        if (pushed := masses.get(phi.perm[i])) is None:
+            continue
+        if not md and pushed[1]:
+            raise NoExactDerivative("finite mass over an infinite atom")
+        ratio = (1, 1) if not md else (pushed[0], mn) if pushed[1] else (1, 0)
+        rows[i] = {0: balancing.fn(ratio)}
+    return from_pair_rows(target.cod, UNIT, rows)
+
+
+@st.composite
+def _proposals(draw):
+    """A normalized proposal on 0-5 points, with a zero diagonal about half
+    of the time it can have one."""
+    n = draw(st.integers(0, 5))
+    space = FinSpace(tuple(f"x{i}" for i in range(n)))
+    hollow = n > 1 and draw(st.booleans())
+    rows = []
+    for i in range(n):
+        row = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)
+                   .map(lambda r, i=i: [0 if hollow and j == i else w for j, w in enumerate(r)])
+                   .filter(any))
+        rows.append([q(w, sum(row)) for w in row])
+    return Kernel(space, space, rows)
+
+
+@st.composite
+def _acceptances(draw, space):
+    """An effect on space (x) space with values in [0, 1], every move of
+    some rows rejected."""
+    n = len(space)
+    rejected = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    values = [ZERO if rejected[k // n] else
+              draw(st.builds(lambda a, b: q(min(a, b), b), st.integers(0, 12), st.integers(1, 12)))
+              for k in range(n * n)]
+    return effect(product(space, space), values)
+
+
+@given(_proposals(), st.data())
+def test_lazy_proposal_is_the_pair_map_direct_route(proposal, data):
+    accept = data.draw(_acceptances(proposal.dom))
+    direct = lazy_proposal(proposal, accept)
+    assert direct.int_rows == _pair_map_direct_route(proposal, accept).int_rows
+    assert_reduced(direct)
+    assert is_normalized(direct)
+
+
+@given(_proposals(), st.data())
+def test_classical_mh_direct_route_is_its_pair_map_build(proposal, data):
+    """On targets with zero masses, uncharged proposed points included, the
+    direct route is the old build from the Metropolis acceptance on X (x) X."""
+    target = data.draw(masses_on(proposal.dom, finite_values))
+    n = len(proposal.dom)
+    augmented = compose(graph(proposal), target)
+    accept = balancing_alpha(METROPOLIS, augmented, Involution(
+        augmented.cod, [j * n + i for i in range(n) for j in range(n)]))
+    via, direct = classical_mh(target, proposal)
+    assert direct.int_rows == _pair_map_direct_route(proposal, accept).int_rows
+    assert via == direct
+    assert_reduced(direct)
+
+
+@pytest.mark.parametrize("name", sorted(BALANCING_FUNCTIONS))
+@given(st.data())
+def test_balancing_alpha_is_its_dict_row_build(name, data):
+    """On targets of zero, finite and oo masses, the empty space included."""
+    space = data.draw(spaces(0, 6))
+    target, phi = data.draw(masses_on(space, values)), data.draw(involutions(space))
+    fn = BALANCING_FUNCTIONS[name]
+    try:
+        expected = _dict_row_balancing_alpha(fn, target, phi)
+    except NoExactDerivative:
+        with pytest.raises(NoExactDerivative):
+            balancing_alpha(fn, target, phi)
+        return
+    alpha = balancing_alpha(fn, target, phi)
+    assert alpha.int_rows == expected.int_rows
+    assert_reduced(alpha)
+
+
+def test_classical_mh_builds_no_inner_after_embed(monkeypatch):
+    """The marginal projects the unbuilt composite of ``embed`` and
+    ``inner``: no compose, in ``mcmc`` or in the kernel layer, makes the
+    X -> X (x) X kernel ``inner ∘ embed``."""
+    rng = random.Random(1025)
+    target = rand_probability_measure(rng, X3, zero_weight=0.2)
+    proposal = rand_normalized_kernel(rng, X3, X3, zero_weight=0.3)
+    made = []
+    real = kernels_module.compose
+
+    def spied(later, earlier):
+        out = real(later, earlier)
+        made.append((out.dom, out.cod))
+        return out
+    monkeypatch.setattr(kernels_module, "compose", spied)
+    monkeypatch.setattr(mcmc, "compose", spied)
+    via, direct = classical_mh(target, proposal)
+    joint = product(X3, X3)
+    assert (UNIT, joint) in made and (X3, X3) in made  # embed ∘ target, the marginal
+    assert (X3, joint) not in made
+    assert via == direct
 
 
 def test_mcmc_reads_no_value_views():
