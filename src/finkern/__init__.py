@@ -26,7 +26,7 @@ from .enrichment import (
     Decomposition, NoExactDerivative, NotAbsolutelyContinuous,
     NotCancellative, abs_cont, ae_equal, equivalent, involutive_decompose,
     is_cancellative, is_finite_morphism, is_singular, kernel_zero,
-    lebesgue_decompose, leq_kernel, leq_witness, meet, rn_derivative,
+    lebesgue_decompose, leq_kernel, meet, rn_derivative,
     support_labels,
 )
 from .mcmc import (

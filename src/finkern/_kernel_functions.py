@@ -67,8 +67,7 @@ def from_effect_pairs(space: FinSpace, pairs: Sequence[tuple[int, int]]) -> Kern
     _check_rows(space, pairs)
     return Kernel._new(space, UNIT, tuple([
         _EMPTY_ROW if not n else _INF_POINT if not d
-        else (_COL0, (n,), d, ()) if (g := gcd(n, d)) == 1
-        else (_COL0, (n // g,), d // g, ()) for n, d in pairs]))
+        else (_COL0, (n // (g := gcd(n, d)),), d // g, ()) for n, d in pairs]))
 
 
 def row_support(kernel: Kernel, i: int) -> tuple[int, ...]:
@@ -150,16 +149,8 @@ def from_pair_rows(dom: FinSpace, cod: FinSpace,
     lcm of theirs (a row whose pairs share one keeps its numerators), and
     one gcd reduces the row."""
     _check_rows(dom, rows)
-    width = len(cod)
     out = []
     for acc in rows:
-        if len(acc) == 1:  # an effect's row, say: no lcm
-            ((j, (n, d)),) = acc.items()
-            if 0 <= j < width:
-                g = gcd(n, d)
-                out.append(((j,), (n // g,), d // g, ()) if n and d
-                           else ((), (), 1, (j,)) if n else _EMPTY_ROW)
-                continue
         if not acc:
             out.append(_EMPTY_ROW)
             continue

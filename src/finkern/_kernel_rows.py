@@ -142,8 +142,6 @@ def _dense_row(row, width: int) -> tuple[ExtNonneg, ...]:
 
 def _scale(n: int, d: int, row: _Row) -> _Row:
     """The finite positive weight ``n / d`` times every entry of a row."""
-    if n == d:  # reduced, so the weight is 1
-        return row
     cols, nums, den, infs = row
     return _reduced(cols, [n * x for x in nums], d * den, infs)
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .semiring import ExtNonneg, INF, INF_PAIR, ONE, ZERO, ZERO_PAIR, fraction
+from .semiring import ExtNonneg, INF, ONE, ZERO, ZERO_PAIR, fraction
 from .spaces import FinSpace, Label
 from .kernels import (
-    Involution, Kernel, SpaceMismatchError, effect, from_maps, from_pair_rows,
+    Involution, Kernel, SpaceMismatchError, effect, from_maps,
     infinite_entry, pair_rows, pushforward, row_support, split_by_support,
 )
 
@@ -71,33 +71,6 @@ def leq_violation(p: Kernel, q: Kernel) -> tuple[Label, Label] | None:
 def leq_kernel(p: Kernel, q: Kernel) -> bool:
     """The additive preorder, decided entrywise."""
     return leq_violation(p, q) is None
-
-
-def leq_witness(p: Kernel, q: Kernel) -> Kernel | None:
-    """A kernel R with p + R == q, or None when p <= q fails.
-
-    Entrywise residuals assemble into a witness; this is the explicit
-    construction the entrywise test is validated against. Where q is finite
-    the residual is the least one, q - p; where q is oo it is 0 if p is oo
-    and oo otherwise.
-    """
-    _check_same_type(p, q, "leq")
-    rows = []
-    for lower, upper in zip(pair_rows(p), pair_rows(q)):
-        if not lower.keys() <= upper.keys():  # p nonzero over a zero of q
-            return None
-        gaps = {}
-        for j, (c, d) in upper.items():
-            a, b = lower.get(j, ZERO_PAIR)
-            if not d:
-                if b:
-                    gaps[j] = INF_PAIR
-            elif not b or a * d > c * b:  # p is oo, or larger than q
-                return None
-            else:
-                gaps[j] = (c * b - a * d, b * d)
-        rows.append(gaps)
-    return from_pair_rows(p.dom, p.cod, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,27 +6,10 @@ column). Composition is the Chapman-Kolmogorov sum, the monoidal product is
 the Kronecker product, and each space carries copy/delete/swap structure.
 
 Every kernel has one canonical sparse form over the integers, its stored
-rows ``kernel.int_rows`` (see ``_kernel_rows``). The kernel operations work
-on these integers alone: ``compose`` scales each middle row to the lcm of
-the middle denominators and takes integer dot products, so a row costs one
-gcd, not one per scalar product and sum, a row with one middle point is a
-scaled copy of that middle row, middle rows that share no column are
-concatenated without sums, each distinct earlier row is worked out once,
-and a later row that a measure's middle points share as one stored object
-is multiplied once. ``graph(k)``, the graph ``(identity (x) k) ∘ copy`` of
-``k``, moves ``k``'s rows into place instead of building the |X|*|X| rows
-of the tensor that copy reads |X| of. A deterministic kernel is a function,
-and is stored as its index map: identity, copy, swap, the unitors and
-associator, relabelings and involutions keep only their targets, so that
-running one after a kernel moves that kernel's columns instead of
-multiplying, and two index maps compose or tensor to an index map. Their
-rows, one entry ``((j,), (1,), 1, ())`` each, are built on the first read
-of ``int_rows``. So are those of a ``composite``, such as a Gibbs sweep,
-which keeps its factors: until then a measure composed with it is pushed
-through them one at a time, and never builds the sweep, and an index map
-composed after it, as classical MH's projection after ``inner ∘ embed``,
-folds all factors but the last, whose compose writes its columns through
-the map's targets: the composite's rows are never built.
+rows ``kernel.int_rows`` (see ``_kernel_rows``), and the kernel operations
+work on these integers alone. ``compose``'s docstring says how it sums
+them, and the ``Kernel`` slot comment which kernels, index maps and
+composites, build their rows only when they are read.
 
 ``ExtNonneg`` stays the scalar at the API boundary. ``rows`` (per row the
 pair ``(cols, vals)`` of every nonzero entry's column and value),
@@ -312,11 +295,6 @@ def compose(later: Kernel, earlier: Kernel) -> Kernel:
 
     def output_row(row: _Row) -> _Row:
         cols, nums, den, infs = row
-        if len(cols) == 1 and not infs:
-            # one middle point: a scaled copy of that row of ``later``, at
-            # weight 1 the row itself (Gibbs rows with a single charged point)
-            out = _scale(nums[0], den, later_rows[cols[0]])
-            return out if targets is None else _relabel(out, targets)
         if first is not None:  # over den 1, so the merged numerators stay
             cols, nums, _, _ = _joined_row([first[k] for k in cols], nums, 1)
         mids = [later_rows[k] for k in cols]

@@ -5,9 +5,12 @@ from math import gcd
 
 import hypothesis.strategies as st
 
-from finkern.semiring import INF, ZERO, ExtNonneg, fraction
+from finkern.semiring import INF, INF_PAIR, ZERO, ZERO_PAIR, ExtNonneg, fraction
 from finkern.spaces import FinSpace, product_many
-from finkern.kernels import Involution, Kernel, compose, lift_involution, measure
+from finkern.kernels import (
+    Involution, Kernel, SpaceMismatchError, compose, from_pair_rows, lift_involution,
+    measure, pair_rows,
+)
 from finkern.generators import (
     rand_involution, rand_kernel, rand_probability_measure,
     rand_reversible_kernel, rand_space, rand_value,
@@ -190,7 +193,7 @@ def ext_sum(values):
 def residual(lower, upper):
     """A witness ``c`` with ``lower + c == upper`` over ``ExtNonneg``
     values, or None when none exists: the oracle for the pair residuals of
-    ``enrichment.leq_witness``.
+    ``leq_witness``.
 
     Returns the minimal witness for finite pairs; for ``upper == oo`` the
     witness oo (or 0 when lower is already oo) is used.
@@ -204,3 +207,31 @@ def residual(lower, upper):
     if n > d:
         return None
     return fraction(d - n, lower.den * upper.den)
+
+
+def leq_witness(p, q):
+    """A kernel R with p + R == q, or None when p <= q fails.
+
+    Entrywise residuals assemble into a witness; this is the explicit
+    construction the entrywise test (``enrichment.leq_violation``) is
+    validated against. Where q is finite the residual is the least one,
+    q - p; where q is oo it is 0 if p is oo and oo otherwise.
+    """
+    if p.dom != q.dom or p.cod != q.cod:
+        raise SpaceMismatchError("leq needs kernels with equal dom and cod")
+    rows = []
+    for lower, upper in zip(pair_rows(p), pair_rows(q)):
+        if not lower.keys() <= upper.keys():  # p nonzero over a zero of q
+            return None
+        gaps = {}
+        for j, (c, d) in upper.items():
+            a, b = lower.get(j, ZERO_PAIR)
+            if not d:
+                if b:
+                    gaps[j] = INF_PAIR
+            elif not b or a * d > c * b:  # p is oo, or larger than q
+                return None
+            else:
+                gaps[j] = (c * b - a * d, b * d)
+        rows.append(gaps)
+    return from_pair_rows(p.dom, p.cod, rows)

@@ -21,7 +21,7 @@ from finkern.kernels import (
 from finkern.enrichment import (
     abs_cont, cancellation_counterexample, equivalent, involutive_decompose,
     is_cancellative, is_finite_morphism, is_singular, kernel_zero,
-    leq_kernel, leq_witness, meet, rn_derivative,
+    leq_kernel, meet, rn_derivative,
 )
 from finkern.mcmc import (
     METROPOLIS, MhProblem, balancing_alpha, build_mh, build_skew_mh,
@@ -36,7 +36,7 @@ from finkern.generators import (
 from finkern.modelfile import parse, emit
 from finkern.sampler import empirical, run_chain, to_float, tv_distance
 from finkern import cli
-from strategies import rand_skew_instance
+from strategies import leq_witness, rand_skew_instance
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SEED = 20260808

@@ -120,3 +120,10 @@ def test_tensor_is_additive_in_each_argument():
         w = identity(Y)
         assert tensor(f + g, w) == tensor(f, w) + tensor(g, w)
         assert tensor(w, f + g) == tensor(w, f) + tensor(w, g)
+
+
+
+def test_injection_refuses_a_side_that_is_not_l_or_r():
+    with pytest.raises(ValueError) as info:
+        injection("X", X, Z)
+    assert type(info.value) is ValueError and str(info.value) == "side must be 'L' or 'R', got 'X'"

@@ -7,17 +7,19 @@ import hypothesis.strategies as st
 from finkern.semiring import ExtNonneg, INF, ONE, ZERO
 from finkern.spaces import FinSpace, UNIT
 from finkern.kernels import (
-    Involution, Kernel, compose, dirac, effect, effect_mul, from_maps, identity,
+    Involution, Kernel, SpaceMismatchError, compose, dirac, effect, effect_mul, from_maps, identity,
     lift_involution, measure, pushforward, tensor, uniform,
 )
 from finkern.enrichment import (
     NoExactDerivative, NotAbsolutelyContinuous, NotCancellative, abs_cont,
     ae_equal, cancellation_counterexample, equivalent,
     involutive_decompose, is_cancellative, is_finite_morphism, is_singular,
-    kernel_zero, lebesgue_decompose, leq_kernel, leq_violation, leq_witness,
+    kernel_zero, lebesgue_decompose, leq_kernel, leq_violation,
     meet, rn_derivative, support_labels,
 )
-from strategies import kernel_pairs, kernels, kernels_on, residual, spaces, values
+from strategies import (
+    kernel_pairs, kernels, kernels_on, leq_witness, residual, spaces, values,
+)
 
 
 def q(num, den=1):
@@ -509,3 +511,22 @@ def test_importance_sampling_identity(space, data):
 def test_support_labels():
     mu = measure(X3, [ZERO, q(1, 2), INF])
     assert support_labels(mu) == ("b", "c")
+
+
+@pytest.mark.parametrize("refuse, cls, text", [
+    pytest.param(lambda: involutive_decompose(identity(X2), Involution.identity(X2)),
+                 SpaceMismatchError, "involutive_decompose needs a measure",
+                 id="involutive-decompose"),
+    pytest.param(lambda: involutive_decompose(measure(X2, [1, 0]), Involution.identity(X3)),
+                 SpaceMismatchError, "measure and involution live on different spaces",
+                 id="involutive-decompose-spaces"),
+    pytest.param(lambda: rn_derivative(measure(X2, [1, 0]), measure(X3, [1, 0, 0])),
+                 SpaceMismatchError, "rn_derivative needs measures on the same space",
+                 id="rn-derivative-spaces"),
+    pytest.param(lambda: support_labels(identity(X2)), SpaceMismatchError,
+                 "not a measure (domain is not the unit space)", id="support-labels"),
+])
+def test_enrichment_refusals_keep_their_class_and_text(refuse, cls, text):
+    with pytest.raises(cls) as info:
+        refuse()
+    assert type(info.value) is cls and str(info.value) == text

@@ -8,8 +8,8 @@ from finkern.semiring import ExtNonneg, ZERO
 from finkern.spaces import FinSpace
 from finkern.kernels import Kernel, measure
 from finkern.generators import (
-    rand_normalized_kernel, rand_probability_measure, rand_reversible_kernel,
-    rand_value,
+    rand_mh_problem, rand_normalized_kernel, rand_probability_measure,
+    rand_reversible_kernel, rand_value,
 )
 
 
@@ -84,3 +84,19 @@ def test_seeded_distributions_are_pinned():
         ["10/21", "10/21", "0", "1/21"]]
     assert [str(v) for v in fallback.measure_values()] == ["0", "0", "1", "0"]
     assert rng.random() == 0.4405311166566568
+
+
+
+@pytest.mark.parametrize("refuse, text", [
+    pytest.param(lambda: rand_mh_problem(random.Random(1), support="none"),
+                 "unknown support 'none'", id="support"),
+    pytest.param(lambda: rand_mh_problem(random.Random(1), mode="none"),
+                 "unknown mode 'none'", id="mode"),
+    pytest.param(lambda: rand_reversible_kernel(random.Random(1),
+                                                measure(FinSpace.atoms("a b"), [1, 0])),
+                 "target must be positive and finite", id="reversible-target"),
+])
+def test_generator_refusals_keep_their_class_and_text(refuse, text):
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert type(info.value) is ValueError and str(info.value) == text

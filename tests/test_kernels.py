@@ -12,7 +12,7 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from finkern.semiring import ExtNonneg, INF, ONE, ZERO
-from finkern.spaces import EMPTY, FinSpace, UNIT, product
+from finkern.spaces import EMPTY, FinSpace, UNIT, product, product_many
 from finkern.kernels import (
     Involution, Kernel, SpaceMismatchError, associator, compose, composite,
     copy, delete, deterministic, dirac, effect, effect_mul, from_effect_pairs,
@@ -74,7 +74,23 @@ def test_unknown_label():
         X2.index("z")
 
 
+def test_product_many_refuses_no_factors():
+    with pytest.raises(ValueError) as info:
+        product_many([])
+    assert type(info.value) is ValueError and str(info.value) == (
+        "product_many needs at least one factor")
+
+
 # -- kernels: construction, measures, effects --------------------------------
+
+def test_kernel_repr_shows_its_spaces_and_first_four_rows():
+    assert repr(Kernel(X2, X3, [[q(1, 2), 0, INF], [0, 1, 0]])) == (
+        "Kernel(FinSpace(a b) -> FinSpace(a b c): 1/2 0 inf; 0 1 0)")
+    five = FinSpace.atoms("a b c d e")
+    assert repr(identity(five)) == (
+        "Kernel(FinSpace(a b c d e) -> FinSpace(a b c d e): "
+        "1 0 0 0 0; 0 1 0 0 0; 0 0 1 0 0; 0 0 0 1 0; ...)")
+
 
 def test_kernel_shape_validation():
     with pytest.raises(SpaceMismatchError):
@@ -935,7 +951,7 @@ def test_compose_over_shared_later_rows_matches_dense_oracle(data):
 
 @pytest.mark.parametrize("later, row, helper", [
     pytest.param(Kernel(X2, X3, [[q(1, 2), q(1, 2), 0], [0, 0, 1]]), [q(2, 3), 0],
-                 "_scale", id="one-middle-point"),
+                 "_joined_row", id="one-middle-point"),
     pytest.param(Kernel(X2, X3, [[q(1, 3), 0, 0], [0, q(1, 2), q(1, 2)]]), [q(1, 2), q(1, 4)],
                  "_joined_row", id="concatenated"),
     pytest.param(Kernel(X2, X3, [[q(1, 2), q(1, 2), 0], [0, q(1, 2), q(1, 2)]]),
@@ -1294,6 +1310,8 @@ def test_index_map_shortcuts_match_the_general_products(k, data):
                  id="effect-mul-spaces"),
     pytest.param(lambda: Kernel(X2, X2, [[1, 0.5], [0, 1]]), TypeError,
                  "kernel entries must be ExtNonneg or int, got 0.5", id="entry-type"),
+    pytest.param(lambda: deterministic(X2, X3, lambda x: "z"), KeyError,
+                 repr("label 'z' is not a point of FinSpace(a b c)"), id="deterministic-label"),
 ])
 def test_kernel_layer_refusals_keep_their_class_and_text(refuse, cls, text):
     with pytest.raises(cls) as info:

@@ -20,7 +20,7 @@ from finkern.kernels import (
 )
 from finkern.enrichment import (
     NoExactDerivative, NotAbsolutelyContinuous, NotCancellative, _density_values,
-    is_cancellative, lebesgue_decompose, leq_witness, rn_derivative,
+    is_cancellative, lebesgue_decompose, rn_derivative,
 )
 from finkern import kernels as kernels_module, mcmc
 from finkern.mcmc import (
@@ -38,7 +38,7 @@ from finkern.generators import (
     rand_probability_measure, rand_reversible_kernel,
 )
 from strategies import (
-    assert_reduced, eager_fold, ext_sum, finite_values, mh_acceptance_ratio,
+    assert_reduced, eager_fold, ext_sum, finite_values, leq_witness, mh_acceptance_ratio,
     kernels_on, normalized_kernels, rand_skew_instance, residual, rows_built,
     spaces, values,
 )
@@ -1651,3 +1651,25 @@ def test_skew_witness_matches_the_value_oracle(case):
     plain = next(((i, j) for i in range(n) for j in range(i + 1, n)
                   if masses[i] * rows[i][j] != masses[j] * rows[j][i]), None)
     assert swap_asymmetry(target, chain) == plain
+
+
+@pytest.mark.parametrize("refuse, text", [
+    pytest.param(lambda: invariant_violation(identity(X2), identity(X2)),
+                 "target must be a measure", id="invariant-target"),
+    pytest.param(lambda: invariant_violation(measure(X2, [1, 0]), Involution.identity(X3)),
+                 "involution lives on a different space", id="invariant-involution"),
+    pytest.param(lambda: bayesian_inverse(identity(X2), identity(X2)),
+                 "prior must be a measure on the forward domain", id="bayesian-inverse"),
+    pytest.param(lambda: augment_reversible(measure(X2, [1, 0]), identity(X3), identity(X2)),
+                 "proposal must start from the target space", id="augment-proposal"),
+    pytest.param(lambda: augment_reversible(measure(X2, [1, 0]), identity(X2), identity(X2)),
+                 "inner chain must act on base (x) aux", id="augment-inner"),
+    pytest.param(lambda: exchange_algorithm(identity(X2), identity(X2), "a", identity(X2)),
+                 "prior must be a measure on the parameters", id="exchange-prior"),
+    pytest.param(lambda: exchange_algorithm(measure(X2, [1, 0]), identity(X3), "a", identity(X2)),
+                 "likelihood must map parameters to data", id="exchange-likelihood"),
+])
+def test_mcmc_refusals_keep_their_class_and_text(refuse, text):
+    with pytest.raises(SpaceMismatchError) as info:
+        refuse()
+    assert type(info.value) is SpaceMismatchError and str(info.value) == text

@@ -384,3 +384,29 @@ def test_values_have_at_most_the_bound_of_digits_in_parse_and_emit():
                 parse(f"space X {{ a b }}\nmeasure mu on X {{ b = 1\n a = {value} }}\n")
             assert str(err.value) == ("line 3: a value's numerator and denominator "
                                       f"have at most {MAX_VALUE_DIGITS} digits each")
+
+
+
+def _add_space_twice():
+    doc = ModelDocument()
+    doc.add_space("X", FinSpace.atoms("a b"))
+    doc.add_space("X", FinSpace.atoms("a"))
+
+
+@pytest.mark.parametrize("refuse, cls, text", [
+    pytest.param(_add_space_twice, ValueError, "duplicate space name 'X'", id="add-space"),
+    pytest.param(lambda: parse("space X { a }\ninvolution i on X"), ModelError,
+                 "line 2: unexpected end of document, expected '{'", id="end-before-brace"),
+    pytest.param(lambda: parse("space X { a }\ninvolution i on X ( a -> a )"), ModelError,
+                 "line 2: expected '{', got '('", id="wrong-token"),
+    pytest.param(lambda: parse("space X { L:a/b }"), ModelError,
+                 "line 1: bad atom 'a/b'", id="tagged-atom"),
+    pytest.param(lambda: parse("space 1X { a }"), ModelError,
+                 "line 1: bad space name '1X'", id="name"),
+    pytest.param(lambda: parse("space X { a }\ninvolution i on X { a -> b }"), ModelError,
+                 "line 2: label b is not in the space", id="involution-label"),
+])
+def test_modelfile_refusals_keep_their_class_and_text(refuse, cls, text):
+    with pytest.raises(cls) as info:
+        refuse()
+    assert type(info.value) is cls and str(info.value) == text

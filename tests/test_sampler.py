@@ -810,3 +810,10 @@ def test_a_trace_is_a_bytearray_up_to_256_states(n, kind):
 def test_a_byte_trace_holds_about_one_byte_per_step():
     run = run_chain(to_float(two_state_chain()[0]), 0, 9, 10**5)
     assert sys.getsizeof(run.trace) < 2 * (10**5 + 1) + 4096
+
+
+
+def test_run_chain_refuses_a_negative_length():
+    with pytest.raises(ValueError) as info:
+        run_chain(to_float(identity(X2)), 0, 1, -1)
+    assert type(info.value) is ValueError and str(info.value) == "length must be nonnegative"

@@ -452,3 +452,10 @@ def test_mh_acceptance_ratio_is_min_one_and_zero_over_a_zero_denominator(a, b):
         return
     expected = ZERO if b == ZERO else min(ONE, a / b)
     assert mh_acceptance_ratio(a, b) == expected
+
+
+
+def test_a_value_refuses_a_part_that_is_not_an_int():
+    with pytest.raises(TypeError) as info:
+        ExtNonneg(1.5)
+    assert type(info.value) is TypeError and str(info.value) == "ExtNonneg needs ints, got 1.5/1"
