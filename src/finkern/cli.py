@@ -17,7 +17,6 @@ writes the output and maps the outcome to the exit status.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from .mcmc import (
 from .modelfile import ModelDocument, ModelError, emit, parse, parse_label
 
 DEFAULT_INSTANCES = 1000
-INSTANCES_ENV = "FINKERN_INSTANCES"  # read only for a bare --instances
 
 #: The most steps ``sample`` runs. Its trace holds one byte per step for a
 #: chain on at most 256 states, so the longest run takes about 100 MB, and
@@ -367,7 +365,6 @@ def _count(text: str) -> int:
 
 
 _REQUIRED = {"required": True}
-_SEED = ("--seed", {"type": int, "default": 0, "help": "PRNG seed"})
 _MH_FLAGS = [("--target", _REQUIRED), ("--involution", _REQUIRED),
              ("--acceptance", {}), ("--balancing", {})]
 
@@ -381,12 +378,11 @@ COMMANDS = {
     "build-mh": (_build_mh, "build an involutive MH chain", _MH_FLAGS),
     "verify-mh": (_verify_mh, "check the involutive MH theorem on one "
                   "problem or a randomized batch", [
-        ("--target", {}), ("--involution", {}), *_MH_FLAGS[2:], _SEED,
-        # a bare --instances leaves None, for main to read the count from
-        # the environment
-        ("--instances", {"type": _count, "nargs": "?", "const": None,
+        ("--target", {}), ("--involution", {}), *_MH_FLAGS[2:],
+        ("--seed", {"type": int, "help": "the batch's PRNG seed (default 0)"}),
+        ("--instances", {"type": _count, "nargs": "?", "const": DEFAULT_INSTANCES,
                          "default": 0, "help": "run a randomized theorem batch "
-                         f"instead (bare: ${INSTANCES_ENV} or {DEFAULT_INSTANCES})"})]),
+                         f"instead (bare: {DEFAULT_INSTANCES})"})]),
     "verify-skew": (_verify_skew, "check the skew-reversible MH theorem",
                     [*_MH_FLAGS, ("--twist", _REQUIRED)]),
     "classical-mh": (_classical_mh, "classical MH as an involutive MH chain",
@@ -399,7 +395,8 @@ COMMANDS = {
         ("--target", _REQUIRED),
         ("--factors", {"required": True, "help": "comma-separated space names"})]),
     "sample": (_sample, "run a chain in floating point", [
-        _SEED, ("--kernel", _REQUIRED), ("--target", _REQUIRED),
+        ("--seed", {"type": int, "default": 0, "help": "PRNG seed"}),
+        ("--kernel", _REQUIRED), ("--target", _REQUIRED),
         ("--init", _REQUIRED), ("--steps", {"type": _count, "required": True}),
         ("--burn", {"type": int, "default": 0})]),
 }
@@ -424,12 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.subcommand == "verify-mh":
-        if args.instances is None:
-            text = os.environ.get(INSTANCES_ENV)
-            try:
-                args.instances = DEFAULT_INSTANCES if text is None else _count(text)
-            except argparse.ArgumentTypeError as exc:
-                args.usage_error(f"{INSTANCES_ENV}: {exc}")
         # a batch draws its own problems: it takes no flag that names one
         given = [f"--{name}" for name in ("target", "involution", "acceptance",
                                           "balancing") if getattr(args, name) is not None]
@@ -438,6 +429,10 @@ def main(argv=None) -> int:
         if not args.instances and not (args.target and args.involution):
             args.usage_error("verify-mh needs --target and --involution "
                              "(or --instances for batch mode)")
+        if args.seed is None:
+            args.seed = 0
+        elif not args.instances:
+            args.usage_error("--seed seeds a batch: it needs --instances")
     if args.subcommand == "sample":
         if args.steps > MAX_STEPS:
             args.usage_error(f"--steps: at most {MAX_STEPS}, got {args.steps}")
@@ -447,7 +442,7 @@ def main(argv=None) -> int:
         path = Path(args.model)
         if not path.exists():
             raise ValueError(f"model file {path} does not exist")
-        model = parse(path.read_text())
+        model = parse(path.read_text(encoding="utf-8"))
         ok, lines, doc = COMMANDS[args.subcommand][0](model, args)
         report = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
                   for key, value in [("command", args.subcommand), *lines]]

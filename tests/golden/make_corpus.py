@@ -13,7 +13,8 @@ the exit code, stdout, stderr and the text written to ``--out``.
 ``--check`` instead replays the corpus against the models on disk and exits
 1, naming the first argv whose record differs; ``tests/test_golden.py``
 runs the same replay. Both modes use only the standard library and the
-package under ``src``.
+package under ``src``, and read and write every file as UTF-8, so they
+give the same result under any locale.
 
 A deliberate change of the CLI's behaviour regenerates the corpus with this
 script; the argvs whose records changed are then listed with the change.
@@ -40,39 +41,22 @@ CORPUS = HERE / "corpus.txt"
 #: Replaced in an argv by a fresh file path at run time.
 OUT = "{out}"
 
-#: The environment every argv runs in, apart from its own assignments.
-BASE_ENV = {"FINKERN_INSTANCES": None}
-
 
 # ---------------------------------------------------------------------------
 # running one argv and writing its record
 
 
 def run_argv(words: list[str], out_path: Path) -> str:
-    """Run one corpus argv in-process and return its record text.
-
-    ``words`` may start with ``NAME=value`` environment assignments; the
-    rest is the CLI argv, with ``{out}`` standing for ``out_path``.
-    """
+    """Run one corpus argv in-process, with ``{out}`` standing for
+    ``out_path``, and return its record text."""
     from finkern.cli import main
 
-    env = dict(BASE_ENV)
-    argv = list(words)
-    while argv and "=" in argv[0] and argv[0].split("=", 1)[0].isupper():
-        name, _, value = argv.pop(0).partition("=")
-        env[name] = value
-    argv = [str(out_path) if word == OUT else word for word in argv]
+    argv = [str(out_path) if word == OUT else word for word in words]
     if out_path.exists():
         out_path.unlink()
-    saved = {name: os.environ.get(name) for name in env}
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     try:
-        for name, value in env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
         os.chdir(ROOT)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -83,12 +67,7 @@ def run_argv(words: list[str], out_path: Path) -> str:
                 status = f"raised {type(exc).__name__}: {exc}"
     finally:
         os.chdir(cwd)
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    written = out_path.read_text() if out_path.exists() else None
+    written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
     return format_record(words, status, stdout.getvalue(),
                          _unwrap_usage(stderr.getvalue()), written)
 
@@ -205,6 +184,12 @@ kernel full : X -> X {
   t2 -> t1 = 1/3  t2 -> t2 = 1/3  t2 -> t3 = 1/3
   t3 -> t1 = 1/3  t3 -> t2 = 1/3  t3 -> t3 = 1/3
 }
+"""
+
+UTF8_COMMENTS = """\
+# comments outside ASCII: the CLI reads a model as UTF-8 whatever the locale
+space X { a b }  # café, naïve, Gödel
+measure m on X { a = 1/2  b = 1/2 }  # — ½ each
 """
 
 #: The documents of ``test_parse_errors_carry_lines``.
@@ -353,7 +338,8 @@ def big_error_documents(text: str) -> dict[str, str]:
 
 def extra_documents() -> dict[str, str]:
     docs = {"inf_entries": INF_ENTRIES, "unnormalized": UNNORMALIZED,
-            "off_orbit": OFF_ORBIT, "sparse_exchange": SPARSE_EXCHANGE}
+            "off_orbit": OFF_ORBIT, "sparse_exchange": SPARSE_EXCHANGE,
+            "utf8_comments": UTF8_COMMENTS}
     for k, text in enumerate(PARSE_ERRORS, start=1):
         docs[f"parse_error_{k:02d}"] = text
     big = big_document()
@@ -484,11 +470,7 @@ def usage_argvs() -> list[list[str]]:
         ["verify-mh", "--model", two, "--balancing", "met", "--instances", "3"],
         ["verify-mh", "--model", two, "--target", "mu", "--instances", "3"],
         ["verify-mh", "--model", two, "--target", "mu"],
-        ["FINKERN_INSTANCES=abc", "verify-mh", "--model", two, "--instances"],
-        ["FINKERN_INSTANCES=0", "verify-mh", "--model", two, "--instances"],
-        ["FINKERN_INSTANCES=", "verify-mh", "--model", two, "--instances"],
-        ["FINKERN_INSTANCES=4", "verify-mh", "--model", two, "--instances"],
-        ["FINKERN_INSTANCES=abc", "check", "--model", two, "normalized", "walk"],
+        ["verify-mh", "--model", two, *mh, "--acceptance", "alpha", "--seed", "5"],
         ["verify-mh", "--model", two, "--instances", "3"],
         ["verify-mh", "--model", two, "--instances", "40", "--seed", "4"],
         ["verify-mh", "--model", two, "--instances", "40", "--seed", "4",
@@ -536,13 +518,13 @@ def argvs() -> list[list[str]]:
     out = []
     for path in models:
         rel = str(path.relative_to(ROOT))
-        doc = parse(path.read_text())
+        doc = parse(path.read_text(encoding="utf-8"))
         subcommands = _subcommand_argvs(rel, doc)
         out += _check_argvs(rel, doc) + subcommands + _out_argvs(subcommands)
     out += usage_argvs()
     out += big_argvs()
     for name in sorted(extra_documents()):
-        if name.startswith(("parse_error_", "big64_")):
+        if name.startswith(("parse_error_", "big64_", "utf8_")):
             out.append(["check", "--model", f"tests/golden/models/{name}.fk",
                         "normalized", "m"])
     return out
@@ -556,7 +538,7 @@ def first_difference(out_path: Path) -> str | None:
     """Replay every record of the corpus, writing ``--out`` files to
     ``out_path``; a message naming the first argv whose record differs, or
     saying that the corpus's argvs are not those of ``argvs()``, or None."""
-    records = read_corpus(CORPUS.read_text())
+    records = read_corpus(CORPUS.read_text(encoding="utf-8"))
     for words, expected in records:
         got = run_argv(words, out_path)
         if got != expected:
@@ -577,7 +559,8 @@ def main(argv: list[str] | None = None) -> int:
     check = parser.parse_args(argv).check
     sys.path.insert(0, str(ROOT / "src"))
     if check:
-        on_disk = {path.stem: path.read_text() for path in EXTRA.glob("*.fk")}
+        on_disk = {path.stem: path.read_text(encoding="utf-8")
+                   for path in EXTRA.glob("*.fk")}
         with tempfile.TemporaryDirectory() as tmp:
             problem = ("the model documents on disk are not the ones this script writes"
                        if on_disk != extra_documents()
@@ -586,12 +569,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if problem else 0
     EXTRA.mkdir(exist_ok=True)
     for name, text in extra_documents().items():
-        (EXTRA / f"{name}.fk").write_text(text)
+        (EXTRA / f"{name}.fk").write_text(text, encoding="utf-8")
     out_path = HERE / "out.tmp"
     records = [run_argv(words, out_path) for words in argvs()]
     if out_path.exists():
         out_path.unlink()
-    CORPUS.write_text("".join(records))
+    CORPUS.write_text("".join(records), encoding="utf-8")
     print(f"{len(records)} records, {CORPUS.stat().st_size} bytes -> "
           f"{CORPUS.relative_to(ROOT)}")
     return 0

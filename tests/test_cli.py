@@ -1,4 +1,5 @@
 import ast
+import codecs
 import importlib
 import os
 import re
@@ -152,6 +153,25 @@ def test_a_process_under_the_least_digit_limit_reads_long_values(tmp_path):
         [sys.executable, "-X", "int_max_str_digits=640", "-m", "finkern.cli",
          "check", "--model", str(model), "normalized", "mu"],
         env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert report_dict(done.stdout)["result"] == "true"
+
+
+def test_a_process_in_an_ascii_locale_reads_a_model_as_utf8(tmp_path):
+    """A comment outside ASCII does not depend on the locale's encoding."""
+    model = tmp_path / "cafe.fk"
+    model.write_text("space X { a b }  # café\nmeasure mu on X { a = 1  b = 0 }\n",
+                     encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if codecs.lookup(encoding).name == "utf-8":
+        pytest.skip("the C locale's encoding is UTF-8 here")
+    done = subprocess.run(
+        [sys.executable, "-m", "finkern.cli", "check", "--model", str(model),
+         "normalized", "mu"], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert report_dict(done.stdout)["result"] == "true"
 
@@ -414,11 +434,12 @@ kernel mh_chain : X -> X {
 
 
 def test_verify_mh_batch_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("FINKERN_INSTANCES", "50")
-    code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE,
-                       "--seed", "3", "--instances")
+    # the CLI reads no environment variable: a bare --instances runs 1000
+    monkeypatch.setenv("FINKERN_INSTANCES", "abc")
+    code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE, "--instances")
     assert code == 0
-    assert report_dict(out)["instances"] == "50"
+    report = report_dict(out)
+    assert (report["instances"], report["seed"]) == ("1000", "0")
 
 
 def test_decompose_kernel_against_kernel(capsys, tmp_path):
@@ -890,27 +911,6 @@ def test_unwritable_out_exits_2_after_the_check(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_instances_env_is_read_only_by_a_bare_instances(capsys, monkeypatch):
-    monkeypatch.setenv("FINKERN_INSTANCES", "abc")
-    code, out, _ = run(capsys, "check", "--model", TWO_STATE, "normalized", "walk")
-    assert code == 0
-    assert report_dict(out)["result"] == "true"
-    code, out, _ = run(capsys, "verify-mh", "--model", TWO_STATE,
-                       "--instances", "3")
-    assert code == 0
-    assert report_dict(out)["instances"] == "3"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-def test_bad_instances_env_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("FINKERN_INSTANCES", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-mh", "--model", TWO_STATE, "--instances"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"FINKERN_INSTANCES: expected a positive integer, got {value!r}" in err
-
-
 @pytest.mark.parametrize("value", ["-3", "0", "x"])
 def test_non_positive_instances_is_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -931,17 +931,13 @@ def test_verify_mh_batch_rejects_single_instance_flags(capsys, flags, named):
     assert f"--instances takes none of {named}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("env,flags,message", [
-    ("abc", ["--instances"], "FINKERN_INSTANCES: expected a positive integer"),
-    (None, ["--target", "mu", "--instances", "3"], "--instances takes none of --target"),
-    (None, ["--target", "mu"], "verify-mh needs --target and --involution"),
-], ids=["bad-env", "batch-with-problem-flags", "missing-involution"])
-def test_verify_mh_usage_errors_show_its_own_usage(capsys, monkeypatch, env,
-                                                  flags, message):
-    if env is None:
-        monkeypatch.delenv("FINKERN_INSTANCES", raising=False)
-    else:
-        monkeypatch.setenv("FINKERN_INSTANCES", env)
+@pytest.mark.parametrize("flags,message", [
+    (["--target", "mu", "--instances", "3"], "--instances takes none of --target"),
+    (["--target", "mu"], "verify-mh needs --target and --involution"),
+    (["--target", "mu", "--involution", "flip", "--acceptance", "alpha",
+      "--seed", "5"], "--seed seeds a batch: it needs --instances"),
+], ids=["batch-with-problem-flags", "missing-involution", "seed-without-instances"])
+def test_verify_mh_usage_errors_show_its_own_usage(capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
         main(["verify-mh", "--model", TWO_STATE, *flags])
     assert exc.value.code == 2

@@ -51,6 +51,20 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, path.name
 
 
+def test_no_module_reads_the_environment():
+    # what the CLI does depends on its argv and its files alone
+    reads = {"environ", "getenv", "putenv"}
+    for path in (SRC / "finkern").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "os" else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & reads, f"{path.name} line {node.lineno}"
+
+
 def test_lazy_names_resolve_and_list():
     import finkern
     from finkern import oplus, run_chain
