@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         # report that shares stdout with a document is "#"-commented
         body, head = ("".join(report), []) if doc is None else (emit(doc), report)
         if args.out:
-            Path(args.out).write_text(body)
+            Path(args.out).write_text(body, encoding="utf-8")
             sys.stdout.write("".join(head))
         else:
             sys.stdout.write("".join("# " + line for line in head) + body)

@@ -490,4 +490,7 @@ def emit(doc: ModelDocument) -> str:
         out.append(f"involution {name} on {doc.space_name(inv.space)} {block}")
     for name, fn in doc.balancing.items():
         out.append(f"balancing {name} = {fn}")
-    return "\n".join(out) + "\n"
+    # the final newline is joined in, not added to a copy of the whole text;
+    # an empty document is one empty line
+    out.append("")
+    return "\n".join(out) or "\n"

@@ -8,6 +8,7 @@ rationals or the single infinity, so equality is decidable and structural.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd
 
 
@@ -20,6 +21,7 @@ class SemiringDivisionError(ArithmeticError):
 _new = object.__new__
 
 
+@total_ordering
 class ExtNonneg:
     """A nonnegative rational or infinity.
 
@@ -145,21 +147,6 @@ class ExtNonneg:
         if self.den == 0:
             return False
         return self.num * other.den <= other.num * self.den
-
-    # The order is total, so the strict and reversed forms are swaps and
-    # negations of ``__le__`` on the lifted operand.
-
-    def __lt__(self, other):
-        other = ExtNonneg._lift(other)
-        return NotImplemented if other is None else not other.__le__(self)
-
-    def __ge__(self, other):
-        other = ExtNonneg._lift(other)
-        return NotImplemented if other is None else other.__le__(self)
-
-    def __gt__(self, other):
-        other = ExtNonneg._lift(other)
-        return NotImplemented if other is None else not self.__le__(other)
 
     def __hash__(self):
         # Integers hash like the ints they equal, so mixed lookups behave.

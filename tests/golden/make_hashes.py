@@ -430,7 +430,7 @@ def lines() -> list[str]:
 def differences() -> list[str]:
     """Each line of the hash file that the library no longer reproduces,
     with the line it gives now; empty when all replay."""
-    on_disk = HASHES.read_text().splitlines()
+    on_disk = HASHES.read_text(encoding="utf-8").splitlines()
     now = lines()
     if [line.split()[:2] for line in on_disk] != [line.split()[:2] for line in now]:
         return ["the file's families and seeds are not those the script lists"]
@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(problems) or f"{HASHES.relative_to(ROOT)} replays unchanged")
         return 1 if problems else 0
     text = "\n".join(lines()) + "\n"
-    HASHES.write_text(text)
+    HASHES.write_text(text, encoding="utf-8")
     print(f"{len(FAMILIES) * len(SEEDS)} lines -> {HASHES.relative_to(ROOT)}")
     return 0
 

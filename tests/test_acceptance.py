@@ -440,7 +440,7 @@ def test_criterion_10_cli_round_trip_and_witnesses(capsys):
     corpus = sorted(MODELS.glob("*.fk"))
     ok = bool(corpus)
     for path in corpus:
-        doc = parse(path.read_text())
+        doc = parse(path.read_text(encoding="utf-8"))
         ok &= parse(emit(doc)) == doc
 
     # a failing verify-mh must report a witness that re-fails the predicates
@@ -454,7 +454,7 @@ def test_criterion_10_cli_round_trip_and_witnesses(capsys):
             key, _, value = line.partition(" = ")
             report[key] = value
     ok &= code == 1
-    doc = parse(Path(model).read_text())
+    doc = parse(Path(model).read_text(encoding="utf-8"))
     target = doc.measures["mu"]
     phi = doc.involutions["flip"]
     accept = doc.probabilities["alpha_bad"]

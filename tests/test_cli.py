@@ -71,7 +71,7 @@ def test_check_prints_results_longer_than_the_digit_limit(capsys, tmp_path):
     sevens, threes = "7" * 4290, "3" * 4295
     model = tmp_path / "long.fk"
     model.write_text(f"space X {{ a b c }}\nmeasure mu on X {{ a = {sevens}/{threes}"
-                     f"  b = 1/{sevens}  c = {threes} }}\n")
+                     f"  b = 1/{sevens}  c = {threes} }}\n", encoding="utf-8")
     limit = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, "check", "--model", str(model), "normalized", "mu")
     assert sys.get_int_max_str_digits() == limit
@@ -88,7 +88,8 @@ def test_check_prints_results_longer_than_the_digit_limit(capsys, tmp_path):
 
 def test_a_value_past_the_digit_bound_is_refused_with_the_bound(capsys, tmp_path):
     model = tmp_path / "long.fk"
-    model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {'7' * 4301}  b = 1 }}\n")
+    model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {'7' * 4301}  b = 1 }}\n",
+                     encoding="utf-8")
     code, _, err = run(capsys, "check", "--model", str(model), "normalized", "mu")
     assert code == 2
     assert "at most 4300 digits" in err and "set_int_max_str_digits" not in err
@@ -111,7 +112,8 @@ def test_build_mh_writes_no_document_it_could_not_read(capsys, tmp_path):
     model.write_text(
         f"space X {{ a b }}\nmeasure mu on X {{ a = {'7' * 3000}/{'3' * 2999}1"
         f"  b = 1{'0' * 2999}/{'9' * 3000} }}\n"
-        "involution flip on X { a -> b  b -> a }\nbalancing met = metropolis\n")
+        "involution flip on X { a -> b  b -> a }\nbalancing met = metropolis\n",
+        encoding="utf-8")
     built = tmp_path / "built.fk"
     code, _, err = run(capsys, "build-mh", "--model", str(model), "--target", "mu",
                        "--involution", "flip", "--balancing", "met", "--out", str(built))
@@ -128,7 +130,7 @@ def test_model_values_do_not_depend_on_the_interpreter_digit_limit(capsys, tmp_p
     num, den = 3 * 10**999, 9 * 10**999 + 7
     model = tmp_path / "long.fk"
     model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {num}/{den}"
-                     f"  b = {den - num}/{den} }}\n")
+                     f"  b = {den - num}/{den} }}\n", encoding="utf-8")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -147,12 +149,12 @@ def test_a_process_under_the_least_digit_limit_reads_long_values(tmp_path):
     num, den = 3 * 10**999, 9 * 10**999 + 7
     model = tmp_path / "long.fk"
     model.write_text(f"space X {{ a b }}\nmeasure mu on X {{ a = {num}/{den}"
-                     f"  b = {den - num}/{den} }}\n")
+                     f"  b = {den - num}/{den} }}\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-X", "int_max_str_digits=640", "-m", "finkern.cli",
          "check", "--model", str(model), "normalized", "mu"],
-        env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True, encoding="utf-8")
     assert (done.returncode, done.stderr) == (0, "")
     assert report_dict(done.stdout)["result"] == "true"
 
@@ -166,12 +168,14 @@ def test_a_process_in_an_ascii_locale_reads_a_model_as_utf8(tmp_path):
                LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     encoding = subprocess.run(
         [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-        env=env, capture_output=True, text=True, check=True).stdout.strip()
+        env=env, capture_output=True, text=True, check=True,
+        encoding="utf-8").stdout.strip()
     if codecs.lookup(encoding).name == "utf-8":
         pytest.skip("the C locale's encoding is UTF-8 here")
     done = subprocess.run(
         [sys.executable, "-m", "finkern.cli", "check", "--model", str(model),
-         "normalized", "mu"], env=env, capture_output=True, text=True)
+         "normalized", "mu"], env=env, capture_output=True, text=True,
+        encoding="utf-8")
     assert (done.returncode, done.stderr) == (0, "")
     assert report_dict(done.stdout)["result"] == "true"
 
@@ -183,7 +187,7 @@ PROCESS_WIDE = ("set_int_max_str_digits", "getrefcount")
 
 def test_no_module_touches_process_wide_state():
     for path in Path(cli.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in PROCESS_WIDE, (path.name, node.lineno)
             if isinstance(node, ast.alias):
@@ -195,7 +199,7 @@ def test_no_module_imports_a_private_name_of_another():
     other through public names alone, but for the kernel layer's modules,
     which share the stored row format among themselves."""
     for path in Path(cli.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("finkern")):
                 if path.name in KERNEL_LAYER and kernel_layer_module(node.module):
@@ -210,7 +214,7 @@ def test_every_exception_class_of_the_package_exits_2():
     defines subclasses one of them."""
     defined = {}
     for path in Path(cli.__file__).parent.glob("*.py"):
-        names = [node.name for node in ast.parse(path.read_text()).body
+        names = [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
                  if isinstance(node, ast.ClassDef)]
         if names:
             module = importlib.import_module(f"finkern.{path.stem}")
@@ -267,7 +271,7 @@ def test_verify_mh_failure_witness_refails(capsys):
     assert report["flags_agree"] == "true"
     # re-check detailed balance at the reported pair with library calls
     from finkern.mcmc import MhProblem, build_mh
-    doc = parse(Path(TWO_STATE).read_text())
+    doc = parse(Path(TWO_STATE).read_text(encoding="utf-8"))
     mu = doc.measures["mu"]
     problem = MhProblem(target=mu, involution=doc.involutions["flip"],
                         acceptance=doc.probabilities["alpha_bad"])
@@ -312,10 +316,10 @@ def test_verify_skew_checks_the_twist_once(capsys, monkeypatch):
 
 def test_a_twist_on_another_space_is_named(capsys, tmp_path):
     model = tmp_path / "twist_elsewhere.fk"
-    model.write_text(Path(SKEW).read_text() + "space Y { u v }\n"
+    model.write_text(Path(SKEW).read_text(encoding="utf-8") + "space Y { u v }\n"
                      "involution flip on Y { u -> v  v -> u }\n"
                      "kernel walk : X -> X { p0 -> p1 = 1  p1 -> p0 = 1 "
-                     " p2 -> p2 = 1  p3 -> p3 = 1 }\n")
+                     " p2 -> p2 = 1  p3 -> p3 = 1 }\n", encoding="utf-8")
     for argv in (["check", "--model", str(model), "skew-reversible", "mu", "flip", "walk"],
                  ["verify-skew", "--model", str(model), "--target", "mu",
                   "--involution", "prop", "--acceptance", "alpha", "--twist", "flip"]):
@@ -330,7 +334,7 @@ def test_build_mh_emits_parseable_document(capsys, tmp_path):
                        "--target", "mu", "--involution", "flip",
                        "--balancing", "metropolis", "--out", str(out_path))
     assert code == 0
-    built = parse(out_path.read_text())
+    built = parse(out_path.read_text(encoding="utf-8"))
     assert "mh_chain" in built.kernels
     assert "acceptance" in built.probabilities
 
@@ -343,8 +347,8 @@ def test_build_mh_balancing_on_a_support_phi_leaves(capsys, tmp_path):
                        "--target", "mu", "--involution", "swap_ab",
                        "--balancing", "metropolis", "--out", str(out_path))
     assert code == 0 and err == ""
-    built = parse(out_path.read_text())
-    mu = parse(Path(DECOMPOSE).read_text()).measures["mu"]
+    built = parse(out_path.read_text(encoding="utf-8"))
+    mu = parse(Path(DECOMPOSE).read_text(encoding="utf-8")).measures["mu"]
     assert built.probabilities["acceptance"].effect_values() == (ZERO, ZERO, ExtNonneg(1))
     assert mcmc.is_reversible(mu, built.kernels["mh_chain"])
 
@@ -390,7 +394,8 @@ def test_gibbs(capsys):
 def test_gibbs_over_a_factor_with_no_points(capsys, tmp_path):
     """The joint space is empty, so the chain is the empty one."""
     model = tmp_path / "empty.fk"
-    model.write_text("space X { a b }\nspace E { }\nmeasure joint on E { }\n")
+    model.write_text("space X { a b }\nspace E { }\nmeasure joint on E { }\n",
+                     encoding="utf-8")
     code, out, err = run(capsys, "gibbs", "--model", str(model),
                          "--target", "joint", "--factors", "X,E")
     assert (code, err) == (0, "")
@@ -404,7 +409,7 @@ def test_gibbs_names_the_joint_space_itself_before_an_equal_one(capsys, tmp_path
     """E is declared first and equals J (both empty), but the chain is on J."""
     model = tmp_path / "empty.fk"
     model.write_text("space X { a b }\nspace E { }\nspace J { }\n"
-                     "measure joint on J { }\n")
+                     "measure joint on J { }\n", encoding="utf-8")
     code, out, err = run(capsys, "gibbs", "--model", str(model),
                          "--target", "joint", "--factors", "X,E")
     assert (code, err) == (0, "")
@@ -415,14 +420,14 @@ def test_gibbs_names_the_joint_space_itself_before_an_equal_one(capsys, tmp_path
 
 def test_sample(capsys, tmp_path):
     merged = tmp_path / "chain.fk"
-    base = Path(TWO_STATE).read_text()
+    base = Path(TWO_STATE).read_text(encoding="utf-8")
     merged.write_text(base + """
 kernel mh_chain : X -> X {
   a -> b = 1
   b -> a = 1/2
   b -> b = 1/2
 }
-""")
+""", encoding="utf-8")
     code, out, _ = run(capsys, "sample", "--model", str(merged),
                        "--kernel", "mh_chain", "--target", "mu",
                        "--init", "a", "--seed", "5", "--steps", "50000",
@@ -448,7 +453,7 @@ def test_decompose_kernel_against_kernel(capsys, tmp_path):
 space X { a b }
 kernel p : X -> X { a -> a = 1  a -> b = 2  b -> a = 3 }
 kernel ref : X -> X { a -> b = 1  b -> a = 1 }
-""")
+""", encoding="utf-8")
     code, out, _ = run(capsys, "decompose", "--model", str(model), "p", "ref")
     assert code == 0
     body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
@@ -463,7 +468,7 @@ def test_decompose_measure_against_measure(capsys, tmp_path):
 space X { a b c }
 measure p on X { a = 1  b = 2 }
 measure ref on X { b = 5  c = 1 }
-""")
+""", encoding="utf-8")
     code, out, _ = run(capsys, "decompose", "--model", str(model), "p", "ref")
     assert code == 0
     report = report_dict(out)
@@ -523,7 +528,7 @@ PREDICATE_CASES = [
 @pytest.mark.parametrize("predicate,names,expect", PREDICATE_CASES)
 def test_every_check_predicate(capsys, tmp_path, predicate, names, expect):
     model = tmp_path / "preds.fk"
-    model.write_text(PREDICATE_MODEL)
+    model.write_text(PREDICATE_MODEL, encoding="utf-8")
     code, out, _ = run(capsys, "check", "--model", str(model), predicate, *names)
     assert code == (0 if expect else 1)
     assert report_dict(out)["result"] == ("true" if expect else "false")
@@ -598,7 +603,7 @@ def _refails(predicate, names, report):
                          [(p, n) for p, n, expect in PREDICATE_CASES if not expect])
 def test_failing_check_witness_refails(capsys, tmp_path, predicate, names):
     model = tmp_path / "preds.fk"
-    model.write_text(PREDICATE_MODEL)
+    model.write_text(PREDICATE_MODEL, encoding="utf-8")
     code, out, _ = run(capsys, "check", "--model", str(model), predicate, *names)
     assert code == 1
     report = report_dict(out)
@@ -623,14 +628,14 @@ measure mu on X { p0 = 1/2 p1 = 1/6 p2 = 1/6 p3 = 1/6 }
 involution prop on X { p0 -> p2 p2 -> p0 }
 involution twist on X { p2 -> p3 p3 -> p2 }
 probability alpha on X { p0 = 1 p1 = 1 p2 = 1 p3 = 1 }
-""")
+""", encoding="utf-8")
     code, out, _ = run(capsys, "verify-skew", "--model", str(model),
                        "--target", "mu", "--involution", "prop",
                        "--acceptance", "alpha", "--twist", "twist")
     assert code == 1
     report = report_dict(out)
     assert report["skew_reversible"] == "false"
-    doc = parse(model.read_text())
+    doc = parse(model.read_text(encoding="utf-8"))
     target, twist = doc.measures["mu"], doc.involutions["twist"]
     chain = build_skew_mh(MhProblem(target=target, involution=doc.involutions["prop"],
                                     acceptance=doc.probabilities["alpha"]), twist)
@@ -642,7 +647,7 @@ probability alpha on X { p0 = 1 p1 = 1 p2 = 1 p3 = 1 }
 
 def test_copyable_and_skew_failures_print_witnesses(capsys, tmp_path):
     model = tmp_path / "preds.fk"
-    model.write_text(PREDICATE_MODEL)
+    model.write_text(PREDICATE_MODEL, encoding="utf-8")
     _, out, _ = run(capsys, "check", "--model", str(model), "copyable", "walk")
     assert report_dict(out)["witness_row"] == "a"
     _, out, _ = run(capsys, "check", "--model", str(model),
@@ -672,8 +677,8 @@ def test_flags_only_on_the_subcommands_that_use_them(capsys, argv):
 
 def test_sample_rejects_a_target_that_is_not_a_probability(capsys, tmp_path):
     model = tmp_path / "heavy.fk"
-    model.write_text(Path(TWO_STATE).read_text()
-                     + "measure heavy on X { a = 1  b = 3 }\n")
+    model.write_text(Path(TWO_STATE).read_text(encoding="utf-8")
+                     + "measure heavy on X { a = 1  b = 3 }\n", encoding="utf-8")
     code, out, err = run(capsys, "sample", "--model", str(model),
                          "--kernel", "walk", "--target", "heavy",
                          "--init", "a", "--seed", "5", "--steps", "100")
@@ -806,7 +811,8 @@ def test_a_malformed_obs_label_names_its_flag(capsys):
 
 
 def test_readme_lists_exactly_the_check_predicates():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
     listed = set(re.findall(r"^\| `([a-z-]+)` \|", readme, re.MULTILINE))
     assert listed == set(cli.CHECKS)
 
@@ -814,7 +820,7 @@ def test_readme_lists_exactly_the_check_predicates():
 def test_every_package_export_resolves():
     import finkern
 
-    init = Path(finkern.__file__).read_text()
+    init = Path(finkern.__file__).read_text(encoding="utf-8")
     imported = [(node.module, alias.name)
                 for node in ast.walk(ast.parse(init))
                 if isinstance(node, ast.ImportFrom)
@@ -834,7 +840,7 @@ def test_missing_model_file(capsys):
 
 def test_model_error_reported_with_line(capsys, tmp_path):
     bad = tmp_path / "bad.fk"
-    bad.write_text("space X { a }\nmeasure m on X { a = 3/0 }\n")
+    bad.write_text("space X { a }\nmeasure m on X { a = 3/0 }\n", encoding="utf-8")
     code, _, err = run(capsys, "check", "--model", str(bad), "normalized", "m")
     assert code == 2
     assert "line 2" in err
@@ -842,8 +848,8 @@ def test_model_error_reported_with_line(capsys, tmp_path):
 
 def test_exchange_with_infinite_prior_is_a_model_error(capsys, tmp_path):
     model = tmp_path / "inf_prior.fk"
-    model.write_text(Path(EXCHANGE).read_text().replace(
-        "t1 = 1/2  t2 = 1/2", "t1 = inf  t2 = 1/2"))
+    model.write_text(Path(EXCHANGE).read_text(encoding="utf-8").replace(
+        "t1 = 1/2  t2 = 1/2", "t1 = inf  t2 = 1/2"), encoding="utf-8")
     code, out, err = run(capsys, "exchange", "--model", str(model),
                          "--prior", "prior", "--likelihood", "lik",
                          "--obs", "z1", "--proposal", "q")
@@ -875,7 +881,7 @@ kernel lik : X -> Z {
 ], ids=["classical-mh", "exchange"])
 def test_an_infinite_mass_exits_2_with_one_error_line(capsys, tmp_path, argv, message):
     model = tmp_path / "infinite_mass.fk"
-    model.write_text(INFINITE_MASS_MODEL)
+    model.write_text(INFINITE_MASS_MODEL, encoding="utf-8")
     code, out, err = run(capsys, argv[0], "--model", str(model), *argv[1:])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -953,7 +959,7 @@ def test_verify_mh_usage_errors_show_its_own_usage(capsys, flags, message):
 def test_verify_mh_batch_reads_the_model(capsys, tmp_path, text, message):
     model = tmp_path / "batch.fk"
     if text is not None:
-        model.write_text(text)
+        model.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "verify-mh", "--model", str(model),
                          "--instances", "3")
     assert code == 2
@@ -968,7 +974,7 @@ space X { a b }
 measure mu on X { a = 1  b = 1 }
 measure s on X { a = 1 }
 involution s on X { a -> b  b -> a }
-""")
+""", encoding="utf-8")
     code, out, err = run(capsys, "decompose", "--model", str(model), "mu", "s")
     assert code == 2
     assert out == ""
@@ -986,12 +992,12 @@ kernel mh_chain : X -> X {
 
 @pytest.mark.parametrize("text,kernel,invariant", [
     (PREDICATE_MODEL, "walk", "false"),
-    (Path(TWO_STATE).read_text() + SAMPLED_CHAIN, "mh_chain", "true"),
+    (Path(TWO_STATE).read_text(encoding="utf-8") + SAMPLED_CHAIN, "mh_chain", "true"),
 ], ids=["walk", "mh_chain"])
 def test_sample_reports_whether_the_chain_keeps_the_target(
         capsys, tmp_path, text, kernel, invariant):
     model = tmp_path / "sample.fk"
-    model.write_text(text)
+    model.write_text(text, encoding="utf-8")
     code, out, _ = run(capsys, "sample", "--model", str(model), "--kernel", kernel,
                        "--target", "mu", "--init", "a", "--steps", "100")
     assert code == 0
@@ -1000,10 +1006,10 @@ def test_sample_reports_whether_the_chain_keeps_the_target(
 
 def test_sample_rejects_a_kernel_between_two_spaces(capsys, tmp_path):
     model = tmp_path / "lik.fk"
-    model.write_text(Path(TWO_STATE).read_text() + """
+    model.write_text(Path(TWO_STATE).read_text(encoding="utf-8") + """
 space Y { u v }
 kernel lik : X -> Y { a -> u = 1  b -> v = 1 }
-""")
+""", encoding="utf-8")
     code, out, err = run(capsys, "sample", "--model", str(model), "--kernel", "lik",
                          "--target", "mu", "--init", "a", "--steps", "100")
     assert code == 2
@@ -1055,7 +1061,7 @@ def test_verify_mh_batch_emits_a_replayable_disagreement(capsys, monkeypatch,
 
     monkeypatch.undo()
     replay = tmp_path / "disagreement.fk"
-    replay.write_text(out)
+    replay.write_text(out, encoding="utf-8")
     code, out, _ = run(capsys, "verify-mh", "--model", str(replay),
                        *report["replay"].split()[1:])
     flags = verify_mh_theorem(problem)

@@ -155,7 +155,7 @@ def _run(document, argv):
     """Exit code and stderr of ``main(argv)`` on ``document`` at ``MODEL``."""
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "m.fk"
-        model.write_text(document)
+        model.write_text(document, encoding="utf-8")
         argv = [str(model) if a == "MODEL" else
                 str(Path(tmp) / "out.fk") if a == "OUT" else a for a in argv]
         out, err = io.StringIO(), io.StringIO()

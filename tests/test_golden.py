@@ -20,12 +20,13 @@ hashes = _load_script("make_hashes")
 
 def test_extra_models_are_the_ones_the_script_writes():
     expected = corpus.extra_documents()
-    on_disk = {path.stem: path.read_text() for path in corpus.EXTRA.glob("*.fk")}
+    on_disk = {path.stem: path.read_text(encoding="utf-8")
+               for path in corpus.EXTRA.glob("*.fk")}
     assert on_disk == expected
 
 
 def test_corpus_replays_without_a_difference(tmp_path):
-    assert len(corpus.read_corpus(corpus.CORPUS.read_text())) > 2000
+    assert len(corpus.read_corpus(corpus.CORPUS.read_text(encoding="utf-8"))) > 2000
     problem = corpus.first_difference(tmp_path / "out.txt")
     assert problem is None, problem
 

@@ -810,7 +810,7 @@ def test_only_kernels_builds_rows():
     for path in SRC.glob("*.py"):
         if path.name in KERNEL_LAYER:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert not (node.value.id == "Kernel" and node.attr == "_new"), path.name
                 assert not (kernel_layer_module(node.value.id)
@@ -828,7 +828,7 @@ def test_only_kernels_reads_stored_rows():
     for path in SRC.glob("*.py"):
         if path.name in KERNEL_LAYER:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute):
                 assert node.attr != "int_rows", path.name
 
@@ -846,7 +846,7 @@ def test_only_the_api_reads_value_views():
     for path in SRC.glob("*.py"):
         if path.name in VIEW_READERS:
             continue
-        tree = ast.parse(path.read_text())
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         in_raise = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
                     for node in ast.walk(stmt)}
         for node in ast.walk(tree):

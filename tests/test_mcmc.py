@@ -788,7 +788,7 @@ def test_classical_mh_builds_no_inner_after_embed(monkeypatch):
 def test_mcmc_reads_no_value_views():
     """``mcmc`` reads entries as pairs: none of the ``ExtNonneg`` views,
     and ``at`` only to print a value in an error message."""
-    tree = ast.parse(Path(mcmc.__file__).read_text())
+    tree = ast.parse(Path(mcmc.__file__).read_text(encoding="utf-8"))
     in_raise = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
                 for node in ast.walk(stmt)}
     for node in ast.walk(tree):

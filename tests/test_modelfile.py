@@ -156,7 +156,7 @@ def test_bundled_corpus_round_trips():
     files = sorted(MODELS.glob("*.fk"))
     assert files, "bundled model corpus is missing"
     for path in files:
-        doc = parse(path.read_text())
+        doc = parse(path.read_text(encoding="utf-8"))
         assert parse(emit(doc)) == doc, path.name
 
 

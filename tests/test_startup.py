@@ -22,7 +22,7 @@ NOT_AT_START = ("finkern.sampler", "finkern.generators", "finkern.coproducts",
 def _python(code: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     return done.stdout.splitlines()
 
 
@@ -41,7 +41,7 @@ def test_cli_import_loads_only_what_it_runs():
 
 def test_no_module_imports_dataclasses():
     for path in (SRC / "finkern").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -63,6 +63,60 @@ def test_no_module_reads_the_environment():
             else:
                 continue
             assert not names & reads, f"{path.name} line {node.lineno}"
+
+
+def _unnamed_encodings(source: str) -> list[int]:
+    """The lines of the text reads, writes and subprocess pipes in ``source``
+    that leave their encoding to the locale."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "open":
+            # the mode follows the file in open(file, mode), and comes first
+            # in Path.open(mode)
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            mode = keywords.get("mode", node.args[at] if len(node.args) > at else None)
+            text = not (isinstance(mode, ast.Constant) and "b" in mode.value)
+        else:
+            text = (name in ("read_text", "write_text")
+                    or "text" in keywords or "universal_newlines" in keywords)
+        if text and "encoding" not in keywords:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_read_and_write_names_its_encoding():
+    # every file the package, its tests and its tools read or write is UTF-8,
+    # whatever the locale. bench/ is left out: its files change only together
+    # with the benchmark they define. (-X warn_default_encoding cannot stand
+    # in: it sees only the lines a run reaches, and installed pytest plugins
+    # trip it with their own reads.)
+    for tree in ("src", "tests", "tools"):
+        for path in (SRC.parent / tree).rglob("*.py"):
+            lines = _unnamed_encodings(path.read_text(encoding="utf-8"))
+            assert not lines, f"{path.relative_to(SRC.parent)} lines {lines}"
+
+
+@pytest.mark.parametrize("call, flagged", [
+    ("p.read_text()", True),
+    ("p.write_text(s)", True),
+    ("open(p)", True),
+    ('open(p, "w")', True),
+    ("p.open()", True),
+    ("subprocess.run(a, text=True)", True),
+    ('open(p, "rb")', False),
+    ('p.read_text(encoding="utf-8")', False),
+    ('p.write_text(s, encoding="utf-8")', False),
+    ('open(p, encoding="utf-8")', False),
+    ('open(p, "w", encoding="utf-8")', False),
+    ('p.open(encoding="utf-8")', False),
+    ('subprocess.run(a, text=True, encoding="utf-8")', False),
+])
+def test_the_encoding_guard_flags_a_text_call_without_an_encoding(call, flagged):
+    assert _unnamed_encodings(call) == ([1] if flagged else [])
 
 
 def test_lazy_names_resolve_and_list():

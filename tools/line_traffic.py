@@ -41,8 +41,8 @@ def _in_process(children) -> None:
     from finkern.cli import main
 
     def spawn(args, profile):
-        with (open(children.work / "stdout.txt", "w") as out,
-              open(children.work / "stderr.txt", "w") as err,
+        with (open(children.work / "stdout.txt", "w", encoding="utf-8") as out,
+              open(children.work / "stderr.txt", "w", encoding="utf-8") as err,
               redirect_stdout(out), redirect_stderr(err)):
             try:
                 return main(args)
