@@ -82,7 +82,9 @@ class Kernel:
     # a ``composite`` runs in order, or None. An index map stores only
     # ``_map`` and a composite only ``_factors``: the ``int_rows`` slot is
     # filled on first read, by ``__getattr__``, which then drops the factors.
-    __slots__ = ("dom", "cod", "int_rows", "_map", "_factors", "_view", "_dense")
+    # ``__weakref__`` lets ``mcmc.build_mh`` find a chain while a caller holds it.
+    __slots__ = ("dom", "cod", "int_rows", "_map", "_factors", "_view", "_dense",
+                 "__weakref__")
 
     def __init__(self, dom: FinSpace, cod: FinSpace, entries: Iterable[Iterable[Entry]]):
         dense = list(entries)

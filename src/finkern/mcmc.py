@@ -17,6 +17,7 @@ from __future__ import annotations
 from math import lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
+from weakref import ref
 
 from .semiring import (
     ExtNonneg, INF_PAIR, ONE_PAIR, ZERO_PAIR, fraction, pair_products_equal,
@@ -72,10 +73,11 @@ class MhProblem(FrozenRecord):
     """A target measure, an involution on its space, and an acceptance effect.
 
     The target must have finite atoms and the acceptance must be a
-    probability (all values at most 1).
+    probability (all values at most 1). ``_chain`` is a cache, not a field:
+    a weak reference to the chain ``build_mh`` last returned, or None.
     """
 
-    __slots__ = ("target", "involution", "acceptance")
+    __slots__ = ("target", "involution", "acceptance", "_chain")
 
     def __init__(self, target: Kernel, involution: Involution, acceptance: Kernel):
         if not target.is_measure:
@@ -93,6 +95,7 @@ class MhProblem(FrozenRecord):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "acceptance", acceptance)
+        object.__setattr__(self, "_chain", None)
 
     @property
     def space(self) -> FinSpace:
@@ -255,19 +258,33 @@ def _marginal(inner: Kernel, embed: Kernel) -> Kernel:
 
 
 def build_mh(problem: MhProblem) -> Kernel:
-    """accept * involution + (1 - accept) * identity; always normalized."""
-    return lazy_involution(problem.involution, problem.acceptance)
+    """accept * involution + (1 - accept) * identity; always normalized.
+
+    While a caller still holds the chain this returned for the problem, it
+    returns that chain again: the problem keeps only a weak reference to it,
+    so a chain nobody holds is freed and built anew on the next call.
+    """
+    held = problem._chain
+    chain = held and held()
+    if chain is None:
+        chain = lazy_involution(problem.involution, problem.acceptance)
+        object.__setattr__(problem, "_chain", ref(chain))
+    return chain
 
 
 def _balancing_violation(target: Kernel, phi: Involution, accept: Kernel) -> Label | None:
     # At a point neither x nor phi(x) charges both sides are 0, and the
     # condition at an uncharged x is the one at phi(x); so the charged
-    # points, in order, are all there is to check.
+    # points, in order, are all there is to check. Each orbit {x, phi x} is
+    # one equation: it holds at a fixed point, and a charged phi(x) < x
+    # decided it first.
     (masses,) = pair_rows(target)
     alpha = effect_pairs(accept)
     perm = phi.perm
     for i, (mn, md) in masses.items():
         j = perm[i]
+        if j == i or j < i and j in masses:
+            continue
         (an, ad), (bn, bd) = alpha[i], alpha[j]
         cn, cd = masses.get(j, ZERO_PAIR)
         if (an * mn * bd * cd != bn * cn * ad * md if md and ad and bd and cd

@@ -1,8 +1,9 @@
 import ast
+import pickle
 import random
 from math import lcm
 from pathlib import Path
-from types import SimpleNamespace
+from weakref import ref
 
 import pytest
 from hypothesis import assume, given
@@ -407,13 +408,54 @@ def test_build_mh_oracle_seeds_cover_fixed_points_and_extreme_acceptances():
 
 @pytest.mark.parametrize("bad", [q(3, 2), INF])
 def test_build_mh_rejects_acceptance_above_one(bad):
-    # MhProblem refuses such an acceptance; build_mh checks it again
+    # MhProblem refuses such an acceptance; build_mh checks it again, so the
+    # problem is forged past __init__, its cache slot empty
     prob = two_state_problem()
-    forged = SimpleNamespace(target=prob.target, involution=prob.involution,
-                             space=prob.space,
-                             acceptance=effect(X2, [q(1, 2), bad]))
+    forged = object.__new__(MhProblem)
+    for name, value in (("target", prob.target), ("involution", prob.involution),
+                        ("acceptance", effect(X2, [q(1, 2), bad])), ("_chain", None)):
+        object.__setattr__(forged, name, value)
     with pytest.raises(ValueError, match=f"acceptance value {bad} exceeds 1"):
         build_mh(forged)
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["orbits", "any"]))
+def test_build_mh_returns_the_chain_a_caller_still_holds(seed, support):
+    prob = rand_mh_problem(random.Random(seed), max_size=8, support=support)
+    fresh = rand_mh_problem(random.Random(seed), max_size=8, support=support)
+
+    def record_view(p):
+        return p == fresh, hash(p), repr(p), pickle.loads(pickle.dumps(p)) == p
+
+    before = record_view(prob)
+    chain = build_mh(prob)
+    assert build_mh(prob) is chain
+    assert record_view(prob) == before == (True, hash(fresh), repr(fresh), True)
+    assert build_mh(pickle.loads(pickle.dumps(prob))) is not chain
+    with pytest.raises(AttributeError):
+        setattr(prob, "_chain", chain)
+    rows, dropped = chain.int_rows, ref(chain)
+    del chain
+    assert dropped() is None  # the problem does not keep its chain alive
+    again = build_mh(prob)
+    assert again.int_rows == rows and build_mh(prob) is again
+
+
+def test_verify_builds_no_chain_while_a_caller_holds_one(monkeypatch):
+    built = []
+
+    def counting(phi, accept):
+        built.append(phi)
+        return kernels_module.lazy_involution(phi, accept)
+    monkeypatch.setattr(mcmc, "lazy_involution", counting)
+    prob = two_state_problem()
+    chain = build_mh(prob)
+    assert verify_mh_theorem(prob) == (True, True)
+    assert verify_skew_theorem(prob, Involution.identity(X2)) == (True, True)
+    assert len(built) == 1
+    del chain
+    verify_mh_theorem(prob)
+    assert len(built) == 2
 
 
 def test_effect_of_the_wrong_length_is_a_space_mismatch():
@@ -436,6 +478,51 @@ def test_balancing_uniform_target_constant_alpha():
 def test_balancing_hand_example():
     assert check_balancing(two_state_problem([ONE, q(1, 2)]))
     assert not check_balancing(two_state_problem([ONE, ONE]))
+
+
+def _every_point_balancing_violation(problem):
+    """The balancing condition tested at every charged point in order, both
+    ends of each orbit alike: the oracle for the per-orbit scan."""
+    (masses,) = pair_rows(problem.target)
+    alpha, perm = effect_pairs(problem.acceptance), problem.involution.perm
+    for i, mass in masses.items():
+        j = perm[i]
+        if not pair_products_equal(alpha[i], mass, alpha[j], masses.get(j, ZERO_PAIR)):
+            return problem.target.cod.labels[i]
+    return None
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["orbits", "any"]),
+       st.sampled_from(["mixed", "adversarial"]))
+def test_balancing_decides_each_orbit_once_with_the_same_witness(seed, support, mode):
+    prob = rand_mh_problem(random.Random(seed), max_size=8, mode=mode, support=support)
+    assert balancing_violation(prob) == _every_point_balancing_violation(prob)
+
+
+@pytest.mark.parametrize("value", [ZERO, q(1, 3), ONE])
+def test_balancing_never_fails_at_a_fixed_point(value):
+    phi = Involution.from_mapping(X3, {"a": "b", "b": "a", "c": "c"})
+    target = measure(X3, [q(1, 4), q(1, 4), q(1, 2)])
+    prob = MhProblem(target, phi, effect(X3, [q(1, 2), q(1, 2), value]))
+    assert balancing_violation(prob) is None
+    prob = MhProblem(target, Involution.identity(X3), effect(X3, [value, ONE, ZERO]))
+    assert balancing_violation(prob) is None
+
+
+def test_balancing_decides_a_charged_point_whose_lower_image_is_uncharged():
+    # phi(c) = a < c, and a is uncharged: the equation is decided at c alone
+    phi = Involution.from_mapping(X3, {"a": "c", "b": "b", "c": "a"})
+    target = measure(X3, [ZERO, q(1, 2), q(1, 2)])
+    assert balancing_violation(MhProblem(target, phi, effect(X3, [ONE, ONE, q(1, 2)]))) == "c"
+    assert balancing_violation(MhProblem(target, phi, effect(X3, [ONE, ONE, ZERO]))) is None
+
+
+@pytest.mark.parametrize("accept", [[ONE, ONE, ONE, q(1, 2)], [ONE, q(1, 2), ONE, ONE]])
+def test_balancing_witness_of_a_failing_two_cycle_is_its_lower_point(accept):
+    space = FinSpace.atoms("a b c d")
+    phi = Involution.from_mapping(space, {"a": "a", "b": "d", "c": "c", "d": "b"})
+    prob = MhProblem(uniform(space), phi, effect(space, accept))
+    assert balancing_violation(prob) == "b"
 
 
 def test_balancing_alpha_contract():

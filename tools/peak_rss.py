@@ -2,11 +2,12 @@
 
     python -S tools/peak_rss.py import      # import finkern, over python -c pass
     python -S tools/peak_rss.py gibbs-16    # a 16x16x16 Gibbs check, over import finkern
+    python -S tools/peak_rss.py mh-pool     # verify 100 MH problems, over building them
 
-A case names a baseline snippet, a measured snippet and a limit in MB. Each
-snippet runs three times in a fresh ``python -c`` child, with ``src`` on the
-path and no bytecode cache, so the child compiles what it imports as a cold
-CLI process does. The peak RSS of a child is its ``ru_maxrss`` from
+A case names a baseline snippet, a measured snippet, what each runs and a
+limit in MB. Each snippet runs three times in a fresh ``python -c`` child,
+with ``src`` on the path and no bytecode cache, so the child compiles what it
+imports as a cold CLI process does. The peak RSS of a child is its ``ru_maxrss`` from
 ``os.wait4``, and a case compares the least of each snippet's three. Every
 reading is printed. The exit status is 1 if the difference exceeds the
 case's limit or a child fails.
@@ -33,10 +34,28 @@ joint = rand_probability_measure(random.Random(1), product_many(factors),
 assert is_invariant(joint, gibbs(joint, factors))
 """
 
-#: case -> (baseline snippet, measured snippet, what is measured, limit in MB)
+# build_mh keeps only a weak reference to the chain it returns, so a problem
+# verified after its chain was built does not keep that chain alive
+MH_POOL_BUILT = """
+import random
+from finkern import build_mh, is_normalized, verify_mh_theorem
+from finkern.generators import rand_mh_problem
+rng = random.Random(1)
+pool = [rand_mh_problem(rng, 128, 128, mode="balanced") for _ in range(100)]
+"""
+MH_POOL_VERIFIED = MH_POOL_BUILT + """
+for problem in pool:
+    chain = build_mh(problem)
+    assert is_normalized(chain) and all(verify_mh_theorem(problem))
+"""
+
+#: case -> (baseline snippet, what it runs, measured snippet, what it runs, limit in MB)
 CASES = {
-    "import": ("pass", "import finkern", "import finkern", 2.4),
-    "gibbs-16": ("import finkern", GIBBS_16, "16x16x16 Gibbs check", 8.0),
+    "import": ("pass", "python -c pass", "import finkern", "import finkern", 2.4),
+    "gibbs-16": ("import finkern", "import finkern", GIBBS_16,
+                 "16x16x16 Gibbs check", 8.0),
+    "mh-pool": (MH_POOL_BUILT, "building 100 n = 128 MH problems", MH_POOL_VERIFIED,
+                "verifying them", 0.5),
 }
 
 
@@ -59,8 +78,7 @@ def least_peak(label: str, code: str) -> float:
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0] not in CASES:
         sys.exit(f"usage: python -S tools/peak_rss.py {{{','.join(CASES)}}}")
-    base_code, code, what, limit = CASES[argv[0]]
-    base_label = "python -c pass" if base_code == "pass" else base_code
+    base_code, base_label, code, what, limit = CASES[argv[0]]
     base = least_peak(base_label, base_code)
     measured = least_peak(what, code)
     print(f"{what}: {measured - base:.2f} MB over {base_label}"
